@@ -395,6 +395,9 @@ def cmd_exact(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
         "fitted_rate": _json_float(fit.rate),
         "fit_r_squared": _json_float(fit.r_squared),
         "duality_residual": abs(lhs - rhs),
+        "stationary_solver": pi.solver,
+        "stationary_iterations": pi.iterations,
+        "stationary_residual": pi.residual,
     }
     write_json(os.path.join(out_dir, "exact_report.json"), payload, resolved)
     return 0, payload
@@ -507,10 +510,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(json.dumps(payload, sort_keys=True, default=str))
         _log(out_dir, f"{args.command} config={args.config} exit={code}")
         return code
-    except ToomlabError as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ToomlabError, ValueError, KeyError, OSError, ArithmeticError, AssertionError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1
 

@@ -5,20 +5,21 @@ With N = prod(dims) sites (hard cap 24), a probability distribution over all
 the lattice engine packs states with (bit i = spin +1 at flat site i).  One
 noisy synchronous update maps such a vector through the product kernel
 
-    out(xi) = sum_omega dist(omega) * prod_x p(xi_x | omega),
+    out(xi) = sum_omega dist(omega) * prod_x p(xi_x | omega_{x+U}).
 
-which for each source state is a rank-one product over target bits.  The
-apply expands those product measures chunk-wise (skipping zero-weight
-sources, so point masses cost O(2^N * N)) and accumulates them with dense
-matmuls; a general dense vector costs O(4^N) arithmetic, vectorized, which
-keeps N <= 16 under a minute and the N <= 12 workloads used for
-cross-validation essentially instant.
+Up to 11 sites the full 2^N x 2^N matrix is built once and applied by a
+matmul.  Beyond that the kernel is contracted one target site at a time,
+summing out each source spin right after its last use (a moving front, as
+in row transfer matrices): O(N * 2^(N+w)) work for a front of w wrapped
+source spins, a few milliseconds per application at N = 12-14 on a ring.
 
-On top of the kernel: stationary distributions by verified power iteration
-(with a Cesaro fallback for periodic edge cases), total-variation distances,
-expectations and the flip seminorm of cylinder functions, the dual action on
-observables, product-measure basin membership, and the light-cone check that
-window marginals on two torus sizes agree exactly until influence wraps.
+On top of the kernel: stationary distributions (a direct linear solve when
+the dense matrix exists and the invariant law is provably unique, otherwise
+verified power iteration with a Cesaro fallback, or exact cycle averaging
+for deterministic kernels), total-variation distances, expectations and the
+flip seminorm of cylinder functions, the dual action on observables,
+product-measure basin membership, and the light-cone check that window
+marginals on two torus sizes agree exactly until influence wraps.
 """
 
 from __future__ import annotations
@@ -123,6 +124,10 @@ class ExactKernel:
         self.kern = kernel_plus(noise, rule)
         self.n_states = 1 << self.n_sites
         self._dense: Optional[np.ndarray] = None
+        self._sweep_steps, self._sweep_order = _sweep_plan(self.stepper.nbr)
+        self._factor = np.stack([1.0 - self.kern, self.kern]).reshape(
+            (2,) * (rule.size + 1)
+        )
 
     def plus_probs(self, states: np.ndarray) -> np.ndarray:
         """(len(states), N) matrix of per-target-site +1 probabilities."""
@@ -138,22 +143,43 @@ class ExactKernel:
         return self._dense
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Linear kernel application to any signed vector (no normalization)."""
+        """Linear kernel application to a signed vector or a (B, 2^N) batch.
+
+        No normalization.  Above the dense-matrix size the product kernel is
+        contracted site by site (see `_sweep_plan`).
+        """
         vec = np.asarray(vec, dtype=np.float64)
         dense = self.dense_matrix()
         if dense is not None:
             return vec @ dense
-        out = np.zeros(self.n_states)
-        nz = np.flatnonzero(vec)
-        if nz.size == 0:
-            return out
-        chunk = max(1, min(nz.size, (1 << 22) // self.n_states))
-        for a in range(0, nz.size, chunk):
-            idx = nz[a : a + chunk].astype(np.uint64)
-            probs = self.plus_probs(idx)
-            expanded = _expand_products(probs)
-            out += vec[nz[a : a + chunk]] @ expanded
-        return out
+        cur = vec.reshape((-1,) + (2,) * self.n_sites)
+        for labels, factor_labels, out in self._sweep_steps:
+            cur = np.einsum(cur, labels, self._factor, factor_labels, out)
+        return cur.transpose(self._sweep_order).reshape(vec.shape)
+
+
+def _sweep_plan(nbr: np.ndarray) -> tuple[list[tuple], list[int]]:
+    """Einsum sublists that contract the product kernel one target site at a time.
+
+    nbr[i, x] is the source site feeding neighbor slot i of target x.  Axis
+    labels: source spin s is s, target spin x is N + x, the batch is 2N.
+    Step x multiplies in the factor p(xi_x | omega_{x+U}), stored with axes
+    (xi, slot R-1, ..., slot 0), and sums out every source spin whose last
+    use is at x, so a step touches only the targets done plus the sources
+    still ahead.  Returns the (operand, factor, output) label lists per step
+    and the axis order that puts the result back into (batch, bit N-1, ...,
+    bit 0), the C order of a flat state index.
+    """
+    n = nbr.shape[1]
+    last_use = {int(s): x for x in range(n) for s in nbr[:, x]}
+    labels = [2 * n] + list(range(n - 1, -1, -1))
+    steps = []
+    for x in range(n):
+        out = [a for a in labels if last_use.get(a) != x] + [n + x]
+        steps.append((labels, [n + x] + [int(s) for s in nbr[::-1, x]], out))
+        labels = out
+    order = [labels.index(a) for a in [2 * n] + list(range(2 * n - 1, n - 1, -1))]
+    return steps, order
 
 
 def _expand_products(probs: np.ndarray) -> np.ndarray:
@@ -201,12 +227,75 @@ def _strictly_positive(kernel: ExactKernel) -> bool:
     return bool((kernel.kern > 0.0).all() and (kernel.kern < 1.0).all())
 
 
-def _cycle_average(kernel: ExactKernel, start: np.ndarray, max_iter: int) -> np.ndarray:
+@dataclass(frozen=True, kw_only=True)
+class StationaryLaw(StateDistribution):
+    """A verified invariant law, with the route that produced it.
+
+    solver is "direct", "power", "cesaro" or "cycle".  iterations counts the
+    kernel applications of the iterative routes (0 for "direct").  residual
+    is the total-variation residual that passed the `< tol` check: TV(T pi,
+    pi), except on the power route, where it is TV(T x, x) for the iterate x
+    with pi = T x, which bounds TV(T pi, pi) from above.
+    """
+
+    solver: str
+    iterations: int
+    residual: float
+
+
+def _residual(kernel: ExactKernel, pi: np.ndarray) -> float:
+    """TV(T pi, pi), with T pi renormalized."""
+    t_pi = kernel.apply(pi)
+    return 0.5 * float(np.abs(t_pi / t_pi.sum() - pi).sum())
+
+
+def _unique_law_provable(kernel: ExactKernel, dense: np.ndarray) -> bool:
+    """Whether the chain provably has exactly one invariant law.
+
+    So it has when the kernel is strictly positive, and when all-minus or
+    all-plus is reachable from every state: such a state lies in every
+    closed class, so there is only one.  Reachability is a backward search
+    on the support of the transition matrix.
+    """
+    if _strictly_positive(kernel):
+        return True
+    support = dense > 0.0
+    for target in (0, len(dense) - 1):
+        reached = np.zeros(len(dense), dtype=bool)
+        reached[target] = True
+        frontier = reached.copy()
+        while frontier.any():
+            frontier = support[:, frontier].any(axis=1) & ~reached
+            reached |= frontier
+        if reached.all():
+            return True
+    return False
+
+
+def _direct_solve(dense: np.ndarray) -> Optional[np.ndarray]:
+    """pi with pi (T - I) = 0 and sum(pi) = 1, or None for a singular system."""
+    n = len(dense)
+    system = dense.T - np.eye(n)
+    # the balance equations sum to zero, so the last one is implied by the
+    # others and can make way for the normalization
+    system[-1] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        pi = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    pi = np.clip(pi, 0.0, None)  # roundoff leaves entries of order -1e-16
+    return pi / pi.sum()
+
+
+def _cycle_average(kernel: ExactKernel, start: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
     """Exact invariant vector of a deterministic kernel by cycle detection.
 
     Pushforwards of a deterministic map repeat exactly in float arithmetic;
     the average over one full cycle is invariant, which is what a Cesaro
-    limit would converge to only at rate 1/n.
+    limit would converge to only at rate 1/n.  Also returns the number of
+    kernel applications made.
     """
     # keep the stored history within ~128 MB whatever the state-space size
     cap = min(max_iter, 10**5, max(64, (1 << 24) // max(1, len(start))))
@@ -218,7 +307,7 @@ def _cycle_average(kernel: ExactKernel, start: np.ndarray, max_iter: int) -> np.
         if sig in seen:
             cycle = trail[seen[sig] :]
             avg = np.mean(cycle, axis=0)
-            return avg / avg.sum()
+            return avg / avg.sum(), len(trail)
         seen[sig] = len(trail)
         trail.append(cur)
         cur = kernel.apply(cur)
@@ -234,16 +323,24 @@ def stationary_distribution(
     cesaro_after: int = 10**4,
     allow_absorbing: bool = False,
     start: Optional[StateDistribution] = None,
-) -> StateDistribution:
-    """Fixed point of the transfer operator by verified power iteration.
+) -> StationaryLaw:
+    """Fixed point pi of the transfer operator, verified by TV(T pi, pi) < tol.
 
     Requires a strictly positive kernel (every transition possible) unless
-    the caller opts into absorbing/deterministic chains.  When successive
-    iterates stop making progress past `cesaro_after` steps, running Cesaro
-    averages of the iterates are tested as candidates alongside; a fully
-    deterministic kernel (the eps = 0 edge case) is handled by exact cycle
-    averaging instead.  Whatever the route, the returned vector pi passed
-    the verification TV(T pi, pi) < tol.
+    the caller opts into absorbing/deterministic chains.  The routes, tried
+    in this order:
+
+    * "direct": when the dense matrix exists (N <= 11) and the invariant law
+      is provably unique (see `_unique_law_provable`), a linear solve of
+      pi (T - I) = 0, sum(pi) = 1.  A singular system or a solution that
+      fails the verification falls through to the routes below.
+    * "cycle": a fully deterministic kernel (the eps = 0 edge case) is
+      handled by exact cycle averaging of the pushforwards of `start`.
+    * "power": power iteration from `start`.  When successive iterates stop
+      making progress past `cesaro_after` steps, running Cesaro averages of
+      the iterates are tested as candidates alongside ("cesaro").
+
+    `max_iter` bounds only the iterative routes.
     """
     kernel = ExactKernel(rule, noise, dims)
     if not allow_absorbing and not _strictly_positive(kernel):
@@ -251,16 +348,27 @@ def stationary_distribution(
             "noise kernel has zero-probability transitions; pass "
             "allow_absorbing=True to iterate anyway"
         )
+    dense = kernel.dense_matrix()
+    if dense is not None and _unique_law_provable(kernel, dense):
+        pi = _direct_solve(dense)
+        if pi is not None:
+            resid = _residual(kernel, pi)
+            if resid < tol:
+                return StationaryLaw(
+                    dims=kernel.dims, probs=pi, solver="direct", iterations=0, residual=resid
+                )
+            logger.debug("direct solve residual %.3e above tol, iterating", resid)
     cur = (start or uniform_distribution(kernel.dims)).probs.copy()
 
     deterministic = bool(((kernel.kern == 0.0) | (kernel.kern == 1.0)).all())
     if deterministic:
-        pi = _cycle_average(kernel, cur, max_iter)
-        t_pi = kernel.apply(pi)
-        resid = 0.5 * float(np.abs(t_pi / t_pi.sum() - pi).sum())
+        pi, steps = _cycle_average(kernel, cur, max_iter)
+        resid = _residual(kernel, pi)
         if resid >= tol:
             raise NumericalError(f"cycle average residual {resid:.3e} above tol")
-        return StateDistribution(dims=kernel.dims, probs=pi)
+        return StationaryLaw(
+            dims=kernel.dims, probs=pi, solver="cycle", iterations=steps, residual=resid
+        )
 
     check_every = 8
     window = 500
@@ -277,7 +385,10 @@ def stationary_distribution(
             if last_tv < tol:
                 # TV(T x, x) only shrinks under further applications of T,
                 # so the freshly advanced iterate inherits the certificate.
-                return StateDistribution(dims=kernel.dims, probs=nxt)
+                return StationaryLaw(
+                    dims=kernel.dims, probs=nxt, solver="power", iterations=it,
+                    residual=last_tv,
+                )
         if it % window == 0:
             stalled = stalled or last_tv > 0.999 * tv_at_window
             tv_at_window = last_tv
@@ -286,11 +397,12 @@ def stationary_distribution(
             avg = nxt.copy() if avg is None else avg + (nxt - avg) / avg_count
             if avg_count % 100 == 0:
                 cand = avg / avg.sum()
-                t_cand = kernel.apply(cand)
-                t_cand /= t_cand.sum()
-                resid = 0.5 * float(np.abs(t_cand - cand).sum())
+                resid = _residual(kernel, cand)
                 if resid < tol:
-                    return StateDistribution(dims=kernel.dims, probs=cand)
+                    return StationaryLaw(
+                        dims=kernel.dims, probs=cand, solver="cesaro", iterations=it,
+                        residual=resid,
+                    )
         cur = nxt
     raise NumericalError(
         f"power iteration did not reach tol {tol} in {max_iter} steps "

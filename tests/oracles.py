@@ -2,8 +2,9 @@
 
 Everything here is deliberately brute force and shares no code path with the
 implementations it checks: interval intersection over exact rationals for
-one-dimensional hull emptiness, exhaustive monotone-table enumeration, and a
-direct double-loop subset scan for plus sets.
+one-dimensional hull emptiness, exhaustive monotone-table enumeration, a
+direct double-loop subset scan for plus sets, and the exact transfer
+operator expanded one source configuration at a time.
 """
 
 from __future__ import annotations
@@ -85,7 +86,9 @@ def random_offsets_1d(R: int, rng: random.Random, span: int = 6) -> tuple[int, .
 
 def random_rule(rng: random.Random, max_R: int = 8, max_d: int = 3) -> RuleSpec:
     d = rng.randint(1, max_d)
-    R = rng.randint(1, max_R)
+    # offsets come from [-2, 2]^d, so at most 5^d of them are distinct; the
+    # clamp follows the draw so that every rule drawn before it is unchanged
+    R = min(rng.randint(1, max_R), 5**d)
     offsets = set()
     while len(offsets) < R:
         offsets.add(tuple(rng.randint(-2, 2) for _ in range(d)))
@@ -101,3 +104,34 @@ def enumerate_1d_rules_exhaustive(R: int, offsets: tuple[int, ...]) -> list[Rule
         RuleSpec(dimension=1, neighborhood=tuple((o,) for o in offsets), table=t)
         for t in all_monotone_tables(R)
     ]
+
+
+def brute_force_transfer(
+    rule: RuleSpec, p_plus: np.ndarray, dims: tuple[int, ...], vecs: np.ndarray
+) -> np.ndarray:
+    """Rows of vecs pushed through the noisy update, one source state at a time.
+
+    p_plus[c] is the probability of output +1 for local configuration c
+    (bit i = spin at the i-th neighbor).  Each source state contributes its
+    weight times the product measure over target sites, built by doubling.
+    """
+    n = int(np.prod(dims))
+    coords = list(itertools.product(*(range(L) for L in dims)))  # row-major
+    flat = {c: i for i, c in enumerate(coords)}
+    feeds = [
+        [flat[tuple((c + u) % L for c, u, L in zip(site, off, dims))] for off in rule.neighborhood]
+        for site in coords
+    ]
+    vecs = np.atleast_2d(np.asarray(vecs, dtype=np.float64))
+    out = np.zeros_like(vecs)
+    for src in range(1 << n):
+        weights = vecs[:, src]
+        if not weights.any():
+            continue
+        measure = np.ones(1)
+        for x in range(n):
+            cfg = sum(((src >> s) & 1) << i for i, s in enumerate(feeds[x]))
+            p = p_plus[cfg]
+            measure = np.concatenate([measure * (1.0 - p), measure * p])
+        out += np.outer(weights, measure)
+    return out

@@ -1,5 +1,6 @@
 import json
 import random
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -216,6 +217,23 @@ class TestSoundnessProperty:
         assert verify_certificate(fam, cert)
         if cert.verdict == ERODER:
             assert cert.q <= fam.dimension + 1
+
+    def test_random_rule_more_inputs_than_offsets(self):
+        # d = 1 leaves 5 distinct offsets in [-2, 2]; a drawn R = 8 must not hang
+        def first_draws(seed):
+            probe = random.Random(seed)
+            return probe.randint(1, 1), probe.randint(1, 8)
+
+        seed = next(s for s in range(1000) if first_draws(s) == (1, 8))
+        drawn = []
+        worker = threading.Thread(
+            target=lambda: drawn.append(random_rule(random.Random(seed), max_R=8, max_d=1)),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert drawn[0].dimension == 1 and drawn[0].size == 5
 
 
 class TestSerialization:

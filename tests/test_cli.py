@@ -210,6 +210,22 @@ class TestExact:
         # window marginal at the origin: essentially all mass on spin -1
         assert report["stationary_marginal"][0] > 0.999
 
+    @pytest.mark.parametrize("config, solver", [
+        ({"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1}, "dims": [8]},
+         "direct"),
+        ({"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1}, "dims": [12],
+          "tv_steps": 20}, "power"),
+        ({"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.0}, "dims": [6],
+          "allow_absorbing": True, "tv_steps": 20}, "cycle"),
+    ])
+    def test_reports_stationary_route(self, tmp_path, config, solver):
+        code, out = run(tmp_path, "exact", config)
+        assert code == 0
+        report = read_json(out / "exact_report.json")
+        assert report["stationary_solver"] == solver
+        assert (report["stationary_iterations"] == 0) == (solver == "direct")
+        assert 0.0 <= report["stationary_residual"] < 1e-10
+
     def test_absorbing_requires_opt_in(self, tmp_path, capsys):
         code, _ = run(
             tmp_path, "exact",
@@ -299,6 +315,17 @@ class TestHygiene:
         code = cli.main(["check", "--config", "/nonexistent/conf.json"])
         assert code == 1
         assert "error" in json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("exc", [ArithmeticError("pivot overflow"), AssertionError("bad basis")])
+    def test_internal_errors_stay_json(self, tmp_path, capsys, monkeypatch, exc):
+        def fail(family):
+            raise exc
+
+        monkeypatch.setattr(cli.certify, "check_eroder", fail)
+        code, _ = run(tmp_path, "check", {"rule": "nec"})
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": type(exc).__name__, "message": str(exc)}
 
     def test_bad_noise_kind(self, tmp_path, capsys):
         code, _ = run(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from toomlab import engine, oracle
-from toomlab.engine import LatticeState, biased_noise, symmetric_noise
+from toomlab.engine import LatticeState, biased_noise, symmetric_noise, table_noise
 from toomlab.errors import ResourceLimitError
 from toomlab.oracle import (
     CylinderFunction,
@@ -26,6 +26,8 @@ from toomlab.oracle import (
     window_marginal_consistency,
 )
 from toomlab.rules import builtin
+
+from .oracles import brute_force_transfer
 
 STAV = builtin("stavskaya")
 NEC = builtin("nec")
@@ -91,6 +93,23 @@ class TestTransferApply:
         out = k.apply(probs)
         assert abs(out.sum() - 1.0) < 1e-12 and out.min() >= 0.0
 
+    @pytest.mark.parametrize("rule, dims", [(STAV, (12,)), (NEC, (3, 4))])
+    def test_sweep_matches_brute_force(self, rule, dims):
+        # signed vectors, one at a time and as a (B, 2^N) batch; distinct
+        # kernel entries tell the neighbor slots apart, and nec 3x4 has a
+        # two-dimensional wrap-around front
+        rng = np.random.default_rng(6)
+        p_plus = rng.uniform(0.05, 0.95, size=1 << rule.size)
+        k = ExactKernel(rule, table_noise(p_plus), dims)
+        assert k.dense_matrix() is None
+        vecs = rng.normal(size=(3, k.n_states))
+        vecs /= np.abs(vecs).sum(axis=1, keepdims=True)
+        want = brute_force_transfer(rule, p_plus, dims, vecs)
+        got = k.apply(vecs)
+        assert got.shape == vecs.shape
+        assert np.abs(got - want).max() < 1e-15
+        assert np.abs(k.apply(vecs[1]) - want[1]).max() < 1e-15
+
     def test_site_cap(self):
         with pytest.raises(ResourceLimitError):
             ExactKernel(STAV, symmetric_noise(0.1), (25,))
@@ -102,6 +121,8 @@ class TestStationary:
         assert np.allclose(pi.probs, 1.0 / 64.0, atol=1e-12)
 
     def test_biased_reaches_all_minus_point_mass(self):
+        # all-minus is reachable from every state, so the law is unique and
+        # solved for directly instead of by ~2M power iterations
         pi = stationary_distribution(
             STAV, biased_noise(0.1, 0.0), (6,), tol=1e-10,
             max_iter=6_000_000, allow_absorbing=True,
@@ -109,7 +130,23 @@ class TestStationary:
         k = ExactKernel(STAV, biased_noise(0.1, 0.0), (6,))
         t_pi = k.apply(pi.probs)
         assert 0.5 * np.abs(t_pi / t_pi.sum() - pi.probs).sum() < 1e-10
-        assert tv_distance(pi, delta_minus((6,))) < 1e-4
+        assert tv_distance(pi, delta_minus((6,))) < 1e-12
+        assert (pi.solver, pi.iterations) == ("direct", 0)
+
+    def test_direct_matches_power_iteration(self):
+        tol = 1e-12
+        pi = stationary_distribution(STAV, symmetric_noise(0.07), (8,), tol=tol)
+        assert (pi.solver, pi.iterations) == ("direct", 0) and pi.residual < tol
+        p_plus = np.where(STAV.table == 1, 1.0 - 0.07, 0.07)
+        matrix = brute_force_transfer(STAV, p_plus, (8,), np.eye(256))
+        ref = np.full(256, 1.0 / 256)
+        for _ in range(5000):
+            nxt = ref @ matrix
+            step = 0.5 * np.abs(nxt - ref).sum()
+            ref = nxt
+            if step < 1e-15:
+                break
+        assert 0.5 * np.abs(pi.probs - ref).sum() < tol
 
     def test_absorbing_needs_opt_in(self):
         with pytest.raises(ValueError):
@@ -123,11 +160,27 @@ class TestStationary:
         assert asym < 1e-9
 
     def test_deterministic_cycle_average(self):
+        # eps = 0 fixes both all-minus and all-plus, so no unique law is
+        # established; the uniform start ends as 1/64 all-minus, 63/64 all-plus
         pi = stationary_distribution(
             STAV, symmetric_noise(0.0), (6,), allow_absorbing=True
         )
         k = ExactKernel(STAV, symmetric_noise(0.0), (6,))
         assert np.allclose(k.apply(pi.probs), pi.probs, atol=1e-14)
+        want = np.zeros(64)
+        want[0], want[63] = 1.0 / 64, 63.0 / 64
+        assert np.array_equal(pi.probs, want)
+        assert pi.solver == "cycle" and pi.iterations > 0 and pi.residual == 0.0
+
+    @pytest.mark.parametrize("noise, unique", [
+        (symmetric_noise(0.1), True),
+        (biased_noise(0.1, 0.0), True),  # all-minus reachable from everywhere
+        (symmetric_noise(0.0), False),  # all-minus and all-plus both fixed
+        (table_noise([0.0, 0.3, 0.6, 1.0]), False),  # both absorbing, noisy between
+    ])
+    def test_unique_law_detection(self, noise, unique):
+        k = ExactKernel(STAV, noise, (6,))
+        assert oracle._unique_law_provable(k, k.dense_matrix()) == unique
 
     def test_verified_residual(self):
         pi = stationary_distribution(STAV, symmetric_noise(0.07), (8,), tol=1e-11)
