@@ -70,12 +70,14 @@ def _coerce(value: Any, kind: str, name: str) -> Any:
             if not isinstance(value, bool):
                 raise ValueError("expected boolean")
             return value
+        if kind.endswith("_list") and not isinstance(value, list):
+            raise ValueError("expected a list")
         if kind == "int_list":
-            return [int(x) for x in value]
+            return [_coerce(x, "int", name) for x in value]
         if kind == "float_list":
-            return [float(x) for x in value]
+            return [_coerce(x, "float", name) for x in value]
         if kind == "site_list":
-            return [x if isinstance(x, int) else [int(c) for c in x] for x in value]
+            return [_coerce(x, "int" if isinstance(x, int) else "int_list", name) for x in value]
         if kind == "noise":
             return engine.noise_from_json(value)
         raise ValueError(f"unhandled kind {kind}")
@@ -287,8 +289,21 @@ def cmd_check(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
 
 def cmd_erode(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[int, dict]:
     rule = rules.load_rule(cfg["rule"])
+    dims, every = cfg["dims"], cfg["snapshot_every"]
+    frames: dict = {}
+    record = None
+    if every > 0 and rule.dimension == 2:
+        if dims is None:
+            raise ConfigError("snapshots need explicit dims")
+        state = engine.LatticeState.plus_with_island(dims, cfg["island"])
+        frames[0] = state.bits().reshape(dims)
+
+        def record(t: int, bits: np.ndarray) -> None:
+            if t % every == 0:
+                frames[t] = bits.reshape(dims).copy()
+
     result = engine.erosion_time(
-        rule, cfg["island"], dims=cfg["dims"], cutoff=cfg["cutoff"]
+        rule, cfg["island"], dims=dims, cutoff=cfg["cutoff"], on_step=record
     )
     payload = {
         "erased": result.erased,
@@ -296,73 +311,39 @@ def cmd_erode(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
         "sizes": list(result.sizes),
     }
     write_json(os.path.join(out_dir, "erosion_report.json"), payload, resolved)
-    every = cfg["snapshot_every"]
-    if every > 0 and rule.dimension == 2:
-        dims = cfg["dims"]
-        if dims is None:
-            raise ConfigError("snapshots need explicit dims")
-        state = engine.LatticeState.plus_with_island(dims, cfg["island"])
-        frames = {0: state.bits().reshape(dims)}
-
-        def record(t: int, bits: np.ndarray) -> None:
-            if t % every == 0:
-                frames[t] = bits.reshape(dims).copy()
-
-        engine.evolve(
-            state, rule, None, engine.RngKey(cfg["seed"]), 0,
-            min(result.steps, cfg["cutoff"] or result.steps), threads=threads,
-            on_step=record,
-        )
-        for t, frame in sorted(frames.items()):
-            write_ppm(os.path.join(out_dir, f"erode_{t:06d}.ppm"), frame, resolved)
+    for t, frame in sorted(frames.items()):
+        write_ppm(os.path.join(out_dir, f"erode_{t:06d}.ppm"), frame, resolved)
     return 0, payload
 
 
 def cmd_simulate(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[int, dict]:
     rule = rules.load_rule(cfg["rule"])
+    dims, every = tuple(cfg["dims"]), cfg["snapshot_every"]
+    if every > 0 and rule.dimension not in (1, 2):
+        raise ConfigError("snapshots support d = 1 (strip) and d = 2 (frames) only")
+    frames = {0: engine.LatticeState.all_plus(dims).bits()} if every > 0 else {}
+
+    def record(t: int, bits: np.ndarray) -> None:
+        if t % every == 0:
+            frames[t] = bits.copy()
+
     run = stats.minus_density_run(
-        rule, cfg["noise"], cfg["dims"], cfg["steps"], cfg["burn_in"], cfg["seed"],
-        threads=threads,
+        rule, cfg["noise"], dims, cfg["steps"], cfg["burn_in"], cfg["seed"],
+        threads=threads, on_step=record if every > 0 else None,
     )
     rows = [(t, float(d)) for t, d in enumerate(run.density_series)]
     write_csv(os.path.join(out_dir, "density.csv"), ("step", "density"), rows, resolved)
-    every = cfg["snapshot_every"]
-    if every > 0:
-        _write_snapshots(cfg, resolved, out_dir, rule, threads)
+    if rule.dimension == 2:
+        for t, frame in sorted(frames.items()):
+            write_ppm(os.path.join(out_dir, f"frame_{t:06d}.ppm"), frame.reshape(dims), resolved)
+    elif frames:
+        write_ppm(os.path.join(out_dir, "strip.ppm"), np.stack(list(frames.values())), resolved)
     payload = {
         "density_mean": _json_float(run.density_mean),
         "density_se": _json_float(run.density_se),
         "steps": cfg["steps"],
     }
     return 0, payload
-
-
-def _write_snapshots(cfg: dict, resolved: dict, out_dir: str, rule: rules.RuleSpec, threads: int) -> None:
-    dims = tuple(cfg["dims"])
-    every = cfg["snapshot_every"]
-    state = engine.LatticeState.all_plus(dims)
-    key = engine.RngKey(cfg["seed"])
-    if rule.dimension == 2:
-        frames = {0: state.bits().reshape(dims)}
-
-        def record(t: int, bits: np.ndarray) -> None:
-            if t % every == 0:
-                frames[t] = bits.reshape(dims).copy()
-
-        engine.evolve(state, rule, cfg["noise"], key, 0, cfg["steps"], threads=threads, on_step=record)
-        for t, frame in sorted(frames.items()):
-            write_ppm(os.path.join(out_dir, f"frame_{t:06d}.ppm"), frame, resolved)
-    elif rule.dimension == 1:
-        strip = [state.bits().copy()]
-
-        def record(t: int, bits: np.ndarray) -> None:
-            if t % every == 0:
-                strip.append(bits.copy())
-
-        engine.evolve(state, rule, cfg["noise"], key, 0, cfg["steps"], threads=threads, on_step=record)
-        write_ppm(os.path.join(out_dir, "strip.ppm"), np.stack(strip), resolved)
-    else:
-        raise ConfigError("snapshots support d = 1 (strip) and d = 2 (frames) only")
 
 
 def cmd_exact(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[int, dict]:
@@ -405,26 +386,25 @@ def cmd_exact(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
 
 def cmd_correlate(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[int, dict]:
     rule = rules.load_rule(cfg["rule"])
+    if not (cfg["distances"] or cfg["lags"]):
+        raise ConfigError("correlate needs distances and/or lags")
     payload: dict = {}
     header = ("distance_or_lag", "estimate", "stderr", "n")
-    if cfg["distances"]:
-        summary, fit = stats.spatial_correlation(
-            rule, cfg["noise"], cfg["dims"], cfg["distances"], cfg["samples"],
-            cfg["seed"], burn_in=cfg["burn_in"], threads=threads,
-        )
-        write_csv(os.path.join(out_dir, "correlate_spatial.csv"), header, summary.table, resolved)
-        payload["spatial_rate"] = _json_float(fit.rate)
-        payload["spatial_valid"] = fit.valid
-    if cfg["lags"]:
-        summary, fit = stats.temporal_autocorrelation(
-            rule, cfg["noise"], cfg["dims"], cfg["lags"], cfg["samples"],
-            cfg["seed"], burn_in=cfg["burn_in"], threads=threads,
-        )
-        write_csv(os.path.join(out_dir, "correlate_temporal.csv"), header, summary.table, resolved)
-        payload["temporal_rate"] = _json_float(fit.rate)
-        payload["temporal_valid"] = fit.valid
-    if not payload:
-        raise ConfigError("correlate needs distances and/or lags")
+    sample = stats.stationary_sample(
+        rule, cfg["noise"], cfg["dims"], cfg["burn_in"], cfg["samples"], cfg["seed"], threads
+    )
+    for kind, points, estimate in (
+        ("spatial", cfg["distances"], stats.spatial_correlation),
+        ("temporal", cfg["lags"], stats.temporal_autocorrelation),
+    ):
+        if points:
+            summary, fit = estimate(
+                rule, cfg["noise"], cfg["dims"], points, cfg["samples"],
+                cfg["seed"], burn_in=cfg["burn_in"], threads=threads, sample=sample,
+            )
+            write_csv(os.path.join(out_dir, f"correlate_{kind}.csv"), header, summary.table, resolved)
+            payload[f"{kind}_rate"] = _json_float(fit.rate)
+            payload[f"{kind}_valid"] = fit.valid
     return 0, payload
 
 
@@ -449,6 +429,7 @@ def cmd_divergence(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tup
         "classification": result.classification,
         "gap_mean": _json_float(result.gap_mean),
         "gap_se": _json_float(result.gap_se),
+        "coalescence_step": result.coalescence_step,
     }
     if result.classification != stats.INAPPLICABLE:
         rows = [

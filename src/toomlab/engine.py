@@ -1,23 +1,33 @@
 """Synchronous spin dynamics on finite periodic lattices.
 
 States are bit-packed (bit 1 = spin +1, 64 sites per word, little-endian bit
-order, row-major site indexing).  One update step gathers each site's
-neighborhood bits through precomputed periodic index tables, looks the local
-configuration up in the rule's truth table, and, in the noisy case, draws the
-new spin from the local error kernel.
+order, row-major site indexing, padding bits past the last site zero), and
+every update steps the packed words directly (multi-spin coding).  For each
+neighborhood offset, a plane holding every site's neighbor spin is built
+from two flat bit shifts with carry, one plain and one wrapped around the
+torus, selected per axis by precomputed packed range masks.  The rule table
+is evaluated by Shannon expansion over those planes, and its leaves are
+words: all-zero and all-one for probabilities 0 and 1, and otherwise one
+packed noise mask per distinct value p of the kernel.  A deterministic step
+is the case without drawn leaves.
 
 Randomness is counter-based: the draw consumed by site x at step t is output
 number x of a Philox stream keyed by (seed) with counter (0, 0, t, 0), so a
 trajectory is a pure function of (seed, initial state, rule, noise, steps).
-Batches of replicas share the per-step stream, replica r owning outputs
-[r*N, (r+1)*N).  Philox skips ahead in blocks of 4 outputs, so parallel
-workers take chunks whose start positions are multiples of 4; the result is
-bit-identical for any worker count.
+Site x takes +1 when its draw u satisfies u < p; the mask tests the raw
+64-bit draw against an integer bound that gives the same answer bit for bit.
+Batches of replicas are one lattice with a leading replica axis, so replica
+r owns outputs [r*N, (r+1)*N) of the shared stream.  With threads > 1 the
+draws are made in 64-site-aligned spans on one process-wide pool; each span
+starts its generator at its own offset, so results do not depend on the
+thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
@@ -67,18 +77,13 @@ class LatticeState:
 
     def bits(self) -> np.ndarray:
         """Unpacked spins as a flat uint8 0/1 array (1 = spin +1)."""
-        raw = self.words.view(np.uint8)
-        return np.unpackbits(raw, bitorder="little", count=self.n_sites)
+        return _unpack(self.words, self.n_sites)
 
     @classmethod
     def from_bits(cls, dims: Sequence[int], bits: np.ndarray) -> "LatticeState":
         dims = tuple(int(L) for L in dims)
         n = int(np.prod(dims))
-        bits = np.asarray(bits, dtype=np.uint8).reshape(n)
-        packed = np.packbits(bits, bitorder="little")
-        words = np.zeros(-(-n // 64), dtype="<u8")
-        words.view(np.uint8)[: packed.shape[0]] = packed
-        return cls(dims=dims, words=words)
+        return cls(dims=dims, words=_pack(np.reshape(bits, n), -(-n // 64)))
 
     @classmethod
     def all_plus(cls, dims: Sequence[int]) -> "LatticeState":
@@ -205,12 +210,23 @@ def noise_from_json(data: dict) -> NoiseModel:
     if extra:
         raise ConfigError(f"unknown noise fields for kind {kind!r}: {sorted(extra)}")
     if kind == "symmetric":
-        return symmetric_noise(float(data.get("eps", 0.0)))
+        return symmetric_noise(_number(data.get("eps", 0.0), "eps"))
     if kind == "biased":
         return biased_noise(
-            float(data.get("eps_plus", 0.0)), float(data.get("eps_minus", 0.0))
+            _number(data.get("eps_plus", 0.0), "eps_plus"),
+            _number(data.get("eps_minus", 0.0), "eps_minus"),
         )
-    return table_noise(data["p_plus"])
+    p_plus = data.get("p_plus")
+    if not isinstance(p_plus, list):
+        raise ConfigError("table noise needs a list p_plus")
+    return table_noise([_number(p, "p_plus") for p in p_plus])
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float; strings and booleans are refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"noise field {name!r} must be a number, got {value!r}")
+    return float(value)
 
 
 def kernel_plus(noise: NoiseModel, rule: RuleSpec) -> np.ndarray:
@@ -281,6 +297,30 @@ class RngKey:
         object.__setattr__(self, "seed", int(self.seed) & (2**64 - 1))
 
 
+def _torus_dims(rule: RuleSpec, dims: Sequence[int]) -> tuple[int, ...]:
+    """dims as ints, checked to match the rule and not alias its neighborhood."""
+    dims = tuple(int(L) for L in dims)
+    if len(dims) != rule.dimension:
+        raise ConfigError(
+            f"dims {dims} do not match rule dimension {rule.dimension}"
+        )
+    reach = max(max(abs(c) for c in u) for u in rule.neighborhood)
+    for L in dims:
+        if L < 2 * reach + 1:
+            raise ConfigError(
+                f"side length {L} aliases the neighborhood (need >= {2 * reach + 1})"
+            )
+    return dims
+
+
+def _philox(key: RngKey, t: int, start: int) -> Philox:
+    """Bit generator positioned at output `start` (a multiple of 4) of stream t."""
+    bg = Philox(key=key.seed, counter=[0, 0, int(t), 0])
+    if start:
+        bg.advance(start // 4)
+    return bg
+
+
 def step_uniforms(key: RngKey, t: int, start: int, count: int) -> np.ndarray:
     """Outputs [start, start+count) of the step-t uniform stream.
 
@@ -289,18 +329,175 @@ def step_uniforms(key: RngKey, t: int, start: int, count: int) -> np.ndarray:
     """
     if start % 4:
         raise ValueError("stream start must be 4-aligned")
-    bg = Philox(key=key.seed, counter=[0, 0, int(t), 0])
-    if start:
-        bg.advance(start // 4)
-    return Generator(bg).random(count)
+    return Generator(_philox(key, t, start)).random(count)
 
 
-def _chunks(total: int, parts: int, align: int) -> list[tuple[int, int]]:
-    if parts <= 1 or total <= align:
-        return [(0, total)]
-    size = -(-total // parts)
-    size = -(-size // align) * align
-    return [(a, min(a + size, total)) for a in range(0, total, size)]
+def _threshold(p: float) -> np.uint64:
+    """T with (raw < T) == (Generator.random() < p) for every raw draw, 0 < p < 1.
+
+    random() is (raw >> 11) * 2**-53, so u < p iff raw >> 11 < ceil(p * 2**53)
+    iff raw < ceil(p * 2**53) * 2**11; scaling by a power of two is exact,
+    and for p < 1 the bound is at most 2**64 - 2**11.
+    """
+    return np.uint64(math.ceil(p * 2.0**53) << 11)
+
+
+@functools.lru_cache(maxsize=1)
+def _pool() -> ThreadPoolExecutor:
+    """The process-wide worker pool, one thread per core, started on first use."""
+    return ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
+
+
+# --------------------------------------------------------------------------
+# packed words: bit x of row r is site x, 64 sites per little-endian word
+
+_ONES = np.uint64(2**64 - 1)
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def _pack(bits: np.ndarray, n_words: int) -> np.ndarray:
+    """Rows of 0/1 sites as rows of words, padding bits zero."""
+    packed = np.packbits(np.asarray(bits, dtype=np.uint8), axis=-1, bitorder="little")
+    words = np.zeros(packed.shape[:-1] + (n_words,), dtype="<u8")
+    words.view(np.uint8)[..., : packed.shape[-1]] = packed
+    return words
+
+
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=n, bitorder="little")
+
+
+def _plus_counts(words: np.ndarray) -> np.ndarray:
+    """Set bits (spins +1) per row."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return _POPCOUNT[raw].sum(axis=-1, dtype=np.int64)
+
+
+def _shifted(words: np.ndarray, s: int) -> np.ndarray:
+    """Rows whose bit x is bit x + s of words, zero where x + s leaves the row."""
+    q, r = divmod(s, 64)
+    n = words.shape[-1]
+    out = np.zeros_like(words)
+    lo, hi = max(0, -q), min(n, n - q)
+    if lo < hi:
+        out[..., lo:hi] = words[..., lo + q : hi + q] >> np.uint64(r)
+    lo, hi = max(0, -q - 1), min(n, n - q - 1)
+    if r and lo < hi:
+        out[..., lo:hi] |= words[..., lo + q + 1 : hi + q + 1] << np.uint64(64 - r)
+    return out
+
+
+def _shannon(leaf_of: np.ndarray) -> tuple[list[tuple[int, int, int]], int]:
+    """Shannon expansion of a table of leaf ids into shared two-way selections.
+
+    References below n_leaves name leaves; reference n_leaves + i names node
+    i = (var, hi, lo), which is hi where input var is set and lo elsewhere.
+    A constant sub-table is its leaf, and equal sub-tables share one node.
+    """
+    n_leaves = int(leaf_of.max()) + 1
+    nodes: list[tuple[int, int, int]] = []
+    memo: dict[bytes, int] = {}
+
+    def build(sub: np.ndarray) -> int:
+        key = sub.tobytes()
+        if key not in memo:
+            if np.all(sub == sub[0]):
+                memo[key] = int(sub[0])
+            else:
+                half = sub.size // 2
+                nodes.append((half.bit_length() - 1, build(sub[half:]), build(sub[:half])))
+                memo[key] = n_leaves + len(nodes) - 1
+        return memo[key]
+
+    return nodes, build(np.asarray(leaf_of, dtype=np.int64))
+
+
+class _PackedCore:
+    """One synchronous update of packed rows; every stepping entry point runs on it.
+
+    kern[c] is the probability of output +1 for local configuration c (0/1
+    for a deterministic step).  step() advances a (C, n_words) array whose
+    rows all consume the same step-t draws.  With `replicas` set, a row holds
+    that many tori end to end: replica r is flat bits [r*N, (r+1)*N), which
+    is exactly its slot in the shared stream.
+    """
+
+    def __init__(self, rule: RuleSpec, dims: Sequence[int], kern: np.ndarray,
+                 key: Optional[RngKey] = None, threads: int = 1,
+                 replicas: Optional[int] = None):
+        dims, offsets = _torus_dims(rule, dims), rule.neighborhood
+        if replicas is not None:
+            dims, offsets = (int(replicas),) + dims, tuple((0,) + u for u in offsets)
+        self.dims, self.key, self.threads = dims, key, max(1, int(threads))
+        self.n_sites = int(np.prod(dims))
+        self.n_words = -(-self.n_sites // 64)
+        self._tail = _ONES >> np.uint64(-self.n_sites % 64)
+        values, leaf_of = np.unique(np.asarray(kern, dtype=np.float64), return_inverse=True)
+        self._nodes, self._root = _shannon(leaf_of)
+        # p = 0 and p = 1 are constant words; each other value is a drawn mask
+        self._leaves = [_ONES if p == 1.0 else np.uint64(0) for p in values]
+        self._noisy = [j for j, p in enumerate(values) if 0.0 < p < 1.0]
+        self._thresholds = [_threshold(values[j]) for j in self._noisy]
+        self._planes = {
+            var: [self._axis_move(k, u) for k, u in enumerate(offsets[var]) if u]
+            for var in {var for var, _, _ in self._nodes}
+        }
+
+    def _axis_move(self, k: int, u: int) -> tuple:
+        """Flat shifts of a move by u along axis k, unwrapped and wrapped, with
+        the packed masks of the sites that take each."""
+        L, stride = self.dims[k], int(np.prod(self.dims[k + 1 :]))
+        coord = np.arange(L) + u
+        inside = np.repeat((coord >= 0) & (coord < L), stride)
+        inside = np.tile(inside, self.n_sites // inside.size)
+        wrap = u - L if u > 0 else u + L
+        return (u * stride, wrap * stride,
+                _pack(inside, self.n_words), _pack(~inside, self.n_words))
+
+    def _plane(self, words: np.ndarray, var: int) -> np.ndarray:
+        """Rows whose bit x is the spin at x + offset[var], periodically."""
+        plane = words
+        for s_in, s_wrap, inside, wraps in self._planes[var]:
+            plane = (_shifted(plane, s_in) & inside) | (_shifted(plane, s_wrap) & wraps)
+        return plane
+
+    def _draw(self, t: int) -> np.ndarray:
+        """One packed mask raw < T per drawn leaf, from the step-t stream.
+
+        Each thread takes a 64-aligned span of sites and starts its own
+        generator at the span's offset, so the thread count changes nothing.
+        """
+        masks = np.zeros((len(self._thresholds), self.n_words), dtype="<u8")
+        out = masks.view(np.uint8)
+
+        def work(span: tuple[int, int]) -> None:
+            a, b = span
+            raw = _philox(self.key, t, a).random_raw(b - a)
+            for j, thr in enumerate(self._thresholds):
+                packed = np.packbits(raw < thr, bitorder="little")
+                out[j, a // 8 : a // 8 + packed.size] = packed
+
+        n = self.n_sites
+        size = -(-n // (64 * self.threads)) * 64
+        spans = [(a, min(a + size, n)) for a in range(0, n, size)]
+        list((map if len(spans) == 1 else _pool().map)(work, spans))
+        return masks
+
+    def step(self, words: np.ndarray, t: int) -> np.ndarray:
+        """Rows after the step-t update; the input is unmodified."""
+        values = list(self._leaves)
+        if self._noisy:
+            for j, mask in zip(self._noisy, self._draw(t)):
+                values[j] = mask
+        planes = {var: self._plane(words, var) for var in self._planes}
+        for var, hi, lo in self._nodes:
+            h, l = values[hi], values[lo]
+            values.append(l ^ (planes[var] & (h ^ l)))
+        out = np.empty(words.shape, dtype="<u8")
+        out[...] = values[self._root]
+        out[..., -1] &= self._tail
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -311,17 +508,7 @@ class TorusStepper:
     """Precomputed gather tables for one (rule, dims) pair."""
 
     def __init__(self, rule: RuleSpec, dims: Sequence[int]):
-        dims = tuple(int(L) for L in dims)
-        if len(dims) != rule.dimension:
-            raise ConfigError(
-                f"dims {dims} do not match rule dimension {rule.dimension}"
-            )
-        reach = max(max(abs(c) for c in u) for u in rule.neighborhood)
-        for L in dims:
-            if L < 2 * reach + 1:
-                raise ConfigError(
-                    f"side length {L} aliases the neighborhood (need >= {2 * reach + 1})"
-                )
+        dims = _torus_dims(rule, dims)
         self.rule = rule
         self.dims = dims
         self.n_sites = int(np.prod(dims))
@@ -355,22 +542,11 @@ class TorusStepper:
         return idx
 
 
-def _run_chunked(work: Callable[[int, int], None], spans: list[tuple[int, int]], threads: int) -> None:
-    if threads <= 1 or len(spans) <= 1:
-        for a, b in spans:
-            work(a, b)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda s: work(*s), spans))
-
-
 def step_deterministic(
     state: LatticeState, rule: RuleSpec, stepper: Optional[TorusStepper] = None
 ) -> LatticeState:
     """Simultaneous rule application at every site; the input is unmodified."""
-    st = stepper or TorusStepper(rule, state.dims)
-    bits = state.bits()
-    return LatticeState.from_bits(state.dims, st.table[st.local_index(bits)])
+    return evolve(state, rule, None, RngKey(0), 0, 1)
 
 
 def step_noisy(
@@ -383,17 +559,7 @@ def step_noisy(
     stepper: Optional[TorusStepper] = None,
 ) -> LatticeState:
     """One synchronous noisy update; site x consumes draw x of stream (seed, t)."""
-    st = stepper or TorusStepper(rule, state.dims)
-    kern = kernel_plus(noise, rule)
-    bits = state.bits()
-    out = np.empty(st.n_sites, dtype=np.uint8)
-
-    def work(a: int, b: int) -> None:
-        u = step_uniforms(key, t, a, b - a)
-        out[a:b] = u < kern[st.local_index(bits, a, b)]
-
-    _run_chunked(work, _chunks(st.n_sites, threads, 4), threads)
-    return LatticeState.from_bits(state.dims, out)
+    return evolve(state, rule, noise, key, t, 1, threads=threads)
 
 
 def evolve(
@@ -407,24 +573,14 @@ def evolve(
     on_step: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> LatticeState:
     """Run steps t0 .. t0+steps-1; on_step sees (t+1, new bits) after each."""
-    st = TorusStepper(rule, state.dims)
-    kern = None if noise is None else kernel_plus(noise, rule)
-    bits = state.bits()
+    kern = rule.table if noise is None else kernel_plus(noise, rule)
+    core = _PackedCore(rule, state.dims, kern, key, threads)
+    words = state.words[None, :]
     for t in range(t0, t0 + steps):
-        if kern is None:
-            bits = st.table[st.local_index(bits)]
-        else:
-            out = np.empty(st.n_sites, dtype=np.uint8)
-
-            def work(a: int, b: int) -> None:
-                u = step_uniforms(key, t, a, b - a)
-                out[a:b] = u < kern[st.local_index(bits, a, b)]
-
-            _run_chunked(work, _chunks(st.n_sites, threads, 4), threads)
-            bits = out
+        words = core.step(words, t)
         if on_step is not None:
-            on_step(t + 1, bits)
-    return LatticeState.from_bits(state.dims, bits)
+            on_step(t + 1, _unpack(words, core.n_sites)[0])
+    return LatticeState(dims=state.dims, words=words[0])
 
 
 def batch_all_plus(replicas: int, dims: Sequence[int]) -> np.ndarray:
@@ -443,23 +599,15 @@ def evolve_batch(
 ) -> np.ndarray:
     """Advance a replica batch (shape (M, N)); replica r owns stream slots
     [r*N, (r+1)*N) of each step, so results do not depend on batch splitting."""
-    st = TorusStepper(rule, dims)
-    kern = kernel_plus(noise, rule)
     bits = np.asarray(bits, dtype=np.uint8)
     m, n = bits.shape
-    if n != st.n_sites:
+    if n != int(np.prod(dims)):
         raise ConfigError("batch width does not match dims")
-    align = 4 // math.gcd(n, 4)
+    core = _PackedCore(rule, dims, kernel_plus(noise, rule), key, threads, replicas=m)
+    words = _pack(bits.reshape(1, m * n), core.n_words)
     for t in range(t0, t0 + steps):
-        out = np.empty_like(bits)
-
-        def work(a: int, b: int) -> None:
-            u = step_uniforms(key, t, a * n, (b - a) * n).reshape(b - a, n)
-            out[a:b] = u < kern[st.local_index(bits, a, b)]
-
-        _run_chunked(work, _chunks(m, threads, align), threads)
-        bits = out
-    return bits
+        words = core.step(words, t)
+    return _unpack(words, m * n).reshape(m, n)
 
 
 # --------------------------------------------------------------------------
@@ -489,13 +637,15 @@ def erosion_time(
     island: Iterable,
     dims: Optional[Sequence[int]] = None,
     cutoff: Optional[int] = None,
+    on_step: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> ErosionResult:
     """Steps until an all-plus-except-island state returns to all-plus.
 
     The torus must be large enough that the island's light cone under the
     cutoff cannot wrap around and feed back on itself; otherwise the finite
     run would not witness the infinite-lattice behavior.  With dims omitted,
-    a torus of exactly that size is built.
+    a torus of exactly that size is built.  on_step sees (t, bits) after
+    each step, as in :func:`evolve`.
     """
     sites = _as_sites(island, rule.dimension)
     if not sites:
@@ -517,12 +667,14 @@ def erosion_time(
         raise ConfigError(
             f"dims {dims} too small: the {cutoff}-step light cone needs >= {need}"
         )
-    st = TorusStepper(rule, dims)
-    bits = LatticeState.plus_with_island(dims, sites).bits()
+    core = _PackedCore(rule, dims, rule.table)
+    words = LatticeState.plus_with_island(dims, sites).words[None, :]
     sizes = []
     for n in range(1, cutoff + 1):
-        bits = st.table[st.local_index(bits)]
-        remaining = st.n_sites - int(bits.sum())
+        words = core.step(words, n - 1)
+        if on_step is not None:
+            on_step(n, _unpack(words, core.n_sites)[0])
+        remaining = core.n_sites - int(_plus_counts(words)[0])
         sizes.append(remaining)
         if remaining == 0:
             return ErosionResult(erased=True, steps=n, sizes=tuple(sizes))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -106,8 +106,12 @@ def minus_density_run(
     burn_in: int,
     seed: int,
     threads: int = 1,
+    on_step: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> RunSummary:
-    """Fraction of -1 sites per step along one trajectory from all-plus."""
+    """Fraction of -1 sites per step along one trajectory from all-plus.
+
+    on_step, if given, also sees (t, bits) after each step of that trajectory.
+    """
     if not 0 <= burn_in <= steps:
         raise ConfigError(f"burn_in {burn_in} must lie in [0, steps={steps}]")
     key = RngKey(seed)
@@ -116,7 +120,9 @@ def minus_density_run(
     densities[0] = 0.0
 
     def record(t: int, bits: np.ndarray) -> None:
-        densities[t] = 1.0 - float(bits.mean())
+        densities[t] = 1.0 - np.count_nonzero(bits) / bits.size
+        if on_step is not None:
+            on_step(t, bits)
 
     engine.evolve(state, rule, noise, key, 0, steps, threads=threads, on_step=record)
     tail = densities[burn_in + 1 :] if steps > burn_in else densities[burn_in:]
@@ -148,6 +154,8 @@ def density_vs_epsilon_scan(
     statistically).
     """
     grid = [float(e) for e in eps_grid]
+    if not grid:
+        raise ConfigError("eps grid must not be empty")
     if sorted(grid) != grid:
         raise ConfigError("eps grid must be sorted ascending")
     rows = []
@@ -180,6 +188,8 @@ def stationary_sample(
     threads: int = 1,
 ) -> np.ndarray:
     """Replica batch of near-stationary states from all-plus, shape (M, N)."""
+    if replicas < 1:
+        raise ConfigError(f"samples must be at least 1, got {replicas}")
     bits = engine.batch_all_plus(replicas, dims)
     return engine.evolve_batch(
         bits, rule, noise, dims, RngKey(seed), 0, burn_in, threads=threads
@@ -211,18 +221,21 @@ def spatial_correlation(
     seed: int,
     burn_in: int = 100,
     threads: int = 1,
+    sample: Optional[np.ndarray] = None,
 ) -> tuple[RunSummary, FitResult]:
     """Stationary two-point covariances cov(w_0, w_x) at given distances.
 
     x is taken along the first torus axis; each replica is averaged over all
     translations before aggregating, and the covariance standard error uses
-    the delta method on the (moment, mean) replica pairs.
+    the delta method on the (moment, mean) replica pairs.  A given sample
+    (the :func:`stationary_sample` of the same arguments) is reused.
     """
     dims = tuple(int(L) for L in dims)
     if max(distances) >= min(dims) / 2:
         raise ConfigError("max distance must stay below min(dims)/2")
-    bits = stationary_sample(rule, noise, dims, burn_in, samples, seed, threads)
-    spins = bits.astype(np.float64) * 2.0 - 1.0
+    if sample is None:
+        sample = stationary_sample(rule, noise, dims, burn_in, samples, seed, threads)
+    spins = sample.astype(np.float64) * 2.0 - 1.0
     m_r = spins.mean(axis=1)
     m_hat = float(m_r.mean())
     summary = RunSummary(
@@ -258,15 +271,21 @@ def temporal_autocorrelation(
     seed: int,
     burn_in: int = 100,
     threads: int = 1,
+    sample: Optional[np.ndarray] = None,
 ) -> tuple[RunSummary, FitResult]:
-    """Stationary autocovariances cov(w_0(t), w_0(t+k)) at given lags."""
+    """Stationary autocovariances cov(w_0(t), w_0(t+k)) at given lags.
+
+    A given sample (the :func:`stationary_sample` of the same arguments) is
+    reused as the lag-0 states.
+    """
     lags = sorted(int(k) for k in lags)
     if lags and lags[0] < 0:
         raise ConfigError("lags must be nonnegative")
     dims = tuple(int(L) for L in dims)
     key = RngKey(seed)
-    bits0 = stationary_sample(rule, noise, dims, burn_in, samples, seed, threads)
-    spins0 = bits0.astype(np.float64) * 2.0 - 1.0
+    if sample is None:
+        sample = stationary_sample(rule, noise, dims, burn_in, samples, seed, threads)
+    spins0 = sample.astype(np.float64) * 2.0 - 1.0
     m0_r = spins0.mean(axis=1)
     m0 = float(m0_r.mean())
     summary = RunSummary(
@@ -274,10 +293,10 @@ def temporal_autocorrelation(
             rule, noise, dims, seed, burn_in, burn_in, samples=samples, lags=lags
         )
     )
-    bits = bits0
+    bits = sample
     t_now = burn_in
     for lag in lags:
-        if lag >t_now - burn_in:
+        if lag > t_now - burn_in:
             bits = engine.evolve_batch(
                 bits, rule, noise, dims, key, t_now, burn_in + lag - t_now, threads=threads
             )
@@ -316,6 +335,7 @@ class DivergenceResult:
     gap_mean: Optional[float]
     gap_se: Optional[float]
     metadata: dict
+    coalescence_step: Optional[int] = None  # first step with equal chains
 
 
 def is_flip_symmetric(rule: RuleSpec) -> bool:
@@ -338,7 +358,9 @@ def two_phase_divergence(
     """Run coupled trajectories from all-plus and all-minus and classify.
 
     Both chains consume identical uniforms, so for flip-symmetric monotone
-    rules the magnetization gap is nonnegative and coalescence is absorbing.
+    rules the magnetization gap is nonnegative and coalescence is absorbing:
+    once the chains are equal only one is stepped, and coalescence_step
+    records when that happened.
     MERGED: post-burn-in gap within 3 SE of zero (or exact coalescence);
     SEPARATED: gap above 10 SE; otherwise UNDECIDED.  Rules that are not
     symmetric under the global flip are reported INAPPLICABLE, not an error.
@@ -357,21 +379,22 @@ def two_phase_divergence(
             gap_se=None,
             metadata=md,
         )
-    dims = tuple(int(L) for L in dims)
-    st = engine.TorusStepper(rule, dims)
-    kern = engine.kernel_plus(noise, rule)
-    key = RngKey(seed)
-    bp = np.ones(st.n_sites, dtype=np.uint8)
-    bm = np.zeros(st.n_sites, dtype=np.uint8)
+    core = engine._PackedCore(
+        rule, dims, engine.kernel_plus(noise, rule), RngKey(seed), threads
+    )
+    n = core.n_sites
+    words = np.stack([LatticeState.all_plus(dims).words, LatticeState.all_minus(dims).words])
     mag_p = np.empty(steps + 1)
     mag_m = np.empty(steps + 1)
     mag_p[0], mag_m[0] = 1.0, -1.0
+    met = None
     for t in range(steps):
-        u = engine.step_uniforms(key, t, 0, st.n_sites)
-        bp = (u < kern[st.local_index(bp)]).astype(np.uint8)
-        bm = (u < kern[st.local_index(bm)]).astype(np.uint8)
-        mag_p[t + 1] = 2.0 * float(bp.mean()) - 1.0
-        mag_m[t + 1] = 2.0 * float(bm.mean()) - 1.0
+        words = core.step(words, t)
+        plus = engine._plus_counts(words)
+        mag_p[t + 1] = 2.0 * (plus[0] / n) - 1.0
+        mag_m[t + 1] = 2.0 * (plus[-1] / n) - 1.0
+        if met is None and np.array_equal(words[0], words[-1]):
+            met, words = t + 1, words[:1]
     gap = mag_p[burn_in + 1 :] - mag_m[burn_in + 1 :]
     if gap.size == 0:
         gap = mag_p[-1:] - mag_m[-1:]
@@ -392,4 +415,5 @@ def two_phase_divergence(
         gap_mean=gap_mean,
         gap_se=gap_se,
         metadata=md,
+        coalescence_step=met,
     )

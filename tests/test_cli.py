@@ -334,3 +334,96 @@ class TestHygiene:
              "dims": [16], "steps": 5},
         )
         assert code == 1
+
+
+def error_type(capsys):
+    return json.loads(capsys.readouterr().out.splitlines()[-1])["error"]["type"]
+
+
+class TestStrictInputs:
+    SIM = {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.1}, "steps": 3}
+
+    @pytest.mark.parametrize("dims", [[8.7, 8], [True, 8], ["8", 8], 8])
+    def test_non_integer_dims_rejected(self, tmp_path, capsys, dims):
+        code, _ = run(tmp_path, "simulate", dict(self.SIM, dims=dims))
+        assert code == 1 and error_type(capsys) == "ConfigError"
+
+    @pytest.mark.parametrize("noise", [
+        {"kind": "symmetric", "eps": "0.1"},
+        {"kind": "biased", "eps_plus": True, "eps_minus": 0.0},
+        {"kind": "table", "p_plus": ["0.5"] * 8},
+    ])
+    def test_string_noise_rejected(self, tmp_path, capsys, noise):
+        code, _ = run(tmp_path, "simulate", dict(self.SIM, dims=[8, 8], noise=noise))
+        assert code == 1 and error_type(capsys) == "ConfigError"
+
+    def test_zero_samples_rejected(self, tmp_path, capsys):
+        code, out = run(
+            tmp_path, "correlate",
+            {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1},
+             "dims": [8], "distances": [1], "lags": [0], "samples": 0},
+        )
+        assert code == 1 and error_type(capsys) == "ConfigError"
+        assert not (out / "correlate_spatial.csv").exists()
+
+    def test_empty_eps_grid_rejected(self, tmp_path, capsys):
+        code, out = run(
+            tmp_path, "scan", {"rule": "stavskaya", "eps_grid": [], "dims": [16], "steps": 3},
+        )
+        assert code == 1 and error_type(capsys) == "ConfigError"
+        assert not (out / "scan.csv").exists()
+
+
+class TestOneTrajectoryPerCommand:
+    def count_calls(self, monkeypatch, name):
+        calls = []
+        original = getattr(cli.engine, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli.engine, name, counted)
+        return calls
+
+    def test_simulate_snapshots_come_from_the_reported_run(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch, "evolve")
+        code, out = run(
+            tmp_path, "simulate",
+            {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.1},
+             "dims": [16, 16], "steps": 6, "snapshot_every": 3},
+        )
+        assert code == 0 and len(calls) == 1
+        assert sorted(p.name for p in out.glob("*.ppm")) == [
+            "frame_000000.ppm", "frame_000003.ppm", "frame_000006.ppm"]
+
+    def test_erode_snapshots_come_from_the_reported_run(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch, "evolve")
+        code, out = run(
+            tmp_path, "erode",
+            {"rule": "nec", "island": [[0, 0], [0, 1]], "dims": [16, 16], "cutoff": 6,
+             "snapshot_every": 1},
+        )
+        steps = read_json(out / "erosion_report.json")["steps"]
+        assert code == 0 and calls == []
+        assert len(list(out.glob("erode_*.ppm"))) == steps + 1
+
+    def test_correlate_burns_in_once(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch, "evolve_batch")
+        code, _ = run(
+            tmp_path, "correlate",
+            {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1},
+             "dims": [8], "distances": [1], "lags": [0, 2], "samples": 50, "burn_in": 7},
+        )
+        # one burn-in of 7 steps, then the lag-2 continuation
+        assert code == 0 and [c[6] for c in calls] == [7, 2]
+
+    def test_divergence_reports_coalescence(self, tmp_path, capsys):
+        config = {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.5},
+                  "dims": [8, 8], "steps": 10, "seed": 7}
+        code, out = run(tmp_path, "divergence", config)
+        report = read_json(out / "divergence_report.json")
+        assert code == 0 and report["classification"] == "MERGED"
+        assert report["coalescence_step"] == 1
+        code, out = run(tmp_path, "divergence", dict(config, noise={"kind": "symmetric", "eps": 0.0}))
+        assert read_json(out / "divergence_report.json")["coalescence_step"] is None

@@ -244,3 +244,49 @@ class TestWindowMarginalAgreement:
             p_hat = counts[entry] / replicas
             se = np.sqrt(max(exact[entry] * (1.0 - exact[entry]), 1e-12) / replicas)
             assert abs(p_hat - exact[entry]) < 4.0 * se
+
+
+class TestCoalescence:
+    def test_merged_run_stops_the_minus_chain(self, monkeypatch):
+        rows = []
+        step = engine._PackedCore.step
+
+        def counting(self, words, t):
+            rows.append(words.shape[0])
+            return step(self, words, t)
+
+        monkeypatch.setattr(engine._PackedCore, "step", counting)
+        res = two_phase_divergence(NEC, symmetric_noise(0.5), (16, 16), steps=10, seed=1)
+        assert res.classification == stats.MERGED
+        # p = 1/2 everywhere: both chains equal the draw mask after one step
+        assert res.coalescence_step == 1
+        assert rows == [2] + [1] * 9
+        assert np.array_equal(res.mag_plus[1:], res.mag_minus[1:])
+
+    def test_separated_run_never_meets(self):
+        res = two_phase_divergence(NEC, symmetric_noise(0.01), (16, 16), steps=50, seed=2)
+        assert res.coalescence_step is None
+
+    def test_threads_do_not_change_the_result(self):
+        runs = [
+            two_phase_divergence(NEC, symmetric_noise(0.5), (24, 24), steps=8, seed=4, threads=w)
+            for w in (1, 2, 5)
+        ]
+        for other in runs[1:]:
+            assert np.array_equal(other.mag_plus, runs[0].mag_plus)
+            assert np.array_equal(other.mag_minus, runs[0].mag_minus)
+            assert other.coalescence_step == runs[0].coalescence_step == 1
+
+
+class TestOneTrajectory:
+    def test_shared_sample_gives_the_same_estimates(self):
+        noise = symmetric_noise(0.1)
+        sample = stationary_sample(STAV, noise, (8,), 20, 300, seed=3)
+        for estimate, points in ((spatial_correlation, [1, 2]), (temporal_autocorrelation, [0, 1])):
+            fresh, _ = estimate(STAV, noise, (8,), points, 300, seed=3, burn_in=20)
+            reused, _ = estimate(STAV, noise, (8,), points, 300, seed=3, burn_in=20, sample=sample)
+            assert fresh.table == reused.table
+
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ConfigError):
+            stationary_sample(STAV, symmetric_noise(0.1), (8,), 5, 0, seed=1)
