@@ -364,14 +364,12 @@ def _pack(bits: np.ndarray, n_words: int) -> np.ndarray:
 
 
 def _unpack(words: np.ndarray, n: int) -> np.ndarray:
-    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return np.unpackbits(raw, axis=-1, count=n, bitorder="little")
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little")
 
 
 def _plus_counts(words: np.ndarray) -> np.ndarray:
     """Set bits (spins +1) per row."""
-    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    return _POPCOUNT[raw].sum(axis=-1, dtype=np.int64)
+    return _POPCOUNT[words.view(np.uint8)].sum(axis=-1, dtype=np.int64)
 
 
 def _shifted(words: np.ndarray, s: int) -> np.ndarray:
@@ -423,9 +421,15 @@ class _PackedCore:
     is exactly its slot in the shared stream.
     """
 
-    def __init__(self, rule: RuleSpec, dims: Sequence[int], kern: np.ndarray,
-                 key: Optional[RngKey] = None, threads: int = 1,
-                 replicas: Optional[int] = None):
+    def __init__(
+        self,
+        rule: RuleSpec,
+        dims: Sequence[int],
+        kern: np.ndarray,
+        key: Optional[RngKey] = None,
+        threads: int = 1,
+        replicas: Optional[int] = None,
+    ):
         dims, offsets = _torus_dims(rule, dims), rule.neighborhood
         if replicas is not None:
             dims, offsets = (int(replicas),) + dims, tuple((0,) + u for u in offsets)
@@ -445,21 +449,25 @@ class _PackedCore:
         }
 
     def _axis_move(self, k: int, u: int) -> tuple:
-        """Flat shifts of a move by u along axis k, unwrapped and wrapped, with
-        the packed masks of the sites that take each."""
+        """Flat shifts of a move by u along axis k, plain and wrapped around
+        the torus, and the packed mask of the sites that take the plain one."""
         L, stride = self.dims[k], int(np.prod(self.dims[k + 1 :]))
         coord = np.arange(L) + u
         inside = np.repeat((coord >= 0) & (coord < L), stride)
-        inside = np.tile(inside, self.n_sites // inside.size)
+        inside = _pack(np.tile(inside, self.n_sites // inside.size), self.n_words)
         wrap = u - L if u > 0 else u + L
-        return (u * stride, wrap * stride,
-                _pack(inside, self.n_words), _pack(~inside, self.n_words))
+        return u * stride, wrap * stride, inside
 
     def _plane(self, words: np.ndarray, var: int) -> np.ndarray:
-        """Rows whose bit x is the spin at x + offset[var], periodically."""
+        """Rows whose bit x is the spin at x + offset[var] on the torus.
+
+        Each site reads a lattice site through the shift its mask selects;
+        padding bits may pick up garbage and are cleared after the rule.
+        """
         plane = words
-        for s_in, s_wrap, inside, wraps in self._planes[var]:
-            plane = (_shifted(plane, s_in) & inside) | (_shifted(plane, s_wrap) & wraps)
+        for s_in, s_wrap, inside in self._planes[var]:
+            wrapped = _shifted(plane, s_wrap)
+            plane = wrapped ^ ((_shifted(plane, s_in) ^ wrapped) & inside)
         return plane
 
     def _draw(self, t: int) -> np.ndarray:
@@ -603,6 +611,8 @@ def evolve_batch(
     m, n = bits.shape
     if n != int(np.prod(dims)):
         raise ConfigError("batch width does not match dims")
+    if m == 0:
+        return bits.copy()
     core = _PackedCore(rule, dims, kernel_plus(noise, rule), key, threads, replicas=m)
     words = _pack(bits.reshape(1, m * n), core.n_words)
     for t in range(t0, t0 + steps):

@@ -145,3 +145,11 @@ def test_threshold_extremes_through_a_step():
     want = reference_step(rule, dims, np.array(p), bits, RngKey(3), 8)
     got = engine.step_noisy(LatticeState.from_bits(dims, bits), rule, noise, RngKey(3), 8)
     assert np.array_equal(got.bits(), want)
+
+
+def test_empty_batch_stays_empty():
+    got = engine.evolve_batch(
+        np.zeros((0, 8), dtype=np.uint8), builtin("stavskaya"),
+        engine.symmetric_noise(0.1), (8,), RngKey(1), 0, 3,
+    )
+    assert got.shape == (0, 8)
