@@ -112,18 +112,14 @@ def _normalize(
     )
 
 
-def check_eroder(family: PlusSetFamily, dimension: Optional[int] = None) -> ErosionCertificate:
+def check_eroder(family: PlusSetFamily) -> ErosionCertificate:
     """Decide emptiness of the intersection of the family's convex hulls.
 
     Returns an ERODER certificate (separating functionals over at most d+1
     sets, found by searching subfamilies smallest-first in lexicographic
     order) or a NON_ERODER certificate (common point with convex weights).
     """
-    d = family.dimension if dimension is None else dimension
-    if d != family.dimension:
-        raise ValueError(
-            f"dimension mismatch: family is {family.dimension}-d, asked for {d}"
-        )
+    d = family.dimension
     if not family.sets:
         raise ValueError("plus-set family is empty")
 

@@ -29,7 +29,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -143,7 +143,7 @@ class NoiseModel:
       table     — explicit probability of outputting +1 per local
                   configuration (length 2^R, same encoding as rule tables).
 
-    verified_eps / verified_alpha are filled by :func:`check_assumptions`.
+    :func:`check_assumptions` finds the least (eps, alpha) a kernel satisfies.
     """
 
     kind: str
@@ -151,8 +151,6 @@ class NoiseModel:
     eps_plus: float = 0.0
     eps_minus: float = 0.0
     p_plus: Optional[np.ndarray] = None
-    verified_eps: Optional[float] = None
-    verified_alpha: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("symmetric", "biased", "table"):
@@ -169,10 +167,6 @@ class NoiseModel:
                 raise ConfigError("p_plus must be a 1-d array of probabilities")
             arr.setflags(write=False)
             object.__setattr__(self, "p_plus", arr)
-
-    def with_verification(self, rule: RuleSpec) -> "NoiseModel":
-        eps, alpha = check_assumptions(self, rule)
-        return replace(self, verified_eps=eps, verified_alpha=alpha)
 
 
 def symmetric_noise(eps: float) -> NoiseModel:
@@ -530,29 +524,15 @@ class TorusStepper:
         self.nbr = nbr
         self.table = rule.table
 
-    def local_index(self, bits: np.ndarray, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
-        """Local configuration index per site (for sites [lo, hi) if given).
-
-        bits may be (N,) or a replica batch (M, N); slicing applies to the
-        site axis in the first case and the replica axis in the second.
-        """
-        nbr = self.nbr
-        if bits.ndim == 1:
-            nbr = nbr[:, lo:hi]
-            idx = bits[nbr[0]].astype(np.uint32)
-            for i in range(1, self.rule.size):
-                idx |= bits[nbr[i]].astype(np.uint32) << np.uint32(i)
-            return idx
-        sub = bits[lo:hi]
-        idx = sub[:, nbr[0]].astype(np.uint32)
+    def local_index(self, bits: np.ndarray) -> np.ndarray:
+        """Local configuration index per site; bits is (N,) or a batch (M, N)."""
+        idx = bits[..., self.nbr[0]].astype(np.uint32)
         for i in range(1, self.rule.size):
-            idx |= sub[:, nbr[i]].astype(np.uint32) << np.uint32(i)
+            idx |= bits[..., self.nbr[i]].astype(np.uint32) << np.uint32(i)
         return idx
 
 
-def step_deterministic(
-    state: LatticeState, rule: RuleSpec, stepper: Optional[TorusStepper] = None
-) -> LatticeState:
+def step_deterministic(state: LatticeState, rule: RuleSpec) -> LatticeState:
     """Simultaneous rule application at every site; the input is unmodified."""
     return evolve(state, rule, None, RngKey(0), 0, 1)
 
@@ -564,7 +544,6 @@ def step_noisy(
     key: RngKey,
     t: int,
     threads: int = 1,
-    stepper: Optional[TorusStepper] = None,
 ) -> LatticeState:
     """One synchronous noisy update; site x consumes draw x of stream (seed, t)."""
     return evolve(state, rule, noise, key, t, 1, threads=threads)

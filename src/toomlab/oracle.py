@@ -12,6 +12,7 @@ matmul.  Beyond that the kernel is contracted one target site at a time,
 summing out each source spin right after its last use (a moving front, as
 in row transfer matrices): O(N * 2^(N+w)) work for a front of w wrapped
 source spins, a few milliseconds per application at N = 12-14 on a ring.
+A torus whose widest sweep tensor exceeds MAX_SWEEP_BYTES is refused.
 
 On top of the kernel: stationary distributions (a direct linear solve when
 the dense matrix exists and the invariant law is provably unique, otherwise
@@ -38,7 +39,9 @@ from .rules import RuleSpec
 logger = logging.getLogger(__name__)
 
 MAX_EXACT_SITES = 24
+MAX_SWEEP_BYTES = 1 << 30  # widest site-sweep tensor, per vector
 MAX_WINDOW = 20
+CESARO_AFTER = 10**4  # power iterations before Cesaro averages are tried
 
 Sitelike = Union[int, Sequence[int]]
 
@@ -125,6 +128,9 @@ class ExactKernel:
         self.n_states = 1 << self.n_sites
         self._dense: Optional[np.ndarray] = None
         self._sweep_steps, self._sweep_order = _sweep_plan(self.stepper.nbr)
+        # bytes of the widest sweep output for one vector (out[0] labels the batch)
+        self._sweep_bytes = 8 << max(len(out) - 1 for _, _, out in self._sweep_steps)
+        self._check_sweep(1)
         self._factor = np.stack([1.0 - self.kern, self.kern]).reshape(
             (2,) * (rule.size + 1)
         )
@@ -153,9 +159,17 @@ class ExactKernel:
         if dense is not None:
             return vec @ dense
         cur = vec.reshape((-1,) + (2,) * self.n_sites)
+        self._check_sweep(cur.shape[0])
         for labels, factor_labels, out in self._sweep_steps:
             cur = np.einsum(cur, labels, self._factor, factor_labels, out)
         return cur.transpose(self._sweep_order).reshape(vec.shape)
+
+    def _check_sweep(self, batch: int) -> None:
+        if batch * self._sweep_bytes > MAX_SWEEP_BYTES:
+            raise ResourceLimitError(
+                f"the site sweep of {batch} vector(s) needs a {batch * self._sweep_bytes}"
+                f"-byte tensor, over the {MAX_SWEEP_BYTES}-byte cap"
+            )
 
 
 def _sweep_plan(nbr: np.ndarray) -> tuple[list[tuple], list[int]]:
@@ -320,9 +334,7 @@ def stationary_distribution(
     dims: Sequence[int],
     tol: float = 1e-10,
     max_iter: int = 10**6,
-    cesaro_after: int = 10**4,
     allow_absorbing: bool = False,
-    start: Optional[StateDistribution] = None,
 ) -> StationaryLaw:
     """Fixed point pi of the transfer operator, verified by TV(T pi, pi) < tol.
 
@@ -335,10 +347,10 @@ def stationary_distribution(
       pi (T - I) = 0, sum(pi) = 1.  A singular system or a solution that
       fails the verification falls through to the routes below.
     * "cycle": a fully deterministic kernel (the eps = 0 edge case) is
-      handled by exact cycle averaging of the pushforwards of `start`.
-    * "power": power iteration from `start`.  When successive iterates stop
-      making progress past `cesaro_after` steps, running Cesaro averages of
-      the iterates are tested as candidates alongside ("cesaro").
+      handled by exact cycle averaging of the pushforwards of the uniform law.
+    * "power": power iteration from the uniform law.  When successive
+      iterates stop making progress past CESARO_AFTER steps, running Cesaro
+      averages of the iterates are tested as candidates alongside ("cesaro").
 
     `max_iter` bounds only the iterative routes.
     """
@@ -358,7 +370,7 @@ def stationary_distribution(
                     dims=kernel.dims, probs=pi, solver="direct", iterations=0, residual=resid
                 )
             logger.debug("direct solve residual %.3e above tol, iterating", resid)
-    cur = (start or uniform_distribution(kernel.dims)).probs.copy()
+    cur = uniform_distribution(kernel.dims).probs.copy()
 
     deterministic = bool(((kernel.kern == 0.0) | (kernel.kern == 1.0)).all())
     if deterministic:
@@ -392,7 +404,7 @@ def stationary_distribution(
         if it % window == 0:
             stalled = stalled or last_tv > 0.999 * tv_at_window
             tv_at_window = last_tv
-        if stalled and it >= cesaro_after:
+        if stalled and it >= CESARO_AFTER:
             avg_count += 1
             avg = nxt.copy() if avg is None else avg + (nxt - avg) / avg_count
             if avg_count % 100 == 0:
@@ -415,13 +427,12 @@ def tv_curve(
     noise: NoiseModel,
     dims: Sequence[int],
     reference: StateDistribution,
-    start: Optional[StateDistribution] = None,
     n_max: int = 200,
     floor: float = 1e-13,
 ) -> list[float]:
-    """TV(T^n start, reference) for n = 0..n_max, stopping once below floor."""
+    """TV(T^n delta_plus, reference) for n = 0..n_max, stopping once below floor."""
     kernel = ExactKernel(rule, noise, dims)
-    cur = (start or delta_plus(kernel.dims)).probs.copy()
+    cur = delta_plus(kernel.dims).probs.copy()
     ref = reference.probs
     curve = [0.5 * float(np.abs(cur - ref).sum())]
     for _ in range(n_max):

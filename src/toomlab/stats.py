@@ -38,9 +38,8 @@ class FitResult:
 
 @dataclass
 class RunSummary:
-    """Container for one estimation run: series, per-point table, metadata."""
+    """Container for one estimation run: series and per-point table."""
 
-    metadata: dict
     density_series: Optional[np.ndarray] = None
     density_mean: Optional[float] = None
     density_se: Optional[float] = None
@@ -73,29 +72,16 @@ def fit_log_decay(
     return FitResult(rate, float(intercept), r2, n, True)
 
 
-def batch_means_se(series: np.ndarray, n_batches: int = 20) -> float:
-    """Standard error of the mean of a correlated series via batch means."""
+def batch_means_se(series: np.ndarray) -> float:
+    """Standard error of the mean of a correlated series via 20 batch means."""
     series = np.asarray(series, dtype=np.float64)
     if series.size < 2:
         return 0.0
-    nb = min(n_batches, series.size)
+    nb = min(20, series.size)
     means = np.array([chunk.mean() for chunk in np.array_split(series, nb)])
     if nb < 2:
         return 0.0
     return float(means.std(ddof=1) / math.sqrt(nb))
-
-
-def _metadata(rule: RuleSpec, noise: NoiseModel, dims, seed, steps, burn_in, **extra) -> dict:
-    md = {
-        "rule": rule.name or "custom",
-        "noise": engine.noise_to_json(noise),
-        "dims": list(dims),
-        "seed": int(seed),
-        "steps": int(steps),
-        "burn_in": int(burn_in),
-    }
-    md.update(extra)
-    return md
 
 
 def minus_density_run(
@@ -126,13 +112,11 @@ def minus_density_run(
 
     engine.evolve(state, rule, noise, key, 0, steps, threads=threads, on_step=record)
     tail = densities[burn_in + 1 :] if steps > burn_in else densities[burn_in:]
-    summary = RunSummary(
-        metadata=_metadata(rule, noise, dims, seed, steps, burn_in),
+    return RunSummary(
         density_series=densities,
         density_mean=float(tail.mean()) if tail.size else None,
         density_se=batch_means_se(tail) if tail.size else None,
     )
-    return summary
 
 
 def density_vs_epsilon_scan(
@@ -190,16 +174,17 @@ def stationary_sample(
     """Replica batch of near-stationary states from all-plus, shape (M, N)."""
     if replicas < 1:
         raise ConfigError(f"samples must be at least 1, got {replicas}")
+    if burn_in < 0:
+        raise ConfigError(f"burn_in must be nonnegative, got {burn_in}")
     bits = engine.batch_all_plus(replicas, dims)
     return engine.evolve_batch(
         bits, rule, noise, dims, RngKey(seed), 0, burn_in, threads=threads
     )
 
 
-def _shift_index(dims: tuple[int, ...], offset: Sequence[int]) -> np.ndarray:
-    coords = np.indices(dims).reshape(len(dims), -1)
-    shifted = tuple((coords[k] + offset[k]) % dims[k] for k in range(len(dims)))
-    return np.ravel_multi_index(shifted, dims)
+def _spins(bits: np.ndarray) -> np.ndarray:
+    """0/1 sites as int8 spins -1/+1 (their products' means are exact)."""
+    return bits.astype(np.int8) * np.int8(2) - np.int8(1)
 
 
 def _delta_se(values: np.ndarray, means: np.ndarray, grad: np.ndarray) -> float:
@@ -235,19 +220,14 @@ def spatial_correlation(
         raise ConfigError("max distance must stay below min(dims)/2")
     if sample is None:
         sample = stationary_sample(rule, noise, dims, burn_in, samples, seed, threads)
-    spins = sample.astype(np.float64) * 2.0 - 1.0
+    spins = _spins(sample)
+    grid = spins.reshape((-1,) + dims)
     m_r = spins.mean(axis=1)
     m_hat = float(m_r.mean())
-    summary = RunSummary(
-        metadata=_metadata(
-            rule, noise, dims, seed, burn_in, burn_in, samples=samples,
-            distances=list(int(d) for d in distances),
-        )
-    )
+    summary = RunSummary()
     for dist in distances:
-        offset = (int(dist),) + (0,) * (len(dims) - 1)
-        idx = _shift_index(dims, offset)
-        v_r = (spins * spins[:, idx]).mean(axis=1)
+        partner = np.roll(grid, -int(dist), axis=1).reshape(spins.shape)
+        v_r = (spins * partner).mean(axis=1)
         g_hat = float(v_r.mean())
         cov_hat = g_hat - m_hat * m_hat
         se = _delta_se(
@@ -285,14 +265,10 @@ def temporal_autocorrelation(
     key = RngKey(seed)
     if sample is None:
         sample = stationary_sample(rule, noise, dims, burn_in, samples, seed, threads)
-    spins0 = sample.astype(np.float64) * 2.0 - 1.0
+    spins0 = _spins(sample)
     m0_r = spins0.mean(axis=1)
     m0 = float(m0_r.mean())
-    summary = RunSummary(
-        metadata=_metadata(
-            rule, noise, dims, seed, burn_in, burn_in, samples=samples, lags=lags
-        )
-    )
+    summary = RunSummary()
     bits = sample
     t_now = burn_in
     for lag in lags:
@@ -301,7 +277,7 @@ def temporal_autocorrelation(
                 bits, rule, noise, dims, key, t_now, burn_in + lag - t_now, threads=threads
             )
             t_now = burn_in + lag
-        spins_k = bits.astype(np.float64) * 2.0 - 1.0
+        spins_k = _spins(bits)
         v_r = (spins0 * spins_k).mean(axis=1)
         mk_r = spins_k.mean(axis=1)
         g_hat = float(v_r.mean())
@@ -334,7 +310,6 @@ class DivergenceResult:
     mag_minus: np.ndarray
     gap_mean: Optional[float]
     gap_se: Optional[float]
-    metadata: dict
     coalescence_step: Optional[int] = None  # first step with equal chains
 
 
@@ -365,11 +340,12 @@ def two_phase_divergence(
     SEPARATED: gap above 10 SE; otherwise UNDECIDED.  Rules that are not
     symmetric under the global flip are reported INAPPLICABLE, not an error.
     """
+    if steps < 1:
+        raise ConfigError(f"steps must be at least 1, got {steps}")
     if burn_in is None:
         burn_in = steps // 2
     if not 0 <= burn_in <= steps:
         raise ConfigError(f"burn_in {burn_in} must lie in [0, steps={steps}]")
-    md = _metadata(rule, noise, dims, seed, steps, burn_in)
     if not is_flip_symmetric(rule):
         return DivergenceResult(
             classification=INAPPLICABLE,
@@ -377,7 +353,6 @@ def two_phase_divergence(
             mag_minus=np.empty(0),
             gap_mean=None,
             gap_se=None,
-            metadata=md,
         )
     core = engine._PackedCore(
         rule, dims, engine.kernel_plus(noise, rule), RngKey(seed), threads
@@ -414,6 +389,5 @@ def two_phase_divergence(
         mag_minus=mag_m,
         gap_mean=gap_mean,
         gap_se=gap_se,
-        metadata=md,
         coalescence_step=met,
     )

@@ -64,10 +64,6 @@ class TestVerdicts:
         with pytest.raises(ValueError):
             check_eroder(fam)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            check_eroder(family("nec"), dimension=1)
-
 
 class TestConstants:
     def test_stavskaya_q2(self):

@@ -235,6 +235,15 @@ class TestExact:
         assert code == 1
         assert "allow_absorbing" in json.loads(capsys.readouterr().out)["error"]["message"]
 
+    def test_oversize_sweep_fails_as_json(self, tmp_path, capsys):
+        code, out = run(
+            tmp_path, "exact",
+            {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.1}, "dims": [4, 6]},
+        )
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ResourceLimitError"
+        assert not (out / "exact_report.json").exists()
+
 
 class TestCorrelateScanDivergence:
     def test_correlate_csv_headers(self, tmp_path):
@@ -365,6 +374,25 @@ class TestStrictInputs:
         )
         assert code == 1 and error_type(capsys) == "ConfigError"
         assert not (out / "correlate_spatial.csv").exists()
+
+    def test_negative_burn_in_rejected(self, tmp_path, capsys):
+        code, out = run(
+            tmp_path, "correlate",
+            {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1},
+             "dims": [8], "lags": [0, 1], "samples": 10, "burn_in": -5},
+        )
+        assert code == 1 and error_type(capsys) == "ConfigError"
+        assert not (out / "correlate_temporal.csv").exists()
+
+    def test_zero_divergence_steps_rejected(self, tmp_path, capsys):
+        # with no step taken the verdict would rest on the initial condition
+        code, out = run(
+            tmp_path, "divergence",
+            {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.5},
+             "dims": [8, 8], "steps": 0},
+        )
+        assert code == 1 and error_type(capsys) == "ConfigError"
+        assert not (out / "divergence_report.json").exists()
 
     def test_empty_eps_grid_rejected(self, tmp_path, capsys):
         code, out = run(

@@ -25,7 +25,7 @@ from toomlab.oracle import (
     window_marginal,
     window_marginal_consistency,
 )
-from toomlab.rules import builtin
+from toomlab.rules import RuleSpec, builtin
 
 from .oracles import brute_force_transfer
 
@@ -114,6 +114,20 @@ class TestTransferApply:
         with pytest.raises(ResourceLimitError):
             ExactKernel(STAV, symmetric_noise(0.1), (25,))
 
+    def test_sweep_byte_cap(self):
+        # nec 4x6 has 24 sites, but its wrapped front makes the widest sweep
+        # tensor 2^31 doubles (16 GiB): refused before anything that size exists
+        with pytest.raises(ResourceLimitError, match="site sweep"):
+            ExactKernel(NEC, symmetric_noise(0.1), (4, 6))
+
+    def test_sweep_byte_cap_counts_the_batch(self, monkeypatch):
+        k = ExactKernel(STAV, symmetric_noise(0.1), (12,))
+        vecs = np.full((3, k.n_states), 1.0 / k.n_states)
+        monkeypatch.setattr(oracle, "MAX_SWEEP_BYTES", 2 * k._sweep_bytes)
+        assert k.apply(vecs[:2]).shape == (2, k.n_states)
+        with pytest.raises(ResourceLimitError, match="site sweep"):
+            k.apply(vecs)
+
 
 class TestStationary:
     def test_half_noise_uniform(self):
@@ -181,6 +195,18 @@ class TestStationary:
     def test_unique_law_detection(self, noise, unique):
         k = ExactKernel(STAV, noise, (6,))
         assert oracle._unique_law_provable(k, k.dense_matrix()) == unique
+
+    def test_cesaro_route(self):
+        # p(+1) is 1 when both neighbors are -1, 1/2 when only the right one
+        # is +1, and 0 otherwise: the power iterates fall into a period-2
+        # cycle, and only their running average is invariant
+        rule = RuleSpec(dimension=1, neighborhood=((-1,), (1,)), table=[0, 0, 0, 1])
+        noise = table_noise([1.0, 0.0, 0.5, 0.0])
+        tol = 1e-10
+        pi = stationary_distribution(rule, noise, (4,), tol=tol, allow_absorbing=True)
+        assert pi.solver == "cesaro" and pi.iterations > oracle.CESARO_AFTER
+        t_pi = ExactKernel(rule, noise, (4,)).apply(pi.probs)
+        assert 0.5 * np.abs(t_pi / t_pi.sum() - pi.probs).sum() < tol
 
     def test_verified_residual(self):
         pi = stationary_distribution(STAV, symmetric_noise(0.07), (8,), tol=1e-11)
