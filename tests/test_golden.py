@@ -1,17 +1,24 @@
-"""Frozen SHA-256 digests of the CSV and PPM artifacts of small CLI runs.
+"""Frozen SHA-256 digests of the artifacts of small CLI runs.
 
-The digests were recorded with the gather-table engine, before the packed
-stepping core replaced it, and guard byte-for-byte reproducibility through
-every rewrite of the stepping code.  JSON reports are not digested, since
-reports may gain keys; their numbers are checked by the other CLI tests.
+The CSV and PPM digests were recorded with the gather-table engine, before
+the packed stepping core replaced it, and guard byte-for-byte
+reproducibility through every rewrite of the stepping code.  Other JSON
+reports are not digested, since reports may gain keys; their numbers are
+checked by the other CLI tests.  The `check` artifacts (`certificate.json`
+and `bounds_report.json`) are digested as well: they were recorded with the
+`Fraction` simplex, before the integer simplex replaced it, and guard that
+every certificate keeps its exact bytes.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from toomlab import cli
+from toomlab import cli, rules
+
+from .oracles import random_rule
 
 NEC_ISLAND = [[i, j] for i in range(3, 7) for j in range(3, 7)]
 
@@ -109,3 +116,65 @@ def artifact_digests(tmp_path, command, config):
 def test_artifacts_match_frozen_digests(tmp_path, case, capsys):
     command, config = CASES[case]
     assert artifact_digests(tmp_path, command, config) == DIGESTS[case]
+
+
+# check runs: (config, rule file body or None for a builtin rule).  The rule
+# file is written to the working directory, so the embedded config is the
+# same on every run.
+CHECK_CASES = {
+    "check_nec": ({"rule": "nec", "eps": 0.001}, None),
+    "check_stavskaya": ({"rule": "stavskaya", "eps": 0.002, "alpha": 0.01}, None),
+    # 1-d majority over {-1, 0, 1}: every pair of hulls meets at 0
+    "check_majority_1d": (
+        {"rule": "majority_1d.json"},
+        {"dimension": 1, "neighborhood": [[-1], [0], [1]], "table": "e8"},
+    ),
+    # d = 3, R = 7, three plus sets separated by three functionals
+    "check_random_3d": (
+        {"rule": "random_3d.json", "eps": 0.0001},
+        rules.rule_to_json(random_rule(random.Random(195))),
+    ),
+}
+
+CHECK_DIGESTS = {
+    "check_majority_1d": {
+        "certificate.json":
+            "28e93951336130e9a18c20d1e027fc7e187755de8882b346c3d123fe00b026bc",
+    },
+    "check_nec": {
+        "bounds_report.json":
+            "491d8abaf6825258506f6d8a6c01dc2fd0859f5266485d055b310837edf92a68",
+        "certificate.json":
+            "13603d5d43ccc1bd2824d55c891c715ae7175510414e6f320a6cc05c1843432d",
+    },
+    "check_random_3d": {
+        "bounds_report.json":
+            "8ff8baada0df4c70db647956cf62631ed6cfb16e01e7ea24c740247ddb59e375",
+        "certificate.json":
+            "1b51af925e99b8e3f31c42af743bbcf55d46508722b8b7141c14400b76522a39",
+    },
+    "check_stavskaya": {
+        "bounds_report.json":
+            "2d457f1e2f2af0417eac6526ed47036a36b88cac7a450217e76820698000d5f8",
+        "certificate.json":
+            "bf14a682cb1ef553a4cdfb4b913943fbfe8bbf4e1ed9a2cb433185ab099dcdda",
+    },
+}
+
+
+def check_digests(tmp_path, monkeypatch, config, rule_body):
+    monkeypatch.chdir(tmp_path)
+    if rule_body is not None:
+        (tmp_path / config["rule"]).write_text(json.dumps(rule_body))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert cli.main(["check", "--config", "config.json", "--out", "out"]) in (0, 2)
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted((tmp_path / "out").iterdir())
+        if p.name in ("certificate.json", "bounds_report.json")
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_CASES))
+def test_check_artifacts_match_frozen_digests(tmp_path, monkeypatch, case, capsys):
+    assert check_digests(tmp_path, monkeypatch, *CHECK_CASES[case]) == CHECK_DIGESTS[case]
