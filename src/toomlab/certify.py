@@ -54,8 +54,8 @@ class ErosionCertificate:
 
 def _hull_system(
     family: PlusSetFamily, subset: Sequence[int]
-) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Equality system for a common point of the selected hulls.
+) -> tuple[list[list[int]], list[int]]:
+    """Integer equality system for a common point of the selected hulls.
 
     Variables: one convex weight per plus-set element, then the common point
     split into positive/negative parts.  Rows: one convexity row per set,
@@ -67,23 +67,23 @@ def _hull_system(
     nlam = sum(sizes)
     ncols = nlam + 2 * d
     starts = [sum(sizes[:i]) for i in range(len(sets))]
-    rows: list[list[Fraction]] = []
-    b: list[Fraction] = []
+    rows: list[list[int]] = []
+    b: list[int] = []
     for i in range(len(sets)):
-        row = [ZERO] * ncols
+        row = [0] * ncols
         for j in range(sizes[i]):
-            row[starts[i] + j] = ONE
+            row[starts[i] + j] = 1
         rows.append(row)
-        b.append(ONE)
+        b.append(1)
     for i, z in enumerate(sets):
         for k in range(d):
-            row = [ZERO] * ncols
+            row = [0] * ncols
             for j, idx in enumerate(z):
-                row[starts[i] + j] = Fraction(family.offsets[idx][k])
-            row[nlam + 2 * k] = -ONE
-            row[nlam + 2 * k + 1] = ONE
+                row[starts[i] + j] = family.offsets[idx][k]
+            row[nlam + 2 * k] = -1
+            row[nlam + 2 * k + 1] = 1
             rows.append(row)
-            b.append(ZERO)
+            b.append(0)
     return rows, b
 
 

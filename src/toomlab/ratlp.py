@@ -1,11 +1,33 @@
-"""Exact rational feasibility solver for small equality-form linear programs.
+"""Exact feasibility solver for small equality-form linear programs.
 
-Solves "find v >= 0 with A v = b" by a phase-one simplex over
-``fractions.Fraction`` with Bland's pivoting rule (guaranteed termination,
-no tolerance anywhere).  On infeasibility it returns the Farkas dual vector
-y with  y^T A <= 0  componentwise and  y^T b > 0,  which is the raw material
-for separation certificates.  Problem sizes here are tiny (tens of rows), so
-the dense tableau is perfectly adequate.
+Solves "find v >= 0 with A v = b" for integer A and b by a phase-one simplex
+with Bland's pivoting rule (guaranteed termination, no tolerance anywhere).
+On infeasibility it returns the Farkas dual vector y with  y^T A <= 0
+componentwise and  y^T b > 0,  which is the raw material for separation
+certificates.  Problem sizes here are tiny (tens of rows), so a dense
+tableau is perfectly adequate.
+
+The tableau is fraction-free (Edmonds' integer-preserving elimination, the
+simplex form of Bareiss' method).  It holds Python ints T and one common
+denominator D; the rational tableau is T / D.  D starts at 1 and after each
+pivot becomes the pivot entry p = T[r][e], and row i != r updates as
+
+    T[i] <- (p * T[i] - T[i][e] * T[r]) // D.
+
+The division is exact: with B the current basis of the (sign-normalized)
+system [A | I | b], D = det(B) and T = adj(B) [A | I | b], whose entries are
+minors of an integer matrix.  The pivot row itself is already adj(B') times
+the system for the new basis B', so it stays as it is.  The phase-one cost
+row is held as D times the rational reduced costs and updates by the same
+rule.  The simplex only pivots on positive rational entries, so D stays
+positive: the entering test (a negative reduced cost) reads the sign of an
+int, and the ratio test compares T[i][-1] / T[i][e] by cross-multiplying.
+Every int stands for the rational the Fraction tableau would hold, so the
+pivot sequence, Bland tie-break included, and the returned vectors are
+those of a Fraction simplex; Fractions are built only for the result.
+
+Input entries must be integers: an int, or a Fraction with denominator 1.
+Anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -13,41 +35,43 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-Row = list[Fraction]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+def _integer(x: object) -> int:
+    if isinstance(x, int):
+        return x
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise ValueError(f"solve_feasibility takes integer entries, not {x!r}")
 
 
 def solve_feasibility(
-    A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+    A: Sequence[Sequence[int]], b: Sequence[int]
 ) -> tuple[bool, list[Fraction]]:
-    """Decide {v >= 0 : A v = b}.
+    """Decide {v >= 0 : A v = b} for integer A and b.
 
     Returns ``(True, v)`` with an exact feasible point, or ``(False, y)``
     with an exact Farkas certificate of infeasibility.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    # sign-normalize so the artificial basis is feasible (b >= 0)
-    signs = [ONE if bi >= 0 else -ONE for bi in b]
-    tab: list[Row] = [
-        [signs[i] * Fraction(A[i][j]) for j in range(n)] + [signs[i] * Fraction(b[i])]
-        for i in range(m)
-    ]
-    # append artificial columns (identity)
-    for i in range(m):
-        rhs = tab[i].pop()
-        tab[i].extend(ONE if k == i else ZERO for k in range(m))
-        tab[i].append(rhs)
     ncols = n + m
+    # sign-normalize so the artificial basis is feasible (b >= 0), then
+    # append the artificial identity columns and the right-hand side
+    signs = [1 if _integer(bi) >= 0 else -1 for bi in b]
+    tab: list[list[int]] = []
+    for i in range(m):
+        s = signs[i]
+        row = [s * _integer(x) for x in A[i]]
+        row.extend(1 if k == i else 0 for k in range(m))
+        row.append(s * _integer(b[i]))
+        tab.append(row)
     basis = list(range(n, n + m))
 
-    # reduced costs for min sum(artificials); artificial columns start at 0
-    rc: Row = [ZERO] * (ncols + 1)
-    for j in range(n):
-        rc[j] = -sum(tab[i][j] for i in range(m))
-    rc[ncols] = -sum(tab[i][ncols] for i in range(m))  # negative objective value
+    # D times the reduced costs for min sum(artificials), with D = 1 here
+    rc = [-sum(row[j] for row in tab) for j in range(n)]
+    rc.extend([0] * m)
+    rc.append(-sum(row[ncols] for row in tab))  # negative objective value
+    D = 1
 
     while True:
         enter = -1
@@ -57,37 +81,46 @@ def solve_feasibility(
                 break
         if enter < 0:
             break
+        # Bland's ratio test on T[i][-1] / T[i][enter], cross-multiplied
         leave = -1
-        best = None
         for i in range(m):
             coef = tab[i][enter]
             if coef > 0:
-                ratio = tab[i][ncols] / coef
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs = tab[i][ncols] * tab[leave][enter]
+                rhs = tab[leave][ncols] * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise ArithmeticError("phase-one objective cannot be unbounded")
-        pivot = tab[leave][enter]
-        tab[leave] = [x / pivot for x in tab[leave]]
+        prow = tab[leave]
+        p = prow[enter]
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * p for x, p in zip(tab[i], tab[leave])]
-        if rc[enter] != 0:
-            f = rc[enter]
-            rc = [x - f * p for x, p in zip(rc, tab[leave])]
+            if i != leave:
+                tab[i] = _eliminate(tab[i], prow, p, D, enter)
+        rc = _eliminate(rc, prow, p, D, enter)
+        D = p
         basis[leave] = enter
 
-    objective = -rc[ncols]
-    if objective == 0:
-        v = [ZERO] * n
+    if rc[ncols] == 0:
+        v = [Fraction(0)] * n
         for i, bi in enumerate(basis):
             if bi < n:
-                v[bi] = tab[i][ncols]
+                v[bi] = Fraction(tab[i][ncols], D)
         return True, v
     # Farkas dual from the artificial columns' reduced costs, undoing row signs
-    y = [signs[i] * (ONE - rc[n + i]) for i in range(m)]
-    return False, y
+    return False, [Fraction(signs[i] * (D - rc[n + i]), D) for i in range(m)]
+
+
+def _eliminate(row: list[int], prow: list[int], p: int, D: int, enter: int) -> list[int]:
+    """One fraction-free row update: (p * row - row[enter] * prow) // D."""
+    f = row[enter]
+    if f == 0:
+        if p == D:
+            return row
+        return [p * x // D for x in row]
+    if D == 1:
+        return [p * x - f * y for x, y in zip(row, prow)]
+    return [(p * x - f * y) // D for x, y in zip(row, prow)]

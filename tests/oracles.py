@@ -3,8 +3,9 @@
 Everything here is deliberately brute force and shares no code path with the
 implementations it checks: interval intersection over exact rationals for
 one-dimensional hull emptiness, exhaustive monotone-table enumeration, a
-direct double-loop subset scan for plus sets, and the exact transfer
-operator expanded one source configuration at a time.
+direct double-loop subset scan for plus sets, the exact transfer operator
+expanded one source configuration at a time, and a phase-one simplex over
+``Fraction`` that the integer simplex in ``toomlab.ratlp`` must match.
 """
 
 from __future__ import annotations
@@ -23,6 +24,58 @@ def interval_eroder_verdict(offsets: list[int], sets: list[tuple[int, ...]]) -> 
     los = [min(Fraction(offsets[i]) for i in z) for z in sets]
     his = [max(Fraction(offsets[i]) for i in z) for z in sets]
     return max(los) > min(his)
+
+
+def fraction_feasibility(A, b) -> tuple[bool, list[Fraction]]:
+    """Decide {v >= 0 : A v = b} by a phase-one simplex over ``Fraction``.
+
+    The same Bland's rule, tie-break and Farkas read-out as
+    ``toomlab.ratlp.solve_feasibility``, on a rational tableau that divides
+    the pivot row by the pivot; the two must agree on every input.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    one, zero = Fraction(1), Fraction(0)
+    signs = [one if bi >= 0 else -one for bi in b]
+    tab = [
+        [signs[i] * Fraction(x) for x in A[i]]
+        + [one if k == i else zero for k in range(m)]
+        + [signs[i] * Fraction(b[i])]
+        for i in range(m)
+    ]
+    ncols = n + m
+    basis = list(range(n, n + m))
+    rc = [-sum(tab[i][j] for i in range(m)) for j in range(n)] + [zero] * m
+    rc.append(-sum(tab[i][ncols] for i in range(m)))
+    while True:
+        enter = next((j for j in range(ncols) if rc[j] < 0), -1)
+        if enter < 0:
+            break
+        leave, best = -1, None
+        for i in range(m):
+            coef = tab[i][enter]
+            if coef > 0:
+                ratio = tab[i][ncols] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave < 0:
+            raise ArithmeticError("phase-one objective cannot be unbounded")
+        pivot = tab[leave][enter]
+        tab[leave] = [x / pivot for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * p for x, p in zip(tab[i], tab[leave])]
+        f = rc[enter]
+        rc = [x - f * p for x, p in zip(rc, tab[leave])]
+        basis[leave] = enter
+    if rc[ncols] == 0:
+        v = [zero] * n
+        for i, bi in enumerate(basis):
+            if bi < n:
+                v[bi] = tab[i][ncols]
+        return True, v
+    return False, [signs[i] * (one - rc[n + i]) for i in range(m)]
 
 
 def brute_force_plus_sets(rule: RuleSpec) -> list[tuple[int, ...]]:
