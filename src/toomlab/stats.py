@@ -337,8 +337,10 @@ def two_phase_divergence(
     once the chains are equal only one is stepped, and coalescence_step
     records when that happened.
     MERGED: post-burn-in gap within 3 SE of zero (or exact coalescence);
-    SEPARATED: gap above 10 SE; otherwise UNDECIDED.  Rules that are not
-    symmetric under the global flip are reported INAPPLICABLE, not an error.
+    SEPARATED: gap above 10 SE; otherwise UNDECIDED.  A single post-burn-in
+    point has no standard error, so a nonzero gap there is UNDECIDED.  Rules
+    that are not symmetric under the global flip are reported INAPPLICABLE,
+    not an error.
     """
     if steps < 1:
         raise ConfigError(f"steps must be at least 1, got {steps}")
@@ -377,6 +379,8 @@ def two_phase_divergence(
     gap_se = batch_means_se(gap)
     if np.all(gap == 0.0):
         cls = MERGED
+    elif gap.size < 2:
+        cls = UNDECIDED
     elif gap_mean < 3.0 * gap_se:
         cls = MERGED
     elif gap_mean > 10.0 * gap_se:

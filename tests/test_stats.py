@@ -221,6 +221,20 @@ class TestTwoPhase:
         res = two_phase_divergence(NEC, symmetric_noise(0.05), (16, 16), steps=100, seed=3)
         assert np.all(res.mag_plus - res.mag_minus >= 0.0)
 
+    @pytest.mark.parametrize("steps, burn_in", [(1, None), (2, None), (2, 2)])
+    def test_one_gap_point_is_undecided(self, steps, burn_in):
+        # one post-burn-in point has no standard error; 200 steps merge here
+        res = two_phase_divergence(
+            NEC, symmetric_noise(0.45), (8, 8), steps=steps, seed=0, burn_in=burn_in
+        )
+        assert res.gap_mean != 0.0 and res.gap_se == 0.0
+        assert res.classification == stats.UNDECIDED
+
+    def test_one_zero_gap_point_is_merged(self):
+        res = two_phase_divergence(NEC, symmetric_noise(0.5), (8, 8), steps=1, seed=0)
+        assert res.gap_mean == 0.0
+        assert res.classification == stats.MERGED
+
     def test_reproducible(self):
         a = two_phase_divergence(NEC, symmetric_noise(0.1), (8, 8), steps=40, seed=11)
         b = two_phase_divergence(NEC, symmetric_noise(0.1), (8, 8), steps=40, seed=11)
