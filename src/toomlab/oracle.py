@@ -39,6 +39,7 @@ from .rules import RuleSpec
 logger = logging.getLogger(__name__)
 
 MAX_EXACT_SITES = 24
+MAX_DENSE_SITES = 11  # largest torus whose transition matrix is built
 MAX_SWEEP_BYTES = 1 << 30  # widest site-sweep tensor, per vector
 MAX_WINDOW = 20
 CESARO_AFTER = 10**4  # power iterations before Cesaro averages are tried
@@ -127,13 +128,9 @@ class ExactKernel:
         self.kern = kernel_plus(noise, rule)
         self.n_states = 1 << self.n_sites
         self._dense: Optional[np.ndarray] = None
-        self._sweep_steps, self._sweep_order = _sweep_plan(self.stepper.nbr)
-        # bytes of the widest sweep output for one vector (out[0] labels the batch)
-        self._sweep_bytes = 8 << max(len(out) - 1 for _, _, out in self._sweep_steps)
-        self._check_sweep(1)
-        self._factor = np.stack([1.0 - self.kern, self.kern]).reshape(
-            (2,) * (rule.size + 1)
-        )
+        self._sweep_steps: Optional[list[tuple]] = None
+        if self.n_sites > MAX_DENSE_SITES:
+            self._sweep()  # refuses an oversize torus before anything is allocated
 
     def plus_probs(self, states: np.ndarray) -> np.ndarray:
         """(len(states), N) matrix of per-target-site +1 probabilities."""
@@ -143,7 +140,7 @@ class ExactKernel:
 
     def dense_matrix(self) -> Optional[np.ndarray]:
         """Full (source, target) transition matrix, cached for N <= 11 sites."""
-        if self._dense is None and self.n_states <= 2048:
+        if self._dense is None and self.n_sites <= MAX_DENSE_SITES:
             states = np.arange(self.n_states, dtype=np.uint64)
             self._dense = _expand_products(self.plus_probs(states))
         return self._dense
@@ -159,10 +156,24 @@ class ExactKernel:
         if dense is not None:
             return vec @ dense
         cur = vec.reshape((-1,) + (2,) * self.n_sites)
+        steps = self._sweep()
         self._check_sweep(cur.shape[0])
-        for labels, factor_labels, out in self._sweep_steps:
+        for labels, factor_labels, out in steps:
             cur = np.einsum(cur, labels, self._factor, factor_labels, out)
         return cur.transpose(self._sweep_order).reshape(vec.shape)
+
+    def _sweep(self) -> list[tuple]:
+        """The site-sweep plan, built on first use once its byte cap is checked."""
+        if self._sweep_steps is None:
+            steps, self._sweep_order = _sweep_plan(self.stepper.nbr)
+            # bytes of the widest sweep output for one vector (out[0] labels the batch)
+            self._sweep_bytes = 8 << max(len(out) - 1 for _, _, out in steps)
+            self._check_sweep(1)
+            self._factor = np.stack([1.0 - self.kern, self.kern]).reshape(
+                (2,) * (self.stepper.rule.size + 1)
+            )
+            self._sweep_steps = steps
+        return self._sweep_steps
 
     def _check_sweep(self, batch: int) -> None:
         if batch * self._sweep_bytes > MAX_SWEEP_BYTES:

@@ -84,6 +84,11 @@ class TestTransferApply:
         chunked_out = forced.apply(probs)
         assert np.allclose(dense_out, chunked_out, atol=1e-15)
 
+    def test_dense_route_builds_no_sweep_plan(self):
+        k = ExactKernel(STAV, symmetric_noise(0.1), (8,))
+        k.apply(np.full(k.n_states, 1.0 / k.n_states))
+        assert k._sweep_steps is None
+
     def test_large_system_mass_preserved(self):
         rng = np.random.default_rng(5)
         probs = rng.random(2**12)
