@@ -32,7 +32,6 @@ ERODER = "ERODER"
 NON_ERODER = "NON_ERODER"
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)

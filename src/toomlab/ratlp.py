@@ -57,13 +57,14 @@ def solve_feasibility(
     ncols = n + m
     # sign-normalize so the artificial basis is feasible (b >= 0), then
     # append the artificial identity columns and the right-hand side
-    signs = [1 if _integer(bi) >= 0 else -1 for bi in b]
+    rhs = [_integer(bi) for bi in b]
+    signs = [1 if bi >= 0 else -1 for bi in rhs]
     tab: list[list[int]] = []
     for i in range(m):
         s = signs[i]
         row = [s * _integer(x) for x in A[i]]
         row.extend(1 if k == i else 0 for k in range(m))
-        row.append(s * _integer(b[i]))
+        row.append(s * rhs[i])
         tab.append(row)
     basis = list(range(n, n + m))
 
@@ -89,9 +90,9 @@ def solve_feasibility(
                 if leave < 0:
                     leave = i
                     continue
-                lhs = tab[i][ncols] * tab[leave][enter]
-                rhs = tab[leave][ncols] * coef
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                here = tab[i][ncols] * tab[leave][enter]
+                best = tab[leave][ncols] * coef
+                if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise ArithmeticError("phase-one objective cannot be unbounded")
@@ -117,7 +118,7 @@ def solve_feasibility(
 def _eliminate(row: list[int], prow: list[int], p: int, D: int, enter: int) -> list[int]:
     """One fraction-free row update: (p * row - row[enter] * prow) // D."""
     f = row[enter]
-    if f == 0:
+    if f == 0:  # the row only moves to the new denominator
         if p == D:
             return row
         return [p * x // D for x in row]
