@@ -358,16 +358,17 @@ def cmd_exact(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
     if window is None:
         window = [[0] * rule.dimension]
     marginal = oracle.window_marginal(pi, window)
+    kernel = oracle.ExactKernel(rule, noise, dims)
     # stop the curve above the accuracy of pi itself, else it saturates
     curve = oracle.tv_curve(
-        rule, noise, dims, pi, n_max=cfg["tv_steps"], floor=max(1e-13, 10.0 * cfg["tol"])
+        kernel, pi, n_max=cfg["tv_steps"], floor=max(1e-13, 10.0 * cfg["tol"])
     )
     ns = np.arange(len(curve))
     usable = ns > 5
     fit = stats.fit_log_decay(ns[usable], np.asarray(curve)[usable])
     origin = tuple([0] * rule.dimension)
     f = oracle.spin_observable(origin, rule.dimension)
-    lhs = oracle.cylinder_expectation(oracle.transfer_apply(pi, rule, noise), f)
+    lhs = oracle.cylinder_expectation(oracle.transfer_apply(pi, kernel), f)
     rhs = oracle.cylinder_expectation(pi, oracle.dual_apply(f, rule, noise, dims))
     payload = {
         "window": [list(s) if not isinstance(s, int) else [s] for s in window],
@@ -390,21 +391,19 @@ def cmd_correlate(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tupl
         raise ConfigError("correlate needs distances and/or lags")
     payload: dict = {}
     header = ("distance_or_lag", "estimate", "stderr", "n")
-    sample = stats.stationary_sample(
-        rule, cfg["noise"], cfg["dims"], cfg["burn_in"], cfg["samples"], cfg["seed"], threads
-    )
-    for kind, points, estimate in (
-        ("spatial", cfg["distances"], stats.spatial_correlation),
-        ("temporal", cfg["lags"], stats.temporal_autocorrelation),
-    ):
-        if points:
-            summary, fit = estimate(
-                rule, cfg["noise"], cfg["dims"], points, cfg["samples"],
-                cfg["seed"], burn_in=cfg["burn_in"], threads=threads, sample=sample,
-            )
-            write_csv(os.path.join(out_dir, f"correlate_{kind}.csv"), header, summary.table, resolved)
-            payload[f"{kind}_rate"] = _json_float(fit.rate)
-            payload[f"{kind}_valid"] = fit.valid
+    noise, dims, seed, burn_in = cfg["noise"], cfg["dims"], cfg["seed"], cfg["burn_in"]
+    sample = stats.stationary_sample(rule, noise, dims, burn_in, cfg["samples"], seed, threads)
+    estimates = {}
+    if cfg["distances"]:
+        estimates["spatial"] = stats.spatial_correlation(sample, dims, cfg["distances"])
+    if cfg["lags"]:
+        estimates["temporal"] = stats.temporal_autocorrelation(
+            sample, rule, noise, dims, cfg["lags"], seed, burn_in, threads
+        )
+    for kind, (summary, fit) in estimates.items():
+        write_csv(os.path.join(out_dir, f"correlate_{kind}.csv"), header, summary.table, resolved)
+        payload[f"{kind}_rate"] = _json_float(fit.rate)
+        payload[f"{kind}_valid"] = fit.valid
     return 0, payload
 
 

@@ -21,6 +21,9 @@ r owns outputs [r*N, (r+1)*N) of the shared stream.  With threads > 1 the
 draws are made in 64-site-aligned spans on one process-wide pool; each span
 starts its generator at its own offset, so results do not depend on the
 thread count.
+
+The exact oracle reads the same wrapped neighborhoods, as an index table,
+from :func:`neighbor_table`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from .errors import ConfigError
 from .rules import RuleSpec
@@ -307,23 +310,22 @@ def _torus_dims(rule: RuleSpec, dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
+def neighbor_table(rule: RuleSpec, dims: Sequence[int]) -> np.ndarray:
+    """(R, N) array: entry (i, x) is the flat site of neighbor slot i of site x."""
+    dims = _torus_dims(rule, dims)
+    coords = np.indices(dims).reshape(len(dims), -1)
+    return np.stack([
+        np.ravel_multi_index(tuple(c + o for c, o in zip(coords, u)), dims, mode="wrap")
+        for u in rule.neighborhood
+    ])
+
+
 def _philox(key: RngKey, t: int, start: int) -> Philox:
     """Bit generator positioned at output `start` (a multiple of 4) of stream t."""
     bg = Philox(key=key.seed, counter=[0, 0, int(t), 0])
     if start:
         bg.advance(start // 4)
     return bg
-
-
-def step_uniforms(key: RngKey, t: int, start: int, count: int) -> np.ndarray:
-    """Outputs [start, start+count) of the step-t uniform stream.
-
-    start must be a multiple of 4 (the Philox block size) so that chunked
-    generation reproduces single-pass generation exactly.
-    """
-    if start % 4:
-        raise ValueError("stream start must be 4-aligned")
-    return Generator(_philox(key, t, start)).random(count)
 
 
 def _threshold(p: float) -> np.uint64:
@@ -506,32 +508,6 @@ class _PackedCore:
 # stepping
 
 
-class TorusStepper:
-    """Precomputed gather tables for one (rule, dims) pair."""
-
-    def __init__(self, rule: RuleSpec, dims: Sequence[int]):
-        dims = _torus_dims(rule, dims)
-        self.rule = rule
-        self.dims = dims
-        self.n_sites = int(np.prod(dims))
-        coords = np.indices(dims).reshape(rule.dimension, self.n_sites)
-        nbr = np.empty((rule.size, self.n_sites), dtype=np.intp)
-        for i, u in enumerate(rule.neighborhood):
-            shifted = tuple(
-                (coords[k] + u[k]) % dims[k] for k in range(rule.dimension)
-            )
-            nbr[i] = np.ravel_multi_index(shifted, dims)
-        self.nbr = nbr
-        self.table = rule.table
-
-    def local_index(self, bits: np.ndarray) -> np.ndarray:
-        """Local configuration index per site; bits is (N,) or a batch (M, N)."""
-        idx = bits[..., self.nbr[0]].astype(np.uint32)
-        for i in range(1, self.rule.size):
-            idx |= bits[..., self.nbr[i]].astype(np.uint32) << np.uint32(i)
-        return idx
-
-
 def step_deterministic(state: LatticeState, rule: RuleSpec) -> LatticeState:
     """Simultaneous rule application at every site; the input is unmodified."""
     return evolve(state, rule, None, RngKey(0), 0, 1)
@@ -568,10 +544,6 @@ def evolve(
         if on_step is not None:
             on_step(t + 1, _unpack(words, core.n_sites)[0])
     return LatticeState(dims=state.dims, words=words[0])
-
-
-def batch_all_plus(replicas: int, dims: Sequence[int]) -> np.ndarray:
-    return np.ones((replicas, int(np.prod(dims))), dtype=np.uint8)
 
 
 def evolve_batch(

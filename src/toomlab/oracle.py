@@ -12,7 +12,10 @@ matmul.  Beyond that the kernel is contracted one target site at a time,
 summing out each source spin right after its last use (a moving front, as
 in row transfer matrices): O(N * 2^(N+w)) work for a front of w wrapped
 source spins, a few milliseconds per application at N = 12-14 on a ring.
-A torus whose widest sweep tensor exceeds MAX_SWEEP_BYTES is refused.
+A torus is refused when one sweep step's einsum input and output together
+exceed MAX_SWEEP_BYTES.  The functions that push distributions forward
+(`transfer_apply`, `tv_curve`) take an `ExactKernel`, so a caller builds
+one kernel, with its matrix or sweep plan, for all of them.
 
 On top of the kernel: stationary distributions (a direct linear solve when
 the dense matrix exists and the invariant law is provably unique, otherwise
@@ -32,7 +35,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .engine import LatticeState, NoiseModel, TorusStepper, kernel_plus, influence_radius
+from .engine import LatticeState, NoiseModel, influence_radius, kernel_plus, neighbor_table
 from .errors import NumericalError, ResourceLimitError
 from .rules import RuleSpec
 
@@ -40,7 +43,7 @@ logger = logging.getLogger(__name__)
 
 MAX_EXACT_SITES = 24
 MAX_DENSE_SITES = 11  # largest torus whose transition matrix is built
-MAX_SWEEP_BYTES = 1 << 30  # widest site-sweep tensor, per vector
+MAX_SWEEP_BYTES = 1 << 30  # largest sweep-step input + output, per vector
 MAX_WINDOW = 20
 CESARO_AFTER = 10**4  # power iterations before Cesaro averages are tried
 
@@ -118,9 +121,9 @@ class ExactKernel:
     """Dense action of one noisy synchronous update on state vectors."""
 
     def __init__(self, rule: RuleSpec, noise: NoiseModel, dims: Sequence[int]):
-        self.stepper = TorusStepper(rule, dims)
-        self.dims = self.stepper.dims
-        self.n_sites = self.stepper.n_sites
+        self.nbr = neighbor_table(rule, dims)
+        self.dims = tuple(int(L) for L in dims)
+        self.n_sites = self.nbr.shape[1]
         if self.n_sites > MAX_EXACT_SITES:
             raise ResourceLimitError(
                 f"{self.n_sites} sites exceeds the exact-computation cap {MAX_EXACT_SITES}"
@@ -134,9 +137,10 @@ class ExactKernel:
 
     def plus_probs(self, states: np.ndarray) -> np.ndarray:
         """(len(states), N) matrix of per-target-site +1 probabilities."""
-        shifts = np.arange(self.n_sites, dtype=np.uint64)
-        bits = ((states[:, None] >> shifts) & 1).astype(np.uint8)
-        return self.kern[self.stepper.local_index(bits)]
+        local = np.zeros((len(states), self.n_sites), dtype=np.uint64)
+        for i, src in enumerate(self.nbr.astype(np.uint64)):
+            local |= ((states[:, None] >> src) & np.uint64(1)) << np.uint64(i)
+        return self.kern[local]
 
     def dense_matrix(self) -> Optional[np.ndarray]:
         """Full (source, target) transition matrix, cached for N <= 11 sites."""
@@ -165,12 +169,15 @@ class ExactKernel:
     def _sweep(self) -> list[tuple]:
         """The site-sweep plan, built on first use once its byte cap is checked."""
         if self._sweep_steps is None:
-            steps, self._sweep_order = _sweep_plan(self.stepper.nbr)
-            # bytes of the widest sweep output for one vector (out[0] labels the batch)
-            self._sweep_bytes = 8 << max(len(out) - 1 for _, _, out in steps)
+            steps, self._sweep_order = _sweep_plan(self.nbr)
+            # bytes of the largest einsum input plus output for one vector
+            # (label 0 of each list is the batch)
+            self._sweep_bytes = max(
+                (8 << (len(labels) - 1)) + (8 << (len(out) - 1)) for labels, _, out in steps
+            )
             self._check_sweep(1)
             self._factor = np.stack([1.0 - self.kern, self.kern]).reshape(
-                (2,) * (self.stepper.rule.size + 1)
+                (2,) * (len(self.nbr) + 1)
             )
             self._sweep_steps = steps
         return self._sweep_steps
@@ -178,8 +185,8 @@ class ExactKernel:
     def _check_sweep(self, batch: int) -> None:
         if batch * self._sweep_bytes > MAX_SWEEP_BYTES:
             raise ResourceLimitError(
-                f"the site sweep of {batch} vector(s) needs a {batch * self._sweep_bytes}"
-                f"-byte tensor, over the {MAX_SWEEP_BYTES}-byte cap"
+                f"the site sweep of {batch} vector(s) needs {batch * self._sweep_bytes}"
+                f" bytes of tensors, over the {MAX_SWEEP_BYTES}-byte cap"
             )
 
 
@@ -224,13 +231,9 @@ def _expand_products(probs: np.ndarray) -> np.ndarray:
     return out
 
 
-def transfer_apply(
-    dist: StateDistribution, rule: RuleSpec, noise: NoiseModel,
-    kernel: Optional[ExactKernel] = None,
-) -> StateDistribution:
+def transfer_apply(dist: StateDistribution, kernel: ExactKernel) -> StateDistribution:
     """One exact noisy update of a distribution, renormalized (drift logged)."""
-    k = kernel or ExactKernel(rule, noise, dist.dims)
-    out = k.apply(dist.probs)
+    out = kernel.apply(dist.probs)
     total = float(out.sum())
     drift = total - 1.0
     if abs(drift) > 1e-9:
@@ -434,15 +437,9 @@ def stationary_distribution(
 
 
 def tv_curve(
-    rule: RuleSpec,
-    noise: NoiseModel,
-    dims: Sequence[int],
-    reference: StateDistribution,
-    n_max: int = 200,
-    floor: float = 1e-13,
+    kernel: ExactKernel, reference: StateDistribution, n_max: int = 200, floor: float = 1e-13
 ) -> list[float]:
     """TV(T^n delta_plus, reference) for n = 0..n_max, stopping once below floor."""
-    kernel = ExactKernel(rule, noise, dims)
     cur = delta_plus(kernel.dims).probs.copy()
     ref = reference.probs
     curve = [0.5 * float(np.abs(cur - ref).sum())]
@@ -597,7 +594,7 @@ def window_marginal_consistency(
         kernel = ExactKernel(rule, noise, dims)
         cur = delta_plus(kernel.dims)
         for _ in range(n):
-            cur = transfer_apply(cur, rule, noise, kernel=kernel)
+            cur = transfer_apply(cur, kernel)
         marginals.append(window_marginal(cur, sites))
     return float(np.abs(marginals[0] - marginals[1]).max())
 

@@ -3,11 +3,12 @@
 Covariance-type quantities are estimated from independent replicas (fresh
 counter streams per replica) rather than one long run, so the standard
 errors need no autocorrelation correction; replicas are translation-averaged
-over the torus before aggregating.  Single-trajectory series (densities,
-magnetization gaps) report batch-means standard errors instead.  Decay fits
-are unweighted least squares on log-magnitudes, restricted to points above
-the noise floor (2 standard errors); a raw rate above 1 is reported invalid
-rather than extrapolated.
+over the torus before aggregating.  The estimators take the replica batch of
+:func:`stationary_sample` as an argument, so one burn-in serves both.
+Single-trajectory series (densities, magnetization gaps) report batch-means
+standard errors instead.  Decay fits are unweighted least squares on
+log-magnitudes, restricted to points above the noise floor (2 standard
+errors); a raw rate above 1 is reported invalid rather than extrapolated.
 """
 
 from __future__ import annotations
@@ -79,8 +80,6 @@ def batch_means_se(series: np.ndarray) -> float:
         return 0.0
     nb = min(20, series.size)
     means = np.array([chunk.mean() for chunk in np.array_split(series, nb)])
-    if nb < 2:
-        return 0.0
     return float(means.std(ddof=1) / math.sqrt(nb))
 
 
@@ -176,10 +175,8 @@ def stationary_sample(
         raise ConfigError(f"samples must be at least 1, got {replicas}")
     if burn_in < 0:
         raise ConfigError(f"burn_in must be nonnegative, got {burn_in}")
-    bits = engine.batch_all_plus(replicas, dims)
-    return engine.evolve_batch(
-        bits, rule, noise, dims, RngKey(seed), 0, burn_in, threads=threads
-    )
+    bits = np.ones((replicas, int(np.prod(dims))), dtype=np.uint8)
+    return engine.evolve_batch(bits, rule, noise, dims, RngKey(seed), 0, burn_in, threads=threads)
 
 
 def _spins(bits: np.ndarray) -> np.ndarray:
@@ -198,28 +195,17 @@ def _delta_se(values: np.ndarray, means: np.ndarray, grad: np.ndarray) -> float:
 
 
 def spatial_correlation(
-    rule: RuleSpec,
-    noise: NoiseModel,
-    dims: Sequence[int],
-    distances: Sequence[int],
-    samples: int,
-    seed: int,
-    burn_in: int = 100,
-    threads: int = 1,
-    sample: Optional[np.ndarray] = None,
+    sample: np.ndarray, dims: Sequence[int], distances: Sequence[int]
 ) -> tuple[RunSummary, FitResult]:
-    """Stationary two-point covariances cov(w_0, w_x) at given distances.
+    """Two-point covariances cov(w_0, w_x) of a replica sample at given distances.
 
     x is taken along the first torus axis; each replica is averaged over all
     translations before aggregating, and the covariance standard error uses
-    the delta method on the (moment, mean) replica pairs.  A given sample
-    (the :func:`stationary_sample` of the same arguments) is reused.
+    the delta method on the (moment, mean) replica pairs.
     """
     dims = tuple(int(L) for L in dims)
     if max(distances) >= min(dims) / 2:
         raise ConfigError("max distance must stay below min(dims)/2")
-    if sample is None:
-        sample = stationary_sample(rule, noise, dims, burn_in, samples, seed, threads)
     spins = _spins(sample)
     grid = spins.reshape((-1,) + dims)
     m_r = spins.mean(axis=1)
@@ -235,7 +221,7 @@ def spatial_correlation(
             np.array([g_hat, m_hat]),
             np.array([1.0, -2.0 * m_hat]),
         )
-        summary.table.append((int(dist), cov_hat, se, samples))
+        summary.table.append((int(dist), cov_hat, se, len(sample)))
     xs = [row[0] for row in summary.table]
     ys = [row[1] for row in summary.table]
     errs = [row[2] for row in summary.table]
@@ -243,28 +229,26 @@ def spatial_correlation(
 
 
 def temporal_autocorrelation(
+    sample: np.ndarray,
     rule: RuleSpec,
     noise: NoiseModel,
     dims: Sequence[int],
     lags: Sequence[int],
-    samples: int,
     seed: int,
-    burn_in: int = 100,
+    burn_in: int,
     threads: int = 1,
-    sample: Optional[np.ndarray] = None,
 ) -> tuple[RunSummary, FitResult]:
-    """Stationary autocovariances cov(w_0(t), w_0(t+k)) at given lags.
+    """Autocovariances cov(w_0(t), w_0(t+k)) at given lags.
 
-    A given sample (the :func:`stationary_sample` of the same arguments) is
-    reused as the lag-0 states.
+    sample is the lag-0 batch, the :func:`stationary_sample` of the same
+    rule, noise, dims, seed and burn_in; the lags continue its stream from
+    step burn_in on.
     """
     lags = sorted(int(k) for k in lags)
     if lags and lags[0] < 0:
         raise ConfigError("lags must be nonnegative")
     dims = tuple(int(L) for L in dims)
     key = RngKey(seed)
-    if sample is None:
-        sample = stationary_sample(rule, noise, dims, burn_in, samples, seed, threads)
     spins0 = _spins(sample)
     m0_r = spins0.mean(axis=1)
     m0 = float(m0_r.mean())
@@ -288,7 +272,7 @@ def temporal_autocorrelation(
             np.array([g_hat, m0, mk]),
             np.array([1.0, -mk, -m0]),
         )
-        summary.table.append((lag, cov_hat, se, samples))
+        summary.table.append((lag, cov_hat, se, len(sample)))
     xs = [row[0] for row in summary.table]
     ys = [row[1] for row in summary.table]
     errs = [row[2] for row in summary.table]

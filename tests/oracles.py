@@ -4,8 +4,12 @@ Everything here is deliberately brute force and shares no code path with the
 implementations it checks: interval intersection over exact rationals for
 one-dimensional hull emptiness, exhaustive monotone-table enumeration, a
 direct double-loop subset scan for plus sets, the exact transfer operator
-expanded one source configuration at a time, and a phase-one simplex over
-``Fraction`` that the integer simplex in ``toomlab.ratlp`` must match.
+expanded one source configuration at a time, a phase-one simplex over
+``Fraction`` that the integer simplex in ``toomlab.ratlp`` must match, and
+the gather-table step (``TorusStepper`` tables indexed by ``step_uniforms``
+draws) that the packed stepping core in ``toomlab.engine`` must match bit
+for bit.  Only the torus-size check is shared, so that the reference
+refuses the same aliasing dims as the engine.
 """
 
 from __future__ import annotations
@@ -14,8 +18,12 @@ import itertools
 import random
 from fractions import Fraction
 
-import numpy as np
+from typing import Sequence
 
+import numpy as np
+from numpy.random import Generator, Philox
+
+from toomlab.engine import RngKey, _torus_dims
 from toomlab.rules import RuleSpec, monotone_closure
 
 
@@ -188,3 +196,42 @@ def brute_force_transfer(
             measure = np.concatenate([measure * (1.0 - p), measure * p])
         out += np.outer(weights, measure)
     return out
+
+
+class TorusStepper:
+    """Precomputed gather tables for one (rule, dims) pair."""
+
+    def __init__(self, rule: RuleSpec, dims: Sequence[int]):
+        dims = _torus_dims(rule, dims)
+        self.rule = rule
+        self.dims = dims
+        self.n_sites = int(np.prod(dims))
+        coords = np.indices(dims).reshape(rule.dimension, self.n_sites)
+        nbr = np.empty((rule.size, self.n_sites), dtype=np.intp)
+        for i, u in enumerate(rule.neighborhood):
+            shifted = tuple(
+                (coords[k] + u[k]) % dims[k] for k in range(rule.dimension)
+            )
+            nbr[i] = np.ravel_multi_index(shifted, dims)
+        self.nbr = nbr
+        self.table = rule.table
+
+    def local_index(self, bits: np.ndarray) -> np.ndarray:
+        """Local configuration index per site; bits is (N,) or a batch (M, N)."""
+        idx = bits[..., self.nbr[0]].astype(np.uint32)
+        for i in range(1, self.rule.size):
+            idx |= bits[..., self.nbr[i]].astype(np.uint32) << np.uint32(i)
+        return idx
+
+
+def step_uniforms(key: RngKey, t: int, start: int, count: int) -> np.ndarray:
+    """Outputs [start, start+count) of the step-t uniform stream.
+
+    start must be a multiple of 4 (the Philox block size) so that chunked
+    generation reproduces single-pass generation exactly.
+    """
+    if start % 4:
+        raise ValueError("stream start must be 4-aligned")
+    bg = Philox(key=key.seed, counter=[0, 0, int(t), 0])
+    bg.advance(start // 4)
+    return Generator(bg).random(count)

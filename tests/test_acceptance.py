@@ -157,14 +157,14 @@ def test_c04_oracle_equivalence():
         se = dens.std(ddof=1) / np.sqrt(replicas)
         assert abs(float(dens.mean()) - exact_density) < 3.0 * se
 
-        summary, _ = stats.spatial_correlation(
-            rule, noise, dims, [2], samples=replicas, seed=102, burn_in=burn_in
-        )
+        sample = stats.stationary_sample(rule, noise, dims, burn_in, replicas, seed=102)
+        summary, _ = stats.spatial_correlation(sample, dims, [2])
         _, est, se2, _ = summary.table[0]
         assert abs(est - exact_cov2) < 4.0 * se2
 
+        sample = stats.stationary_sample(rule, noise, dims, burn_in, replicas, seed=103)
         summary, _ = stats.temporal_autocorrelation(
-            rule, noise, dims, [2], samples=replicas, seed=103, burn_in=burn_in
+            sample, rule, noise, dims, [2], seed=103, burn_in=burn_in
         )
         _, est, se3, _ = summary.table[0]
         assert abs(est - exact_lag2) < 4.0 * se3
@@ -225,7 +225,7 @@ def test_c09_convergence_rate():
         noise = symmetric_noise(0.05)
         dims = (10,)
         pi = oracle.stationary_distribution(rule, noise, dims, tol=1e-12)
-        curve = oracle.tv_curve(rule, noise, dims, pi, n_max=200, floor=1e-11)
+        curve = oracle.tv_curve(oracle.ExactKernel(rule, noise, dims), pi, n_max=200, floor=1e-11)
         ns = np.arange(len(curve))
         mask = ns > 5
         fit = stats.fit_log_decay(ns[mask], np.asarray(curve)[mask])

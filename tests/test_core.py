@@ -2,9 +2,10 @@
 
 The reference is the gather-table step the core replaced: each site's local
 configuration index from ``TorusStepper.local_index``, looked up in the
-kernel and compared with the uniform from ``step_uniforms``.  Every case must
-agree bit for bit, for any rule table (monotone, non-monotone, constant),
-lattice shape, replica batch, noise kind and worker count.
+kernel and compared with the uniform from ``step_uniforms`` (both in
+``tests/oracles.py``).  Every case must agree bit for bit, for any rule
+table (monotone, non-monotone, constant), lattice shape, replica batch,
+noise kind and worker count.
 """
 
 import math
@@ -15,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 from numpy.random import Generator, Philox
 
 from toomlab import engine
-from toomlab.engine import LatticeState, RngKey, TorusStepper, kernel_plus, step_uniforms
+from toomlab.engine import LatticeState, RngKey, kernel_plus
 from toomlab.rules import RuleSpec, builtin
 
-from .oracles import random_rule
+from .oracles import TorusStepper, random_rule, step_uniforms
 
 # sides >= 5 cover every offset of random_rule ([-2, 2]^d); no site count
 # below is a multiple of 64, so the padding bits of the last word are live

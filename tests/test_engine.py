@@ -8,7 +8,6 @@ from toomlab import engine
 from toomlab.engine import (
     LatticeState,
     RngKey,
-    TorusStepper,
     biased_noise,
     check_assumptions,
     erosion_time,
@@ -16,14 +15,13 @@ from toomlab.engine import (
     kernel_plus,
     step_deterministic,
     step_noisy,
-    step_uniforms,
     symmetric_noise,
     table_noise,
 )
 from toomlab.errors import ConfigError
 from toomlab.rules import builtin
 
-from .oracles import random_monotone_table
+from .oracles import TorusStepper, random_monotone_table, step_uniforms
 
 
 class TestLatticeState:
@@ -97,6 +95,14 @@ class TestDeterministicStep:
         with pytest.raises(ConfigError):
             TorusStepper(builtin("nec"), (2, 5))
 
+    @pytest.mark.parametrize("dims", [(2, 5), (5, 2)])
+    def test_aliasing_dims_rejected_by_the_packed_step(self, dims):
+        rule = builtin("nec")
+        with pytest.raises(ConfigError, match="aliases"):
+            step_deterministic(LatticeState.all_plus(dims), rule)
+        with pytest.raises(ConfigError, match="aliases"):
+            engine.evolve(LatticeState.all_plus(dims), rule, symmetric_noise(0.1), RngKey(1), 0, 3)
+
     def test_monotone_coupling(self):
         rule = builtin("nec")
         rng = np.random.default_rng(3)
@@ -106,6 +112,26 @@ class TestDeterministicStep:
             hi = lo | rng.integers(0, 2, size=36).astype(np.uint8)
             out_lo = st_.table[st_.local_index(lo)]
             out_hi = st_.table[st_.local_index(hi)]
+            assert np.all(out_lo <= out_hi)
+
+    @pytest.mark.parametrize("name,dims", [
+        ("nec", (6, 6)), ("stavskaya", (13,)), ("majority1d", (11,)),
+    ])
+    def test_monotone_coupling_through_the_packed_step(self, name, dims):
+        # lo <= hi sitewise stays so after a deterministic step, and after a
+        # noisy step that both states take with the same draws
+        rule, noise = builtin(name), symmetric_noise(0.2)
+        n = int(np.prod(dims))
+        rng = np.random.default_rng(3)
+        for t in range(25):
+            lo = rng.integers(0, 2, size=n).astype(np.uint8)
+            hi = lo | rng.integers(0, 2, size=n).astype(np.uint8)
+            lo_s, hi_s = LatticeState.from_bits(dims, lo), LatticeState.from_bits(dims, hi)
+            out_lo = step_deterministic(lo_s, rule).bits()
+            out_hi = step_deterministic(hi_s, rule).bits()
+            assert np.all(out_lo <= out_hi)
+            out_lo = step_noisy(lo_s, rule, noise, RngKey(t), t).bits()
+            out_hi = step_noisy(hi_s, rule, noise, RngKey(t), t).bits()
             assert np.all(out_lo <= out_hi)
 
     def test_translation_covariance(self):
@@ -198,7 +224,7 @@ class TestStreams:
         noise = symmetric_noise(0.15)
         key = RngKey(42)
         batch = engine.evolve_batch(
-            engine.batch_all_plus(4, (8,)), rule, noise, (8,), key, 0, 7
+            np.ones((4, 8), dtype=np.uint8), rule, noise, (8,), key, 0, 7
         )
         single = engine.evolve(LatticeState.all_plus((8,)), rule, noise, key, 0, 7)
         assert np.array_equal(batch[0], single.bits())
@@ -206,7 +232,7 @@ class TestStreams:
     def test_batch_thread_invariance(self):
         rule = builtin("nec")
         noise = symmetric_noise(0.1)
-        base = engine.batch_all_plus(10, (3, 3))
+        base = np.ones((10, 9), dtype=np.uint8)
         outs = [
             engine.evolve_batch(base, rule, noise, (3, 3), RngKey(5), 0, 6, threads=w)
             for w in (1, 3, 8)

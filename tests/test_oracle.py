@@ -3,7 +3,7 @@ import pytest
 
 from toomlab import engine, oracle
 from toomlab.engine import LatticeState, biased_noise, symmetric_noise, table_noise
-from toomlab.errors import ResourceLimitError
+from toomlab.errors import ConfigError, ResourceLimitError
 from toomlab.oracle import (
     CylinderFunction,
     ExactKernel,
@@ -37,24 +37,24 @@ class TestTransferApply:
     def test_zero_noise_tracks_deterministic_map(self):
         state = LatticeState.plus_with_island((6,), [1, 4])
         dist = point_mass((6,), state)
-        out = transfer_apply(dist, STAV, symmetric_noise(0.0))
+        out = transfer_apply(dist, ExactKernel(STAV, symmetric_noise(0.0), (6,)))
         image = engine.step_deterministic(state, STAV)
         assert out.probs[image.to_int()] == 1.0
 
     def test_half_noise_gives_uniform(self):
         dist = point_mass((6,), LatticeState.plus_with_island((6,), [0]))
-        out = transfer_apply(dist, STAV, symmetric_noise(0.5))
+        out = transfer_apply(dist, ExactKernel(STAV, symmetric_noise(0.5), (6,)))
         assert np.allclose(out.probs, 1.0 / 64.0, atol=1e-15)
 
     def test_biased_absorbs_to_all_minus(self):
         # all-minus is exactly absorbing and soaks up all mass over time
-        noise = biased_noise(0.2, 0.0)
-        fixed = transfer_apply(delta_minus((6,)), STAV, noise)
+        k = ExactKernel(STAV, biased_noise(0.2, 0.0), (6,))
+        fixed = transfer_apply(delta_minus((6,)), k)
         assert fixed.probs[0] == 1.0
         dist = delta_plus((6,))
         masses = []
         for _ in range(3000):
-            dist = transfer_apply(dist, STAV, noise)
+            dist = transfer_apply(dist, k)
             masses.append(dist.probs[0])
         assert all(a <= b + 1e-15 for a, b in zip(masses, masses[1:]))
         assert masses[-1] > 0.9
@@ -68,7 +68,7 @@ class TestTransferApply:
         raw = k.apply(dist.probs)
         assert raw.min() >= 0.0
         assert abs(raw.sum() - 1.0) <= 1e-12
-        out = transfer_apply(dist, STAV, symmetric_noise(0.13), kernel=k)
+        out = transfer_apply(dist, k)
         assert abs(out.probs.sum() - 1.0) <= 1e-12
 
     def test_chunked_matches_dense(self):
@@ -124,6 +124,18 @@ class TestTransferApply:
         # tensor 2^31 doubles (16 GiB): refused before anything that size exists
         with pytest.raises(ResourceLimitError, match="site sweep"):
             ExactKernel(NEC, symmetric_noise(0.1), (4, 6))
+
+    def test_sweep_byte_cap_counts_the_input(self, monkeypatch):
+        # a step's einsum input is alive beside its output, so a cap that
+        # only the widest output would fit under refuses the torus
+        steps, _ = oracle._sweep_plan(engine.neighbor_table(STAV, (12,)))
+        monkeypatch.setattr(oracle, "MAX_SWEEP_BYTES", 8 << max(len(out) - 1 for *_, out in steps))
+        with pytest.raises(ResourceLimitError, match="site sweep"):
+            ExactKernel(STAV, symmetric_noise(0.1), (12,))
+
+    def test_aliasing_dims_rejected(self):
+        with pytest.raises(ConfigError, match="aliases"):
+            ExactKernel(NEC, symmetric_noise(0.1), (2, 5))
 
     def test_sweep_byte_cap_counts_the_batch(self, monkeypatch):
         k = ExactKernel(STAV, symmetric_noise(0.1), (12,))
@@ -272,7 +284,7 @@ class TestCylinderFunctions:
             dist = StateDistribution(dims=dims, probs=probs)
             window = ((0,) * len(dims), (1,) + (0,) * (len(dims) - 1))
             f = CylinderFunction(window=window, table=rng.normal(size=4))
-            lhs = cylinder_expectation(transfer_apply(dist, rule, noise), f)
+            lhs = cylinder_expectation(transfer_apply(dist, ExactKernel(rule, noise, dims)), f)
             rhs = cylinder_expectation(dist, dual_apply(f, rule, noise, dims))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -337,7 +349,7 @@ class TestConvergenceAndDecaySurrogates:
     def test_tv_curve_monotone_tail(self):
         noise = symmetric_noise(0.08)
         pi = stationary_distribution(STAV, noise, (8,), tol=1e-12)
-        curve = tv_curve(STAV, noise, (8,), pi, n_max=60, floor=1e-11)
+        curve = tv_curve(ExactKernel(STAV, noise, (8,)), pi, n_max=60, floor=1e-11)
         assert curve[0] > curve[5] > curve[-1]
 
     def test_stationary_spatial_covariance_decays_on_ring(self):

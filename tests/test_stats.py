@@ -139,45 +139,44 @@ class TestScan:
 
 class TestSpatialCorrelation:
     def test_zero_noise_trivial(self):
-        summary, fit = spatial_correlation(
-            STAV, symmetric_noise(0.0), (16,), [1, 2], samples=100, seed=1, burn_in=5
-        )
+        sample = stationary_sample(STAV, symmetric_noise(0.0), (16,), 5, 100, seed=1)
+        summary, fit = spatial_correlation(sample, (16,), [1, 2])
         assert all(row[1] == 0.0 for row in summary.table)
         assert not fit.valid
 
     def test_half_noise_uncorrelated(self):
-        summary, _ = spatial_correlation(
-            NEC, symmetric_noise(0.5), (16, 16), [1, 2, 3], samples=2000, seed=2,
-            burn_in=3,
-        )
+        sample = stationary_sample(NEC, symmetric_noise(0.5), (16, 16), 3, 2000, seed=2)
+        summary, _ = spatial_correlation(sample, (16, 16), [1, 2, 3])
         for _, est, se, _ in summary.table:
             assert abs(est) < 4.0 * se
 
     def test_matches_exact_covariance(self):
         noise = symmetric_noise(0.1)
         _, exact_cov = exact_spin_stats(STAV, noise, (8,), distance=2)
-        summary, _ = spatial_correlation(
-            STAV, noise, (8,), [2], samples=40000, seed=6, burn_in=150
-        )
+        sample = stationary_sample(STAV, noise, (8,), 150, 40000, seed=6)
+        summary, _ = spatial_correlation(sample, (8,), [2])
         _, est, se, _ = summary.table[0]
         assert abs(est - exact_cov) < 4.0 * se
 
     def test_distance_bound(self):
+        sample = stationary_sample(STAV, symmetric_noise(0.1), (8,), 100, 10, seed=1)
         with pytest.raises(ConfigError):
-            spatial_correlation(STAV, symmetric_noise(0.1), (8,), [4], 10, seed=1)
+            spatial_correlation(sample, (8,), [4])
 
 
 class TestTemporalAutocorrelation:
     def test_lag_zero_is_variance(self):
-        summary, _ = temporal_autocorrelation(
-            STAV, symmetric_noise(0.2), (12,), [0], samples=2000, seed=3, burn_in=30
-        )
+        noise = symmetric_noise(0.2)
+        sample = stationary_sample(STAV, noise, (12,), 30, 2000, seed=3)
+        summary, _ = temporal_autocorrelation(sample, STAV, noise, (12,), [0], seed=3, burn_in=30)
         lag, est, se, n = summary.table[0]
         assert lag == 0 and est >= 0.0 and n == 2000
 
     def test_half_noise_decorrelates_in_one_step(self):
+        noise = symmetric_noise(0.5)
+        sample = stationary_sample(STAV, noise, (12,), 10, 4000, seed=4)
         summary, _ = temporal_autocorrelation(
-            STAV, symmetric_noise(0.5), (12,), [1, 2], samples=4000, seed=4, burn_in=10
+            sample, STAV, noise, (12,), [1, 2], seed=4, burn_in=10
         )
         for _, est, se, _ in summary.table:
             assert abs(est) < 4.0 * se
@@ -185,15 +184,16 @@ class TestTemporalAutocorrelation:
     def test_matches_exact_lag2(self):
         noise = symmetric_noise(0.1)
         _, exact_cov = exact_spin_stats(STAV, noise, (8,), lag=2)
-        summary, _ = temporal_autocorrelation(
-            STAV, noise, (8,), [2], samples=40000, seed=7, burn_in=150
-        )
+        sample = stationary_sample(STAV, noise, (8,), 150, 40000, seed=7)
+        summary, _ = temporal_autocorrelation(sample, STAV, noise, (8,), [2], seed=7, burn_in=150)
         _, est, se, _ = summary.table[0]
         assert abs(est - exact_cov) < 4.0 * se
 
     def test_negative_lag_rejected(self):
+        noise = symmetric_noise(0.1)
+        sample = stationary_sample(STAV, noise, (8,), 100, 10, seed=1)
         with pytest.raises(ConfigError):
-            temporal_autocorrelation(STAV, symmetric_noise(0.1), (8,), [-1], 10, seed=1)
+            temporal_autocorrelation(sample, STAV, noise, (8,), [-1], seed=1, burn_in=100)
 
 
 class TestTwoPhase:
@@ -293,14 +293,6 @@ class TestCoalescence:
 
 
 class TestOneTrajectory:
-    def test_shared_sample_gives_the_same_estimates(self):
-        noise = symmetric_noise(0.1)
-        sample = stationary_sample(STAV, noise, (8,), 20, 300, seed=3)
-        for estimate, points in ((spatial_correlation, [1, 2]), (temporal_autocorrelation, [0, 1])):
-            fresh, _ = estimate(STAV, noise, (8,), points, 300, seed=3, burn_in=20)
-            reused, _ = estimate(STAV, noise, (8,), points, 300, seed=3, burn_in=20, sample=sample)
-            assert fresh.table == reused.table
-
     def test_zero_samples_rejected(self):
         with pytest.raises(ConfigError):
             stationary_sample(STAV, symmetric_noise(0.1), (8,), 5, 0, seed=1)
