@@ -295,8 +295,6 @@ def cmd_erode(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
     if every > 0 and rule.dimension == 2:
         if dims is None:
             raise ConfigError("snapshots need explicit dims")
-        state = engine.LatticeState.plus_with_island(dims, cfg["island"])
-        frames[0] = state.bits().reshape(dims)
 
         def record(t: int, bits: np.ndarray) -> None:
             if t % every == 0:
@@ -305,6 +303,8 @@ def cmd_erode(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
     result = engine.erosion_time(
         rule, cfg["island"], dims=dims, cutoff=cfg["cutoff"], on_step=record
     )
+    if record is not None:
+        frames[0] = engine.LatticeState.plus_with_island(dims, cfg["island"]).bits().reshape(dims)
     payload = {
         "erased": result.erased,
         "steps": result.steps,
@@ -321,7 +321,7 @@ def cmd_simulate(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple
     dims, every = tuple(cfg["dims"]), cfg["snapshot_every"]
     if every > 0 and rule.dimension not in (1, 2):
         raise ConfigError("snapshots support d = 1 (strip) and d = 2 (frames) only")
-    frames = {0: engine.LatticeState.all_plus(dims).bits()} if every > 0 else {}
+    frames: dict = {}
 
     def record(t: int, bits: np.ndarray) -> None:
         if t % every == 0:
@@ -331,13 +331,16 @@ def cmd_simulate(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple
         rule, cfg["noise"], dims, cfg["steps"], cfg["burn_in"], cfg["seed"],
         threads=threads, on_step=record if every > 0 else None,
     )
+    if every > 0:
+        frames[0] = engine.LatticeState.all_plus(dims).bits()
     rows = [(t, float(d)) for t, d in enumerate(run.density_series)]
     write_csv(os.path.join(out_dir, "density.csv"), ("step", "density"), rows, resolved)
     if rule.dimension == 2:
         for t, frame in sorted(frames.items()):
             write_ppm(os.path.join(out_dir, f"frame_{t:06d}.ppm"), frame.reshape(dims), resolved)
     elif frames:
-        write_ppm(os.path.join(out_dir, "strip.ppm"), np.stack(list(frames.values())), resolved)
+        strip = np.stack([frame for _, frame in sorted(frames.items())])
+        write_ppm(os.path.join(out_dir, "strip.ppm"), strip, resolved)
     payload = {
         "density_mean": _json_float(run.density_mean),
         "density_se": _json_float(run.density_se),

@@ -20,7 +20,14 @@ Batches of replicas are one lattice with a leading replica axis, so replica
 r owns outputs [r*N, (r+1)*N) of the shared stream.  With threads > 1 the
 draws are made in 64-site-aligned spans on one process-wide pool; each span
 starts its generator at its own offset, so results do not depend on the
-thread count.
+thread count.  Within its span a thread draws blocks of 65,536 sites, each
+thresholded and packed into the masks before the next is drawn.
+
+Memory per step is a few packed rows of ceil(sites / 64) words (state in
+and out, shifted planes, Shannon node values, noise masks; see
+:func:`working_bytes`) plus under 600 KiB of draw scratch per thread.  A
+run whose estimate exceeds MAX_MC_BYTES is refused with ResourceLimitError
+before anything of lattice size is allocated.
 
 The exact oracle reads the same wrapped neighborhoods, as an index table,
 from :func:`neighbor_table`.
@@ -29,6 +36,7 @@ from :func:`neighbor_table`.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -38,7 +46,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 from numpy.random import Philox
 
-from .errors import ConfigError
+from .errors import ConfigError, ResourceLimitError
 from .rules import RuleSpec
 
 Site = tuple[int, ...]
@@ -90,13 +98,15 @@ class LatticeState:
 
     @classmethod
     def all_plus(cls, dims: Sequence[int]) -> "LatticeState":
-        n = int(np.prod([int(L) for L in dims]))
-        return cls.from_bits(dims, np.ones(n, dtype=np.uint8))
+        n = math.prod(int(L) for L in dims)
+        words = np.full(-(-n // 64), _ONES)
+        words[-1:] &= _ONES >> np.uint64(-n % 64)
+        return cls(dims=dims, words=words)
 
     @classmethod
     def all_minus(cls, dims: Sequence[int]) -> "LatticeState":
-        n = int(np.prod([int(L) for L in dims]))
-        return cls.from_bits(dims, np.zeros(n, dtype=np.uint8))
+        n = math.prod(int(L) for L in dims)
+        return cls(dims=dims, words=np.zeros(-(-n // 64), dtype="<u8"))
 
     @classmethod
     def plus_with_island(cls, dims: Sequence[int], island: Iterable) -> "LatticeState":
@@ -348,7 +358,12 @@ def _pool() -> ThreadPoolExecutor:
 # packed words: bit x of row r is site x, 64 sites per little-endian word
 
 _ONES = np.uint64(2**64 - 1)
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+_M1, _M2, _M4, _H01 = (
+    np.uint64(c)
+    for c in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
+)
+_DRAW_BLOCK = 1 << 16  # sites per Philox block: 512 KiB of raw words
+MAX_MC_BYTES = 1 << 32  # largest packed working set of one Monte Carlo run
 
 
 def _pack(bits: np.ndarray, n_words: int) -> np.ndarray:
@@ -363,9 +378,41 @@ def _unpack(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little")
 
 
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word, as int64 (SWAR: pair, nibble and byte sums)."""
+    w = words >> np.uint64(1)
+    w &= _M1
+    w = words - w
+    t = w >> np.uint64(2)
+    t &= _M2
+    w &= _M2
+    w += t
+    t = w >> np.uint64(4)
+    w += t
+    w &= _M4
+    w *= _H01
+    w >>= np.uint64(56)
+    return w.view(np.int64)
+
+
 def _plus_counts(words: np.ndarray) -> np.ndarray:
     """Set bits (spins +1) per row."""
-    return _POPCOUNT[words.view(np.uint8)].sum(axis=-1, dtype=np.int64)
+    return _popcount(words).sum(axis=-1)
+
+
+def _replica_counts(words: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Set bits in each of the m runs [r*n, (r+1)*n) of a packed row of words.
+
+    Runs need not start on a word: the count below each edge is the prefix
+    sum of whole-word counts plus the bits of its word below the edge.
+    """
+    below = np.zeros(words.size + 1, dtype=np.int64)
+    np.cumsum(_popcount(words), out=below[1:])
+    edges = np.arange(m + 1, dtype=np.uint64) * np.uint64(n)
+    q = edges >> np.uint64(6)
+    part = np.take(words, q, mode="clip")
+    part &= (np.uint64(1) << (edges & np.uint64(63))) - np.uint64(1)
+    return np.diff(below[q] + _popcount(part))
 
 
 def _shifted(words: np.ndarray, s: int) -> np.ndarray:
@@ -407,14 +454,83 @@ def _shannon(leaf_of: np.ndarray) -> tuple[list[tuple[int, int, int]], int]:
     return nodes, build(np.asarray(leaf_of, dtype=np.int64))
 
 
+def _axis_move(dims: tuple[int, ...], k: int, u: int) -> tuple:
+    """Flat shifts of a move by u along axis k of a dims lattice, plain and
+    wrapped around the torus, and the packed mask of the sites that take the
+    plain one.
+
+    The mask repeats every L * stride sites, so its words repeat every
+    lcm(L * stride, 64) sites: one repeat is packed and its words tiled.
+    """
+    L, stride, n = dims[k], math.prod(dims[k + 1 :]), math.prod(dims)
+    coord = np.arange(L) + u
+    period = np.repeat((coord >= 0) & (coord < L), stride)
+    block = np.tile(period, min(math.lcm(period.size, 64), n) // period.size)
+    block = _pack(block, -(-block.size // 64))
+    inside = np.tile(block, -(-n // block.size // 64))[: -(-n // 64)]
+    inside[-1] &= _ONES >> np.uint64(-n % 64)
+    wrap = u - L if u > 0 else u + L
+    return u * stride, wrap * stride, inside
+
+
+def _moved(words: np.ndarray, moves: list[tuple]) -> np.ndarray:
+    """Rows whose bit x is the spin at x plus the sum of the moves, on the torus.
+
+    Each site reads a lattice site through the shift its mask selects;
+    padding bits may pick up garbage and are the caller's to clear.
+    """
+    for s_in, s_wrap, inside in moves:
+        wrapped = _shifted(words, s_wrap)
+        words = _shifted(words, s_in)
+        words ^= wrapped
+        words &= inside
+        words ^= wrapped
+    return words
+
+
+def working_bytes(
+    rule: RuleSpec,
+    kern: np.ndarray,
+    dims: Sequence[int],
+    rows: int = 1,
+    replicas: Optional[int] = None,
+    threads: int = 1,
+) -> int:
+    """Peak bytes of one packed step of `rows` chains (each `replicas` tori of
+    dims end to end); ResourceLimitError above MAX_MC_BYTES.
+
+    Counted in packed rows of ceil(sites / 64) words.  Per chain: the state
+    in and out, one plane per shifted neighborhood slot and two while one is
+    built, one value per Shannon node and two while one is evaluated.
+    Shared: one noise mask per drawn probability, one range mask per axis
+    move, and each thread's draw block.  Every Monte Carlo path calls this
+    before it allocates anything of lattice size.
+    """
+    dims = _torus_dims(rule, dims)
+    row = 8 * -(-(replicas or 1) * math.prod(dims) // 64)
+    values, leaf_of = np.unique(np.asarray(kern, dtype=np.float64), return_inverse=True)
+    nodes, _ = _shannon(leaf_of)
+    shifted = [u for u in {rule.neighborhood[var] for var, _, _ in nodes} if any(u)]
+    moves = sum(1 for u in shifted for c in u if c)
+    masks = sum(1 for p in values if 0.0 < p < 1.0)
+    need = row * (rows * (len(shifted) + len(nodes) + 6) + masks + moves)
+    need += threads * _DRAW_BLOCK * 9 if masks else 0
+    if need > MAX_MC_BYTES:
+        raise ResourceLimitError(
+            f"a Monte Carlo step on {rows} x {replicas or 1} x {dims} sites needs"
+            f" about {need} bytes, over the {MAX_MC_BYTES}-byte cap"
+        )
+    return need
+
+
 class _PackedCore:
     """One synchronous update of packed rows; every stepping entry point runs on it.
 
     kern[c] is the probability of output +1 for local configuration c (0/1
     for a deterministic step).  step() advances a (C, n_words) array whose
-    rows all consume the same step-t draws.  With `replicas` set, a row holds
-    that many tori end to end: replica r is flat bits [r*N, (r+1)*N), which
-    is exactly its slot in the shared stream.
+    rows all consume the same step-t draws, C at most `rows`.  With
+    `replicas` set, a row holds that many tori end to end: replica r is flat
+    bits [r*N, (r+1)*N), which is exactly its slot in the shared stream.
     """
 
     def __init__(
@@ -425,12 +541,15 @@ class _PackedCore:
         key: Optional[RngKey] = None,
         threads: int = 1,
         replicas: Optional[int] = None,
+        rows: int = 1,
     ):
+        self.threads = max(1, int(threads))
+        working_bytes(rule, kern, dims, rows, replicas, self.threads)
         dims, offsets = _torus_dims(rule, dims), rule.neighborhood
         if replicas is not None:
             dims, offsets = (int(replicas),) + dims, tuple((0,) + u for u in offsets)
-        self.dims, self.key, self.threads = dims, key, max(1, int(threads))
-        self.n_sites = int(np.prod(dims))
+        self.dims, self.key = dims, key
+        self.n_sites = math.prod(dims)
         self.n_words = -(-self.n_sites // 64)
         self._tail = _ONES >> np.uint64(-self.n_sites % 64)
         values, leaf_of = np.unique(np.asarray(kern, dtype=np.float64), return_inverse=True)
@@ -439,48 +558,31 @@ class _PackedCore:
         self._leaves = [_ONES if p == 1.0 else np.uint64(0) for p in values]
         self._noisy = [j for j, p in enumerate(values) if 0.0 < p < 1.0]
         self._thresholds = [_threshold(values[j]) for j in self._noisy]
-        self._planes = {
-            var: [self._axis_move(k, u) for k, u in enumerate(offsets[var]) if u]
+        self._moves = {
+            var: [_axis_move(dims, k, u) for k, u in enumerate(offsets[var]) if u]
             for var in {var for var, _, _ in self._nodes}
         }
-
-    def _axis_move(self, k: int, u: int) -> tuple:
-        """Flat shifts of a move by u along axis k, plain and wrapped around
-        the torus, and the packed mask of the sites that take the plain one."""
-        L, stride = self.dims[k], int(np.prod(self.dims[k + 1 :]))
-        coord = np.arange(L) + u
-        inside = np.repeat((coord >= 0) & (coord < L), stride)
-        inside = _pack(np.tile(inside, self.n_sites // inside.size), self.n_words)
-        wrap = u - L if u > 0 else u + L
-        return u * stride, wrap * stride, inside
-
-    def _plane(self, words: np.ndarray, var: int) -> np.ndarray:
-        """Rows whose bit x is the spin at x + offset[var] on the torus.
-
-        Each site reads a lattice site through the shift its mask selects;
-        padding bits may pick up garbage and are cleared after the rule.
-        """
-        plane = words
-        for s_in, s_wrap, inside in self._planes[var]:
-            wrapped = _shifted(plane, s_wrap)
-            plane = wrapped ^ ((_shifted(plane, s_in) ^ wrapped) & inside)
-        return plane
 
     def _draw(self, t: int) -> np.ndarray:
         """One packed mask raw < T per drawn leaf, from the step-t stream.
 
         Each thread takes a 64-aligned span of sites and starts its own
         generator at the span's offset, so the thread count changes nothing.
+        It draws the span in blocks of _DRAW_BLOCK sites, each thresholded
+        and packed before the next is drawn, so its scratch stays fixed.
         """
         masks = np.zeros((len(self._thresholds), self.n_words), dtype="<u8")
         out = masks.view(np.uint8)
 
         def work(span: tuple[int, int]) -> None:
             a, b = span
-            raw = _philox(self.key, t, a).random_raw(b - a)
-            for j, thr in enumerate(self._thresholds):
-                packed = np.packbits(raw < thr, bitorder="little")
-                out[j, a // 8 : a // 8 + packed.size] = packed
+            bg = _philox(self.key, t, a)
+            for lo in range(a, b, _DRAW_BLOCK):
+                raw = bg.random_raw(min(_DRAW_BLOCK, b - lo))
+                for j, thr in enumerate(self._thresholds):
+                    packed = np.packbits(raw < thr, bitorder="little")
+                    out[j, lo // 8 : lo // 8 + packed.size] = packed
+                del raw  # so the next block replaces this one rather than joining it
 
         n = self.n_sites
         size = -(-n // (64 * self.threads)) * 64
@@ -494,7 +596,7 @@ class _PackedCore:
         if self._noisy:
             for j, mask in zip(self._noisy, self._draw(t)):
                 values[j] = mask
-        planes = {var: self._plane(words, var) for var in self._planes}
+        planes = {var: _moved(words, moves) for var, moves in self._moves.items()}
         for var, hi, lo in self._nodes:
             h, l = values[hi], values[lo]
             values.append(l ^ (planes[var] & (h ^ l)))
@@ -546,31 +648,6 @@ def evolve(
     return LatticeState(dims=state.dims, words=words[0])
 
 
-def evolve_batch(
-    bits: np.ndarray,
-    rule: RuleSpec,
-    noise: NoiseModel,
-    dims: Sequence[int],
-    key: RngKey,
-    t0: int,
-    steps: int,
-    threads: int = 1,
-) -> np.ndarray:
-    """Advance a replica batch (shape (M, N)); replica r owns stream slots
-    [r*N, (r+1)*N) of each step, so results do not depend on batch splitting."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    m, n = bits.shape
-    if n != int(np.prod(dims)):
-        raise ConfigError("batch width does not match dims")
-    if m == 0:
-        return bits.copy()
-    core = _PackedCore(rule, dims, kernel_plus(noise, rule), key, threads, replicas=m)
-    words = _pack(bits.reshape(1, m * n), core.n_words)
-    for t in range(t0, t0 + steps):
-        words = core.step(words, t)
-    return _unpack(words, m * n).reshape(m, n)
-
-
 # --------------------------------------------------------------------------
 # erosion
 
@@ -593,6 +670,18 @@ def influence_radius(rule: RuleSpec) -> int:
     return max(sum(abs(c) for c in u) for u in rule.neighborhood)
 
 
+def _manhattan_diameter(sites: Sequence[Site]) -> int:
+    """Largest Manhattan distance between two of the (nonempty) sites.
+
+    |x - y|_1 is the largest s.(x - y) over sign vectors s in {-1, 1}^d, so
+    the diameter is the widest spread of the sites' projections on them.
+    """
+    pts = np.array(sites, dtype=np.int64)
+    signs = np.array(list(itertools.product((1, -1), repeat=pts.shape[1])), dtype=np.int64)
+    proj = pts @ signs.T
+    return int((proj.max(axis=0) - proj.min(axis=0)).max())
+
+
 def erosion_time(
     rule: RuleSpec,
     island: Iterable,
@@ -611,10 +700,7 @@ def erosion_time(
     sites = _as_sites(island, rule.dimension)
     if not sites:
         return ErosionResult(erased=True, steps=0, sizes=())
-    diam = max(
-        (sum(abs(a - b) for a, b in zip(s1, s2)) for s1 in sites for s2 in sites),
-        default=0,
-    )
+    diam = _manhattan_diameter(sites)
     if cutoff is None:
         cutoff = 64 * (diam + 1)
     if cutoff < 1:

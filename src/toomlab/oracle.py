@@ -121,13 +121,13 @@ class ExactKernel:
     """Dense action of one noisy synchronous update on state vectors."""
 
     def __init__(self, rule: RuleSpec, noise: NoiseModel, dims: Sequence[int]):
-        self.nbr = neighbor_table(rule, dims)
         self.dims = tuple(int(L) for L in dims)
-        self.n_sites = self.nbr.shape[1]
+        self.n_sites = math.prod(self.dims)
         if self.n_sites > MAX_EXACT_SITES:
             raise ResourceLimitError(
                 f"{self.n_sites} sites exceeds the exact-computation cap {MAX_EXACT_SITES}"
             )
+        self.nbr = neighbor_table(rule, self.dims)
         self.kern = kernel_plus(noise, rule)
         self.n_states = 1 << self.n_sites
         self._dense: Optional[np.ndarray] = None

@@ -4,7 +4,11 @@ Covariance-type quantities are estimated from independent replicas (fresh
 counter streams per replica) rather than one long run, so the standard
 errors need no autocorrelation correction; replicas are translation-averaged
 over the torus before aggregating.  The estimators take the replica batch of
-:func:`stationary_sample` as an argument, so one burn-in serves both.
+:func:`stationary_sample` as an argument, so one burn-in serves both.  That
+sample stays packed: one LatticeState over dims (M, *dims), the stepping
+core's own replica layout, and every per-replica average is a popcount of
+its words (of w for the magnetization, of NOT(w XOR w') for a two-point
+product), divided as np.mean divides the exact spin sum.
 Single-trajectory series (densities, magnetization gaps) report batch-means
 standard errors instead.  Decay fits are unweighted least squares on
 log-magnitudes, restricted to points above the noise floor (2 standard
@@ -100,6 +104,7 @@ def minus_density_run(
     if not 0 <= burn_in <= steps:
         raise ConfigError(f"burn_in {burn_in} must lie in [0, steps={steps}]")
     key = RngKey(seed)
+    engine.working_bytes(rule, engine.kernel_plus(noise, rule), dims, threads=threads)
     state = LatticeState.all_plus(dims)
     densities = np.empty(steps + 1)
     densities[0] = 0.0
@@ -161,6 +166,14 @@ def density_vs_epsilon_scan(
     return rows
 
 
+def _batch_core(
+    rule: RuleSpec, noise: NoiseModel, dims: Sequence[int], replicas: int, seed: int, threads: int
+) -> engine._PackedCore:
+    return engine._PackedCore(
+        rule, dims, engine.kernel_plus(noise, rule), RngKey(seed), threads, replicas=replicas
+    )
+
+
 def stationary_sample(
     rule: RuleSpec,
     noise: NoiseModel,
@@ -169,19 +182,34 @@ def stationary_sample(
     replicas: int,
     seed: int,
     threads: int = 1,
-) -> np.ndarray:
-    """Replica batch of near-stationary states from all-plus, shape (M, N)."""
+) -> LatticeState:
+    """Replica batch of near-stationary states from all-plus, as one packed
+    lattice of dims (M, *dims): replica r is flat sites [r*N, (r+1)*N)."""
     if replicas < 1:
         raise ConfigError(f"samples must be at least 1, got {replicas}")
     if burn_in < 0:
         raise ConfigError(f"burn_in must be nonnegative, got {burn_in}")
-    bits = np.ones((replicas, int(np.prod(dims))), dtype=np.uint8)
-    return engine.evolve_batch(bits, rule, noise, dims, RngKey(seed), 0, burn_in, threads=threads)
+    core = _batch_core(rule, noise, dims, replicas, seed, threads)
+    words = LatticeState.all_plus(core.dims).words[None, :]
+    for t in range(burn_in):
+        words = core.step(words, t)
+    return LatticeState(dims=core.dims, words=words[0])
 
 
-def _spins(bits: np.ndarray) -> np.ndarray:
-    """0/1 sites as int8 spins -1/+1 (their products' means are exact)."""
-    return bits.astype(np.int8) * np.int8(2) - np.int8(1)
+def _replica_shape(sample: LatticeState, dims: Sequence[int]) -> tuple[int, int]:
+    """(M, N) of a replica sample over dims."""
+    if sample.dims[1:] != tuple(int(L) for L in dims):
+        raise ConfigError(f"sample of dims {sample.dims} is not a replica batch over {dims}")
+    return sample.dims[0], math.prod(sample.dims[1:])
+
+
+def _replica_means(words: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Each replica's spin average, (2 * plus - N) / N from popcounts.
+
+    That is the exact float64 sum of the N spins divided by N, which is what
+    np.mean gives on the unpacked spins, bit for bit.
+    """
+    return (2 * engine._replica_counts(words, m, n) - n).astype(np.float64) / n
 
 
 def _delta_se(values: np.ndarray, means: np.ndarray, grad: np.ndarray) -> float:
@@ -195,25 +223,28 @@ def _delta_se(values: np.ndarray, means: np.ndarray, grad: np.ndarray) -> float:
 
 
 def spatial_correlation(
-    sample: np.ndarray, dims: Sequence[int], distances: Sequence[int]
+    sample: LatticeState, dims: Sequence[int], distances: Sequence[int]
 ) -> tuple[RunSummary, FitResult]:
     """Two-point covariances cov(w_0, w_x) of a replica sample at given distances.
 
     x is taken along the first torus axis; each replica is averaged over all
     translations before aggregating, and the covariance standard error uses
-    the delta method on the (moment, mean) replica pairs.
+    the delta method on the (moment, mean) replica pairs.  A product of two
+    spins is +1 where their bits agree, so a replica's moment is the mean of
+    NOT(w XOR w shifted by x), counted on the packed words.
     """
     dims = tuple(int(L) for L in dims)
     if max(distances) >= min(dims) / 2:
         raise ConfigError("max distance must stay below min(dims)/2")
-    spins = _spins(sample)
-    grid = spins.reshape((-1,) + dims)
-    m_r = spins.mean(axis=1)
+    m, n = _replica_shape(sample, dims)
+    words = sample.words
+    m_r = _replica_means(words, m, n)
     m_hat = float(m_r.mean())
     summary = RunSummary()
     for dist in distances:
-        partner = np.roll(grid, -int(dist), axis=1).reshape(spins.shape)
-        v_r = (spins * partner).mean(axis=1)
+        u = int(dist) % dims[0]
+        partner = engine._moved(words, [engine._axis_move(sample.dims, 1, u)] if u else [])
+        v_r = _replica_means(~(words ^ partner), m, n)
         g_hat = float(v_r.mean())
         cov_hat = g_hat - m_hat * m_hat
         se = _delta_se(
@@ -221,7 +252,7 @@ def spatial_correlation(
             np.array([g_hat, m_hat]),
             np.array([1.0, -2.0 * m_hat]),
         )
-        summary.table.append((int(dist), cov_hat, se, len(sample)))
+        summary.table.append((int(dist), cov_hat, se, m))
     xs = [row[0] for row in summary.table]
     ys = [row[1] for row in summary.table]
     errs = [row[2] for row in summary.table]
@@ -229,7 +260,7 @@ def spatial_correlation(
 
 
 def temporal_autocorrelation(
-    sample: np.ndarray,
+    sample: LatticeState,
     rule: RuleSpec,
     noise: NoiseModel,
     dims: Sequence[int],
@@ -242,28 +273,28 @@ def temporal_autocorrelation(
 
     sample is the lag-0 batch, the :func:`stationary_sample` of the same
     rule, noise, dims, seed and burn_in; the lags continue its stream from
-    step burn_in on.
+    step burn_in on, on the packed words.
     """
     lags = sorted(int(k) for k in lags)
     if lags and lags[0] < 0:
         raise ConfigError("lags must be nonnegative")
-    dims = tuple(int(L) for L in dims)
-    key = RngKey(seed)
-    spins0 = _spins(sample)
-    m0_r = spins0.mean(axis=1)
+    m, n = _replica_shape(sample, dims)
+    words0 = sample.words
+    m0_r = _replica_means(words0, m, n)
     m0 = float(m0_r.mean())
     summary = RunSummary()
-    bits = sample
+    core = None
+    words = words0[None, :]
     t_now = burn_in
     for lag in lags:
         if lag > t_now - burn_in:
-            bits = engine.evolve_batch(
-                bits, rule, noise, dims, key, t_now, burn_in + lag - t_now, threads=threads
-            )
+            if core is None:
+                core = _batch_core(rule, noise, dims, m, seed, threads)
+            for t in range(t_now, burn_in + lag):
+                words = core.step(words, t)
             t_now = burn_in + lag
-        spins_k = _spins(bits)
-        v_r = (spins0 * spins_k).mean(axis=1)
-        mk_r = spins_k.mean(axis=1)
+        v_r = _replica_means(~(words0 ^ words[0]), m, n)
+        mk_r = _replica_means(words[0], m, n)
         g_hat = float(v_r.mean())
         mk = float(mk_r.mean())
         cov_hat = g_hat - m0 * mk
@@ -272,7 +303,7 @@ def temporal_autocorrelation(
             np.array([g_hat, m0, mk]),
             np.array([1.0, -mk, -m0]),
         )
-        summary.table.append((lag, cov_hat, se, len(sample)))
+        summary.table.append((lag, cov_hat, se, m))
     xs = [row[0] for row in summary.table]
     ys = [row[1] for row in summary.table]
     errs = [row[2] for row in summary.table]
@@ -341,7 +372,7 @@ def two_phase_divergence(
             gap_se=None,
         )
     core = engine._PackedCore(
-        rule, dims, engine.kernel_plus(noise, rule), RngKey(seed), threads
+        rule, dims, engine.kernel_plus(noise, rule), RngKey(seed), threads, rows=2
     )
     n = core.n_sites
     words = np.stack([LatticeState.all_plus(dims).words, LatticeState.all_minus(dims).words])

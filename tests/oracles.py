@@ -9,7 +9,9 @@ expanded one source configuration at a time, a phase-one simplex over
 the gather-table step (``TorusStepper`` tables indexed by ``step_uniforms``
 draws) that the packed stepping core in ``toomlab.engine`` must match bit
 for bit.  Only the torus-size check is shared, so that the reference
-refuses the same aliasing dims as the engine.
+refuses the same aliasing dims as the engine.  ``evolve_batch`` is not a
+reference but an adapter: it runs an unpacked (M, N) replica batch through
+the packed core, for tests that compare batches site by site.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
-from toomlab.engine import RngKey, _torus_dims
+from toomlab import engine
+from toomlab.engine import NoiseModel, RngKey, _torus_dims
 from toomlab.rules import RuleSpec, monotone_closure
 
 
@@ -235,3 +238,29 @@ def step_uniforms(key: RngKey, t: int, start: int, count: int) -> np.ndarray:
     bg = Philox(key=key.seed, counter=[0, 0, int(t), 0])
     bg.advance(start // 4)
     return Generator(bg).random(count)
+
+
+def evolve_batch(
+    bits: np.ndarray,
+    rule: RuleSpec,
+    noise: NoiseModel,
+    dims: Sequence[int],
+    key: RngKey,
+    t0: int,
+    steps: int,
+    threads: int = 1,
+) -> np.ndarray:
+    """Advance a uint8 replica batch (shape (M, N)) by the packed core; replica
+    r owns stream slots [r*N, (r+1)*N) of each step."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    m, n = bits.shape
+    if n != int(np.prod(dims)):
+        raise ValueError("batch width does not match dims")
+    if m == 0:
+        return bits.copy()
+    kern = engine.kernel_plus(noise, rule)
+    core = engine._PackedCore(rule, dims, kern, key, threads, replicas=m)
+    words = engine._pack(bits.reshape(1, m * n), core.n_words)
+    for t in range(t0, t0 + steps):
+        words = core.step(words, t)
+    return engine._unpack(words, m * n).reshape(m, n)

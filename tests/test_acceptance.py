@@ -152,8 +152,8 @@ def test_c04_oracle_equivalence():
             vec = kernel.apply(vec)
         exact_lag2 = float((vec * spins[0]).sum()) - mean * mean
 
-        bits = stats.stationary_sample(rule, noise, dims, burn_in, replicas, seed=101)
-        dens = 1.0 - bits.mean(axis=1)
+        sample = stats.stationary_sample(rule, noise, dims, burn_in, replicas, seed=101)
+        dens = 1.0 - sample.bits().reshape(replicas, -1).mean(axis=1)
         se = dens.std(ddof=1) / np.sqrt(replicas)
         assert abs(float(dens.mean()) - exact_density) < 3.0 * se
 

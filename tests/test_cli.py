@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,14 +438,21 @@ class TestOneTrajectoryPerCommand:
         assert len(list(out.glob("erode_*.ppm"))) == steps + 1
 
     def test_correlate_burns_in_once(self, tmp_path, monkeypatch):
-        calls = self.count_calls(monkeypatch, "evolve_batch")
+        steps = []
+        step = cli.engine._PackedCore.step
+
+        def counted(self, words, t):
+            steps.append(t)
+            return step(self, words, t)
+
+        monkeypatch.setattr(cli.engine._PackedCore, "step", counted)
         code, _ = run(
             tmp_path, "correlate",
             {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1},
              "dims": [8], "distances": [1], "lags": [0, 2], "samples": 50, "burn_in": 7},
         )
         # one burn-in of 7 steps, then the lag-2 continuation
-        assert code == 0 and [c[6] for c in calls] == [7, 2]
+        assert code == 0 and steps == list(range(7 + 2))
 
     def test_divergence_reports_coalescence(self, tmp_path, capsys):
         config = {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.5},
@@ -455,3 +463,32 @@ class TestOneTrajectoryPerCommand:
         assert report["coalescence_step"] == 1
         code, out = run(tmp_path, "divergence", dict(config, noise={"kind": "symmetric", "eps": 0.0}))
         assert read_json(out / "divergence_report.json")["coalescence_step"] is None
+
+
+class TestMonteCarloCap:
+    NOISE = {"kind": "symmetric", "eps": 0.1}
+
+    @pytest.mark.parametrize("command, config", [
+        ("simulate", {"rule": "nec", "noise": NOISE, "dims": [4096, 4096], "steps": 1,
+                      "snapshot_every": 1}),
+        ("divergence", {"rule": "nec", "noise": NOISE, "dims": [4096, 4096], "steps": 1}),
+        ("correlate", {"rule": "nec", "noise": NOISE, "dims": [64, 64], "samples": 10000,
+                       "burn_in": 1, "distances": [1], "lags": [1]}),
+        ("erode", {"rule": "nec", "island": [[0, 0]], "dims": [4096, 4096], "cutoff": 2,
+                   "snapshot_every": 1}),
+    ])
+    def test_refused_before_anything_lattice_sized(self, tmp_path, capsys, monkeypatch,
+                                                   command, config):
+        # each packed lattice here is over 1 MiB, so a traced peak under the
+        # cap means none was allocated before the refusal
+        cap = 1 << 20
+        monkeypatch.setattr(cli.engine, "MAX_MC_BYTES", cap)
+        tracemalloc.start()
+        try:
+            code, out = run(tmp_path, command, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and error_type(capsys) == "ResourceLimitError"
+        assert peak < cap
+        assert not any(p.suffix in (".csv", ".ppm") for p in out.iterdir())

@@ -19,7 +19,7 @@ from toomlab import engine
 from toomlab.engine import LatticeState, RngKey, kernel_plus
 from toomlab.rules import RuleSpec, builtin
 
-from .oracles import TorusStepper, random_rule, step_uniforms
+from .oracles import TorusStepper, evolve_batch, random_rule, step_uniforms
 
 # sides >= 5 cover every offset of random_rule ([-2, 2]^d); no site count
 # below is a multiple of 64, so the padding bits of the last word are live
@@ -110,7 +110,7 @@ def test_replica_batch_matches_gather_reference(rng, seed):
     bits = bits.astype(np.uint8)
     key, t = RngKey(seed), rng.randint(0, 1000)
     want = reference_step(rule, dims, kern, bits, key, t)
-    got = engine.evolve_batch(bits, rule, noise, dims, key, t, 1, threads=rng.choice((1, 2)))
+    got = evolve_batch(bits, rule, noise, dims, key, t, 1, threads=rng.choice((1, 2)))
     assert np.array_equal(got, want)
 
 
@@ -149,7 +149,7 @@ def test_threshold_extremes_through_a_step():
 
 
 def test_empty_batch_stays_empty():
-    got = engine.evolve_batch(
+    got = evolve_batch(
         np.zeros((0, 8), dtype=np.uint8), builtin("stavskaya"),
         engine.symmetric_noise(0.1), (8,), RngKey(1), 0, 3,
     )

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from toomlab.engine import (
 from toomlab.errors import ConfigError
 from toomlab.rules import builtin
 
-from .oracles import TorusStepper, random_monotone_table, step_uniforms
+from .oracles import TorusStepper, evolve_batch, random_monotone_table, step_uniforms
 
 
 class TestLatticeState:
@@ -223,7 +225,7 @@ class TestStreams:
         rule = builtin("stavskaya")
         noise = symmetric_noise(0.15)
         key = RngKey(42)
-        batch = engine.evolve_batch(
+        batch = evolve_batch(
             np.ones((4, 8), dtype=np.uint8), rule, noise, (8,), key, 0, 7
         )
         single = engine.evolve(LatticeState.all_plus((8,)), rule, noise, key, 0, 7)
@@ -234,10 +236,87 @@ class TestStreams:
         noise = symmetric_noise(0.1)
         base = np.ones((10, 9), dtype=np.uint8)
         outs = [
-            engine.evolve_batch(base, rule, noise, (3, 3), RngKey(5), 0, 6, threads=w)
+            evolve_batch(base, rule, noise, (3, 3), RngKey(5), 0, 6, threads=w)
             for w in (1, 3, 8)
         ]
         assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+
+
+class TestBlockedDraw:
+    B = engine._DRAW_BLOCK
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("extra", [-64, 0, 64, None])
+    def test_masks_equal_the_whole_span_reference(self, threads, extra):
+        n = 2 * self.B + 8 if extra is None else self.B + extra
+        p = [0.0, 0.1, 0.5, 1.0]
+        rule = builtin("stavskaya")
+        core = engine._PackedCore(rule, (n,), np.array(p), RngKey(17), threads)
+        u = step_uniforms(RngKey(17), 5, 0, n)
+        want = [engine._pack(u < q, core.n_words) for q in (0.1, 0.5)]
+        assert np.array_equal(core._draw(5), np.stack(want))
+
+    def test_scratch_of_one_draw_is_one_block(self):
+        n = 16 * self.B
+        rule = builtin("nec")
+        kern = kernel_plus(symmetric_noise(0.1), rule)
+        core = engine._PackedCore(rule, (n // 1024, 1024), kern, RngKey(3))
+        tracemalloc.start()
+        try:
+            masks = core._draw(0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert masks.shape == (2, n // 64)
+        assert peak < (1 << 20) + masks.nbytes
+
+
+class TestPopcount:
+    def test_random_words(self):
+        words = np.random.default_rng(0).integers(0, 2**64, size=4000, dtype=np.uint64)
+        want = [bin(int(w)).count("1") for w in words]
+        assert engine._popcount(words).tolist() == want
+
+    def test_all_ones_and_single_bits(self):
+        words = np.array([2**64 - 1, 0] + [1 << k for k in range(64)], dtype=np.uint64)
+        assert engine._popcount(words).tolist() == [64, 0] + [1] * 64
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_padded_tails(self, n):
+        state = LatticeState.all_plus((n,))
+        assert int(engine._plus_counts(state.words[None, :])[0]) == n
+        bits = np.random.default_rng(n).integers(0, 2, size=(3, n)).astype(np.uint8)
+        words = engine._pack(bits, -(-n // 64))
+        assert engine._plus_counts(words).tolist() == bits.sum(axis=1).tolist()
+
+    @pytest.mark.parametrize("m, n", [(1, 5), (7, 9), (13, 64), (5, 100), (40, 3)])
+    def test_replica_counts_of_unaligned_runs(self, m, n):
+        bits = np.random.default_rng(m * n).integers(0, 2, size=m * n).astype(np.uint8)
+        words = engine._pack(bits, -(-m * n // 64))
+        got = engine._replica_counts(words, m, n)
+        assert got.tolist() == bits.reshape(m, n).sum(axis=1).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(-40, 40)] * d), min_size=1, max_size=30)
+))
+def test_manhattan_diameter_matches_pairwise_max(sites):
+    want = max(
+        sum(abs(a - b) for a, b in zip(s1, s2)) for s1, s2 in itertools.product(sites, sites)
+    )
+    assert engine._manhattan_diameter(sites) == want
+
+
+def test_working_bytes_scale_with_the_packed_rows():
+    rule = builtin("nec")
+    kern = engine.kernel_plus(engine.symmetric_noise(0.1), rule)
+    one = engine.working_bytes(rule, kern, (64, 64), replicas=100)
+    two = engine.working_bytes(rule, kern, (64, 64), rows=2, replicas=100)
+    block = engine._DRAW_BLOCK * 9
+    # nec: 2 shifted planes, 4 Shannon nodes, 2 noise masks, 2 axis moves
+    assert one - block == 8 * 6400 * (12 + 4)
+    assert two - one == 8 * 6400 * 12
 
 
 class TestCheckAssumptions:

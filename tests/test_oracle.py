@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,16 @@ class TestTransferApply:
     def test_site_cap(self):
         with pytest.raises(ResourceLimitError):
             ExactKernel(STAV, symmetric_noise(0.1), (25,))
+
+    def test_site_cap_refuses_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                ExactKernel(NEC, symmetric_noise(0.1), (1000, 1000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_sweep_byte_cap(self):
         # nec 4x6 has 24 sites, but its wrapped front makes the widest sweep

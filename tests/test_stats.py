@@ -81,8 +81,8 @@ class TestDensityRun:
         noise = symmetric_noise(0.1)
         mean, _ = exact_spin_stats(STAV, noise, (8,))
         exact_density = 0.5 * (1.0 - mean)
-        bits = stationary_sample(STAV, noise, (8,), burn_in=150, replicas=30000, seed=3)
-        dens = 1.0 - bits.mean(axis=1)
+        sample = stationary_sample(STAV, noise, (8,), burn_in=150, replicas=30000, seed=3)
+        dens = 1.0 - sample.bits().reshape(30000, 8).mean(axis=1)
         se = dens.std(ddof=1) / np.sqrt(len(dens))
         assert abs(dens.mean() - exact_density) < 3.0 * se
 
@@ -162,6 +162,47 @@ class TestSpatialCorrelation:
         sample = stationary_sample(STAV, symmetric_noise(0.1), (8,), 100, 10, seed=1)
         with pytest.raises(ConfigError):
             spatial_correlation(sample, (8,), [4])
+
+
+def int8_moments(bits, dims, dist=None, later=None):
+    """Per-replica float64 means the estimators used on unpacked int8 spins:
+    m_r, and v_r for a spatial distance or against a later batch."""
+    spins = bits.astype(np.int8) * np.int8(2) - np.int8(1)
+    if dist is not None:
+        grid = spins.reshape((-1,) + tuple(dims))
+        partner = np.roll(grid, -dist, axis=1).reshape(spins.shape)
+    else:
+        partner = later.astype(np.int8) * np.int8(2) - np.int8(1)
+    return (spins * partner).mean(axis=1), spins.mean(axis=1), partner.mean(axis=1)
+
+
+class TestPackedEstimators:
+    @pytest.mark.parametrize("rule, dims, eps", [(STAV, (8,), 0.1), (NEC, (6, 6), 0.2)])
+    def test_replica_moments_match_the_int8_means(self, monkeypatch, rule, dims, eps):
+        seen = []
+        delta_se = stats._delta_se
+
+        def capture(values, means, grad):
+            seen.append(values)
+            return delta_se(values, means, grad)
+
+        monkeypatch.setattr(stats, "_delta_se", capture)
+        noise, m, n = symmetric_noise(eps), 500, int(np.prod(dims))
+        sample = stationary_sample(rule, noise, dims, 20, m, seed=8)
+        spatial_correlation(sample, dims, [1, 2])
+        temporal_autocorrelation(sample, rule, noise, dims, [0, 3], seed=8, burn_in=20)
+        bits = sample.bits().reshape(m, n)
+        later = stationary_sample(rule, noise, dims, 23, m, seed=8).bits().reshape(m, n)
+        want = []
+        for dist in (1, 2):
+            v_r, m_r, _ = int8_moments(bits, dims, dist=dist)
+            want.append(np.column_stack([v_r, m_r]))
+        for k in (bits, later):
+            v_r, m_r, mk_r = int8_moments(bits, dims, later=k)
+            want.append(np.column_stack([v_r, m_r, mk_r]))
+        assert len(seen) == len(want)
+        for got, ref in zip(seen, want):
+            assert got.dtype == np.float64 and np.array_equal(got, ref)
 
 
 class TestTemporalAutocorrelation:
@@ -251,7 +292,8 @@ class TestWindowMarginalAgreement:
         pi = oracle.stationary_distribution(STAV, noise, dims, tol=1e-12)
         exact = oracle.window_marginal(pi, [(0,), (1,)])
         replicas = 100_000
-        bits = stationary_sample(STAV, noise, dims, burn_in=150, replicas=replicas, seed=21)
+        sample = stationary_sample(STAV, noise, dims, burn_in=150, replicas=replicas, seed=21)
+        bits = sample.bits().reshape(replicas, 8)
         codes = bits[:, 0].astype(np.int64) | (bits[:, 1].astype(np.int64) << 1)
         counts = np.bincount(codes, minlength=4)
         for entry in range(4):
