@@ -13,6 +13,7 @@ non-eroder verdict from `check`, 1 any error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -179,17 +180,24 @@ def _resolved_config(command: str, cfg: dict) -> dict:
 # artifact writing
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A binary file handle that replaces path only once the block succeeds."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_toomlab_")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: str, data: bytes) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(data)
 
 
 def _config_line(resolved: dict) -> str:
@@ -215,14 +223,21 @@ def _csv_cell(x: Any) -> str:
     return str(x)
 
 
+def _ppm_header(width: int, height: int, resolved: dict) -> bytes:
+    return f"P6\n# config: {_config_line(resolved)}\n{width} {height}\n255\n".encode()
+
+
+def _ppm_pixels(bits: np.ndarray) -> bytes:
+    """RGB bytes, one pixel per site: white for +1, black for -1."""
+    return (bits.astype(np.uint8) * 255)[..., None].repeat(3, axis=-1).tobytes()
+
+
 def write_ppm(path: str, bits: np.ndarray, resolved: dict) -> None:
-    """P6 image, one pixel per site: white for +1, black for -1."""
+    """P6 image of a 2-d site array, one pixel per site."""
     if bits.ndim != 2:
         raise ConfigError("PPM frames need a 2-d site array")
     h, w = bits.shape
-    gray = (bits.astype(np.uint8) * 255)[..., None].repeat(3, axis=2)
-    header = f"P6\n# config: {_config_line(resolved)}\n{w} {h}\n255\n".encode()
-    _atomic_write(path, header + gray.tobytes())
+    _atomic_write(path, _ppm_header(w, h, resolved) + _ppm_pixels(bits))
 
 
 def _log(out_dir: str, message: str) -> None:
@@ -290,7 +305,6 @@ def cmd_check(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
 def cmd_erode(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[int, dict]:
     rule = rules.load_rule(cfg["rule"])
     dims, every = cfg["dims"], cfg["snapshot_every"]
-    frames: dict = {}
     record = None
     if every > 0 and rule.dimension == 2:
         if dims is None:
@@ -298,21 +312,19 @@ def cmd_erode(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
 
         def record(t: int, bits: np.ndarray) -> None:
             if t % every == 0:
-                frames[t] = bits.reshape(dims).copy()
+                write_ppm(os.path.join(out_dir, f"erode_{t:06d}.ppm"), bits.reshape(dims), resolved)
 
     result = engine.erosion_time(
         rule, cfg["island"], dims=dims, cutoff=cfg["cutoff"], on_step=record
     )
     if record is not None:
-        frames[0] = engine.LatticeState.plus_with_island(dims, cfg["island"]).bits().reshape(dims)
+        record(0, engine.LatticeState.plus_with_island(dims, cfg["island"]).bits())
     payload = {
         "erased": result.erased,
         "steps": result.steps,
         "sizes": list(result.sizes),
     }
     write_json(os.path.join(out_dir, "erosion_report.json"), payload, resolved)
-    for t, frame in sorted(frames.items()):
-        write_ppm(os.path.join(out_dir, f"erode_{t:06d}.ppm"), frame, resolved)
     return 0, payload
 
 
@@ -321,26 +333,27 @@ def cmd_simulate(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple
     dims, every = tuple(cfg["dims"]), cfg["snapshot_every"]
     if every > 0 and rule.dimension not in (1, 2):
         raise ConfigError("snapshots support d = 1 (strip) and d = 2 (frames) only")
-    frames: dict = {}
+    strip = None
 
     def record(t: int, bits: np.ndarray) -> None:
-        if t % every == 0:
-            frames[t] = bits.copy()
+        """Write a frame as it is taken: to its own file, or as the next strip row."""
+        if t % every:
+            return
+        if strip is None:
+            write_ppm(os.path.join(out_dir, f"frame_{t:06d}.ppm"), bits.reshape(dims), resolved)
+        else:
+            strip.write(_ppm_pixels(bits))
 
-    run = stats.minus_density_run(
-        rule, cfg["noise"], dims, cfg["steps"], cfg["burn_in"], cfg["seed"],
-        threads=threads, on_step=record if every > 0 else None,
-    )
-    if every > 0:
-        frames[0] = engine.LatticeState.all_plus(dims).bits()
+    with contextlib.ExitStack() as stack:
+        if every > 0 and rule.dimension == 1:
+            strip = stack.enter_context(_atomic_file(os.path.join(out_dir, "strip.ppm")))
+            strip.write(_ppm_header(dims[0], cfg["steps"] // every + 1, resolved))
+        run = stats.minus_density_run(
+            rule, cfg["noise"], dims, cfg["steps"], cfg["burn_in"], cfg["seed"],
+            threads=threads, on_step=record if every > 0 else None,
+        )
     rows = [(t, float(d)) for t, d in enumerate(run.density_series)]
     write_csv(os.path.join(out_dir, "density.csv"), ("step", "density"), rows, resolved)
-    if rule.dimension == 2:
-        for t, frame in sorted(frames.items()):
-            write_ppm(os.path.join(out_dir, f"frame_{t:06d}.ppm"), frame.reshape(dims), resolved)
-    elif frames:
-        strip = np.stack([frame for _, frame in sorted(frames.items())])
-        write_ppm(os.path.join(out_dir, "strip.ppm"), strip, resolved)
     payload = {
         "density_mean": _json_float(run.density_mean),
         "density_se": _json_float(run.density_se),
@@ -353,15 +366,16 @@ def cmd_exact(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
     rule = rules.load_rule(cfg["rule"])
     dims = tuple(cfg["dims"])
     noise = cfg["noise"]
+    kernel = oracle.ExactKernel(rule, noise, dims)
     pi = oracle.stationary_distribution(
         rule, noise, dims,
         tol=cfg["tol"], max_iter=cfg["max_iter"], allow_absorbing=cfg["allow_absorbing"],
+        kernel=kernel,
     )
     window = cfg["window"]
     if window is None:
         window = [[0] * rule.dimension]
     marginal = oracle.window_marginal(pi, window)
-    kernel = oracle.ExactKernel(rule, noise, dims)
     # stop the curve above the accuracy of pi itself, else it saturates
     curve = oracle.tv_curve(
         kernel, pi, n_max=cfg["tv_steps"], floor=max(1e-13, 10.0 * cfg["tol"])

@@ -14,16 +14,18 @@ in row transfer matrices): O(N * 2^(N+w)) work for a front of w wrapped
 source spins, a few milliseconds per application at N = 12-14 on a ring.
 A torus is refused when one sweep step's einsum input and output together
 exceed MAX_SWEEP_BYTES.  The functions that push distributions forward
-(`transfer_apply`, `tv_curve`) take an `ExactKernel`, so a caller builds
-one kernel, with its matrix or sweep plan, for all of them.
+(`transfer_apply`, `tv_curve`, and `stationary_distribution` when given
+one) take an `ExactKernel`, so a caller builds one kernel, with its matrix
+or sweep plan, for all of them.
 
-On top of the kernel: stationary distributions (a direct linear solve when
-the dense matrix exists and the invariant law is provably unique, otherwise
-verified power iteration with a Cesaro fallback, or exact cycle averaging
-for deterministic kernels), total-variation distances, expectations and the
-flip seminorm of cylinder functions, the dual action on observables,
-product-measure basin membership, and the light-cone check that window
-marginals on two torus sizes agree exactly until influence wraps.
+On top of the kernel: stationary distributions (restarted GMRES whenever
+the invariant law is provably unique, otherwise exact cycle averaging for
+deterministic kernels or verified power iteration with a Cesaro fallback,
+each checked by its total-variation residual), total-variation distances,
+expectations and the flip seminorm of cylinder functions, the dual action
+on observables, product-measure basin membership, and the light-cone check
+that window marginals on two torus sizes agree exactly until influence
+wraps.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ MAX_DENSE_SITES = 11  # largest torus whose transition matrix is built
 MAX_SWEEP_BYTES = 1 << 30  # largest sweep-step input + output, per vector
 MAX_WINDOW = 20
 CESARO_AFTER = 10**4  # power iterations before Cesaro averages are tried
+KRYLOV_RESTART = 40  # Arnoldi steps per GMRES cycle
+MAX_BASIS_BYTES = 1 << 30  # largest Krylov basis; the cycle shortens to fit
 
 Sitelike = Union[int, Sequence[int]]
 
@@ -259,11 +263,11 @@ def _strictly_positive(kernel: ExactKernel) -> bool:
 class StationaryLaw(StateDistribution):
     """A verified invariant law, with the route that produced it.
 
-    solver is "direct", "power", "cesaro" or "cycle".  iterations counts the
-    kernel applications of the iterative routes (0 for "direct").  residual
-    is the total-variation residual that passed the `< tol` check: TV(T pi,
-    pi), except on the power route, where it is TV(T x, x) for the iterate x
-    with pi = T x, which bounds TV(T pi, pi) from above.
+    solver is "krylov", "power", "cesaro" or "cycle".  iterations counts the
+    kernel applications of the route ("krylov" counts its verifying ones
+    too).  residual is the total-variation residual that passed the `< tol`
+    check: TV(T pi, pi), except on the power route, where it is TV(T x, x)
+    for the iterate x with pi = T x, which bounds TV(T pi, pi) from above.
     """
 
     solver: str
@@ -277,16 +281,20 @@ def _residual(kernel: ExactKernel, pi: np.ndarray) -> float:
     return 0.5 * float(np.abs(t_pi / t_pi.sum() - pi).sum())
 
 
-def _unique_law_provable(kernel: ExactKernel, dense: np.ndarray) -> bool:
+def _unique_law_provable(kernel: ExactKernel) -> bool:
     """Whether the chain provably has exactly one invariant law.
 
-    So it has when the kernel is strictly positive, and when all-minus or
-    all-plus is reachable from every state: such a state lies in every
-    closed class, so there is only one.  Reachability is a backward search
-    on the support of the transition matrix.
+    So it has when the kernel is strictly positive, and, up to
+    MAX_DENSE_SITES, when all-minus or all-plus is reachable from every
+    state: such a state lies in every closed class, so there is only one.
+    Reachability is a backward search on the support of the transition
+    matrix.
     """
     if _strictly_positive(kernel):
         return True
+    dense = kernel.dense_matrix()
+    if dense is None:
+        return False
     support = dense > 0.0
     for target in (0, len(dense) - 1):
         reached = np.zeros(len(dense), dtype=bool)
@@ -300,21 +308,77 @@ def _unique_law_provable(kernel: ExactKernel, dense: np.ndarray) -> bool:
     return False
 
 
-def _direct_solve(dense: np.ndarray) -> Optional[np.ndarray]:
-    """pi with pi (T - I) = 0 and sum(pi) = 1, or None for a singular system."""
-    n = len(dense)
-    system = dense.T - np.eye(n)
-    # the balance equations sum to zero, so the last one is implied by the
-    # others and can make way for the normalization
-    system[-1] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    pi = np.clip(pi, 0.0, None)  # roundoff leaves entries of order -1e-16
-    return pi / pi.sum()
+def _krylov_solve(kernel: ExactKernel, tol: float, max_iter: int) -> StationaryLaw:
+    """Invariant law of a chain with a unique one, by restarted GMRES.
+
+    Solves A x = w with A x = x - x T + sum(x) w and w uniform (Saad and
+    Schultz, 1986).  The invariant law solves it, and A is nonsingular
+    exactly when that law is unique: A x = 0 forces sum(x) = 0 and x T = x.
+    Each cycle starts from the current law pi, whose residual w - A pi =
+    pi T - pi comes from the same application of T that verifies
+    TV(T pi, pi).  Arnoldi runs with modified Gram-Schmidt and Givens
+    rotations until the residual 2-norm has shrunk by the factor the
+    verified TV residual still has to fall, with a margin of 2, or the
+    basis is full; the triangular system is solved by back-substitution.
+    """
+    n = kernel.n_states
+    w = 1.0 / n
+    m = min(KRYLOV_RESTART, MAX_BASIS_BYTES // (8 * n) - 1)
+    basis = np.empty((m + 1, n))
+    hess = np.empty((m + 1, m))
+    cos, sin = np.empty(m), np.empty(m)
+    g = np.empty(m + 1)
+    pi = np.full(n, w)
+    applies = 0
+    best = math.inf
+    while True:
+        t_pi = kernel.apply(pi)
+        applies += 1
+        resid = 0.5 * float(np.abs(t_pi / t_pi.sum() - pi).sum())
+        if resid < tol:
+            return StationaryLaw(
+                dims=kernel.dims, probs=pi, solver="krylov", iterations=applies, residual=resid
+            )
+        r = t_pi - pi
+        beta = math.sqrt(float(r @ r))
+        # a cycle that does not lower the residual norm has reached the
+        # roundoff floor, and beta = 0 leaves no direction to search
+        if not 0.0 < beta < best or applies >= max_iter:
+            raise NumericalError(
+                f"GMRES stopped at TV residual {resid:.3e}, above tol {tol}, after"
+                f" {applies} applications (max_iter {max_iter})"
+            )
+        best = beta
+        target = 0.5 * beta * tol / resid
+        basis[0] = r / beta
+        g[0] = beta
+        k = 0
+        while k < m and applies < max_iter:
+            v = basis[k]
+            u = v - kernel.apply(v) + v.sum() * w
+            applies += 1
+            for i in range(k + 1):
+                hess[i, k] = basis[i] @ u
+                u -= hess[i, k] * basis[i]
+            norm = math.sqrt(float(u @ u))
+            for i in range(k):
+                a, b = hess[i, k], hess[i + 1, k]
+                hess[i, k], hess[i + 1, k] = cos[i] * a + sin[i] * b, cos[i] * b - sin[i] * a
+            d = math.hypot(hess[k, k], norm)
+            cos[k], sin[k] = hess[k, k] / d, norm / d
+            hess[k, k] = d
+            g[k + 1] = -sin[k] * g[k]
+            g[k] *= cos[k]
+            k += 1
+            # norm = 0 is the happy breakdown: the basis spans the solution
+            if norm == 0.0 or abs(g[k]) < target:
+                break
+            basis[k] = u / norm
+        y = np.empty(k)
+        for i in range(k - 1, -1, -1):
+            y[i] = (g[i] - hess[i, i + 1 : k] @ y[i + 1 :]) / hess[i, i]
+        x = np.clip(pi + y @ basis[:k], 0.0, None)
+        pi = x / x.sum()
 
 
 def _cycle_average(kernel: ExactKernel, start: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
@@ -349,41 +413,43 @@ def stationary_distribution(
     tol: float = 1e-10,
     max_iter: int = 10**6,
     allow_absorbing: bool = False,
+    kernel: Optional[ExactKernel] = None,
 ) -> StationaryLaw:
     """Fixed point pi of the transfer operator, verified by TV(T pi, pi) < tol.
 
     Requires a strictly positive kernel (every transition possible) unless
-    the caller opts into absorbing/deterministic chains.  The routes, tried
-    in this order:
+    the caller opts into absorbing/deterministic chains.  `kernel`, if
+    given, is an ExactKernel of the same rule, noise and dims, used in place
+    of building another.  The routes, tried in this order:
 
-    * "direct": when the dense matrix exists (N <= 11) and the invariant law
-      is provably unique (see `_unique_law_provable`), a linear solve of
-      pi (T - I) = 0, sum(pi) = 1.  A singular system or a solution that
-      fails the verification falls through to the routes below.
+    * "krylov": when the invariant law is provably unique (see
+      `_unique_law_provable`), restarted GMRES from the uniform law (see
+      `_krylov_solve`).  A stall above tol raises NumericalError.
     * "cycle": a fully deterministic kernel (the eps = 0 edge case) is
       handled by exact cycle averaging of the pushforwards of the uniform law.
     * "power": power iteration from the uniform law.  When successive
       iterates stop making progress past CESARO_AFTER steps, running Cesaro
       averages of the iterates are tested as candidates alongside ("cesaro").
 
-    `max_iter` bounds only the iterative routes.
+    `max_iter` caps the kernel applications of each route.
     """
-    kernel = ExactKernel(rule, noise, dims)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if kernel is None:
+        kernel = ExactKernel(rule, noise, dims)
+    elif not (
+        kernel.dims == tuple(int(L) for L in dims)
+        and np.array_equal(kernel.kern, kernel_plus(noise, rule))
+        and np.array_equal(kernel.nbr, neighbor_table(rule, kernel.dims))
+    ):
+        raise ValueError("kernel was not built from this rule, noise and dims")
     if not allow_absorbing and not _strictly_positive(kernel):
         raise ValueError(
             "noise kernel has zero-probability transitions; pass "
             "allow_absorbing=True to iterate anyway"
         )
-    dense = kernel.dense_matrix()
-    if dense is not None and _unique_law_provable(kernel, dense):
-        pi = _direct_solve(dense)
-        if pi is not None:
-            resid = _residual(kernel, pi)
-            if resid < tol:
-                return StationaryLaw(
-                    dims=kernel.dims, probs=pi, solver="direct", iterations=0, residual=resid
-                )
-            logger.debug("direct solve residual %.3e above tol, iterating", resid)
+    if _unique_law_provable(kernel):
+        return _krylov_solve(kernel, tol, max_iter)
     cur = uniform_distribution(kernel.dims).probs.copy()
 
     deterministic = bool(((kernel.kern == 0.0) | (kernel.kern == 1.0)).all())

@@ -99,13 +99,16 @@ def minus_density_run(
 ) -> RunSummary:
     """Fraction of -1 sites per step along one trajectory from all-plus.
 
-    on_step, if given, also sees (t, bits) after each step of that trajectory.
+    on_step, if given, also sees (0, initial bits) once the run is accepted,
+    then (t, bits) after each step of that trajectory.
     """
     if not 0 <= burn_in <= steps:
         raise ConfigError(f"burn_in {burn_in} must lie in [0, steps={steps}]")
     key = RngKey(seed)
     engine.working_bytes(rule, engine.kernel_plus(noise, rule), dims, threads=threads)
     state = LatticeState.all_plus(dims)
+    if on_step is not None:
+        on_step(0, state.bits())
     densities = np.empty(steps + 1)
     densities[0] = 0.0
 

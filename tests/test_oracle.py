@@ -5,7 +5,7 @@ import pytest
 
 from toomlab import engine, oracle
 from toomlab.engine import LatticeState, biased_noise, symmetric_noise, table_noise
-from toomlab.errors import ConfigError, ResourceLimitError
+from toomlab.errors import ConfigError, NumericalError, ResourceLimitError
 from toomlab.oracle import (
     CylinderFunction,
     ExactKernel,
@@ -159,13 +159,41 @@ class TestTransferApply:
 
 
 class TestStationary:
+    @pytest.mark.filterwarnings("error")
     def test_half_noise_uniform(self):
+        # the uniform start is already invariant: one verifying application,
+        # and no Krylov vector is formed from the zero residual
         pi = stationary_distribution(STAV, symmetric_noise(0.5), (6,), tol=1e-12)
         assert np.allclose(pi.probs, 1.0 / 64.0, atol=1e-12)
+        assert (pi.solver, pi.iterations) == ("krylov", 1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_krylov_happy_breakdown(self):
+        # T sends every law to p in one step, so the first Arnoldi vector
+        # (p - w) / |p - w| is exactly A-invariant: the next one vanishes,
+        # and the one-vector basis already holds the law
+        p = np.array([0.5, 0.5, 0.0, 0.0])
+
+        class OneStep:
+            dims, n_states = (2,), 4
+
+            def apply(self, vec):
+                return vec.sum() * p
+
+        pi = oracle._krylov_solve(OneStep(), tol=1e-12, max_iter=100)
+        assert np.array_equal(pi.probs, p) and pi.iterations == 3
+        # pi is exact, yet a residual of 0 cannot pass tol 0
+        with pytest.raises(NumericalError, match="above tol"):
+            oracle._krylov_solve(OneStep(), tol=0.0, max_iter=100)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            stationary_distribution(STAV, symmetric_noise(0.1), (6,), tol=tol)
 
     def test_biased_reaches_all_minus_point_mass(self):
         # all-minus is reachable from every state, so the law is unique and
-        # solved for directly instead of by ~2M power iterations
+        # solved for by GMRES instead of by ~2M power iterations
         pi = stationary_distribution(
             STAV, biased_noise(0.1, 0.0), (6,), tol=1e-10,
             max_iter=6_000_000, allow_absorbing=True,
@@ -174,12 +202,12 @@ class TestStationary:
         t_pi = k.apply(pi.probs)
         assert 0.5 * np.abs(t_pi / t_pi.sum() - pi.probs).sum() < 1e-10
         assert tv_distance(pi, delta_minus((6,))) < 1e-12
-        assert (pi.solver, pi.iterations) == ("direct", 0)
+        assert pi.solver == "krylov" and pi.iterations < 50
 
-    def test_direct_matches_power_iteration(self):
+    def test_krylov_matches_power_iteration(self):
         tol = 1e-12
         pi = stationary_distribution(STAV, symmetric_noise(0.07), (8,), tol=tol)
-        assert (pi.solver, pi.iterations) == ("direct", 0) and pi.residual < tol
+        assert pi.solver == "krylov" and pi.residual < tol
         p_plus = np.where(STAV.table == 1, 1.0 - 0.07, 0.07)
         matrix = brute_force_transfer(STAV, p_plus, (8,), np.eye(256))
         ref = np.full(256, 1.0 / 256)
@@ -190,6 +218,30 @@ class TestStationary:
             if step < 1e-15:
                 break
         assert 0.5 * np.abs(pi.probs - ref).sum() < tol
+
+    def test_krylov_apply_count(self):
+        # low noise mixes slowly: power iteration needs 488 applications here
+        pi = stationary_distribution(NEC, symmetric_noise(0.02), (3, 4), tol=1e-10)
+        assert pi.solver == "krylov" and pi.iterations <= 60 and pi.residual < 1e-10
+
+    def test_reuses_the_given_kernel(self):
+        k = ExactKernel(STAV, symmetric_noise(0.1), (8,))
+        dense = k.dense_matrix()
+        pi = stationary_distribution(STAV, symmetric_noise(0.1), (8,), tol=1e-12, kernel=k)
+        assert k.dense_matrix() is dense
+        want = stationary_distribution(STAV, symmetric_noise(0.1), (8,), tol=1e-12)
+        assert np.array_equal(pi.probs, want.probs)
+
+    @pytest.mark.parametrize("rule, noise, dims", [
+        (STAV, symmetric_noise(0.2), (8,)),
+        (RuleSpec(dimension=1, neighborhood=((0,), (-1,)), table=STAV.table),
+         symmetric_noise(0.1), (8,)),
+        (STAV, symmetric_noise(0.1), (7,)),
+    ])
+    def test_rejects_a_foreign_kernel(self, rule, noise, dims):
+        k = ExactKernel(STAV, symmetric_noise(0.1), (8,))
+        with pytest.raises(ValueError, match="kernel was not built"):
+            stationary_distribution(rule, noise, dims, kernel=k)
 
     def test_absorbing_needs_opt_in(self):
         with pytest.raises(ValueError):
@@ -223,7 +275,7 @@ class TestStationary:
     ])
     def test_unique_law_detection(self, noise, unique):
         k = ExactKernel(STAV, noise, (6,))
-        assert oracle._unique_law_provable(k, k.dense_matrix()) == unique
+        assert oracle._unique_law_provable(k) == unique
 
     def test_cesaro_route(self):
         # p(+1) is 1 when both neighbors are -1, 1/2 when only the right one
