@@ -24,10 +24,10 @@ thread count.  Within its span a thread draws blocks of 65,536 sites, each
 thresholded and packed into the masks before the next is drawn.
 
 Memory per step is a few packed rows of ceil(sites / 64) words (state in
-and out, shifted planes, Shannon node values, noise masks; see
-:func:`working_bytes`) plus under 600 KiB of draw scratch per thread.  A
-run whose estimate exceeds MAX_MC_BYTES is refused with ResourceLimitError
-before anything of lattice size is allocated.
+and out, shifted planes, Shannon node values, noise masks, each dropped
+after its last use; see :func:`working_bytes`) plus under 600 KiB of draw
+scratch per thread.  A run whose estimate exceeds MAX_MC_BYTES is refused
+with ResourceLimitError before anything of lattice size is allocated.
 
 The exact oracle reads the same wrapped neighborhoods, as an index table,
 from :func:`neighbor_table`.
@@ -488,6 +488,49 @@ def _moved(words: np.ndarray, moves: list[tuple]) -> np.ndarray:
     return words
 
 
+def _schedule(
+    nodes: list[tuple[int, int, int]], root: int, noisy: list[int], n_moves: dict[int, int]
+) -> tuple[list[tuple[list[int], list[int]]], list[tuple[int, int]]]:
+    """When a step can drop each value, and what it holds at each point.
+
+    nodes and root are `_shannon`'s; noisy lists the leaves that are drawn
+    masks, and n_moves[var] counts the axis moves that build slot var's
+    plane (none: the plane is the state itself).  Returns, per node, the
+    value references and plane slots whose last use it is, and the live
+    (per-chain rows, shared mask rows) at the draw, at each plane build
+    (one plus two temporaries for one move, three for more), at each node
+    evaluation (two temporaries) and at the output copy.  The state in
+    counts as one chain row throughout.
+    """
+    last_value: dict[int, int] = {}
+    last_plane: dict[int, int] = {}
+    for k, (var, hi, lo) in enumerate(nodes):
+        last_value[hi] = last_value[lo] = last_plane[var] = k
+    last_value.pop(root, None)
+    drops = [
+        ([r for r, j in last_value.items() if j == k], [v for v, j in last_plane.items() if j == k])
+        for k in range(len(nodes))
+    ]
+    # node k is reference n_leaves + k, and the root is the last node built
+    n_leaves = root - len(nodes) + 1
+    planes = values = 0
+    masks = len(noisy)
+    built: set[int] = set()
+    live = [(1, masks)]
+    for (var, _, _), (drop_values, drop_planes) in zip(nodes, drops):
+        if var not in built and n_moves[var]:
+            live.append((1 + planes + values + (3 if n_moves[var] == 1 else 4), masks))
+            planes += 1
+        built.add(var)
+        live.append((1 + planes + values + 2, masks))
+        values += 1
+        values -= sum(r >= n_leaves for r in drop_values)
+        masks -= sum(r in noisy for r in drop_values)
+        planes -= sum(1 for v in drop_planes if n_moves[v])
+    live.append((1 + values + 1, masks))
+    return drops, live
+
+
 def working_bytes(
     rule: RuleSpec,
     kern: np.ndarray,
@@ -499,22 +542,22 @@ def working_bytes(
     """Peak bytes of one packed step of `rows` chains (each `replicas` tori of
     dims end to end); ResourceLimitError above MAX_MC_BYTES.
 
-    Counted in packed rows of ceil(sites / 64) words.  Per chain: the state
-    in and out, one plane per shifted neighborhood slot and two while one is
-    built, one value per Shannon node and two while one is evaluated.
-    Shared: one noise mask per drawn probability, one range mask per axis
-    move, and each thread's draw block.  Every Monte Carlo path calls this
-    before it allocates anything of lattice size.
+    Counted in packed rows of ceil(sites / 64) words: the live peak of
+    `_schedule` (state, shifted planes, Shannon node values and noise masks,
+    each dropped after its last use, and the temporaries of the operation
+    under way), one range mask per axis move, and each thread's draw block.
+    Every Monte Carlo path calls this before it allocates anything of
+    lattice size.
     """
     dims = _torus_dims(rule, dims)
     row = 8 * -(-(replicas or 1) * math.prod(dims) // 64)
     values, leaf_of = np.unique(np.asarray(kern, dtype=np.float64), return_inverse=True)
-    nodes, _ = _shannon(leaf_of)
-    shifted = [u for u in {rule.neighborhood[var] for var, _, _ in nodes} if any(u)]
-    moves = sum(1 for u in shifted for c in u if c)
-    masks = sum(1 for p in values if 0.0 < p < 1.0)
-    need = row * (rows * (len(shifted) + len(nodes) + 6) + masks + moves)
-    need += threads * _DRAW_BLOCK * 9 if masks else 0
+    nodes, root = _shannon(leaf_of)
+    noisy = [j for j, p in enumerate(values) if 0.0 < p < 1.0]
+    n_moves = {var: sum(1 for c in rule.neighborhood[var] if c) for var, _, _ in nodes}
+    _, live = _schedule(nodes, root, noisy, n_moves)
+    need = row * (sum(n_moves.values()) + max(rows * chain + masks for chain, masks in live))
+    need += threads * _DRAW_BLOCK * 9 if noisy else 0
     if need > MAX_MC_BYTES:
         raise ResourceLimitError(
             f"a Monte Carlo step on {rows} x {replicas or 1} x {dims} sites needs"
@@ -562,17 +605,20 @@ class _PackedCore:
             var: [_axis_move(dims, k, u) for k, u in enumerate(offsets[var]) if u]
             for var in {var for var, _, _ in self._nodes}
         }
+        n_moves = {var: len(moves) for var, moves in self._moves.items()}
+        self._drops, _ = _schedule(self._nodes, self._root, self._noisy, n_moves)
 
-    def _draw(self, t: int) -> np.ndarray:
+    def _draw(self, t: int) -> list[np.ndarray]:
         """One packed mask raw < T per drawn leaf, from the step-t stream.
 
         Each thread takes a 64-aligned span of sites and starts its own
         generator at the span's offset, so the thread count changes nothing.
         It draws the span in blocks of _DRAW_BLOCK sites, each thresholded
         and packed before the next is drawn, so its scratch stays fixed.
+        Each mask is its own array, so a step can free it after its last use.
         """
-        masks = np.zeros((len(self._thresholds), self.n_words), dtype="<u8")
-        out = masks.view(np.uint8)
+        masks = [np.zeros(self.n_words, dtype="<u8") for _ in self._thresholds]
+        out = [mask.view(np.uint8) for mask in masks]
 
         def work(span: tuple[int, int]) -> None:
             a, b = span
@@ -581,7 +627,7 @@ class _PackedCore:
                 raw = bg.random_raw(min(_DRAW_BLOCK, b - lo))
                 for j, thr in enumerate(self._thresholds):
                     packed = np.packbits(raw < thr, bitorder="little")
-                    out[j, lo // 8 : lo // 8 + packed.size] = packed
+                    out[j][lo // 8 : lo // 8 + packed.size] = packed
                 del raw  # so the next block replaces this one rather than joining it
 
         n = self.n_sites
@@ -594,12 +640,20 @@ class _PackedCore:
         """Rows after the step-t update; the input is unmodified."""
         values = list(self._leaves)
         if self._noisy:
-            for j, mask in zip(self._noisy, self._draw(t)):
-                values[j] = mask
-        planes = {var: _moved(words, moves) for var, moves in self._moves.items()}
-        for var, hi, lo in self._nodes:
+            masks = self._draw(t)
+            for j in reversed(self._noisy):  # values holds the only reference
+                values[j] = masks.pop()
+        planes = {}
+        for (var, hi, lo), (drop_values, drop_planes) in zip(self._nodes, self._drops):
+            if var not in planes:
+                planes[var] = _moved(words, self._moves[var])
             h, l = values[hi], values[lo]
             values.append(l ^ (planes[var] & (h ^ l)))
+            del h, l  # so a value dropped below is freed now
+            for r in drop_values:
+                values[r] = None
+            for v in drop_planes:
+                del planes[v]
         out = np.empty(words.shape, dtype="<u8")
         out[...] = values[self._root]
         out[..., -1] &= self._tail

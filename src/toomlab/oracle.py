@@ -11,12 +11,15 @@ Up to 11 sites the full 2^N x 2^N matrix is built once and applied by a
 matmul.  Beyond that the kernel is contracted one target site at a time,
 summing out each source spin right after its last use (a moving front, as
 in row transfer matrices): O(N * 2^(N+w)) work for a front of w wrapped
-source spins, a few milliseconds per application at N = 12-14 on a ring.
-A torus is refused when one sweep step's einsum input and output together
-exceed MAX_SWEEP_BYTES.  The functions that push distributions forward
-(`transfer_apply`, `tv_curve`, and `stationary_distribution` when given
-one) take an `ExactKernel`, so a caller builds one kernel, with its matrix
-or sweep plan, for all of them.
+source spins.  Each step is one BLAS matmul of strided views of its input
+against a small matrix built with the plan, written straight into the
+step's output, so no step makes a transposed copy: 0.15-0.21 ms per
+application at N = 12 and 0.5-0.75 ms at N = 14 on a ring, 3.2-3.5 ms on
+a 3 x 4 nec torus (2-core machine).  A torus is refused when one sweep
+step's input and output together exceed MAX_SWEEP_BYTES.  The functions
+that push distributions forward (`transfer_apply`, `tv_curve`, and
+`stationary_distribution` when given one) take an `ExactKernel`, so a
+caller builds one kernel, with its matrix or sweep plan, for all of them.
 
 On top of the kernel: stationary distributions (restarted GMRES whenever
 the invariant law is provably unique, otherwise exact cycle averaging for
@@ -135,7 +138,7 @@ class ExactKernel:
         self.kern = kernel_plus(noise, rule)
         self.n_states = 1 << self.n_sites
         self._dense: Optional[np.ndarray] = None
-        self._sweep_steps: Optional[list[tuple]] = None
+        self._sweep_steps: Optional[list[_SweepStep]] = None
         if self.n_sites > MAX_DENSE_SITES:
             self._sweep()  # refuses an oversize torus before anything is allocated
 
@@ -157,33 +160,41 @@ class ExactKernel:
         """Linear kernel application to a signed vector or a (B, 2^N) batch.
 
         No normalization.  Above the dense-matrix size the product kernel is
-        contracted site by site (see `_sweep_plan`).
+        contracted site by site (see `_sweep_plan`): each step is one
+        broadcast matmul of strided views of its input against the step's
+        matrix, written with out= into a fresh output, so a step holds only
+        its input and its output.
         """
         vec = np.asarray(vec, dtype=np.float64)
         dense = self.dense_matrix()
         if dense is not None:
             return vec @ dense
-        cur = vec.reshape((-1,) + (2,) * self.n_sites)
         steps = self._sweep()
-        self._check_sweep(cur.shape[0])
-        for labels, factor_labels, out in steps:
-            cur = np.einsum(cur, labels, self._factor, factor_labels, out)
-        return cur.transpose(self._sweep_order).reshape(vec.shape)
+        batch = vec.size >> self.n_sites
+        self._check_sweep(batch)
+        cur = np.ascontiguousarray(vec)
+        for st in steps:
+            out = np.empty(batch * st.out_size)
+            np.matmul(
+                np.ndarray((batch,) + st.in_shape, np.float64, cur, 0,
+                           (8 * st.in_size,) + st.in_strides),
+                st.matrix,
+                out=np.ndarray((batch,) + st.out_shape, np.float64, out, 0,
+                               (8 * st.out_size,) + st.out_strides),
+            )
+            cur = out
+        if self._sweep_order is not None:
+            cur = cur.reshape((batch,) + (2,) * self.n_sites).transpose(self._sweep_order)
+        return cur.reshape(vec.shape)
 
-    def _sweep(self) -> list[tuple]:
-        """The site-sweep plan, built on first use once its byte cap is checked."""
+    def _sweep(self) -> list[_SweepStep]:
+        """The site-sweep plan, built on first use and checked against the byte cap."""
         if self._sweep_steps is None:
-            steps, self._sweep_order = _sweep_plan(self.nbr)
-            # bytes of the largest einsum input plus output for one vector
-            # (label 0 of each list is the batch)
-            self._sweep_bytes = max(
-                (8 << (len(labels) - 1)) + (8 << (len(out) - 1)) for labels, _, out in steps
-            )
+            steps, order = _sweep_plan(self.nbr, self.kern)
+            # bytes of the largest step input plus output for one vector
+            self._sweep_bytes = max(8 * (st.in_size + st.out_size) for st in steps)
             self._check_sweep(1)
-            self._factor = np.stack([1.0 - self.kern, self.kern]).reshape(
-                (2,) * (len(self.nbr) + 1)
-            )
-            self._sweep_steps = steps
+            self._sweep_steps, self._sweep_order = steps, order
         return self._sweep_steps
 
     def _check_sweep(self, batch: int) -> None:
@@ -194,28 +205,166 @@ class ExactKernel:
             )
 
 
-def _sweep_plan(nbr: np.ndarray) -> tuple[list[tuple], list[int]]:
-    """Einsum sublists that contract the product kernel one target site at a time.
+@dataclass(frozen=True)
+class _SweepStep:
+    """One target site of the sweep: out = in @ matrix over strided views.
 
-    nbr[i, x] is the source site feeding neighbor slot i of target x.  Axis
-    labels: source spin s is s, target spin x is N + x, the batch is 2N.
-    Step x multiplies in the factor p(xi_x | omega_{x+U}), stored with axes
-    (xi, slot R-1, ..., slot 0), and sums out every source spin whose last
-    use is at x, so a step touches only the targets done plus the sources
-    still ahead.  Returns the (operand, factor, output) label lists per step
-    and the axis order that puts the result back into (batch, bit N-1, ...,
-    bit 0), the C order of a flat state index.
+    Shapes and strides (in bytes) are per vector, without the batch axis;
+    in_size and out_size count the elements of one vector's tensors.
     """
-    n = nbr.shape[1]
-    last_use = {int(s): x for x in range(n) for s in nbr[:, x]}
-    labels = [2 * n] + list(range(n - 1, -1, -1))
+
+    in_size: int
+    in_shape: tuple[int, ...]
+    in_strides: tuple[int, ...]
+    out_size: int
+    out_shape: tuple[int, ...]
+    out_strides: tuple[int, ...]
+    matrix: np.ndarray
+
+
+def _sweep_plan(nbr: np.ndarray, kern: np.ndarray) -> tuple[list[_SweepStep], Optional[tuple]]:
+    """Matmul steps that contract the product kernel one target site at a time.
+
+    nbr[i, x] is the source site feeding neighbor slot i of target x, and
+    kern[c] the probability of +1 for local configuration c.  Tensors have
+    one axis of size 2 per live spin, labelled s for source site s and N + x
+    for target x, laid out as four runs: parked sources, targets (newest
+    first), untouched sources (in C order, as the input vector has them) and
+    the sources the next step reads.  Step x multiplies in p(xi_x | omega)
+    and sums out every source whose last use is x:
+
+    * its block is the trailing run of its sources, widened to the ones it
+      drops and trimmed, down to one axis, of leading ones that neither drop
+      nor feed the next step, so the matrix rows (2^m, one per block
+      configuration) are the unit-stride last axis of the input;
+    * a source outside the block (nec's north neighbor, a wrap) is looped
+      over its two values as a batch axis of the views, as is a source the
+      next step drops, so that it is moved into the trailing run in time;
+    * the new target goes in front of the targets; block sources the next
+      step reads stay in the trailing run as the matrix columns, and every
+      other survivor goes to the parked run.
+
+    The largest run of axes that keeps its place is the gemm row axis, and
+    every other axis a batch axis of np.matmul, so no step copies its input.
+    Returns the steps and the axis order that puts the result back into
+    (batch, bit N-1, ..., bit 0), the C order of a flat state index, or None
+    when the sweep already ends there, as it does unless a one-site
+    neighborhood starts it at another target.
+    """
+    r, n = nbr.shape
+    # a one-site neighborhood drops its source at first use: start at the
+    # target that reads site 0, the input's last axis
+    x0 = 0 if r > 1 else int(np.flatnonzero(nbr[0] == 0)[0])
+    order = [(x0 + i) % n for i in range(n)]
+    sources = [{int(s) for s in nbr[:, x]} for x in order] + [set()]
+    last = {s: i for i, srcs in enumerate(sources) for s in srcs}
+    layout = list(range(n - 1, -1, -1))
+    parked: set[int] = set()
     steps = []
-    for x in range(n):
-        out = [a for a in labels if last_use.get(a) != x] + [n + x]
-        steps.append((labels, [n + x] + [int(s) for s in nbr[::-1, x]], out))
-        labels = out
-    order = [labels.index(a) for a in [2 * n] + list(range(2 * n - 1, n - 1, -1))]
-    return steps, order
+    for i, x in enumerate(order):
+        srcs, nxt = sources[i], sources[i + 1]
+        drop = {s for s in srcs if last[s] == i}
+        j = len(layout)
+        while j and layout[j - 1] in srcs:
+            j -= 1
+        while not drop <= set(layout[j:]):
+            j -= 1
+        while j < len(layout) - 1 and layout[j] not in drop and layout[j] not in nxt:
+            j += 1
+        block = layout[j:]
+        looped = [a for a in layout[:j] if a in srcs or last.get(a) == i + 1]
+        cols = [a for a in block if a not in drop and a in nxt]
+        held = [a for a in block if a not in drop and a not in nxt]
+        others = [a for a in layout[:j] if a not in looped]
+        n_parked = sum(a in parked for a in others)
+        to_park = held + [a for a in looped if a not in nxt]
+        out = (
+            others[:n_parked] + to_park + [n + x] + others[n_parked:]
+            + [a for a in looped if a in nxt] + cols
+        )
+        parked = set(others[:n_parked]) | set(to_park)
+        steps.append(_sweep_step(nbr[:, x], kern, layout, out, block, looped, held, cols, n + x))
+        layout = out
+    perm = [0] + [1 + layout.index(n + x) for x in range(n - 1, -1, -1)]
+    return steps, None if perm == list(range(n + 1)) else tuple(perm)
+
+
+def _sweep_step(
+    slots: np.ndarray,
+    kern: np.ndarray,
+    layout: list[int],
+    out: list[int],
+    block: list[int],
+    looped: list[int],
+    held: list[int],
+    cols: list[int],
+    target: int,
+) -> _SweepStep:
+    """Views and matrix of one sweep step, from its input and output layouts.
+
+    Every axis outside the block, the columns and the loops keeps its place
+    relative to the others; maximal runs of such axes that are adjacent in
+    both layouts become single view axes.  The longest run is the gemm rows,
+    the other runs and every looped, held or target axis are batch axes.
+    The matrix has a size-2 batch axis for the target, for each looped
+    source and for each held block axis, whose value it pins; it broadcasts
+    over the rest.
+    """
+    pos_in = {a: k for k, a in enumerate(layout)}
+    pos_out = {a: k for k, a in enumerate(out)}
+    fixed = set(looped) | set(held) | {target}
+    runs: list[list[int]] = []
+    for a in out:
+        if a in fixed or a in cols:
+            continue
+        prev = runs[-1][-1] if runs else None
+        if prev is not None and (pos_in[a], pos_out[a]) == (pos_in[prev] + 1, pos_out[prev] + 1):
+            runs[-1].append(a)
+        else:
+            runs.append([a])
+    rows = max(reversed(runs), key=len, default=[])
+    batch = sorted([run for run in runs if run is not rows] + [[a] for a in fixed],
+                   key=lambda run: pos_out[run[0]])
+    outside = set(layout) - set(block)
+    # the matrix depends on the target, the looped sources and the held axes
+    pinned = {target, *held, *(int(s) for s in slots)}
+    deps = [run[0] for run in batch if run[0] in fixed and run[0] in pinned]
+
+    def merged(run: list[int], lay: list[int]) -> tuple[int, int]:
+        """Size and element stride of a run of adjacent axes of lay, as one axis."""
+        return 1 << len(run), 1 << (len(lay) - 1 - lay.index(run[-1]))
+
+    m, kc = len(block), len(cols)
+    dims_in = [merged(run, layout) if run[0] in outside else (1, 0) for run in batch]
+    dims_in += [merged(rows, layout) if rows else (1, 0), (1 << m, 1)]
+    dims_out = [merged(run, out) for run in batch]
+    dims_out += [merged(rows, out) if rows else (1, 0), (1 << kc, 1)]
+
+    full = (2,) * len(deps) + (1 << m, 1 << kc)
+    grid = np.indices(full, sparse=True)
+    row, col = grid[-2], grid[-1]
+
+    def spin(a: int) -> np.ndarray:
+        if a in block:
+            return (row >> (m - 1 - block.index(a))) & 1
+        return grid[deps.index(a)]
+
+    p = kern[sum(spin(int(s)) << k for k, s in enumerate(slots))]
+    w = np.where(grid[deps.index(target)] == 1, p, 1.0 - p)
+    for k, a in enumerate(cols):
+        w = w * (spin(a) == ((col >> (kc - 1 - k)) & 1))
+    for a in held:
+        w = w * (spin(a) == grid[deps.index(a)])
+    shape = tuple(2 if run[0] in deps else 1 for run in batch) + (1 << m, 1 << kc)
+    return _SweepStep(
+        in_size=1 << len(layout),
+        in_shape=tuple(size for size, _ in dims_in),
+        in_strides=tuple(8 * stride for _, stride in dims_in),
+        out_size=1 << len(out),
+        out_shape=tuple(size for size, _ in dims_out),
+        out_strides=tuple(8 * stride for _, stride in dims_out),
+        matrix=np.ascontiguousarray(np.broadcast_to(w, full)).reshape(shape),
+    )
 
 
 def _expand_products(probs: np.ndarray) -> np.ndarray:

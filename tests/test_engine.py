@@ -267,8 +267,8 @@ class TestBlockedDraw:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert masks.shape == (2, n // 64)
-        assert peak < (1 << 20) + masks.nbytes
+        assert [m.shape for m in masks] == [(n // 64,)] * 2
+        assert peak < (1 << 20) + sum(m.nbytes for m in masks)
 
 
 class TestPopcount:
@@ -314,9 +314,33 @@ def test_working_bytes_scale_with_the_packed_rows():
     one = engine.working_bytes(rule, kern, (64, 64), replicas=100)
     two = engine.working_bytes(rule, kern, (64, 64), rows=2, replicas=100)
     block = engine._DRAW_BLOCK * 9
-    # nec: 2 shifted planes, 4 Shannon nodes, 2 noise masks, 2 axis moves
-    assert one - block == 8 * 6400 * (12 + 4)
-    assert two - one == 8 * 6400 * 12
+    # nec at its peak, the third of 4 Shannon nodes: the state, one shifted
+    # plane, two node values and two temporaries per chain, one noise mask
+    # still to be read, and 2 axis moves
+    assert one - block == 8 * 6400 * (6 + 1 + 2)
+    assert two - one == 8 * 6400 * 6
+
+
+@pytest.mark.parametrize("name, dims", [("nec", (64, 64)), ("majority1d", (4096,))])
+def test_a_step_stays_within_working_bytes(name, dims):
+    # node values, planes and noise masks are freed after their last use,
+    # so a step's traced peak, beside the state and the range masks that
+    # exist before it, stays within the live-peak estimate
+    rule = builtin(name)
+    kern = kernel_plus(symmetric_noise(0.1), rule)
+    core = engine._PackedCore(rule, dims, kern, RngKey(3), replicas=1000)
+    words = np.full((1, core.n_words), engine._ONES)
+    tracemalloc.start()
+    try:
+        core.step(words, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row = 8 * core.n_words
+    held = row * (1 + sum(len(m) for m in core._moves.values()))
+    assert peak + held <= engine.working_bytes(rule, kern, dims, replicas=1000)
+    # keeping every node value and mask to the end of the step held 9 rows
+    assert peak < 7 * row
 
 
 class TestCheckAssumptions:

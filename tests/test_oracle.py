@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -29,10 +30,19 @@ from toomlab.oracle import (
 )
 from toomlab.rules import RuleSpec, builtin
 
-from .oracles import brute_force_transfer
+from .oracles import brute_force_transfer, random_rule
 
 STAV = builtin("stavskaya")
 NEC = builtin("nec")
+
+# (seed, max_R) draws of random_rule(max_d=2) for the site sweep, with a torus
+DRAWN = [
+    ((4, 4), (12,)),  # offsets -2, -1, 1: fronts wrap both ways, no center
+    ((6, 4), (13,)),  # offsets -2, -1, 0, 2
+    ((2, 1), (13,)),  # the lone offset -2: the sweep starts at target 2
+    ((163, 3), (3, 4)),  # (-1, -1), (-1, 1), (0, -1)
+    ((347, 3), (4, 3)),  # (-1, 0), (1, -1), (1, 0)
+]
 
 
 class TestTransferApply:
@@ -100,13 +110,19 @@ class TestTransferApply:
         out = k.apply(probs)
         assert abs(out.sum() - 1.0) < 1e-12 and out.min() >= 0.0
 
-    @pytest.mark.parametrize("rule, dims", [(STAV, (12,)), (NEC, (3, 4))])
+    @pytest.mark.parametrize(
+        "rule, dims",
+        [(STAV, (12,)), (NEC, (3, 4))]
+        + [(random_rule(random.Random(seed), max_R, 2), dims) for (seed, max_R), dims in DRAWN],
+    )
     def test_sweep_matches_brute_force(self, rule, dims):
         # signed vectors, one at a time and as a (B, 2^N) batch; distinct
         # kernel entries tell the neighbor slots apart, and nec 3x4 has a
         # two-dimensional wrap-around front
+        assert rule.dimension == len(dims)
         rng = np.random.default_rng(6)
         p_plus = rng.uniform(0.05, 0.95, size=1 << rule.size)
+        assert len(set(p_plus)) == len(p_plus)
         k = ExactKernel(rule, table_noise(p_plus), dims)
         assert k.dense_matrix() is None
         vecs = rng.normal(size=(3, k.n_states))
@@ -133,15 +149,52 @@ class TestTransferApply:
 
     def test_sweep_byte_cap(self):
         # nec 4x6 has 24 sites, but its wrapped front makes the widest sweep
-        # tensor 2^31 doubles (16 GiB): refused before anything that size exists
-        with pytest.raises(ResourceLimitError, match="site sweep"):
-            ExactKernel(NEC, symmetric_noise(0.1), (4, 6))
+        # tensor 2^31 doubles (16 GiB): refused before anything that size
+        # exists, as are 3x7 and 3x8; 4x5 needs exactly the cap and is kept
+        for dims in [(4, 6), (3, 7), (3, 8)]:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError, match="site sweep"):
+                    ExactKernel(NEC, symmetric_noise(0.1), dims)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+        assert ExactKernel(NEC, symmetric_noise(0.1), (4, 5))._sweep_bytes == oracle.MAX_SWEEP_BYTES
+
+    @pytest.mark.parametrize("rule, dims", [(STAV, (14,)), (NEC, (3, 4))])
+    def test_sweep_apply_peak(self, rule, dims):
+        # a step holds its input and its output and nothing else of their size
+        k = ExactKernel(rule, symmetric_noise(0.1), dims)
+        vec = np.full(k.n_states, 1.0 / k.n_states)
+        tracemalloc.start()
+        try:
+            k.apply(vec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= k._sweep_bytes + (1 << 20)
+
+    def test_second_apply_builds_no_step_matrices(self, monkeypatch):
+        k = ExactKernel(NEC, symmetric_noise(0.1), (3, 4))
+        vec = np.full(k.n_states, 1.0 / k.n_states)
+        matrices = [st.matrix for st in k._sweep_steps]
+        first = k.apply(vec)
+
+        def rebuild(*args):
+            raise AssertionError("step matrices rebuilt")
+
+        monkeypatch.setattr(oracle, "_sweep_plan", rebuild)
+        monkeypatch.setattr(oracle, "_sweep_step", rebuild)
+        assert np.array_equal(k.apply(vec), first)
+        assert all(a is st.matrix for a, st in zip(matrices, k._sweep_steps))
 
     def test_sweep_byte_cap_counts_the_input(self, monkeypatch):
-        # a step's einsum input is alive beside its output, so a cap that
-        # only the widest output would fit under refuses the torus
-        steps, _ = oracle._sweep_plan(engine.neighbor_table(STAV, (12,)))
-        monkeypatch.setattr(oracle, "MAX_SWEEP_BYTES", 8 << max(len(out) - 1 for *_, out in steps))
+        # a step's input is alive beside its output, so a cap that only the
+        # widest output would fit under refuses the torus
+        kern = engine.kernel_plus(symmetric_noise(0.1), STAV)
+        steps, _ = oracle._sweep_plan(engine.neighbor_table(STAV, (12,)), kern)
+        monkeypatch.setattr(oracle, "MAX_SWEEP_BYTES", 8 * max(st.out_size for st in steps))
         with pytest.raises(ResourceLimitError, match="site sweep"):
             ExactKernel(STAV, symmetric_noise(0.1), (12,))
 
