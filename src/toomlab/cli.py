@@ -363,18 +363,21 @@ def cmd_simulate(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple
 
 
 def cmd_exact(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[int, dict]:
+    if cfg["tv_steps"] < 0 or cfg["max_iter"] < 1:
+        raise ConfigError("exact needs tv_steps >= 0 and max_iter >= 1")
     rule = rules.load_rule(cfg["rule"])
     dims = tuple(cfg["dims"])
     noise = cfg["noise"]
     kernel = oracle.ExactKernel(rule, noise, dims)
+    window = cfg["window"]
+    if window is None:
+        window = [[0] * rule.dimension]
+    window = oracle.window_sites(window, kernel.dims)  # refused before the solve
     pi = oracle.stationary_distribution(
         rule, noise, dims,
         tol=cfg["tol"], max_iter=cfg["max_iter"], allow_absorbing=cfg["allow_absorbing"],
         kernel=kernel,
     )
-    window = cfg["window"]
-    if window is None:
-        window = [[0] * rule.dimension]
     marginal = oracle.window_marginal(pi, window)
     # stop the curve above the accuracy of pi itself, else it saturates
     curve = oracle.tv_curve(
@@ -388,7 +391,7 @@ def cmd_exact(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
     lhs = oracle.cylinder_expectation(oracle.transfer_apply(pi, kernel), f)
     rhs = oracle.cylinder_expectation(pi, oracle.dual_apply(f, rule, noise, dims))
     payload = {
-        "window": [list(s) if not isinstance(s, int) else [s] for s in window],
+        "window": [list(s) for s in window],
         "stationary_marginal": [float(p) for p in marginal],
         "tv_curve": [float(x) for x in curve],
         "fitted_rate": _json_float(fit.rate),

@@ -7,19 +7,20 @@ noisy synchronous update maps such a vector through the product kernel
 
     out(xi) = sum_omega dist(omega) * prod_x p(xi_x | omega_{x+U}).
 
-Up to 11 sites the full 2^N x 2^N matrix is built once and applied by a
-matmul.  Beyond that the kernel is contracted one target site at a time,
-summing out each source spin right after its last use (a moving front, as
-in row transfer matrices): O(N * 2^(N+w)) work for a front of w wrapped
-source spins.  Each step is one BLAS matmul of strided views of its input
-against a small matrix built with the plan, written straight into the
-step's output, so no step makes a transposed copy: 0.15-0.21 ms per
-application at N = 12 and 0.5-0.75 ms at N = 14 on a ring, 3.2-3.5 ms on
-a 3 x 4 nec torus (2-core machine).  A torus is refused when one sweep
-step's input and output together exceed MAX_SWEEP_BYTES.  The functions
-that push distributions forward (`transfer_apply`, `tv_curve`, and
+The kernel is contracted one target site at a time, summing out each
+source spin right after its last use (a moving front, as in row transfer
+matrices): O(N * 2^(N+w)) work for a front of w wrapped source spins.  Each
+step is one BLAS matmul of strided views of its input against a small
+matrix built with the plan, the steps alternating between two buffers,
+so no step makes a transposed copy: 0.15-0.21 ms per application at
+N = 12 and 0.5-0.75 ms at N = 14 on a ring, 3.2-3.5 ms on a 3 x 4 nec
+torus (2-core machine).  A torus is refused when one sweep step's input and
+output together exceed MAX_SWEEP_BYTES.  The functions that push
+distributions forward (`transfer_apply`, `tv_curve`, and
 `stationary_distribution` when given one) take an `ExactKernel`, so a
-caller builds one kernel, with its matrix or sweep plan, for all of them.
+caller builds one kernel, with its sweep plan, for all of them.  Up to 11
+sites the stationary solvers and `tv_curve` run on translation orbits (see
+`_Space`): 64 of them on a 3 x 3 torus, 188 on an 11-ring.
 
 On top of the kernel: stationary distributions (restarted GMRES whenever
 the invariant law is provably unique, otherwise exact cycle averaging for
@@ -41,13 +42,13 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .engine import LatticeState, NoiseModel, influence_radius, kernel_plus, neighbor_table
-from .errors import NumericalError, ResourceLimitError
+from .errors import ConfigError, NumericalError, ResourceLimitError
 from .rules import RuleSpec
 
 logger = logging.getLogger(__name__)
 
 MAX_EXACT_SITES = 24
-MAX_DENSE_SITES = 11  # largest torus whose transition matrix is built
+MAX_ORBIT_SITES = 11  # largest torus solved and traced on translation orbits
 MAX_SWEEP_BYTES = 1 << 30  # largest sweep-step input + output, per vector
 MAX_WINDOW = 20
 CESARO_AFTER = 10**4  # power iterations before Cesaro averages are tried
@@ -125,7 +126,7 @@ def uniform_distribution(dims: Sequence[int]) -> StateDistribution:
 
 
 class ExactKernel:
-    """Dense action of one noisy synchronous update on state vectors."""
+    """Action of one noisy synchronous update on state vectors."""
 
     def __init__(self, rule: RuleSpec, noise: NoiseModel, dims: Sequence[int]):
         self.dims = tuple(int(L) for L in dims)
@@ -137,9 +138,9 @@ class ExactKernel:
         self.nbr = neighbor_table(rule, self.dims)
         self.kern = kernel_plus(noise, rule)
         self.n_states = 1 << self.n_sites
-        self._dense: Optional[np.ndarray] = None
         self._sweep_steps: Optional[list[_SweepStep]] = None
-        if self.n_sites > MAX_DENSE_SITES:
+        self._orbits: Optional[_Space] = None
+        if self.n_sites > MAX_ORBIT_SITES:
             self._sweep()  # refuses an oversize torus before anything is allocated
 
     def plus_probs(self, states: np.ndarray) -> np.ndarray:
@@ -149,43 +150,28 @@ class ExactKernel:
             local |= ((states[:, None] >> src) & np.uint64(1)) << np.uint64(i)
         return self.kern[local]
 
-    def dense_matrix(self) -> Optional[np.ndarray]:
-        """Full (source, target) transition matrix, cached for N <= 11 sites."""
-        if self._dense is None and self.n_sites <= MAX_DENSE_SITES:
-            states = np.arange(self.n_states, dtype=np.uint64)
-            self._dense = _expand_products(self.plus_probs(states))
-        return self._dense
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Linear kernel application to a signed vector or a (B, 2^N) batch.
 
-        No normalization.  Above the dense-matrix size the product kernel is
-        contracted site by site (see `_sweep_plan`): each step is one
-        broadcast matmul of strided views of its input against the step's
-        matrix, written with out= into a fresh output, so a step holds only
-        its input and its output.
+        No normalization.  The product kernel is contracted site by site
+        (see `_sweep_plan`): each step is one broadcast matmul of strided
+        views of its input against the step's matrix, written with out=,
+        through two buffers: a single vector's, with their views, are built
+        with the plan, a batch's per call.  The result is copied out, so it
+        never aliases a buffer.
         """
         vec = np.asarray(vec, dtype=np.float64)
-        dense = self.dense_matrix()
-        if dense is not None:
-            return vec @ dense
         steps = self._sweep()
         batch = vec.size >> self.n_sites
         self._check_sweep(batch)
-        cur = np.ascontiguousarray(vec)
-        for st in steps:
-            out = np.empty(batch * st.out_size)
-            np.matmul(
-                np.ndarray((batch,) + st.in_shape, np.float64, cur, 0,
-                           (8 * st.in_size,) + st.in_strides),
-                st.matrix,
-                out=np.ndarray((batch,) + st.out_shape, np.float64, out, 0,
-                               (8 * st.out_size,) + st.out_strides),
-            )
-            cur = out
+        bufs, views = (self._buffers, self._views) if batch == 1 else self._views_on(batch)
+        np.copyto(bufs[1][: vec.size], vec.reshape(-1))
+        for st, (src, dst) in zip(steps, views):
+            np.matmul(src, st.matrix, out=dst)
+        cur = bufs[(len(steps) - 1) % 2][: vec.size]
         if self._sweep_order is not None:
             cur = cur.reshape((batch,) + (2,) * self.n_sites).transpose(self._sweep_order)
-        return cur.reshape(vec.shape)
+        return np.array(cur).reshape(vec.shape)
 
     def _sweep(self) -> list[_SweepStep]:
         """The site-sweep plan, built on first use and checked against the byte cap."""
@@ -195,7 +181,20 @@ class ExactKernel:
             self._sweep_bytes = max(8 * (st.in_size + st.out_size) for st in steps)
             self._check_sweep(1)
             self._sweep_steps, self._sweep_order = steps, order
+            self._buffers, self._views = self._views_on(1)
         return self._sweep_steps
+
+    def _views_on(self, batch: int) -> tuple[list[np.ndarray], list[tuple[np.ndarray, ...]]]:
+        """Two buffers for batch vectors; step i reads buffer (i + 1) % 2, writes i % 2."""
+        steps = self._sweep_steps
+        bufs = [np.empty(batch * max(st.out_size for st in steps[0::2])),
+                np.empty(batch * max([self.n_states] + [st.out_size for st in steps[1::2]]))]
+        return bufs, [(
+            np.ndarray((batch,) + st.in_shape, np.float64, bufs[(i + 1) % 2], 0,
+                       (8 * st.in_size,) + st.in_strides),
+            np.ndarray((batch,) + st.out_shape, np.float64, bufs[i % 2], 0,
+                       (8 * st.out_size,) + st.out_strides),
+        ) for i, st in enumerate(steps)]
 
     def _check_sweep(self, batch: int) -> None:
         if batch * self._sweep_bytes > MAX_SWEEP_BYTES:
@@ -424,29 +423,101 @@ class StationaryLaw(StateDistribution):
     residual: float
 
 
-def _residual(kernel: ExactKernel, pi: np.ndarray) -> float:
+class _Space:
+    """Coordinates the stationary solvers and `tv_curve` iterate in.
+
+    Up to MAX_ORBIT_SITES the chain, as translation-invariant as every start
+    it is given, is lumped onto torus-translation orbits (Kemeny and Snell,
+    1960): a vector holds the common probability of each orbit's states,
+    `apply` is the orbit matrix A[O, k] = sum over s in O of T(s, rep_k), and
+    sums, inner products and TV distances are weighted by orbit size, so they
+    equal their full-space values.  Otherwise it is the 2^N space, unweighted.
+    """
+
+    def __init__(self, kernel, orbits: Optional[tuple] = None):
+        self.kernel = kernel
+        # orbit matrix, orbit of every state, least state of every orbit, orbit sizes
+        self.matrix, self.index, self.reps, self.weights = orbits or (None,) * 4
+        self.size = kernel.n_states if orbits is None else len(self.reps)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.kernel.apply(x) if self.matrix is None else x @ self.matrix
+
+    def total(self, x: np.ndarray) -> float:
+        return float(x.sum() if self.weights is None else self.weights @ x)
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        return float(a @ b if self.weights is None else (a * self.weights) @ b)
+
+    def tv(self, a: np.ndarray, b: np.ndarray) -> float:
+        return 0.5 * self.total(np.abs(a - b))
+
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        return x if self.index is None else x[self.index]
+
+    def law(self, x: np.ndarray, solver: str, iterations: int, residual: float) -> StationaryLaw:
+        return StationaryLaw(dims=self.kernel.dims, probs=self.lift(x), solver=solver,
+                             iterations=iterations, residual=residual)
+
+
+def _space(kernel) -> _Space:
+    """The space kernel's chain is solved and traced in, built once per kernel."""
+    if not isinstance(kernel, ExactKernel) or kernel.n_sites > MAX_ORBIT_SITES:
+        return _Space(kernel)
+    if kernel._orbits is None:
+        kernel._orbits = _orbit_space(kernel)
+    return kernel._orbits
+
+
+def _orbit_space(kernel: ExactKernel) -> _Space:
+    """The translation orbits of a small torus, each named by its least code."""
+    dims, n = kernel.dims, kernel.n_sites
+    codes = np.arange(kernel.n_states)
+    bits = (codes[:, None] >> np.arange(n)) & 1
+    least = codes
+    for axis, size in enumerate(dims):
+        # every code moved one site along the axis, a table composed size - 1 times
+        moved = np.roll(bits.reshape((-1,) + dims), 1, axis=axis + 1).reshape(-1, n) @ (1 << np.arange(n))
+        image, best = codes, least
+        for _ in range(size - 1):
+            image = moved[image]
+            best = np.minimum(best, least[image])
+        least = best
+    reps, index = np.unique(least, return_inverse=True)
+    sizes = np.bincount(index)
+    # sources sorted by orbit, so that each orbit is one run of columns
+    probs = kernel.plus_probs(np.argsort(index, kind="stable").astype(np.uint64)).T
+    factors = np.stack([1.0 - probs, probs], axis=1)  # site, its spin in rep_k, source
+    t = np.ones((len(reps), kernel.n_states))  # T(s, rep_k) as row k
+    for x in range(n):
+        t *= factors[x][(reps >> x) & 1]
+    matrix = np.add.reduceat(t, np.cumsum(sizes) - sizes, axis=1).T
+    return _Space(kernel, (matrix, index, reps, sizes.astype(np.float64)))
+
+
+def _residual(space: _Space, pi: np.ndarray) -> float:
     """TV(T pi, pi), with T pi renormalized."""
-    t_pi = kernel.apply(pi)
-    return 0.5 * float(np.abs(t_pi / t_pi.sum() - pi).sum())
+    t_pi = space.apply(pi)
+    return space.tv(t_pi / space.total(t_pi), pi)
 
 
 def _unique_law_provable(kernel: ExactKernel) -> bool:
     """Whether the chain provably has exactly one invariant law.
 
     So it has when the kernel is strictly positive, and, up to
-    MAX_DENSE_SITES, when all-minus or all-plus is reachable from every
+    MAX_ORBIT_SITES, when all-minus or all-plus is reachable from every
     state: such a state lies in every closed class, so there is only one.
-    Reachability is a backward search on the support of the transition
-    matrix.
+    Reachability is a backward search on the support of the orbit matrix,
+    where both are singleton orbits, the first and the last.
     """
     if _strictly_positive(kernel):
         return True
-    dense = kernel.dense_matrix()
-    if dense is None:
+    matrix = _space(kernel).matrix
+    if matrix is None:
         return False
-    support = dense > 0.0
-    for target in (0, len(dense) - 1):
-        reached = np.zeros(len(dense), dtype=bool)
+    support = matrix > 0.0
+    for target in (0, len(support) - 1):
+        reached = np.zeros(len(support), dtype=bool)
         reached[target] = True
         frontier = reached.copy()
         while frontier.any():
@@ -470,8 +541,9 @@ def _krylov_solve(kernel: ExactKernel, tol: float, max_iter: int) -> StationaryL
     verified TV residual still has to fall, with a margin of 2, or the
     basis is full; the triangular system is solved by back-substitution.
     """
-    n = kernel.n_states
-    w = 1.0 / n
+    space = _space(kernel)
+    n = space.size
+    w = 1.0 / kernel.n_states
     m = min(KRYLOV_RESTART, MAX_BASIS_BYTES // (8 * n) - 1)
     basis = np.empty((m + 1, n))
     hess = np.empty((m + 1, m))
@@ -481,15 +553,13 @@ def _krylov_solve(kernel: ExactKernel, tol: float, max_iter: int) -> StationaryL
     applies = 0
     best = math.inf
     while True:
-        t_pi = kernel.apply(pi)
+        t_pi = space.apply(pi)
         applies += 1
-        resid = 0.5 * float(np.abs(t_pi / t_pi.sum() - pi).sum())
+        resid = space.tv(t_pi / space.total(t_pi), pi)
         if resid < tol:
-            return StationaryLaw(
-                dims=kernel.dims, probs=pi, solver="krylov", iterations=applies, residual=resid
-            )
+            return space.law(pi, "krylov", applies, resid)
         r = t_pi - pi
-        beta = math.sqrt(float(r @ r))
+        beta = math.sqrt(space.dot(r, r))
         # a cycle that does not lower the residual norm has reached the
         # roundoff floor, and beta = 0 leaves no direction to search
         if not 0.0 < beta < best or applies >= max_iter:
@@ -504,12 +574,12 @@ def _krylov_solve(kernel: ExactKernel, tol: float, max_iter: int) -> StationaryL
         k = 0
         while k < m and applies < max_iter:
             v = basis[k]
-            u = v - kernel.apply(v) + v.sum() * w
+            u = v - space.apply(v) + space.total(v) * w
             applies += 1
             for i in range(k + 1):
-                hess[i, k] = basis[i] @ u
+                hess[i, k] = space.dot(basis[i], u)
                 u -= hess[i, k] * basis[i]
-            norm = math.sqrt(float(u @ u))
+            norm = math.sqrt(space.dot(u, u))
             for i in range(k):
                 a, b = hess[i, k], hess[i + 1, k]
                 hess[i, k], hess[i + 1, k] = cos[i] * a + sin[i] * b, cos[i] * b - sin[i] * a
@@ -527,10 +597,10 @@ def _krylov_solve(kernel: ExactKernel, tol: float, max_iter: int) -> StationaryL
         for i in range(k - 1, -1, -1):
             y[i] = (g[i] - hess[i, i + 1 : k] @ y[i + 1 :]) / hess[i, i]
         x = np.clip(pi + y @ basis[:k], 0.0, None)
-        pi = x / x.sum()
+        pi = x / space.total(x)
 
 
-def _cycle_average(kernel: ExactKernel, start: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
+def _cycle_average(space: _Space, start: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
     """Exact invariant vector of a deterministic kernel by cycle detection.
 
     Pushforwards of a deterministic map repeat exactly in float arithmetic;
@@ -548,10 +618,10 @@ def _cycle_average(kernel: ExactKernel, start: np.ndarray, max_iter: int) -> tup
         if sig in seen:
             cycle = trail[seen[sig] :]
             avg = np.mean(cycle, axis=0)
-            return avg / avg.sum(), len(trail)
+            return avg / space.total(avg), len(trail)
         seen[sig] = len(trail)
         trail.append(cur)
-        cur = kernel.apply(cur)
+        cur = space.apply(cur)
     raise NumericalError("deterministic pushforward did not cycle within the cap")
 
 
@@ -599,17 +669,16 @@ def stationary_distribution(
         )
     if _unique_law_provable(kernel):
         return _krylov_solve(kernel, tol, max_iter)
-    cur = uniform_distribution(kernel.dims).probs.copy()
+    space = _space(kernel)
+    cur = np.full(space.size, 1.0 / kernel.n_states)  # the uniform law
 
     deterministic = bool(((kernel.kern == 0.0) | (kernel.kern == 1.0)).all())
     if deterministic:
-        pi, steps = _cycle_average(kernel, cur, max_iter)
-        resid = _residual(kernel, pi)
+        pi, steps = _cycle_average(space, cur, max_iter)
+        resid = _residual(space, pi)
         if resid >= tol:
             raise NumericalError(f"cycle average residual {resid:.3e} above tol")
-        return StationaryLaw(
-            dims=kernel.dims, probs=pi, solver="cycle", iterations=steps, residual=resid
-        )
+        return space.law(pi, "cycle", steps, resid)
 
     check_every = 8
     window = 500
@@ -619,17 +688,14 @@ def stationary_distribution(
     avg_count = 0
     last_tv = math.inf
     for it in range(1, max_iter + 1):
-        nxt = kernel.apply(cur)
-        nxt /= nxt.sum()
+        nxt = space.apply(cur)
+        nxt /= space.total(nxt)
         if it % check_every == 0 or it < 64:
-            last_tv = 0.5 * float(np.abs(nxt - cur).sum())
+            last_tv = space.tv(nxt, cur)
             if last_tv < tol:
                 # TV(T x, x) only shrinks under further applications of T,
                 # so the freshly advanced iterate inherits the certificate.
-                return StationaryLaw(
-                    dims=kernel.dims, probs=nxt, solver="power", iterations=it,
-                    residual=last_tv,
-                )
+                return space.law(nxt, "power", it, last_tv)
         if it % window == 0:
             stalled = stalled or last_tv > 0.999 * tv_at_window
             tv_at_window = last_tv
@@ -637,13 +703,10 @@ def stationary_distribution(
             avg_count += 1
             avg = nxt.copy() if avg is None else avg + (nxt - avg) / avg_count
             if avg_count % 100 == 0:
-                cand = avg / avg.sum()
-                resid = _residual(kernel, cand)
+                cand = avg / space.total(avg)
+                resid = _residual(space, cand)
                 if resid < tol:
-                    return StationaryLaw(
-                        dims=kernel.dims, probs=cand, solver="cesaro", iterations=it,
-                        residual=resid,
-                    )
+                    return space.law(cand, "cesaro", it, resid)
         cur = nxt
     raise NumericalError(
         f"power iteration did not reach tol {tol} in {max_iter} steps "
@@ -655,13 +718,15 @@ def tv_curve(
     kernel: ExactKernel, reference: StateDistribution, n_max: int = 200, floor: float = 1e-13
 ) -> list[float]:
     """TV(T^n delta_plus, reference) for n = 0..n_max, stopping once below floor."""
-    cur = delta_plus(kernel.dims).probs.copy()
+    space = _space(kernel)
+    cur = np.zeros(space.size)
+    cur[-1] = 1.0  # all-plus, the last state and the last (singleton) orbit
     ref = reference.probs
-    curve = [0.5 * float(np.abs(cur - ref).sum())]
+    curve = [0.5 * float(np.abs(space.lift(cur) - ref).sum())]
     for _ in range(n_max):
-        cur = kernel.apply(cur)
-        cur /= cur.sum()
-        curve.append(0.5 * float(np.abs(cur - ref).sum()))
+        cur = space.apply(cur)
+        cur /= space.total(cur)
+        curve.append(0.5 * float(np.abs(space.lift(cur) - ref).sum()))
         if curve[-1] < floor:
             break
     return curve
@@ -773,9 +838,19 @@ def dual_apply(
     return CylinderFunction(window=tuple(src_sites), table=table)
 
 
+def window_sites(window: Sequence[Sitelike], dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The window's sites, refused when over MAX_WINDOW or coinciding on the torus."""
+    if len(window) > MAX_WINDOW:
+        raise ResourceLimitError(f"window of {len(window)} sites exceeds the cap {MAX_WINDOW}")
+    sites = tuple(_site_tuple(s, len(dims)) for s in window)
+    if len({_flat_index(s, dims) for s in sites}) != len(sites):
+        raise ConfigError(f"window sites {list(sites)} are not distinct on torus {dims}")
+    return sites
+
+
 def window_marginal(dist: StateDistribution, window: Sequence[Sitelike]) -> np.ndarray:
     """Exact marginal law of the window bits, indexed little-endian."""
-    sites = tuple(_site_tuple(s, len(dist.dims)) for s in window)
+    sites = window_sites(window, dist.dims)
     codes = _window_codes(sites, dist.dims)
     out = np.zeros(1 << len(sites))
     np.add.at(out, codes, dist.probs)

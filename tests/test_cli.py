@@ -236,6 +236,21 @@ class TestExact:
         assert code == 1
         assert "allow_absorbing" in json.loads(capsys.readouterr().out)["error"]["message"]
 
+    def test_eleven_sites_hold_no_transition_matrix(self, tmp_path):
+        # the 2^11 x 2^11 transition matrix alone is 32 MiB; the orbit route
+        # holds a 188 x 188 matrix and 188 x 2^11 work arrays
+        tracemalloc.start()
+        try:
+            code, out = run(
+                tmp_path, "exact",
+                {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1}, "dims": [11]},
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and read_json(out / "exact_report.json")["stationary_solver"] == "krylov"
+        assert peak < 8 << 20
+
     def test_oversize_sweep_fails_as_json(self, tmp_path, capsys):
         code, out = run(
             tmp_path, "exact",
@@ -395,6 +410,28 @@ class TestStrictInputs:
         assert code == 1 and error_type(capsys) == "ConfigError"
         assert not (out / "divergence_report.json").exists()
 
+    EXACT = {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1}, "dims": [6],
+             "tv_steps": 5}
+
+    @pytest.mark.parametrize("fields, error", [
+        ({"window": [[0], [6]]}, "ConfigError"),  # site 6 wraps onto site 0
+        ({"window": [[i] for i in range(21)]}, "ResourceLimitError"),  # over MAX_WINDOW
+        ({"window": [[i] for i in range(45)]}, "ResourceLimitError"),
+        ({"tv_steps": -3}, "ConfigError"),
+        ({"max_iter": 0}, "ConfigError"),
+    ], ids=["wrapped-duplicate", "window-21", "window-45", "negative-tv-steps", "zero-max-iter"])
+    def test_bad_exact_input_rejected(self, tmp_path, capsys, fields, error):
+        # refused before anything window-sized (2^21 doubles is 16 MiB) exists
+        tracemalloc.start()
+        try:
+            code, out = run(tmp_path, "exact", dict(self.EXACT, **fields))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and error_type(capsys) == error
+        assert peak < 1 << 20
+        assert not (out / "exact_report.json").exists()
+
     def test_empty_eps_grid_rejected(self, tmp_path, capsys):
         code, out = run(
             tmp_path, "scan", {"rule": "stavskaya", "eps_grid": [], "dims": [16], "steps": 3},
@@ -439,7 +476,7 @@ class TestOneTrajectoryPerCommand:
 
     def test_exact_builds_one_kernel(self, tmp_path, monkeypatch):
         # the stationary solve, the TV curve and the duality check share one
-        # kernel, so the dense matrix is built once
+        # kernel, so the orbit matrix is built once
         built = []
 
         class Counted(cli.oracle.ExactKernel):

@@ -83,30 +83,28 @@ class TestTransferApply:
         out = transfer_apply(dist, k)
         assert abs(out.probs.sum() - 1.0) <= 1e-12
 
-    def test_chunked_matches_dense(self):
-        # force the big-system chunked path on a small system and compare
-        # with the cached-dense-matrix path
+    def test_small_ring_sweep_matches_brute_force(self):
+        # the site sweep is the full-space apply at every size
         rng = np.random.default_rng(4)
         probs = rng.random(2**8)
         probs /= probs.sum()
         noise = symmetric_noise(0.1)
-        dense_out = ExactKernel(STAV, noise, (8,)).apply(probs)
-        forced = ExactKernel(STAV, noise, (8,))
-        forced.dense_matrix = lambda: None
-        chunked_out = forced.apply(probs)
-        assert np.allclose(dense_out, chunked_out, atol=1e-15)
+        want = brute_force_transfer(STAV, engine.kernel_plus(noise, STAV), (8,), probs)[0]
+        assert np.allclose(ExactKernel(STAV, noise, (8,)).apply(probs), want, atol=1e-15)
 
-    def test_dense_route_builds_no_sweep_plan(self):
-        k = ExactKernel(STAV, symmetric_noise(0.1), (8,))
-        k.apply(np.full(k.n_states, 1.0 / k.n_states))
-        assert k._sweep_steps is None
+    def test_orbit_route_builds_no_sweep_plan(self):
+        # up to 11 sites, solving and tracing run on the orbit matrix alone
+        noise = symmetric_noise(0.1)
+        for rule, dims in [(STAV, (11,)), (NEC, (3, 3))]:
+            k = ExactKernel(rule, noise, dims)
+            tv_curve(k, stationary_distribution(rule, noise, dims, kernel=k), n_max=20)
+            assert k._sweep_steps is None
 
     def test_large_system_mass_preserved(self):
         rng = np.random.default_rng(5)
         probs = rng.random(2**12)
         probs /= probs.sum()
         k = ExactKernel(STAV, symmetric_noise(0.1), (12,))
-        assert k.dense_matrix() is None
         out = k.apply(probs)
         assert abs(out.sum() - 1.0) < 1e-12 and out.min() >= 0.0
 
@@ -124,7 +122,6 @@ class TestTransferApply:
         p_plus = rng.uniform(0.05, 0.95, size=1 << rule.size)
         assert len(set(p_plus)) == len(p_plus)
         k = ExactKernel(rule, table_noise(p_plus), dims)
-        assert k.dense_matrix() is None
         vecs = rng.normal(size=(3, k.n_states))
         vecs /= np.abs(vecs).sum(axis=1, keepdims=True)
         want = brute_force_transfer(rule, p_plus, dims, vecs)
@@ -132,6 +129,19 @@ class TestTransferApply:
         assert got.shape == vecs.shape
         assert np.abs(got - want).max() < 1e-15
         assert np.abs(k.apply(vecs[1]) - want[1]).max() < 1e-15
+
+    @pytest.mark.parametrize("rule, dims", [(STAV, (12,)), (NEC, (3, 3)), (NEC, (3, 4))])
+    def test_apply_never_returns_a_buffer(self, rule, dims):
+        # single-vector applies write through the plan's two buffers; each
+        # result is a fresh array, bit-equal to its row of a batch apply
+        k = ExactKernel(rule, symmetric_noise(0.1), dims)
+        vecs = np.random.default_rng(8).random((2, k.n_states))
+        first = k.apply(vecs[0])
+        kept = first.copy()
+        second = k.apply(vecs[1])
+        assert np.array_equal(first, kept)
+        assert not any(np.shares_memory(out, buf) for out in (first, second) for buf in k._buffers)
+        assert np.array_equal(np.stack([first, second]), k.apply(vecs))
 
     def test_site_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -211,6 +221,74 @@ class TestTransferApply:
             k.apply(vecs)
 
 
+# (seed, max_R) draws of random_rule(max_d=2) for the orbit matrix, with a torus
+ORBIT_DRAWN = [
+    ((4, 4), (11,)),  # offsets -2, -1, 1
+    ((6, 4), (7,)),  # offsets -2, -1, 0, 2
+    ((2, 1), (10,)),  # the lone offset -2
+    ((25, 4), (3, 3)),  # the lone offset (-1, 0)
+    ((347, 4), (3, 3)),  # (-1, -1), (-1, 1), (0, 0), (0, 1)
+]
+
+CESARO_RULE = RuleSpec(dimension=1, neighborhood=((-1,), (1,)), table=[0, 0, 0, 1])
+
+
+class TestOrbits:
+    @pytest.mark.parametrize(
+        "rule, dims",
+        [(STAV, (6,)), (STAV, (11,)), (NEC, (3, 3))]
+        + [(random_rule(random.Random(seed), max_R, 2), dims) for (seed, max_R), dims in ORBIT_DRAWN],
+    )
+    def test_orbit_matrix_matches_brute_force(self, rule, dims):
+        # lift(xi) T, read at the representatives, is xi A; distinct kernel
+        # entries tell the neighbor slots apart
+        rng = np.random.default_rng(7)
+        p_plus = rng.uniform(0.05, 0.95, size=1 << rule.size)
+        k = ExactKernel(rule, table_noise(p_plus), dims)
+        space = oracle._space(k)
+        assert space.weights.sum() == k.n_states
+        assert (space.reps[0], space.reps[-1]) == (0, k.n_states - 1)
+        assert space.weights[0] == space.weights[-1] == 1.0
+        xi = rng.random(space.size)
+        xi /= space.total(xi)
+        want = brute_force_transfer(rule, p_plus, dims, space.lift(xi))[0][space.reps]
+        assert np.abs(xi @ space.matrix - want).max() < 1e-15
+
+    @pytest.mark.parametrize("rule, dims, orbits", [
+        (STAV, (6,), 14), (STAV, (8,), 36), (NEC, (3, 3), 64), (STAV, (11,), 188),
+    ])
+    def test_orbit_counts(self, rule, dims, orbits):
+        k = ExactKernel(rule, symmetric_noise(0.1), dims)
+        assert oracle._space(k).size == orbits
+
+    @pytest.mark.parametrize("rule, noise, dims, kwargs, solver, bound", [
+        # the absorbing chain's spectral gap is 2e-5, so TV residuals at the
+        # roundoff floor (1e-15) leave laws that differ by up to ~1e-15 / gap
+        (STAV, biased_noise(0.12, 0.0), (6,), dict(tol=1e-10, allow_absorbing=True), "krylov",
+         1e-11),
+        (NEC, symmetric_noise(0.1), (3, 3), dict(tol=1e-11), "krylov", 1e-12),
+        (CESARO_RULE, table_noise([1.0, 0.0, 0.5, 0.0]), (4,),
+         dict(tol=1e-10, allow_absorbing=True), "cesaro", 1e-12),
+        (STAV, symmetric_noise(0.0), (6,), dict(allow_absorbing=True), "cycle", 1e-12),
+    ])
+    def test_orbit_route_matches_full_space(self, monkeypatch, rule, noise, dims, kwargs, solver,
+                                            bound):
+        pi = stationary_distribution(rule, noise, dims, **kwargs)
+        curve = tv_curve(ExactKernel(rule, noise, dims), pi, n_max=30)
+        # the full space keeps the orbit route's uniqueness verdict, which it
+        # cannot prove by itself
+        provable = oracle._unique_law_provable(ExactKernel(rule, noise, dims))
+        monkeypatch.setattr(oracle, "MAX_ORBIT_SITES", 0)
+        monkeypatch.setattr(oracle, "_unique_law_provable", lambda k: provable)
+        full = stationary_distribution(rule, noise, dims, **kwargs)
+        assert pi.solver == full.solver == solver
+        assert pi.iterations == full.iterations
+        assert tv_distance(pi, full) < bound
+        full_curve = tv_curve(ExactKernel(rule, noise, dims), pi, n_max=30)
+        assert len(curve) == len(full_curve)
+        assert np.abs(np.subtract(curve, full_curve)).max() < bound
+
+
 class TestStationary:
     @pytest.mark.filterwarnings("error")
     def test_half_noise_uniform(self):
@@ -277,11 +355,14 @@ class TestStationary:
         pi = stationary_distribution(NEC, symmetric_noise(0.02), (3, 4), tol=1e-10)
         assert pi.solver == "krylov" and pi.iterations <= 60 and pi.residual < 1e-10
 
-    def test_reuses_the_given_kernel(self):
+    def test_reuses_the_given_kernel(self, monkeypatch):
+        built = []
+        build = oracle._orbit_space
+        monkeypatch.setattr(oracle, "_orbit_space", lambda k: built.append(k) or build(k))
         k = ExactKernel(STAV, symmetric_noise(0.1), (8,))
-        dense = k.dense_matrix()
         pi = stationary_distribution(STAV, symmetric_noise(0.1), (8,), tol=1e-12, kernel=k)
-        assert k.dense_matrix() is dense
+        tv_curve(k, pi, n_max=5)
+        assert built == [k]
         want = stationary_distribution(STAV, symmetric_noise(0.1), (8,), tol=1e-12)
         assert np.array_equal(pi.probs, want.probs)
 
