@@ -62,13 +62,13 @@ class BoundParams:
     def __post_init__(self) -> None:
         if self.R < 1 or self.q < 1 or not float(self.r) > 0:
             raise ValueError("need R >= 1, q >= 1, r > 0")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("alpha must be nonnegative")
         for name in ("eps", "eps_prime"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.K < 0:
+        if not self.K >= 0:
             raise ValueError("K must be nonnegative")
         tilde = max(self.eps, self.eps_prime)
         B = edge_type_count(self.q, self.R)

@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import datetime
 import json
+import math
 import os
 import sys
 import tempfile
@@ -66,7 +67,11 @@ def _coerce(value: Any, kind: str, name: str) -> Any:
         if kind == "float":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError("expected number")
-            return float(value)
+            value = float(value)
+            # json reads NaN and Infinity, which no artifact may carry
+            if not math.isfinite(value):
+                raise ValueError(f"expected a finite number, got {value}")
+            return value
         if kind == "bool":
             if not isinstance(value, bool):
                 raise ValueError("expected boolean")

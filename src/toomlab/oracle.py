@@ -19,17 +19,16 @@ output together exceed MAX_SWEEP_BYTES.  The functions that push
 distributions forward (`transfer_apply`, `tv_curve`, and
 `stationary_distribution` when given one) take an `ExactKernel`, so a
 caller builds one kernel, with its sweep plan, for all of them.  Up to 11
-sites the stationary solvers and `tv_curve` run on translation orbits (see
+sites the stationary solver and `tv_curve` run on translation orbits (see
 `_Space`): 64 of them on a 3 x 3 torus, 188 on an 11-ring.
 
-On top of the kernel: stationary distributions (restarted GMRES whenever
-the invariant law is provably unique, otherwise exact cycle averaging for
-deterministic kernels or verified power iteration with a Cesaro fallback,
-each checked by its total-variation residual), total-variation distances,
-expectations and the flip seminorm of cylinder functions, the dual action
-on observables, product-measure basin membership, and the light-cone check
-that window marginals on two torus sizes agree exactly until influence
-wraps.
+On top of the kernel: the stationary distribution of a chain whose
+invariant law is proven unique (restarted GMRES, checked by its
+total-variation residual; any other chain is refused), total-variation
+distances, expectations and the flip seminorm of cylinder functions, the
+dual action on observables, product-measure basin membership, and the
+light-cone check that window marginals on two torus sizes agree exactly
+until influence wraps.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ MAX_EXACT_SITES = 24
 MAX_ORBIT_SITES = 11  # largest torus solved and traced on translation orbits
 MAX_SWEEP_BYTES = 1 << 30  # largest sweep-step input + output, per vector
 MAX_WINDOW = 20
-CESARO_AFTER = 10**4  # power iterations before Cesaro averages are tried
 KRYLOV_RESTART = 40  # Arnoldi steps per GMRES cycle
 MAX_BASIS_BYTES = 1 << 30  # largest Krylov basis; the cycle shortens to fit
 
@@ -411,11 +409,9 @@ def _strictly_positive(kernel: ExactKernel) -> bool:
 class StationaryLaw(StateDistribution):
     """A verified invariant law, with the route that produced it.
 
-    solver is "krylov", "power", "cesaro" or "cycle".  iterations counts the
-    kernel applications of the route ("krylov" counts its verifying ones
-    too).  residual is the total-variation residual that passed the `< tol`
-    check: TV(T pi, pi), except on the power route, where it is TV(T x, x)
-    for the iterate x with pi = T x, which bounds TV(T pi, pi) from above.
+    solver is "krylov", the one route.  iterations counts its kernel
+    applications, the verifying ones included.  residual is TV(T pi, pi),
+    the total-variation residual that passed the `< tol` check.
     """
 
     solver: str
@@ -424,7 +420,7 @@ class StationaryLaw(StateDistribution):
 
 
 class _Space:
-    """Coordinates the stationary solvers and `tv_curve` iterate in.
+    """Coordinates the stationary solver and `tv_curve` iterate in.
 
     Up to MAX_ORBIT_SITES the chain, as translation-invariant as every start
     it is given, is lumped onto torus-translation orbits (Kemeny and Snell,
@@ -454,10 +450,6 @@ class _Space:
 
     def lift(self, x: np.ndarray) -> np.ndarray:
         return x if self.index is None else x[self.index]
-
-    def law(self, x: np.ndarray, solver: str, iterations: int, residual: float) -> StationaryLaw:
-        return StationaryLaw(dims=self.kernel.dims, probs=self.lift(x), solver=solver,
-                             iterations=iterations, residual=residual)
 
 
 def _space(kernel) -> _Space:
@@ -495,22 +487,25 @@ def _orbit_space(kernel: ExactKernel) -> _Space:
     return _Space(kernel, (matrix, index, reps, sizes.astype(np.float64)))
 
 
-def _residual(space: _Space, pi: np.ndarray) -> float:
-    """TV(T pi, pi), with T pi renormalized."""
-    t_pi = space.apply(pi)
-    return space.tv(t_pi / space.total(t_pi), pi)
-
-
 def _unique_law_provable(kernel: ExactKernel) -> bool:
     """Whether the chain provably has exactly one invariant law.
 
-    So it has when the kernel is strictly positive, and, up to
-    MAX_ORBIT_SITES, when all-minus or all-plus is reachable from every
-    state: such a state lies in every closed class, so there is only one.
-    Reachability is a backward search on the support of the orbit matrix,
-    where both are singleton orbits, the first and the last.
+    So it has when all-minus or all-plus is reachable from every state: such
+    a state lies in every closed class, so there is only one.  At any size,
+    with no matrix: when no local configuration gives +1 with probability 1,
+    every site can turn -1 in the same step, so all-minus is one step from
+    every state; likewise all-plus when none gives +1 with probability 0.
+    Iterating the monotone-closure bound (the least state k steps reach lies
+    below m^k(all-plus), where m puts +1 at the sites whose configuration is
+    in the up-closure of the sure ones) proves no more, since a nonempty
+    up-closure holds the all-plus configuration and m then fixes all-plus.
+    A kernel monotone in the configuration and sure both ways fixes both
+    all-minus and all-plus, so for it the test is exact.  For the others
+    sure both ways, non-monotone tables, a backward search on the support
+    of the orbit matrix decides reachability up to MAX_ORBIT_SITES; both
+    states are singleton orbits, the first and the last.
     """
-    if _strictly_positive(kernel):
+    if (kernel.kern < 1.0).all() or (kernel.kern > 0.0).all():
         return True
     matrix = _space(kernel).matrix
     if matrix is None:
@@ -557,7 +552,8 @@ def _krylov_solve(kernel: ExactKernel, tol: float, max_iter: int) -> StationaryL
         applies += 1
         resid = space.tv(t_pi / space.total(t_pi), pi)
         if resid < tol:
-            return space.law(pi, "krylov", applies, resid)
+            return StationaryLaw(dims=kernel.dims, probs=space.lift(pi), solver="krylov",
+                                 iterations=applies, residual=resid)
         r = t_pi - pi
         beta = math.sqrt(space.dot(r, r))
         # a cycle that does not lower the residual norm has reached the
@@ -600,31 +596,6 @@ def _krylov_solve(kernel: ExactKernel, tol: float, max_iter: int) -> StationaryL
         pi = x / space.total(x)
 
 
-def _cycle_average(space: _Space, start: np.ndarray, max_iter: int) -> tuple[np.ndarray, int]:
-    """Exact invariant vector of a deterministic kernel by cycle detection.
-
-    Pushforwards of a deterministic map repeat exactly in float arithmetic;
-    the average over one full cycle is invariant, which is what a Cesaro
-    limit would converge to only at rate 1/n.  Also returns the number of
-    kernel applications made.
-    """
-    # keep the stored history within ~128 MB whatever the state-space size
-    cap = min(max_iter, 10**5, max(64, (1 << 24) // max(1, len(start))))
-    seen: dict[bytes, int] = {}
-    trail: list[np.ndarray] = []
-    cur = start
-    for _ in range(cap):
-        sig = cur.tobytes()
-        if sig in seen:
-            cycle = trail[seen[sig] :]
-            avg = np.mean(cycle, axis=0)
-            return avg / space.total(avg), len(trail)
-        seen[sig] = len(trail)
-        trail.append(cur)
-        cur = space.apply(cur)
-    raise NumericalError("deterministic pushforward did not cycle within the cap")
-
-
 def stationary_distribution(
     rule: RuleSpec,
     noise: NoiseModel,
@@ -634,23 +605,16 @@ def stationary_distribution(
     allow_absorbing: bool = False,
     kernel: Optional[ExactKernel] = None,
 ) -> StationaryLaw:
-    """Fixed point pi of the transfer operator, verified by TV(T pi, pi) < tol.
+    """The unique invariant law pi, verified by TV(T pi, pi) < tol.
 
     Requires a strictly positive kernel (every transition possible) unless
     the caller opts into absorbing/deterministic chains.  `kernel`, if
     given, is an ExactKernel of the same rule, noise and dims, used in place
-    of building another.  The routes, tried in this order:
-
-    * "krylov": when the invariant law is provably unique (see
-      `_unique_law_provable`), restarted GMRES from the uniform law (see
-      `_krylov_solve`).  A stall above tol raises NumericalError.
-    * "cycle": a fully deterministic kernel (the eps = 0 edge case) is
-      handled by exact cycle averaging of the pushforwards of the uniform law.
-    * "power": power iteration from the uniform law.  When successive
-      iterates stop making progress past CESARO_AFTER steps, running Cesaro
-      averages of the iterates are tested as candidates alongside ("cesaro").
-
-    `max_iter` caps the kernel applications of each route.
+    of building another.  A chain whose law is not proven unique (see
+    `_unique_law_provable`) is refused with ConfigError, since a chain with
+    several invariant laws has no one answer.  Otherwise restarted GMRES
+    solves for the law from the uniform one (see `_krylov_solve`); a stall
+    above tol, or max_iter kernel applications first, raises NumericalError.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -667,51 +631,12 @@ def stationary_distribution(
             "noise kernel has zero-probability transitions; pass "
             "allow_absorbing=True to iterate anyway"
         )
-    if _unique_law_provable(kernel):
-        return _krylov_solve(kernel, tol, max_iter)
-    space = _space(kernel)
-    cur = np.full(space.size, 1.0 / kernel.n_states)  # the uniform law
-
-    deterministic = bool(((kernel.kern == 0.0) | (kernel.kern == 1.0)).all())
-    if deterministic:
-        pi, steps = _cycle_average(space, cur, max_iter)
-        resid = _residual(space, pi)
-        if resid >= tol:
-            raise NumericalError(f"cycle average residual {resid:.3e} above tol")
-        return space.law(pi, "cycle", steps, resid)
-
-    check_every = 8
-    window = 500
-    tv_at_window = math.inf
-    stalled = False
-    avg = None
-    avg_count = 0
-    last_tv = math.inf
-    for it in range(1, max_iter + 1):
-        nxt = space.apply(cur)
-        nxt /= space.total(nxt)
-        if it % check_every == 0 or it < 64:
-            last_tv = space.tv(nxt, cur)
-            if last_tv < tol:
-                # TV(T x, x) only shrinks under further applications of T,
-                # so the freshly advanced iterate inherits the certificate.
-                return space.law(nxt, "power", it, last_tv)
-        if it % window == 0:
-            stalled = stalled or last_tv > 0.999 * tv_at_window
-            tv_at_window = last_tv
-        if stalled and it >= CESARO_AFTER:
-            avg_count += 1
-            avg = nxt.copy() if avg is None else avg + (nxt - avg) / avg_count
-            if avg_count % 100 == 0:
-                cand = avg / space.total(avg)
-                resid = _residual(space, cand)
-                if resid < tol:
-                    return space.law(cand, "cesaro", it, resid)
-        cur = nxt
-    raise NumericalError(
-        f"power iteration did not reach tol {tol} in {max_iter} steps "
-        f"(last successive TV {last_tv:.3e})"
-    )
+    if not _unique_law_provable(kernel):
+        raise ConfigError(
+            "no constant state is shown reachable from every state, so the chain's"
+            " invariant law is not proven unique and is not computed"
+        )
+    return _krylov_solve(kernel, tol, max_iter)
 
 
 def tv_curve(

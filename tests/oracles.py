@@ -4,7 +4,8 @@ Everything here is deliberately brute force and shares no code path with the
 implementations it checks: interval intersection over exact rationals for
 one-dimensional hull emptiness, exhaustive monotone-table enumeration, a
 direct double-loop subset scan for plus sets, the exact transfer operator
-expanded one source configuration at a time, a phase-one simplex over
+expanded one source configuration at a time, a reachability search for the
+closed classes of its support, a phase-one simplex over
 ``Fraction`` that the integer simplex in ``toomlab.ratlp`` must match, and
 the gather-table step (``TorusStepper`` tables indexed by ``step_uniforms``
 draws) that the packed stepping core in ``toomlab.engine`` must match bit
@@ -189,16 +190,43 @@ def brute_force_transfer(
     vecs = np.atleast_2d(np.asarray(vecs, dtype=np.float64))
     out = np.zeros_like(vecs)
     for src in range(1 << n):
-        weights = vecs[:, src]
-        if not weights.any():
+        rows = np.flatnonzero(vecs[:, src])
+        if not len(rows):
             continue
         measure = np.ones(1)
         for x in range(n):
             cfg = sum(((src >> s) & 1) << i for i, s in enumerate(feeds[x]))
             p = p_plus[cfg]
             measure = np.concatenate([measure * (1.0 - p), measure * p])
-        out += np.outer(weights, measure)
+        # rows without weight on src would only add zeros
+        out[rows] += np.outer(vecs[rows, src], measure)
     return out
+
+
+def one_closed_class(support: np.ndarray) -> bool:
+    """Whether the chain with boolean transition support[s, t] has one closed class.
+
+    Walks down to a closed class C: the states reachable from u form one
+    exactly when they all lead back to u, and otherwise a state that does
+    not has a strictly smaller reachable set.  There is no other closed
+    class exactly when every state leads to C.
+    """
+
+    def reach(start: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        seen, frontier = start.copy(), start.copy()
+        while frontier.any():
+            frontier = edges[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        return seen
+
+    u = np.zeros(len(support), dtype=bool)
+    u[0] = True
+    while True:
+        ahead, behind = reach(u, support), reach(u, support.T)
+        if not (ahead & ~behind).any():
+            return bool(reach(ahead, support.T).all())
+        u = np.zeros(len(support), dtype=bool)
+        u[np.flatnonzero(ahead & ~behind)[0]] = True
 
 
 class TorusStepper:

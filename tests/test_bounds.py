@@ -285,3 +285,8 @@ class TestBoundParams:
             params(R=0)
         with pytest.raises(ValueError):
             BoundParams(R=2, q=1, r=-1.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "K"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
+            params(**{field: float("nan")})

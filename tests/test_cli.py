@@ -216,8 +216,6 @@ class TestExact:
          "krylov"),
         ({"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1}, "dims": [12],
           "tv_steps": 20}, "krylov"),
-        ({"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.0}, "dims": [6],
-          "allow_absorbing": True, "tv_steps": 20}, "cycle"),
     ])
     def test_reports_stationary_route(self, tmp_path, config, solver):
         code, out = run(tmp_path, "exact", config)
@@ -226,6 +224,18 @@ class TestExact:
         assert report["stationary_solver"] == solver
         assert report["stationary_iterations"] > 0
         assert 0.0 <= report["stationary_residual"] < 1e-10
+
+    def test_refuses_a_law_not_proven_unique(self, tmp_path, capsys):
+        # eps = 0 fixes both all-minus and all-plus: two closed classes
+        code, out = run(
+            tmp_path, "exact",
+            {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.0}, "dims": [6],
+             "allow_absorbing": True, "tv_steps": 20},
+        )
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ConfigError" and "not proven unique" in error["message"]
+        assert not (out / "exact_report.json").exists()
 
     def test_absorbing_requires_opt_in(self, tmp_path, capsys):
         code, _ = run(
@@ -431,6 +441,18 @@ class TestStrictInputs:
         assert code == 1 and error_type(capsys) == error
         assert peak < 1 << 20
         assert not (out / "exact_report.json").exists()
+
+    @pytest.mark.parametrize("command, config, artifact", [
+        ("check", {"rule": "nec", "K": float("nan")}, "bounds_report.json"),
+        ("check", {"rule": "nec", "alpha": float("inf")}, "bounds_report.json"),
+        ("exact", dict(EXACT, tol=float("inf")), "exact_report.json"),
+    ], ids=["check-K-nan", "check-alpha-infinity", "exact-tol-infinity"])
+    def test_non_finite_floats_rejected(self, tmp_path, capsys, command, config, artifact):
+        # json reads NaN and Infinity; they would reach the artifact as C, K,
+        # sigma or a uniform "law" with residual 0.48
+        code, out = run(tmp_path, command, config)
+        assert code == 1 and error_type(capsys) == "ConfigError"
+        assert not (out / artifact).exists()
 
     def test_empty_eps_grid_rejected(self, tmp_path, capsys):
         code, out = run(

@@ -30,7 +30,7 @@ from toomlab.oracle import (
 )
 from toomlab.rules import RuleSpec, builtin
 
-from .oracles import brute_force_transfer, random_rule
+from .oracles import brute_force_transfer, one_closed_class, random_rule
 
 STAV = builtin("stavskaya")
 NEC = builtin("nec")
@@ -267,19 +267,12 @@ class TestOrbits:
         (STAV, biased_noise(0.12, 0.0), (6,), dict(tol=1e-10, allow_absorbing=True), "krylov",
          1e-11),
         (NEC, symmetric_noise(0.1), (3, 3), dict(tol=1e-11), "krylov", 1e-12),
-        (CESARO_RULE, table_noise([1.0, 0.0, 0.5, 0.0]), (4,),
-         dict(tol=1e-10, allow_absorbing=True), "cesaro", 1e-12),
-        (STAV, symmetric_noise(0.0), (6,), dict(allow_absorbing=True), "cycle", 1e-12),
     ])
     def test_orbit_route_matches_full_space(self, monkeypatch, rule, noise, dims, kwargs, solver,
                                             bound):
         pi = stationary_distribution(rule, noise, dims, **kwargs)
         curve = tv_curve(ExactKernel(rule, noise, dims), pi, n_max=30)
-        # the full space keeps the orbit route's uniqueness verdict, which it
-        # cannot prove by itself
-        provable = oracle._unique_law_provable(ExactKernel(rule, noise, dims))
         monkeypatch.setattr(oracle, "MAX_ORBIT_SITES", 0)
-        monkeypatch.setattr(oracle, "_unique_law_provable", lambda k: provable)
         full = stationary_distribution(rule, noise, dims, **kwargs)
         assert pi.solver == full.solver == solver
         assert pi.iterations == full.iterations
@@ -389,39 +382,70 @@ class TestStationary:
         assert asym < 1e-9
 
     def test_deterministic_cycle_average(self):
-        # eps = 0 fixes both all-minus and all-plus, so no unique law is
-        # established; the uniform start ends as 1/64 all-minus, 63/64 all-plus
-        pi = stationary_distribution(
-            STAV, symmetric_noise(0.0), (6,), allow_absorbing=True
-        )
-        k = ExactKernel(STAV, symmetric_noise(0.0), (6,))
-        assert np.allclose(k.apply(pi.probs), pi.probs, atol=1e-14)
-        want = np.zeros(64)
-        want[0], want[63] = 1.0 / 64, 63.0 / 64
-        assert np.array_equal(pi.probs, want)
-        assert pi.solver == "cycle" and pi.iterations > 0 and pi.residual == 0.0
+        # eps = 0 fixes both all-minus and all-plus, so the invariant law is
+        # not unique: the cycle average of the uniform start would be 1/64
+        # all-minus, 63/64 all-plus, a law of that start alone
+        with pytest.raises(ConfigError, match="not proven unique"):
+            stationary_distribution(STAV, symmetric_noise(0.0), (6,), allow_absorbing=True)
 
-    @pytest.mark.parametrize("noise, unique", [
-        (symmetric_noise(0.1), True),
-        (biased_noise(0.1, 0.0), True),  # all-minus reachable from everywhere
-        (symmetric_noise(0.0), False),  # all-minus and all-plus both fixed
-        (table_noise([0.0, 0.3, 0.6, 1.0]), False),  # both absorbing, noisy between
+    @pytest.mark.parametrize("rule, noise, dims, unique", [
+        pytest.param(STAV, symmetric_noise(0.1), (6,), True, id="noise0-True"),
+        # all-minus reachable from everywhere
+        pytest.param(STAV, biased_noise(0.1, 0.0), (6,), True, id="noise1-True"),
+        # all-minus and all-plus both fixed
+        pytest.param(STAV, symmetric_noise(0.0), (6,), False, id="noise2-False"),
+        # both absorbing, noisy between
+        pytest.param(STAV, table_noise([0.0, 0.3, 0.6, 1.0]), (6,), False, id="noise3-False"),
+        # no configuration sure to give +1: proven past the orbit search's 11 sites
+        pytest.param(STAV, biased_noise(0.12, 0.0), (12,), True, id="stavskaya12-biased"),
+        pytest.param(STAV, biased_noise(0.3, 0.0), (16,), True, id="stavskaya16-biased"),
+        # sure both ways (2 gives +1, 0 and 3 give -1): only the orbit
+        # search shows all-minus reachable
+        pytest.param(STAV, table_noise([0.0, 0.5, 1.0, 0.0]), (6,), True,
+                     id="stavskaya6-non-monotone"),
+        pytest.param(CESARO_RULE, table_noise([1.0, 0.0, 0.5, 0.0]), (4,), False,
+                     id="cesaro-chain"),
     ])
-    def test_unique_law_detection(self, noise, unique):
-        k = ExactKernel(STAV, noise, (6,))
+    def test_unique_law_detection(self, rule, noise, dims, unique):
+        k = ExactKernel(rule, noise, dims)
         assert oracle._unique_law_provable(k) == unique
+
+    def test_unique_law_proof_is_sound(self):
+        # random table noises with sure, impossible and uncertain outputs: a
+        # chain the proof calls unique has exactly one closed class in the
+        # support of the brute-force transfer matrix
+        rng = random.Random(0)
+        verdicts = []
+        while len(verdicts) < 40:
+            rule = random_rule(rng, 4, 2)
+            side = 2 * max(max(abs(c) for c in u) for u in rule.neighborhood) + 1
+            if side ** rule.dimension > 11:
+                continue
+            dims = (rng.randint(side, 11),) if rule.dimension == 1 else (3, 3)
+            p_plus = [rng.choice([0.0, 1.0, rng.uniform(0.05, 0.95)])
+                      for _ in range(1 << rule.size)]
+            provable = oracle._unique_law_provable(ExactKernel(rule, table_noise(p_plus), dims))
+            if provable:
+                n_states = 1 << int(np.prod(dims))
+                support = brute_force_transfer(rule, np.array(p_plus), dims, np.eye(n_states)) > 0
+                assert one_closed_class(support), (rule, p_plus, dims)
+            verdicts.append(provable)
+        assert 0 < sum(verdicts) < len(verdicts)
 
     def test_cesaro_route(self):
         # p(+1) is 1 when both neighbors are -1, 1/2 when only the right one
-        # is +1, and 0 otherwise: the power iterates fall into a period-2
-        # cycle, and only their running average is invariant
-        rule = RuleSpec(dimension=1, neighborhood=((-1,), (1,)), table=[0, 0, 0, 1])
-        noise = table_noise([1.0, 0.0, 0.5, 0.0])
-        tol = 1e-10
-        pi = stationary_distribution(rule, noise, (4,), tol=tol, allow_absorbing=True)
-        assert pi.solver == "cesaro" and pi.iterations > oracle.CESARO_AFTER
-        t_pi = ExactKernel(rule, noise, (4,)).apply(pi.probs)
-        assert 0.5 * np.abs(t_pi / t_pi.sum() - pi.probs).sum() < tol
+        # is +1, and 0 otherwise: the chain has three closed classes, so its
+        # invariant law depends on the start
+        with pytest.raises(ConfigError, match="not proven unique"):
+            stationary_distribution(CESARO_RULE, table_noise([1.0, 0.0, 0.5, 0.0]), (4,),
+                                    allow_absorbing=True)
+
+    def test_biased_above_orbit_size_solves_by_krylov(self):
+        # no configuration is sure to give +1, so the law is proven unique
+        # at 12 sites, past the orbit search; the chain mixes slowly (10^6
+        # power iterations stay above tol 1e-10)
+        pi = stationary_distribution(STAV, biased_noise(0.12, 0.0), (12,), allow_absorbing=True)
+        assert pi.solver == "krylov" and pi.iterations <= 30 and pi.residual < 1e-10
 
     def test_verified_residual(self):
         pi = stationary_distribution(STAV, symmetric_noise(0.07), (8,), tol=1e-11)
