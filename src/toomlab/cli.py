@@ -127,6 +127,8 @@ _SCHEMAS = {
         "window": ("site_list", None),
         "tol": ("float", 1e-10),
         "max_iter": ("int", 10**6),
+        # accepted and embedded, with no effect: every chain is either
+        # proven to have one invariant law or refused
         "allow_absorbing": ("bool", False),
         "tv_steps": ("int", 100),
         "seed": ("int", 0),
@@ -311,19 +313,22 @@ def cmd_erode(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
     rule = rules.load_rule(cfg["rule"])
     dims, every = cfg["dims"], cfg["snapshot_every"]
     record = None
-    if every > 0 and rule.dimension == 2:
+    if every > 0:
+        if rule.dimension != 2:
+            raise ConfigError("erode snapshots support d = 2 (frames) only")
         if dims is None:
             raise ConfigError("snapshots need explicit dims")
 
-        def record(t: int, bits: np.ndarray) -> None:
+        def record(t: int, state: engine.LatticeState) -> None:
             if t % every == 0:
-                write_ppm(os.path.join(out_dir, f"erode_{t:06d}.ppm"), bits.reshape(dims), resolved)
+                write_ppm(os.path.join(out_dir, f"erode_{t:06d}.ppm"),
+                          state.bits().reshape(dims), resolved)
 
     result = engine.erosion_time(
         rule, cfg["island"], dims=dims, cutoff=cfg["cutoff"], on_step=record
     )
     if record is not None:
-        record(0, engine.LatticeState.plus_with_island(dims, cfg["island"]).bits())
+        record(0, engine.LatticeState.plus_with_island(dims, cfg["island"]))
     payload = {
         "erased": result.erased,
         "steps": result.steps,
@@ -340,10 +345,11 @@ def cmd_simulate(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple
         raise ConfigError("snapshots support d = 1 (strip) and d = 2 (frames) only")
     strip = None
 
-    def record(t: int, bits: np.ndarray) -> None:
+    def record(t: int, state: engine.LatticeState) -> None:
         """Write a frame as it is taken: to its own file, or as the next strip row."""
         if t % every:
             return
+        bits = state.bits()
         if strip is None:
             write_ppm(os.path.join(out_dir, f"frame_{t:06d}.ppm"), bits.reshape(dims), resolved)
         else:
@@ -380,8 +386,7 @@ def cmd_exact(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
     window = oracle.window_sites(window, kernel.dims)  # refused before the solve
     pi = oracle.stationary_distribution(
         rule, noise, dims,
-        tol=cfg["tol"], max_iter=cfg["max_iter"], allow_absorbing=cfg["allow_absorbing"],
-        kernel=kernel,
+        tol=cfg["tol"], max_iter=cfg["max_iter"], kernel=kernel,
     )
     marginal = oracle.window_marginal(pi, window)
     # stop the curve above the accuracy of pi itself, else it saturates
@@ -394,7 +399,7 @@ def cmd_exact(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
     origin = tuple([0] * rule.dimension)
     f = oracle.spin_observable(origin, rule.dimension)
     lhs = oracle.cylinder_expectation(oracle.transfer_apply(pi, kernel), f)
-    rhs = oracle.cylinder_expectation(pi, oracle.dual_apply(f, rule, noise, dims))
+    rhs = oracle.cylinder_expectation(pi, oracle.dual_apply(f, kernel))
     payload = {
         "window": [list(s) for s in window],
         "stationary_marginal": [float(p) for p in marginal],
@@ -416,15 +421,13 @@ def cmd_correlate(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tupl
         raise ConfigError("correlate needs distances and/or lags")
     payload: dict = {}
     header = ("distance_or_lag", "estimate", "stderr", "n")
-    noise, dims, seed, burn_in = cfg["noise"], cfg["dims"], cfg["seed"], cfg["burn_in"]
-    sample = stats.stationary_sample(rule, noise, dims, burn_in, cfg["samples"], seed, threads)
+    sample = stats.stationary_sample(rule, cfg["noise"], cfg["dims"], cfg["burn_in"],
+                                     cfg["samples"], cfg["seed"], threads)
     estimates = {}
     if cfg["distances"]:
-        estimates["spatial"] = stats.spatial_correlation(sample, dims, cfg["distances"])
+        estimates["spatial"] = stats.spatial_correlation(sample, cfg["distances"])
     if cfg["lags"]:
-        estimates["temporal"] = stats.temporal_autocorrelation(
-            sample, rule, noise, dims, cfg["lags"], seed, burn_in, threads
-        )
+        estimates["temporal"] = stats.temporal_autocorrelation(sample, cfg["lags"])
     for kind, (summary, fit) in estimates.items():
         write_csv(os.path.join(out_dir, f"correlate_{kind}.csv"), header, summary.table, resolved)
         payload[f"{kind}_rate"] = _json_float(fit.rate)

@@ -84,7 +84,7 @@ class LatticeState:
 
     @property
     def n_sites(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def bits(self) -> np.ndarray:
         """Unpacked spins as a flat uint8 0/1 array (1 = spin +1)."""
@@ -689,16 +689,13 @@ def evolve(
     t0: int,
     steps: int,
     threads: int = 1,
-    on_step: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> LatticeState:
-    """Run steps t0 .. t0+steps-1; on_step sees (t+1, new bits) after each."""
+    """Run steps t0 .. t0+steps-1."""
     kern = rule.table if noise is None else kernel_plus(noise, rule)
     core = _PackedCore(rule, state.dims, kern, key, threads)
     words = state.words[None, :]
     for t in range(t0, t0 + steps):
         words = core.step(words, t)
-        if on_step is not None:
-            on_step(t + 1, _unpack(words, core.n_sites)[0])
     return LatticeState(dims=state.dims, words=words[0])
 
 
@@ -741,15 +738,16 @@ def erosion_time(
     island: Iterable,
     dims: Optional[Sequence[int]] = None,
     cutoff: Optional[int] = None,
-    on_step: Optional[Callable[[int, np.ndarray], None]] = None,
+    on_step: Optional[Callable[[int, LatticeState], None]] = None,
 ) -> ErosionResult:
     """Steps until an all-plus-except-island state returns to all-plus.
 
     The torus must be large enough that the island's light cone under the
     cutoff cannot wrap around and feed back on itself; otherwise the finite
     run would not witness the infinite-lattice behavior.  With dims omitted,
-    a torus of exactly that size is built.  on_step sees (t, bits) after
-    each step, as in :func:`evolve`.
+    a torus of exactly that size is built.  on_step, if given, sees (t,
+    state) after each step, the state packed, so a caller unpacks only what
+    it keeps.
     """
     sites = _as_sites(island, rule.dimension)
     if not sites:
@@ -774,7 +772,7 @@ def erosion_time(
     for n in range(1, cutoff + 1):
         words = core.step(words, n - 1)
         if on_step is not None:
-            on_step(n, _unpack(words, core.n_sites)[0])
+            on_step(n, LatticeState(dims=dims, words=words[0]))
         remaining = core.n_sites - int(_plus_counts(words)[0])
         sizes.append(remaining)
         if remaining == 0:

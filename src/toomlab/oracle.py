@@ -15,10 +15,11 @@ matrix built with the plan, the steps alternating between two buffers,
 so no step makes a transposed copy: 0.15-0.21 ms per application at
 N = 12 and 0.5-0.75 ms at N = 14 on a ring, 3.2-3.5 ms on a 3 x 4 nec
 torus (2-core machine).  A torus is refused when one sweep step's input and
-output together exceed MAX_SWEEP_BYTES.  The functions that push
-distributions forward (`transfer_apply`, `tv_curve`, and
-`stationary_distribution` when given one) take an `ExactKernel`, so a
-caller builds one kernel, with its sweep plan, for all of them.  Up to 11
+output together exceed MAX_SWEEP_BYTES.  `ExactKernel.apply` takes one
+2^N vector.  The functions that push distributions or observables forward
+(`transfer_apply`, `tv_curve`, `dual_apply`, and `stationary_distribution`
+when given one) take an `ExactKernel`, so a caller builds one kernel, with
+its sweep plan, for all of them.  Up to 11
 sites the stationary solver and `tv_curve` run on translation orbits (see
 `_Space`): 64 of them on a 3 x 3 torus, 188 on an 11-ring.
 
@@ -149,65 +150,57 @@ class ExactKernel:
         return self.kern[local]
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Linear kernel application to a signed vector or a (B, 2^N) batch.
+        """Linear kernel application to one signed 2^N vector.
 
-        No normalization.  The product kernel is contracted site by site
-        (see `_sweep_plan`): each step is one broadcast matmul of strided
-        views of its input against the step's matrix, written with out=,
-        through two buffers: a single vector's, with their views, are built
-        with the plan, a batch's per call.  The result is copied out, so it
-        never aliases a buffer.
+        No normalization; any other shape is refused with ValueError.  The
+        product kernel is contracted site by site (see `_sweep_plan`): each
+        step is one broadcast matmul of strided views of its input against
+        the step's matrix, written with out= through the two buffers built
+        with the plan.  The result is copied out, so it never aliases a
+        buffer.
         """
         vec = np.asarray(vec, dtype=np.float64)
+        if vec.shape != (self.n_states,):
+            raise ValueError(f"apply takes one vector of {self.n_states} entries, got {vec.shape}")
         steps = self._sweep()
-        batch = vec.size >> self.n_sites
-        self._check_sweep(batch)
-        bufs, views = (self._buffers, self._views) if batch == 1 else self._views_on(batch)
-        np.copyto(bufs[1][: vec.size], vec.reshape(-1))
-        for st, (src, dst) in zip(steps, views):
+        np.copyto(self._buffers[1][: self.n_states], vec)
+        for st, (src, dst) in zip(steps, self._views):
             np.matmul(src, st.matrix, out=dst)
-        cur = bufs[(len(steps) - 1) % 2][: vec.size]
+        cur = self._buffers[(len(steps) - 1) % 2][: self.n_states]
         if self._sweep_order is not None:
-            cur = cur.reshape((batch,) + (2,) * self.n_sites).transpose(self._sweep_order)
-        return np.array(cur).reshape(vec.shape)
+            cur = cur.reshape((2,) * self.n_sites).transpose(self._sweep_order)
+        return np.array(cur).reshape(-1)
 
     def _sweep(self) -> list[_SweepStep]:
-        """The site-sweep plan, built on first use and checked against the byte cap."""
+        """The site-sweep plan with its two buffers and their views, built on
+        first use once the byte cap admits it."""
         if self._sweep_steps is None:
             steps, order = _sweep_plan(self.nbr, self.kern)
-            # bytes of the largest step input plus output for one vector
+            # bytes of the largest step input plus output
             self._sweep_bytes = max(8 * (st.in_size + st.out_size) for st in steps)
-            self._check_sweep(1)
+            if self._sweep_bytes > MAX_SWEEP_BYTES:
+                raise ResourceLimitError(
+                    f"the site sweep needs {self._sweep_bytes} bytes of tensors,"
+                    f" over the {MAX_SWEEP_BYTES}-byte cap"
+                )
+            # step i reads buffer (i + 1) % 2 and writes buffer i % 2
+            bufs = [np.empty(max(st.out_size for st in steps[0::2])),
+                    np.empty(max([self.n_states] + [st.out_size for st in steps[1::2]]))]
+            self._views = [(
+                np.ndarray(st.in_shape, np.float64, bufs[(i + 1) % 2], 0, st.in_strides),
+                np.ndarray(st.out_shape, np.float64, bufs[i % 2], 0, st.out_strides),
+            ) for i, st in enumerate(steps)]
+            self._buffers = bufs
             self._sweep_steps, self._sweep_order = steps, order
-            self._buffers, self._views = self._views_on(1)
         return self._sweep_steps
-
-    def _views_on(self, batch: int) -> tuple[list[np.ndarray], list[tuple[np.ndarray, ...]]]:
-        """Two buffers for batch vectors; step i reads buffer (i + 1) % 2, writes i % 2."""
-        steps = self._sweep_steps
-        bufs = [np.empty(batch * max(st.out_size for st in steps[0::2])),
-                np.empty(batch * max([self.n_states] + [st.out_size for st in steps[1::2]]))]
-        return bufs, [(
-            np.ndarray((batch,) + st.in_shape, np.float64, bufs[(i + 1) % 2], 0,
-                       (8 * st.in_size,) + st.in_strides),
-            np.ndarray((batch,) + st.out_shape, np.float64, bufs[i % 2], 0,
-                       (8 * st.out_size,) + st.out_strides),
-        ) for i, st in enumerate(steps)]
-
-    def _check_sweep(self, batch: int) -> None:
-        if batch * self._sweep_bytes > MAX_SWEEP_BYTES:
-            raise ResourceLimitError(
-                f"the site sweep of {batch} vector(s) needs {batch * self._sweep_bytes}"
-                f" bytes of tensors, over the {MAX_SWEEP_BYTES}-byte cap"
-            )
 
 
 @dataclass(frozen=True)
 class _SweepStep:
     """One target site of the sweep: out = in @ matrix over strided views.
 
-    Shapes and strides (in bytes) are per vector, without the batch axis;
-    in_size and out_size count the elements of one vector's tensors.
+    Strides are in bytes; in_size and out_size count the elements of the
+    step's input and output tensors.
     """
 
     in_size: int
@@ -244,7 +237,7 @@ def _sweep_plan(nbr: np.ndarray, kern: np.ndarray) -> tuple[list[_SweepStep], Op
     The largest run of axes that keeps its place is the gemm row axis, and
     every other axis a batch axis of np.matmul, so no step copies its input.
     Returns the steps and the axis order that puts the result back into
-    (batch, bit N-1, ..., bit 0), the C order of a flat state index, or None
+    (bit N-1, ..., bit 0), the C order of a flat state index, or None
     when the sweep already ends there, as it does unless a one-site
     neighborhood starts it at another target.
     """
@@ -282,8 +275,8 @@ def _sweep_plan(nbr: np.ndarray, kern: np.ndarray) -> tuple[list[_SweepStep], Op
         parked = set(others[:n_parked]) | set(to_park)
         steps.append(_sweep_step(nbr[:, x], kern, layout, out, block, looped, held, cols, n + x))
         layout = out
-    perm = [0] + [1 + layout.index(n + x) for x in range(n - 1, -1, -1)]
-    return steps, None if perm == list(range(n + 1)) else tuple(perm)
+    perm = [layout.index(n + x) for x in range(n - 1, -1, -1)]
+    return steps, None if perm == list(range(n)) else tuple(perm)
 
 
 def _sweep_step(
@@ -399,10 +392,6 @@ def tv_distance(d1: StateDistribution, d2: StateDistribution) -> float:
     if d1.dims != d2.dims:
         raise ValueError(f"dims mismatch: {d1.dims} vs {d2.dims}")
     return 0.5 * float(np.abs(d1.probs - d2.probs).sum())
-
-
-def _strictly_positive(kernel: ExactKernel) -> bool:
-    return bool((kernel.kern > 0.0).all() and (kernel.kern < 1.0).all())
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -602,19 +591,17 @@ def stationary_distribution(
     dims: Sequence[int],
     tol: float = 1e-10,
     max_iter: int = 10**6,
-    allow_absorbing: bool = False,
     kernel: Optional[ExactKernel] = None,
 ) -> StationaryLaw:
     """The unique invariant law pi, verified by TV(T pi, pi) < tol.
 
-    Requires a strictly positive kernel (every transition possible) unless
-    the caller opts into absorbing/deterministic chains.  `kernel`, if
-    given, is an ExactKernel of the same rule, noise and dims, used in place
-    of building another.  A chain whose law is not proven unique (see
-    `_unique_law_provable`) is refused with ConfigError, since a chain with
-    several invariant laws has no one answer.  Otherwise restarted GMRES
-    solves for the law from the uniform one (see `_krylov_solve`); a stall
-    above tol, or max_iter kernel applications first, raises NumericalError.
+    `kernel`, if given, is an ExactKernel of the same rule, noise and dims,
+    used in place of building another.  A chain whose law is not proven
+    unique (see `_unique_law_provable`) is refused with ConfigError, since a
+    chain with several invariant laws has no one answer; one that is, an
+    absorbing one included, is solved by restarted GMRES from the uniform
+    law (see `_krylov_solve`).  A stall above tol, or max_iter kernel
+    applications first, raises NumericalError.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -626,11 +613,6 @@ def stationary_distribution(
         and np.array_equal(kernel.nbr, neighbor_table(rule, kernel.dims))
     ):
         raise ValueError("kernel was not built from this rule, noise and dims")
-    if not allow_absorbing and not _strictly_positive(kernel):
-        raise ValueError(
-            "noise kernel has zero-probability transitions; pass "
-            "allow_absorbing=True to iterate anyway"
-        )
     if not _unique_law_provable(kernel):
         raise ConfigError(
             "no constant state is shown reachable from every state, so the chain's"
@@ -725,42 +707,33 @@ def seminorm(f: CylinderFunction) -> float:
     return total
 
 
-def dual_apply(
-    f: CylinderFunction, rule: RuleSpec, noise: NoiseModel, dims: Sequence[int]
-) -> CylinderFunction:
+def dual_apply(f: CylinderFunction, kernel: ExactKernel) -> CylinderFunction:
     """The dual (observable-side) action: (T f)(omega) = E[f(next) | omega].
 
     The result is a cylinder function on the union of the window sites'
-    neighborhoods (wrapped on the torus).
+    neighborhoods, wrapped on the kernel's torus: the sources are read from
+    kernel.nbr and the +1 probabilities from kernel.kern.
     """
-    dims = tuple(int(L) for L in dims)
-    kern = kernel_plus(noise, rule)
-    src_sites: list[tuple[int, ...]] = []
-    seen = {}
-    for w in f.window:
-        for u in rule.neighborhood:
-            s = tuple((c + uc) % L for c, uc, L in zip(w, u, dims))
-            if s not in seen:
-                seen[s] = len(src_sites)
-                src_sites.append(s)
-    if len(src_sites) > MAX_WINDOW:
-        raise ValueError(
-            f"dual window needs {len(src_sites)} sites, exceeding cap {MAX_WINDOW}"
-        )
-    if len(src_sites) + len(f.window) > MAX_EXACT_SITES:
+    slots = [kernel.nbr[:, _flat_index(w, kernel.dims)] for w in f.window]
+    seen: dict[int, int] = {}  # flat source site -> its bit in the result's window
+    for row in slots:
+        for s in row:
+            seen.setdefault(int(s), len(seen))
+    if len(seen) > MAX_WINDOW:
+        raise ValueError(f"dual window needs {len(seen)} sites, exceeding cap {MAX_WINDOW}")
+    if len(seen) + len(f.window) > MAX_EXACT_SITES:
         raise ResourceLimitError("dual table would exceed the exact-computation cap")
-    n_src = len(src_sites)
-    src_cfgs = np.arange(1 << n_src, dtype=np.uint32)
+    src_cfgs = np.arange(1 << len(seen), dtype=np.uint32)
     # per original-window site: its local rule-configuration under each source cfg
-    probs = np.empty((1 << n_src, len(f.window)))
-    for j, w in enumerate(f.window):
-        local = np.zeros(1 << n_src, dtype=np.uint32)
-        for i, u in enumerate(rule.neighborhood):
-            s = tuple((c + uc) % L for c, uc, L in zip(w, u, dims))
-            local |= ((src_cfgs >> np.uint32(seen[s])) & 1) << np.uint32(i)
-        probs[:, j] = kern[local]
+    probs = np.empty((1 << len(seen), len(f.window)))
+    for j, row in enumerate(slots):
+        local = np.zeros(1 << len(seen), dtype=np.uint32)
+        for i, s in enumerate(row):
+            local |= ((src_cfgs >> np.uint32(seen[int(s)])) & 1) << np.uint32(i)
+        probs[:, j] = kernel.kern[local]
     table = _expand_products(probs) @ f.table
-    return CylinderFunction(window=tuple(src_sites), table=table)
+    window = tuple(np.unravel_index(s, kernel.dims) for s in seen)
+    return CylinderFunction(window=window, table=table)
 
 
 def window_sites(window: Sequence[Sitelike], dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

@@ -4,8 +4,9 @@ Covariance-type quantities are estimated from independent replicas (fresh
 counter streams per replica) rather than one long run, so the standard
 errors need no autocorrelation correction; replicas are translation-averaged
 over the torus before aggregating.  The estimators take the replica batch of
-:func:`stationary_sample` as an argument, so one burn-in serves both.  That
-sample stays packed: one LatticeState over dims (M, *dims), the stepping
+:func:`stationary_sample` alone, so one burn-in serves both.  The sample
+carries its chain (the stepping core and its step count), which the lags
+continue.  It stays packed: one LatticeState over dims (M, *dims), the
 core's own replica layout, and every per-replica average is a popcount of
 its words (of w for the magnetization, of NOT(w XOR w') for a two-point
 product), divided as np.mean divides the exact spin sum.
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import engine
 from .engine import LatticeState, NoiseModel, RngKey, RuleSpec
-from .errors import ConfigError
+from .errors import ConfigError, ResourceLimitError
 
 NOISE_FLOOR_SE = 2.0
 
@@ -87,6 +88,16 @@ def batch_means_se(series: np.ndarray) -> float:
     return float(means.std(ddof=1) / math.sqrt(nb))
 
 
+def _check_series(steps: int, count: int) -> None:
+    """Refuse count float64 series of steps + 1 entries over MAX_MC_BYTES."""
+    need = 8 * count * (steps + 1)
+    if need > engine.MAX_MC_BYTES:
+        raise ResourceLimitError(
+            f"{count} series of {steps} steps need {need} bytes,"
+            f" over the {engine.MAX_MC_BYTES}-byte cap"
+        )
+
+
 def minus_density_run(
     rule: RuleSpec,
     noise: NoiseModel,
@@ -95,29 +106,29 @@ def minus_density_run(
     burn_in: int,
     seed: int,
     threads: int = 1,
-    on_step: Optional[Callable[[int, np.ndarray], None]] = None,
+    on_step: Optional[Callable[[int, LatticeState], None]] = None,
 ) -> RunSummary:
     """Fraction of -1 sites per step along one trajectory from all-plus.
 
-    on_step, if given, also sees (0, initial bits) once the run is accepted,
-    then (t, bits) after each step of that trajectory.
+    on_step, if given, also sees (0, initial state) once the run is
+    accepted, then (t, state) after each step of that trajectory; the
+    states are packed, so a caller unpacks only what it keeps.
     """
     if not 0 <= burn_in <= steps:
         raise ConfigError(f"burn_in {burn_in} must lie in [0, steps={steps}]")
-    key = RngKey(seed)
-    engine.working_bytes(rule, engine.kernel_plus(noise, rule), dims, threads=threads)
-    state = LatticeState.all_plus(dims)
+    _check_series(steps, 1)
+    core = engine._PackedCore(rule, dims, engine.kernel_plus(noise, rule), RngKey(seed), threads)
+    state = LatticeState.all_plus(core.dims)
     if on_step is not None:
-        on_step(0, state.bits())
+        on_step(0, state)
     densities = np.empty(steps + 1)
     densities[0] = 0.0
-
-    def record(t: int, bits: np.ndarray) -> None:
-        densities[t] = 1.0 - np.count_nonzero(bits) / bits.size
+    words = state.words[None, :]
+    for t in range(steps):
+        words = core.step(words, t)
+        densities[t + 1] = 1.0 - engine._plus_counts(words)[0] / core.n_sites
         if on_step is not None:
-            on_step(t, bits)
-
-    engine.evolve(state, rule, noise, key, 0, steps, threads=threads, on_step=record)
+            on_step(t + 1, LatticeState(dims=core.dims, words=words[0]))
     tail = densities[burn_in + 1 :] if steps > burn_in else densities[burn_in:]
     return RunSummary(
         density_series=densities,
@@ -169,12 +180,14 @@ def density_vs_epsilon_scan(
     return rows
 
 
-def _batch_core(
-    rule: RuleSpec, noise: NoiseModel, dims: Sequence[int], replicas: int, seed: int, threads: int
-) -> engine._PackedCore:
-    return engine._PackedCore(
-        rule, dims, engine.kernel_plus(noise, rule), RngKey(seed), threads, replicas=replicas
-    )
+@dataclass(frozen=True, kw_only=True, eq=False)
+class ReplicaSample(LatticeState):
+    """A replica batch over dims (M, *torus dims), replica r at flat sites
+    [r*N, (r+1)*N), with the core that stepped it `steps` times from
+    all-plus.  Equality and hash are the lattice state's."""
+
+    core: engine._PackedCore
+    steps: int
 
 
 def stationary_sample(
@@ -185,25 +198,19 @@ def stationary_sample(
     replicas: int,
     seed: int,
     threads: int = 1,
-) -> LatticeState:
-    """Replica batch of near-stationary states from all-plus, as one packed
-    lattice of dims (M, *dims): replica r is flat sites [r*N, (r+1)*N)."""
+) -> ReplicaSample:
+    """Replica batch of near-stationary states, burn_in steps from all-plus."""
     if replicas < 1:
         raise ConfigError(f"samples must be at least 1, got {replicas}")
     if burn_in < 0:
         raise ConfigError(f"burn_in must be nonnegative, got {burn_in}")
-    core = _batch_core(rule, noise, dims, replicas, seed, threads)
+    core = engine._PackedCore(
+        rule, dims, engine.kernel_plus(noise, rule), RngKey(seed), threads, replicas=replicas
+    )
     words = LatticeState.all_plus(core.dims).words[None, :]
     for t in range(burn_in):
         words = core.step(words, t)
-    return LatticeState(dims=core.dims, words=words[0])
-
-
-def _replica_shape(sample: LatticeState, dims: Sequence[int]) -> tuple[int, int]:
-    """(M, N) of a replica sample over dims."""
-    if sample.dims[1:] != tuple(int(L) for L in dims):
-        raise ConfigError(f"sample of dims {sample.dims} is not a replica batch over {dims}")
-    return sample.dims[0], math.prod(sample.dims[1:])
+    return ReplicaSample(dims=core.dims, words=words[0], core=core, steps=burn_in)
 
 
 def _replica_means(words: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -213,6 +220,11 @@ def _replica_means(words: np.ndarray, m: int, n: int) -> np.ndarray:
     np.mean gives on the unpacked spins, bit for bit.
     """
     return (2 * engine._replica_counts(words, m, n) - n).astype(np.float64) / n
+
+
+def _fit_rows(table: list) -> FitResult:
+    """Decay fit of (x, estimate, stderr, n) rows."""
+    return fit_log_decay(*([row[k] for row in table] for k in range(3)))
 
 
 def _delta_se(values: np.ndarray, means: np.ndarray, grad: np.ndarray) -> float:
@@ -226,7 +238,7 @@ def _delta_se(values: np.ndarray, means: np.ndarray, grad: np.ndarray) -> float:
 
 
 def spatial_correlation(
-    sample: LatticeState, dims: Sequence[int], distances: Sequence[int]
+    sample: ReplicaSample, distances: Sequence[int]
 ) -> tuple[RunSummary, FitResult]:
     """Two-point covariances cov(w_0, w_x) of a replica sample at given distances.
 
@@ -236,10 +248,10 @@ def spatial_correlation(
     spins is +1 where their bits agree, so a replica's moment is the mean of
     NOT(w XOR w shifted by x), counted on the packed words.
     """
-    dims = tuple(int(L) for L in dims)
+    m, dims = sample.dims[0], sample.dims[1:]
+    n = math.prod(dims)
     if max(distances) >= min(dims) / 2:
         raise ConfigError("max distance must stay below min(dims)/2")
-    m, n = _replica_shape(sample, dims)
     words = sample.words
     m_r = _replica_means(words, m, n)
     m_hat = float(m_r.mean())
@@ -256,46 +268,31 @@ def spatial_correlation(
             np.array([1.0, -2.0 * m_hat]),
         )
         summary.table.append((int(dist), cov_hat, se, m))
-    xs = [row[0] for row in summary.table]
-    ys = [row[1] for row in summary.table]
-    errs = [row[2] for row in summary.table]
-    return summary, fit_log_decay(xs, ys, errs)
+    return summary, _fit_rows(summary.table)
 
 
 def temporal_autocorrelation(
-    sample: LatticeState,
-    rule: RuleSpec,
-    noise: NoiseModel,
-    dims: Sequence[int],
-    lags: Sequence[int],
-    seed: int,
-    burn_in: int,
-    threads: int = 1,
+    sample: ReplicaSample, lags: Sequence[int]
 ) -> tuple[RunSummary, FitResult]:
     """Autocovariances cov(w_0(t), w_0(t+k)) at given lags.
 
-    sample is the lag-0 batch, the :func:`stationary_sample` of the same
-    rule, noise, dims, seed and burn_in; the lags continue its stream from
-    step burn_in on, on the packed words.
+    sample is the lag-0 batch; the lags continue its chain, stepping
+    sample.core on from step sample.steps, on the packed words.
     """
     lags = sorted(int(k) for k in lags)
     if lags and lags[0] < 0:
         raise ConfigError("lags must be nonnegative")
-    m, n = _replica_shape(sample, dims)
+    m, n = sample.dims[0], math.prod(sample.dims[1:])
     words0 = sample.words
     m0_r = _replica_means(words0, m, n)
     m0 = float(m0_r.mean())
     summary = RunSummary()
-    core = None
     words = words0[None, :]
-    t_now = burn_in
+    t = sample.steps
     for lag in lags:
-        if lag > t_now - burn_in:
-            if core is None:
-                core = _batch_core(rule, noise, dims, m, seed, threads)
-            for t in range(t_now, burn_in + lag):
-                words = core.step(words, t)
-            t_now = burn_in + lag
+        while t < sample.steps + lag:
+            words = sample.core.step(words, t)
+            t += 1
         v_r = _replica_means(~(words0 ^ words[0]), m, n)
         mk_r = _replica_means(words[0], m, n)
         g_hat = float(v_r.mean())
@@ -307,10 +304,7 @@ def temporal_autocorrelation(
             np.array([1.0, -mk, -m0]),
         )
         summary.table.append((lag, cov_hat, se, m))
-    xs = [row[0] for row in summary.table]
-    ys = [row[1] for row in summary.table]
-    errs = [row[2] for row in summary.table]
-    return summary, fit_log_decay(xs, ys, errs)
+    return summary, _fit_rows(summary.table)
 
 
 MERGED = "MERGED"
@@ -374,6 +368,7 @@ def two_phase_divergence(
             gap_mean=None,
             gap_se=None,
         )
+    _check_series(steps, 2)
     core = engine._PackedCore(
         rule, dims, engine.kernel_plus(noise, rule), RngKey(seed), threads, rows=2
     )

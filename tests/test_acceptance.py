@@ -158,14 +158,12 @@ def test_c04_oracle_equivalence():
         assert abs(float(dens.mean()) - exact_density) < 3.0 * se
 
         sample = stats.stationary_sample(rule, noise, dims, burn_in, replicas, seed=102)
-        summary, _ = stats.spatial_correlation(sample, dims, [2])
+        summary, _ = stats.spatial_correlation(sample, [2])
         _, est, se2, _ = summary.table[0]
         assert abs(est - exact_cov2) < 4.0 * se2
 
         sample = stats.stationary_sample(rule, noise, dims, burn_in, replicas, seed=103)
-        summary, _ = stats.temporal_autocorrelation(
-            sample, rule, noise, dims, [2], seed=103, burn_in=burn_in
-        )
+        summary, _ = stats.temporal_autocorrelation(sample, [2])
         _, est, se3, _ = summary.table[0]
         assert abs(est - exact_lag2) < 4.0 * se3
 

@@ -237,14 +237,15 @@ class TestExact:
         assert error["type"] == "ConfigError" and "not proven unique" in error["message"]
         assert not (out / "exact_report.json").exists()
 
-    def test_absorbing_requires_opt_in(self, tmp_path, capsys):
-        code, _ = run(
+    def test_absorbing_chain_needs_no_opt_in(self, tmp_path):
+        # no allow_absorbing: the uniqueness proof alone admits the chain
+        code, out = run(
             tmp_path, "exact",
             {"rule": "stavskaya", "noise": {"kind": "biased", "eps_plus": 0.3, "eps_minus": 0.0},
              "dims": [6]},
         )
-        assert code == 1
-        assert "allow_absorbing" in json.loads(capsys.readouterr().out)["error"]["message"]
+        assert code == 0
+        assert read_json(out / "exact_report.json")["stationary_marginal"][0] > 0.999
 
     def test_eleven_sites_hold_no_transition_matrix(self, tmp_path):
         # the 2^11 x 2^11 transition matrix alone is 32 MiB; the orbit route
@@ -454,6 +455,27 @@ class TestStrictInputs:
         assert code == 1 and error_type(capsys) == "ConfigError"
         assert not (out / artifact).exists()
 
+    @pytest.mark.parametrize("command, config", [
+        ("erode", {"rule": "stavskaya", "island": [0, 1], "dims": [64], "cutoff": 16}),
+        ("simulate", {"rule": "majority3d", "noise": {"kind": "symmetric", "eps": 0.1},
+                      "dims": [3, 3, 3], "steps": 2}),
+    ])
+    def test_snapshots_of_unsupported_dimension_rejected(self, tmp_path, capsys, command,
+                                                          config):
+        # erode draws frames of 2-d rules only, simulate of 1-d and 2-d ones;
+        # a requested frame that cannot be drawn is an error, not a silent skip
+        if config["rule"] == "majority3d":
+            rule_file = tmp_path / "majority3d.json"
+            rule_file.write_text(
+                '{"dimension": 3, "neighborhood": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],'
+                ' "table": "e8"}'
+            )
+            config = dict(config, rule=str(rule_file))
+        code, out = run(tmp_path, command, dict(config, snapshot_every=1))
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == 1 and error["type"] == "ConfigError" and "snapshots" in error["message"]
+        assert not list(out.iterdir())
+
     def test_empty_eps_grid_rejected(self, tmp_path, capsys):
         code, out = run(
             tmp_path, "scan", {"rule": "stavskaya", "eps_grid": [], "dims": [16], "steps": 3},
@@ -475,13 +497,20 @@ class TestOneTrajectoryPerCommand:
         return calls
 
     def test_simulate_snapshots_come_from_the_reported_run(self, tmp_path, monkeypatch):
-        calls = self.count_calls(monkeypatch, "evolve")
+        steps = []
+        step = cli.engine._PackedCore.step
+
+        def counted(self, words, t):
+            steps.append(t)
+            return step(self, words, t)
+
+        monkeypatch.setattr(cli.engine._PackedCore, "step", counted)
         code, out = run(
             tmp_path, "simulate",
             {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.1},
              "dims": [16, 16], "steps": 6, "snapshot_every": 3},
         )
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and steps == list(range(6))
         assert sorted(p.name for p in out.glob("*.ppm")) == [
             "frame_000000.ppm", "frame_000003.ppm", "frame_000006.ppm"]
 
@@ -495,6 +524,15 @@ class TestOneTrajectoryPerCommand:
         steps = read_json(out / "erosion_report.json")["steps"]
         assert code == 0 and calls == []
         assert len(list(out.glob("erode_*.ppm"))) == steps + 1
+
+    def test_simulate_sizes_its_run_once(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch, "working_bytes")
+        code, _ = run(
+            tmp_path, "simulate",
+            {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.1},
+             "dims": [16, 16], "steps": 6},
+        )
+        assert code == 0 and len(calls) == 1
 
     def test_exact_builds_one_kernel(self, tmp_path, monkeypatch):
         # the stationary solve, the TV curve and the duality check share one
@@ -580,6 +618,9 @@ class TestMonteCarloCap:
                        "burn_in": 1, "distances": [1], "lags": [1]}),
         ("erode", {"rule": "nec", "island": [[0, 0]], "dims": [4096, 4096], "cutoff": 2,
                    "snapshot_every": 1}),
+        # the per-step float64 series alone are 8 TB and 16 TB
+        ("simulate", {"rule": "stavskaya", "noise": NOISE, "dims": [16], "steps": 10**12}),
+        ("divergence", {"rule": "nec", "noise": NOISE, "dims": [8, 8], "steps": 10**12}),
     ])
     def test_refused_before_anything_lattice_sized(self, tmp_path, capsys, monkeypatch,
                                                    command, config):

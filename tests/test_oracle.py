@@ -114,9 +114,9 @@ class TestTransferApply:
         + [(random_rule(random.Random(seed), max_R, 2), dims) for (seed, max_R), dims in DRAWN],
     )
     def test_sweep_matches_brute_force(self, rule, dims):
-        # signed vectors, one at a time and as a (B, 2^N) batch; distinct
-        # kernel entries tell the neighbor slots apart, and nec 3x4 has a
-        # two-dimensional wrap-around front
+        # signed vectors, one at a time; distinct kernel entries tell the
+        # neighbor slots apart, and nec 3x4 has a two-dimensional
+        # wrap-around front
         assert rule.dimension == len(dims)
         rng = np.random.default_rng(6)
         p_plus = rng.uniform(0.05, 0.95, size=1 << rule.size)
@@ -125,15 +125,15 @@ class TestTransferApply:
         vecs = rng.normal(size=(3, k.n_states))
         vecs /= np.abs(vecs).sum(axis=1, keepdims=True)
         want = brute_force_transfer(rule, p_plus, dims, vecs)
-        got = k.apply(vecs)
-        assert got.shape == vecs.shape
-        assert np.abs(got - want).max() < 1e-15
-        assert np.abs(k.apply(vecs[1]) - want[1]).max() < 1e-15
+        for vec, row in zip(vecs, want):
+            got = k.apply(vec)
+            assert got.shape == vec.shape
+            assert np.abs(got - row).max() < 1e-15
 
     @pytest.mark.parametrize("rule, dims", [(STAV, (12,)), (NEC, (3, 3)), (NEC, (3, 4))])
     def test_apply_never_returns_a_buffer(self, rule, dims):
-        # single-vector applies write through the plan's two buffers; each
-        # result is a fresh array, bit-equal to its row of a batch apply
+        # applies write through the plan's two buffers; each result is a
+        # fresh array, bit-equal to a repeated apply of the same vector
         k = ExactKernel(rule, symmetric_noise(0.1), dims)
         vecs = np.random.default_rng(8).random((2, k.n_states))
         first = k.apply(vecs[0])
@@ -141,7 +141,8 @@ class TestTransferApply:
         second = k.apply(vecs[1])
         assert np.array_equal(first, kept)
         assert not any(np.shares_memory(out, buf) for out in (first, second) for buf in k._buffers)
-        assert np.array_equal(np.stack([first, second]), k.apply(vecs))
+        assert np.array_equal(first, k.apply(vecs[0]))
+        assert np.array_equal(second, k.apply(vecs[1]))
 
     def test_site_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -212,13 +213,10 @@ class TestTransferApply:
         with pytest.raises(ConfigError, match="aliases"):
             ExactKernel(NEC, symmetric_noise(0.1), (2, 5))
 
-    def test_sweep_byte_cap_counts_the_batch(self, monkeypatch):
+    def test_apply_takes_one_vector(self):
         k = ExactKernel(STAV, symmetric_noise(0.1), (12,))
-        vecs = np.full((3, k.n_states), 1.0 / k.n_states)
-        monkeypatch.setattr(oracle, "MAX_SWEEP_BYTES", 2 * k._sweep_bytes)
-        assert k.apply(vecs[:2]).shape == (2, k.n_states)
-        with pytest.raises(ResourceLimitError, match="site sweep"):
-            k.apply(vecs)
+        with pytest.raises(ValueError, match="one vector"):
+            k.apply(np.full((2, k.n_states), 1.0 / k.n_states))
 
 
 # (seed, max_R) draws of random_rule(max_d=2) for the orbit matrix, with a torus
@@ -264,7 +262,7 @@ class TestOrbits:
     @pytest.mark.parametrize("rule, noise, dims, kwargs, solver, bound", [
         # the absorbing chain's spectral gap is 2e-5, so TV residuals at the
         # roundoff floor (1e-15) leave laws that differ by up to ~1e-15 / gap
-        (STAV, biased_noise(0.12, 0.0), (6,), dict(tol=1e-10, allow_absorbing=True), "krylov",
+        (STAV, biased_noise(0.12, 0.0), (6,), dict(tol=1e-10), "krylov",
          1e-11),
         (NEC, symmetric_noise(0.1), (3, 3), dict(tol=1e-11), "krylov", 1e-12),
     ])
@@ -320,7 +318,7 @@ class TestStationary:
         # solved for by GMRES instead of by ~2M power iterations
         pi = stationary_distribution(
             STAV, biased_noise(0.1, 0.0), (6,), tol=1e-10,
-            max_iter=6_000_000, allow_absorbing=True,
+            max_iter=6_000_000,
         )
         k = ExactKernel(STAV, biased_noise(0.1, 0.0), (6,))
         t_pi = k.apply(pi.probs)
@@ -370,9 +368,10 @@ class TestStationary:
         with pytest.raises(ValueError, match="kernel was not built"):
             stationary_distribution(rule, noise, dims, kernel=k)
 
-    def test_absorbing_needs_opt_in(self):
-        with pytest.raises(ValueError):
-            stationary_distribution(STAV, biased_noise(0.1, 0.0), (6,))
+    def test_absorbing_chain_needs_no_opt_in(self):
+        # all-minus absorbs, and the uniqueness proof alone admits the chain
+        pi = stationary_distribution(STAV, biased_noise(0.1, 0.0), (6,))
+        assert pi.probs[0] > 1.0 - 1e-9
 
     def test_nec_flip_symmetry(self):
         pi = stationary_distribution(NEC, symmetric_noise(0.3), (3, 3), tol=1e-11)
@@ -386,7 +385,7 @@ class TestStationary:
         # not unique: the cycle average of the uniform start would be 1/64
         # all-minus, 63/64 all-plus, a law of that start alone
         with pytest.raises(ConfigError, match="not proven unique"):
-            stationary_distribution(STAV, symmetric_noise(0.0), (6,), allow_absorbing=True)
+            stationary_distribution(STAV, symmetric_noise(0.0), (6,))
 
     @pytest.mark.parametrize("rule, noise, dims, unique", [
         pytest.param(STAV, symmetric_noise(0.1), (6,), True, id="noise0-True"),
@@ -437,14 +436,13 @@ class TestStationary:
         # is +1, and 0 otherwise: the chain has three closed classes, so its
         # invariant law depends on the start
         with pytest.raises(ConfigError, match="not proven unique"):
-            stationary_distribution(CESARO_RULE, table_noise([1.0, 0.0, 0.5, 0.0]), (4,),
-                                    allow_absorbing=True)
+            stationary_distribution(CESARO_RULE, table_noise([1.0, 0.0, 0.5, 0.0]), (4,))
 
     def test_biased_above_orbit_size_solves_by_krylov(self):
         # no configuration is sure to give +1, so the law is proven unique
         # at 12 sites, past the orbit search; the chain mixes slowly (10^6
         # power iterations stay above tol 1e-10)
-        pi = stationary_distribution(STAV, biased_noise(0.12, 0.0), (12,), allow_absorbing=True)
+        pi = stationary_distribution(STAV, biased_noise(0.12, 0.0), (12,))
         assert pi.solver == "krylov" and pi.iterations <= 30 and pi.residual < 1e-10
 
     def test_verified_residual(self):
@@ -506,8 +504,9 @@ class TestCylinderFunctions:
             dist = StateDistribution(dims=dims, probs=probs)
             window = ((0,) * len(dims), (1,) + (0,) * (len(dims) - 1))
             f = CylinderFunction(window=window, table=rng.normal(size=4))
-            lhs = cylinder_expectation(transfer_apply(dist, ExactKernel(rule, noise, dims)), f)
-            rhs = cylinder_expectation(dist, dual_apply(f, rule, noise, dims))
+            kernel = ExactKernel(rule, noise, dims)
+            lhs = cylinder_expectation(transfer_apply(dist, kernel), f)
+            rhs = cylinder_expectation(dist, dual_apply(f, kernel))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 

@@ -140,13 +140,13 @@ class TestScan:
 class TestSpatialCorrelation:
     def test_zero_noise_trivial(self):
         sample = stationary_sample(STAV, symmetric_noise(0.0), (16,), 5, 100, seed=1)
-        summary, fit = spatial_correlation(sample, (16,), [1, 2])
+        summary, fit = spatial_correlation(sample, [1, 2])
         assert all(row[1] == 0.0 for row in summary.table)
         assert not fit.valid
 
     def test_half_noise_uncorrelated(self):
         sample = stationary_sample(NEC, symmetric_noise(0.5), (16, 16), 3, 2000, seed=2)
-        summary, _ = spatial_correlation(sample, (16, 16), [1, 2, 3])
+        summary, _ = spatial_correlation(sample, [1, 2, 3])
         for _, est, se, _ in summary.table:
             assert abs(est) < 4.0 * se
 
@@ -154,14 +154,14 @@ class TestSpatialCorrelation:
         noise = symmetric_noise(0.1)
         _, exact_cov = exact_spin_stats(STAV, noise, (8,), distance=2)
         sample = stationary_sample(STAV, noise, (8,), 150, 40000, seed=6)
-        summary, _ = spatial_correlation(sample, (8,), [2])
+        summary, _ = spatial_correlation(sample, [2])
         _, est, se, _ = summary.table[0]
         assert abs(est - exact_cov) < 4.0 * se
 
     def test_distance_bound(self):
         sample = stationary_sample(STAV, symmetric_noise(0.1), (8,), 100, 10, seed=1)
         with pytest.raises(ConfigError):
-            spatial_correlation(sample, (8,), [4])
+            spatial_correlation(sample, [4])
 
 
 def int8_moments(bits, dims, dist=None, later=None):
@@ -189,8 +189,8 @@ class TestPackedEstimators:
         monkeypatch.setattr(stats, "_delta_se", capture)
         noise, m, n = symmetric_noise(eps), 500, int(np.prod(dims))
         sample = stationary_sample(rule, noise, dims, 20, m, seed=8)
-        spatial_correlation(sample, dims, [1, 2])
-        temporal_autocorrelation(sample, rule, noise, dims, [0, 3], seed=8, burn_in=20)
+        spatial_correlation(sample, [1, 2])
+        temporal_autocorrelation(sample, [0, 3])
         bits = sample.bits().reshape(m, n)
         later = stationary_sample(rule, noise, dims, 23, m, seed=8).bits().reshape(m, n)
         want = []
@@ -209,16 +209,14 @@ class TestTemporalAutocorrelation:
     def test_lag_zero_is_variance(self):
         noise = symmetric_noise(0.2)
         sample = stationary_sample(STAV, noise, (12,), 30, 2000, seed=3)
-        summary, _ = temporal_autocorrelation(sample, STAV, noise, (12,), [0], seed=3, burn_in=30)
+        summary, _ = temporal_autocorrelation(sample, [0])
         lag, est, se, n = summary.table[0]
         assert lag == 0 and est >= 0.0 and n == 2000
 
     def test_half_noise_decorrelates_in_one_step(self):
         noise = symmetric_noise(0.5)
         sample = stationary_sample(STAV, noise, (12,), 10, 4000, seed=4)
-        summary, _ = temporal_autocorrelation(
-            sample, STAV, noise, (12,), [1, 2], seed=4, burn_in=10
-        )
+        summary, _ = temporal_autocorrelation(sample, [1, 2])
         for _, est, se, _ in summary.table:
             assert abs(est) < 4.0 * se
 
@@ -226,7 +224,7 @@ class TestTemporalAutocorrelation:
         noise = symmetric_noise(0.1)
         _, exact_cov = exact_spin_stats(STAV, noise, (8,), lag=2)
         sample = stationary_sample(STAV, noise, (8,), 150, 40000, seed=7)
-        summary, _ = temporal_autocorrelation(sample, STAV, noise, (8,), [2], seed=7, burn_in=150)
+        summary, _ = temporal_autocorrelation(sample, [2])
         _, est, se, _ = summary.table[0]
         assert abs(est - exact_cov) < 4.0 * se
 
@@ -234,7 +232,7 @@ class TestTemporalAutocorrelation:
         noise = symmetric_noise(0.1)
         sample = stationary_sample(STAV, noise, (8,), 100, 10, seed=1)
         with pytest.raises(ConfigError):
-            temporal_autocorrelation(sample, STAV, noise, (8,), [-1], seed=1, burn_in=100)
+            temporal_autocorrelation(sample, [-1])
 
 
 class TestTwoPhase:
