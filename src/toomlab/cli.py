@@ -225,6 +225,8 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence], resolv
 
 
 def _csv_cell(x: Any) -> str:
+    if x is None:
+        return ""
     if isinstance(x, float):
         return repr(x)
     return str(x)
@@ -309,9 +311,16 @@ def cmd_check(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
     return 0, payload
 
 
+def _snapshot_every(cfg: dict) -> int:
+    """The snapshot period; 0 writes no frames, and a negative one is refused."""
+    if cfg["snapshot_every"] < 0:
+        raise ConfigError(f"snapshot_every must be nonnegative, got {cfg['snapshot_every']}")
+    return cfg["snapshot_every"]
+
+
 def cmd_erode(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[int, dict]:
     rule = rules.load_rule(cfg["rule"])
-    dims, every = cfg["dims"], cfg["snapshot_every"]
+    dims, every = cfg["dims"], _snapshot_every(cfg)
     record = None
     if every > 0:
         if rule.dimension != 2:
@@ -340,7 +349,7 @@ def cmd_erode(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
 
 def cmd_simulate(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[int, dict]:
     rule = rules.load_rule(cfg["rule"])
-    dims, every = tuple(cfg["dims"]), cfg["snapshot_every"]
+    dims, every = tuple(cfg["dims"]), _snapshot_every(cfg)
     if every > 0 and rule.dimension not in (1, 2):
         raise ConfigError("snapshots support d = 1 (strip) and d = 2 (frames) only")
     strip = None
@@ -419,10 +428,10 @@ def cmd_correlate(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tupl
     rule = rules.load_rule(cfg["rule"])
     if not (cfg["distances"] or cfg["lags"]):
         raise ConfigError("correlate needs distances and/or lags")
-    payload: dict = {}
     header = ("distance_or_lag", "estimate", "stderr", "n")
     sample = stats.stationary_sample(rule, cfg["noise"], cfg["dims"], cfg["burn_in"],
                                      cfg["samples"], cfg["seed"], threads)
+    payload: dict = {"burn_in_window": sample.burn_in_window}
     estimates = {}
     if cfg["distances"]:
         estimates["spatial"] = stats.spatial_correlation(sample, cfg["distances"])

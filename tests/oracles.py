@@ -13,6 +13,9 @@ for bit.  Only the torus-size check is shared, so that the reference
 refuses the same aliasing dims as the engine.  ``evolve_batch`` is not a
 reference but an adapter: it runs an unpacked (M, N) replica batch through
 the packed core, for tests that compare batches site by site.
+``plain_stationary_sample`` is the replica burn-in stepped from step 0 with
+no sandwich, which ``toomlab.stats.stationary_sample`` must match bit for
+bit.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from numpy.random import Generator, Philox
 from toomlab import engine
 from toomlab.engine import NoiseModel, RngKey, _torus_dims
 from toomlab.rules import RuleSpec, monotone_closure
+from toomlab.stats import ReplicaSample
 
 
 def interval_eroder_verdict(offsets: list[int], sets: list[tuple[int, ...]]) -> bool:
@@ -292,3 +296,21 @@ def evolve_batch(
     for t in range(t0, t0 + steps):
         words = core.step(words, t)
     return engine._unpack(words, m * n).reshape(m, n)
+
+
+def plain_stationary_sample(
+    rule: RuleSpec,
+    noise: NoiseModel,
+    dims: Sequence[int],
+    burn_in: int,
+    replicas: int,
+    seed: int,
+) -> ReplicaSample:
+    """The replica batch after every burn-in step from all-plus at step 0."""
+    kern = engine.kernel_plus(noise, rule)
+    core = engine._PackedCore(rule, dims, kern, RngKey(seed), replicas=replicas)
+    words = engine.LatticeState.all_plus(core.dims).words[None, :]
+    for t in range(burn_in):
+        words = core.step(words, t)
+    return ReplicaSample(dims=core.dims, words=words[0], core=core, steps=burn_in,
+                         burn_in_window=burn_in)

@@ -304,6 +304,21 @@ class TestCorrelateScanDivergence:
         assert lines[1] == "eps,density,stderr,n"
         assert len(lines) == 4
 
+    def test_one_point_has_no_standard_error(self, tmp_path, capsys):
+        # one post-burn-in point read density_se 0.0, claiming exactness
+        noise = {"kind": "symmetric", "eps": 0.1}
+        code, _ = run(tmp_path, "simulate",
+                      {"rule": "nec", "noise": noise, "dims": [8, 8], "steps": 3, "burn_in": 3})
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and payload["density_se"] is None
+        assert payload["density_mean"] is not None
+        code, out = run(tmp_path, "scan",
+                        {"rule": "nec", "eps_grid": [0.1], "dims": [8, 8], "steps": 3,
+                         "burn_in": 2})
+        assert code == 0 and json.loads(capsys.readouterr().out)["rows"][0]["stderr"] is None
+        eps, density, stderr, n = (out / "scan.csv").read_text().splitlines()[2].split(",")
+        assert stderr == "" and float(density) >= 0.0
+
     def test_divergence_merged(self, tmp_path, capsys):
         code, out = run(
             tmp_path, "divergence",
@@ -476,6 +491,16 @@ class TestStrictInputs:
         assert code == 1 and error["type"] == "ConfigError" and "snapshots" in error["message"]
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("command, config", [
+        ("erode", {"rule": "nec", "island": [[0, 0]], "dims": [16, 16], "cutoff": 4}),
+        ("simulate", dict(SIM, dims=[8, 8])),
+    ])
+    def test_negative_snapshot_every_rejected(self, tmp_path, capsys, command, config):
+        # it ran to exit 0 with no frame written
+        code, out = run(tmp_path, command, dict(config, snapshot_every=-2))
+        assert code == 1 and error_type(capsys) == "ConfigError"
+        assert not list(out.iterdir())
+
     def test_empty_eps_grid_rejected(self, tmp_path, capsys):
         code, out = run(
             tmp_path, "scan", {"rule": "stavskaya", "eps_grid": [], "dims": [16], "steps": 3},
@@ -552,22 +577,43 @@ class TestOneTrajectoryPerCommand:
         )
         assert code == 0 and len(built) == 1
 
-    def test_correlate_burns_in_once(self, tmp_path, monkeypatch):
+    def test_correlate_burns_in_once(self, tmp_path, monkeypatch, capsys):
         steps = []
         step = cli.engine._PackedCore.step
 
         def counted(self, words, t):
-            steps.append(t)
+            steps.append((self.dims[0], t))
             return step(self, words, t)
 
         monkeypatch.setattr(cli.engine._PackedCore, "step", counted)
+        samples, burn_in = 200, 60
         code, _ = run(
             tmp_path, "correlate",
-            {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1},
-             "dims": [8], "distances": [1], "lags": [0, 2], "samples": 50, "burn_in": 7},
+            {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1}, "dims": [8],
+             "distances": [1], "lags": [0, 2], "samples": samples, "burn_in": burn_in},
         )
-        # one burn-in of 7 steps, then the lag-2 continuation
-        assert code == 0 and steps == list(range(7 + 2))
+        window = json.loads(capsys.readouterr().out)["burn_in_window"]
+        # the full batch steps its burn-in window once, then the lag-2
+        # continuation; any other core is the probe on ceil(M / 64) replicas
+        assert code == 0 and window < burn_in
+        assert [t for m, t in steps if m == samples] == list(range(burn_in - window, burn_in + 2))
+        assert {m for m, _ in steps} == {samples, -(-samples // 64)}
+
+    @pytest.mark.parametrize("eps, route", [(0.1, "window"), (0.7, "plain")])
+    def test_correlate_reports_its_burn_in_window(self, tmp_path, capsys, eps, route):
+        # eps 0.7 turns the kernel anti-monotone, so no sandwich holds
+        config = {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": eps},
+                  "dims": [8], "distances": [1], "lags": [1], "samples": 500, "burn_in": 60}
+        windows = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            assert run(tmp_path / name, "correlate", config)[0] == 0
+            windows.append(json.loads(capsys.readouterr().out)["burn_in_window"])
+        assert windows[0] == windows[1]
+        if route == "window":
+            assert 0 < windows[0] <= 30 and windows[0] % 3 == 0
+        else:
+            assert windows[0] == 60
 
     def test_divergence_reports_coalescence(self, tmp_path, capsys):
         config = {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.5},

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from toomlab import engine, oracle, stats
+from . import oracles
 from toomlab.engine import symmetric_noise
 from toomlab.errors import ConfigError
 from toomlab.rules import builtin
@@ -330,6 +331,56 @@ class TestCoalescence:
             assert np.array_equal(other.mag_plus, runs[0].mag_plus)
             assert np.array_equal(other.mag_minus, runs[0].mag_minus)
             assert other.coalescence_step == runs[0].coalescence_step == 1
+
+
+class TestBurnInFromThePast:
+    """stationary_sample against the burn-in stepped from step 0."""
+
+    @staticmethod
+    def same(rule, noise, dims, burn_in, m, seed, threads=1):
+        got = stationary_sample(rule, noise, dims, burn_in, m, seed, threads)
+        want = oracles.plain_stationary_sample(rule, noise, dims, burn_in, m, seed)
+        assert got.dims == want.dims and np.array_equal(got.words, want.words)
+        distances = [1, 2] if len(dims) == 1 else [1]
+        assert spatial_correlation(got, distances)[0].table == \
+            spatial_correlation(want, distances)[0].table
+        assert temporal_autocorrelation(got, [0, 1, 3])[0].table == \
+            temporal_autocorrelation(want, [0, 1, 3])[0].table
+        return got.burn_in_window
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_window_route(self, seed):
+        window = self.same(STAV, symmetric_noise(0.1), (8,), 120, 20000, seed)
+        assert 0 < window <= 60 and window % 3 == 0
+
+    def test_probe_that_does_not_meet(self):
+        # low noise on nec 16x16: the plus and minus phases stay apart
+        assert self.same(NEC, symmetric_noise(0.05), (16, 16), 60, 300, 4) == 60
+
+    def test_anti_monotone_kernel(self):
+        # eps > 1/2 makes raising a neighbor lower p(+1), so no sandwich holds
+        assert self.same(STAV, symmetric_noise(0.7), (8,), 60, 1000, 5) == 60
+
+    @pytest.mark.parametrize("met", [1, 4])
+    def test_window_that_misses(self, monkeypatch, met):
+        # windows of 3 and 12 steps leave about 19k and 200 of the 20k pairs
+        # apart, so the burn-in runs again from step 0
+        monkeypatch.setattr(stats, "_meeting_step", lambda probe, stop: met)
+        window = self.same(STAV, symmetric_noise(0.1), (8,), 120, 20000, 6)
+        assert window == 3 * met + 120
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_threads(self, threads):
+        window = self.same(STAV, symmetric_noise(0.1), (8,), 120, 20000, 7, threads)
+        assert window < 120
+
+    def test_batch_that_fits_one_row_only(self, monkeypatch):
+        noise, m = symmetric_noise(0.1), 20000
+        kern = engine.kernel_plus(noise, STAV)
+        one, two = (engine.working_bytes(STAV, kern, (8,), rows, m) for rows in (1, 2))
+        assert one < two
+        monkeypatch.setattr(engine, "MAX_MC_BYTES", one)
+        assert self.same(STAV, noise, (8,), 120, m, 8) == 120
 
 
 class TestOneTrajectory:
