@@ -19,13 +19,15 @@ The burn-in is coupled from the past where the kernel is monotone.  Rows
 stepped on shared draws then stay ordered, so the run from all-plus lies
 between an all-plus and an all-minus row started at any later step, and
 once those two agree it is fixed whatever came before (a monotone
-sandwich).  A probe on 1/64 of the replicas finds the step c at which the
-two rows meet from step 0; the full batch steps both over the last 3c
-burn-in steps only, and keeps the plus row when every replica has met.
-The sample is bit-identical either way.  When the probe does not meet
-within a sixth of the burn-in, or the window does not close, the burn-in
-runs from step 0, at a worst-case extra cost of the probe (a sixth of the
-burn-in on 1/64 of the batch) and the window (at most half the burn-in).
+sandwich).  A probe on 1/64 of the replicas steps the two rows from step 0
+until they meet, at step c.  With at least 32 probe replicas, the fitted
+geometric tail of its replicas still apart gives the window W in [c, 3c]
+that leaves about 1/50 of a batch replica apart; else W = 3c.  The batch
+steps both rows over the last W, 2W, 4W, ... burn-in steps, up to half
+the burn-in, and keeps the plus row of the first window in which every
+replica has met, bit-identical to the plain burn-in.  When the probe does
+not meet within a sixth of the burn-in, or no window closes, the burn-in
+runs from step 0.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def minus_density_run(
         densities[t + 1] = 1.0 - engine._plus_counts(words)[0] / core.n_sites
         if on_step is not None:
             on_step(t + 1, LatticeState(dims=core.dims, words=words[0]))
-    tail = densities[burn_in + 1 :] if steps > burn_in else densities[burn_in:]
+    tail = densities[burn_in + 1 :]  # empty when steps == burn_in
     return RunSummary(
         density_series=densities,
         density_mean=float(tail.mean()) if tail.size else None,
@@ -197,7 +199,7 @@ def density_vs_epsilon_scan(
 class ReplicaSample(LatticeState):
     """A replica batch over dims (M, *torus dims), replica r at flat sites
     [r*N, (r+1)*N), with the core that stepped it `steps` times from
-    all-plus.  burn_in_window counts the burn-in steps that core made.
+    all-plus.  burn_in_window counts its burn-in steps, over all windows.
     Equality and hash are the lattice state's."""
 
     core: engine._PackedCore
@@ -206,7 +208,8 @@ class ReplicaSample(LatticeState):
 
 
 _PROBE_SHARE = 64  # the probe steps the first ceil(M / 64) replicas
-_WINDOW_FACTOR = 3  # the window spans 3 times the probe's meeting step
+_WINDOW_FACTOR = 3  # the first window spans at most 3 times the probe's meeting step
+_MISS_TARGET = 50  # the fitted window expects 1/50 of a batch replica apart
 
 
 def _monotone(kern: np.ndarray) -> bool:
@@ -232,11 +235,30 @@ def _sandwich(core: engine._PackedCore, rows: np.ndarray, start: int, stop: int)
         yield t + 1, rows
 
 
-def _meeting_step(probe: engine._PackedCore, stop: int) -> Optional[int]:
-    """The first step at most stop at which all-plus and all-minus rows
-    stepped by probe from step 0 agree, or None."""
-    steps = _sandwich(probe, _plus_minus(probe.dims), 0, stop)
-    return next((t for t, rows in steps if len(rows) == 1), None)
+def _probe_window(probe: engine._PackedCore, stop: int, replicas: int) -> Optional[int]:
+    """The first burn-in window for a batch of `replicas`, from the step c
+    at which probe's all-plus and all-minus rows meet (None if not by stop):
+    3c, unless probe's m >= 32 replicas give 3 steps t with 4 <= u(t) <=
+    m / 8, u the count still apart, and a least-squares fit ln u = a + b t
+    with b < 0; then the least w with replicas / m * e^(a + b w) <= 1/50,
+    clipped to [c, 3c]."""
+    m, n = probe.dims[0], math.prod(probe.dims[1:])
+    tail = []  # (t, ln u(t))
+    for c, rows in _sandwich(probe, _plus_minus(probe.dims), 0, stop):
+        if len(rows) == 1:
+            break
+        u = np.count_nonzero(engine._replica_counts(rows[0] ^ rows[1], m, n)) if m >= 32 else 0
+        if 4 <= u <= m / 8:
+            tail.append((c, math.log(u)))
+    else:
+        return None
+    k, st, sy = len(tail), sum(t for t, _ in tail), sum(y for _, y in tail)
+    stt, sty = sum(t * t for t, _ in tail), sum(t * y for t, y in tail)
+    b = (k * sty - st * sy) / max(k * stt - st * st, 1)  # the max guards only k < 2
+    if k < 3 or b >= 0:
+        return _WINDOW_FACTOR * c
+    w = (math.log(m / (replicas * _MISS_TARGET)) - (sy - b * st) / k) / b
+    return min(max(math.ceil(w), c), _WINDOW_FACTOR * c)
 
 
 def stationary_sample(
@@ -261,15 +283,17 @@ def stationary_sample(
 
     s comes from a probe: the first ceil(M / 64) replicas, which draw a
     prefix of every step's stream, stepped as an all-plus and an all-minus
-    row from step 0 for at most burn_in // 6 steps.  If every probe replica
-    has met at step c, the full batch steps both rows over [burn_in - 3c,
-    burn_in), and the plus row is the sample if every replica's rows agree.
+    row from step 0 for at most burn_in // 6 steps, give a first window W
+    (_probe_window).  The full batch steps both rows over [burn_in - w,
+    burn_in) for w = W, 2W, 4W, ... up to burn_in / 2, and the plus row of
+    the first window in which every replica's rows agree is the sample.
     Otherwise, and when the probe does not meet, the burn-in runs from
-    step 0.  That worst case adds burn_in // 6 probe steps on 1/64 of the
-    batch, plus, when the window misses, up to burn_in / 2 steps of the
-    batch.  A kernel that is not monotone, or a batch MAX_MC_BYTES refuses
-    two rows, burns in from step 0; a batch it refuses one row is refused
-    before anything runs.
+    step 0.  burn_in_window sums the batch steps of these runs: W when the
+    first window closes, 3W when the second does.  The worst case adds
+    burn_in // 6 probe steps on 1/64 of the batch, plus under burn_in
+    window steps.  A kernel that is not monotone, or a batch MAX_MC_BYTES
+    refuses two rows, burns in from step 0; a batch it refuses one row is
+    refused before anything runs.
     """
     if replicas < 1:
         raise ConfigError(f"samples must be at least 1, got {replicas}")
@@ -280,8 +304,8 @@ def stationary_sample(
     def packed(m: int, rows: int) -> engine._PackedCore:
         return engine._PackedCore(rule, dims, kern, RngKey(seed), threads, replicas=m, rows=rows)
 
-    core, window = None, 0
-    probe_steps = burn_in // (2 * _WINDOW_FACTOR)  # so the window is at most burn_in / 2
+    core, w, window = None, None, 0
+    probe_steps = burn_in // (2 * _WINDOW_FACTOR)  # so the first window is at most burn_in / 2
     if probe_steps and _monotone(kern):
         try:
             core = packed(replicas, 2)
@@ -290,20 +314,20 @@ def stationary_sample(
     if core is None:
         core = packed(replicas, 1)
     else:
-        met = _meeting_step(packed(-(-replicas // _PROBE_SHARE), 2), probe_steps)
-        if met is not None:
-            window = _WINDOW_FACTOR * met
-            rows = _plus_minus(core.dims)
-            for _, rows in _sandwich(core, rows, burn_in - window, burn_in):
-                pass
-            if len(rows) == 1:
-                return ReplicaSample(dims=core.dims, words=rows[0], core=core,
-                                     steps=burn_in, burn_in_window=window)
-    rows = LatticeState.all_plus(core.dims).words[None, :]
-    for _, rows in _sandwich(core, rows, 0, burn_in):
-        pass
+        w = _probe_window(packed(-(-replicas // _PROBE_SHARE), 2), probe_steps, replicas)
+    while w is not None and w <= burn_in / 2:
+        for _, rows in _sandwich(core, _plus_minus(core.dims), burn_in - w, burn_in):
+            pass
+        window, w = window + w, 2 * w
+        if len(rows) == 1:
+            break
+    else:  # no window tried, or none closed
+        rows = LatticeState.all_plus(core.dims).words[None, :]
+        for _, rows in _sandwich(core, rows, 0, burn_in):
+            pass
+        window += burn_in
     return ReplicaSample(dims=core.dims, words=rows[0], core=core,
-                         steps=burn_in, burn_in_window=window + burn_in)
+                         steps=burn_in, burn_in_window=window)
 
 
 def _replica_means(words: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -316,15 +340,15 @@ def _replica_means(words: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def _fit_rows(table: list) -> FitResult:
-    """Decay fit of (x, estimate, stderr, n) rows."""
+    """Decay fit of (x, estimate, stderr, n) rows; a None stderr reads as NaN, never usable."""
     return fit_log_decay(*([row[k] for row in table] for k in range(3)))
 
 
-def _delta_se(values: np.ndarray, means: np.ndarray, grad: np.ndarray) -> float:
-    """SE of f(sample means) with gradient grad, via the sample covariance."""
+def _delta_se(values: np.ndarray, means: np.ndarray, grad: np.ndarray) -> Optional[float]:
+    """SE of f(sample means) with gradient grad, via the sample covariance (None for m < 2)."""
     m = values.shape[0]
     if m < 2:
-        return 0.0
+        return None
     cov = np.cov(values, rowvar=False, ddof=1).reshape(len(means), len(means))
     var = float(grad @ cov @ grad) / m
     return math.sqrt(max(var, 0.0))

@@ -15,7 +15,8 @@ reference but an adapter: it runs an unpacked (M, N) replica batch through
 the packed core, for tests that compare batches site by site.
 ``plain_stationary_sample`` is the replica burn-in stepped from step 0 with
 no sandwich, which ``toomlab.stats.stationary_sample`` must match bit for
-bit.
+bit, and ``probe_meeting_step`` finds the probe's meeting step from two
+one-row batches, without the two-row sandwich.
 """
 
 from __future__ import annotations
@@ -314,3 +315,20 @@ def plain_stationary_sample(
         words = core.step(words, t)
     return ReplicaSample(dims=core.dims, words=words[0], core=core, steps=burn_in,
                          burn_in_window=burn_in)
+
+
+def probe_meeting_step(
+    rule: RuleSpec, noise: NoiseModel, dims: Sequence[int], replicas: int, seed: int, stop: int
+):
+    """The first step at which an all-plus and an all-minus batch of the
+    first ceil(replicas / 64) replicas, each stepped alone from step 0,
+    agree; None if they do not within stop steps."""
+    kern = engine.kernel_plus(noise, rule)
+    core = engine._PackedCore(rule, dims, kern, RngKey(seed), replicas=-(-replicas // 64))
+    plus = engine.LatticeState.all_plus(core.dims).words[None, :]
+    minus = engine.LatticeState.all_minus(core.dims).words[None, :]
+    for t in range(stop):
+        plus, minus = core.step(plus, t), core.step(minus, t)
+        if np.array_equal(plus, minus):
+            return t + 1
+    return None

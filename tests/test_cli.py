@@ -123,7 +123,8 @@ class TestSimulate:
             {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1},
              "dims": [16], "steps": 0},
         )
-        assert code == 0
+        # no step follows the burn-in, so there is nothing to average
+        assert code == 0 and json.loads(capsys.readouterr().out)["density_mean"] is None
         lines = (out / "density.csv").read_text().splitlines()
         assert len(lines) == 3 and lines[2] == "0,0.0"
 
@@ -308,7 +309,7 @@ class TestCorrelateScanDivergence:
         # one post-burn-in point read density_se 0.0, claiming exactness
         noise = {"kind": "symmetric", "eps": 0.1}
         code, _ = run(tmp_path, "simulate",
-                      {"rule": "nec", "noise": noise, "dims": [8, 8], "steps": 3, "burn_in": 3})
+                      {"rule": "nec", "noise": noise, "dims": [8, 8], "steps": 4, "burn_in": 3})
         payload = json.loads(capsys.readouterr().out)
         assert code == 0 and payload["density_se"] is None
         assert payload["density_mean"] is not None
@@ -318,6 +319,34 @@ class TestCorrelateScanDivergence:
         assert code == 0 and json.loads(capsys.readouterr().out)["rows"][0]["stderr"] is None
         eps, density, stderr, n = (out / "scan.csv").read_text().splitlines()[2].split(",")
         assert stderr == "" and float(density) >= 0.0
+
+    def test_no_point_after_burn_in_has_no_average(self, tmp_path, capsys):
+        # with steps = burn_in the mean was the last burn-in point's density
+        noise = {"kind": "symmetric", "eps": 0.1}
+        code, out = run(tmp_path, "simulate",
+                        {"rule": "nec", "noise": noise, "dims": [8, 8], "steps": 3, "burn_in": 3})
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and payload["density_mean"] is None and payload["density_se"] is None
+        assert len((out / "density.csv").read_text().splitlines()) == 2 + 4
+        code, out = run(tmp_path, "scan",
+                        {"rule": "nec", "eps_grid": [0.1], "dims": [8, 8], "steps": 3,
+                         "burn_in": 3})
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert code == 0 and row["density"] is None and row["n"] == 0
+        assert (out / "scan.csv").read_text().splitlines()[2] == "0.1,,,0"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_sample_has_no_standard_error(self, tmp_path, capsys):
+        # one replica read stderr 0.0, claiming exactness
+        code, out = run(tmp_path, "correlate",
+                        {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1},
+                         "dims": [8], "distances": [1], "lags": [0, 1], "samples": 1,
+                         "burn_in": 20})
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and not payload["spatial_valid"] and not payload["temporal_valid"]
+        for kind, lines in (("spatial", 1), ("temporal", 2)):
+            rows = (out / f"correlate_{kind}.csv").read_text().splitlines()[2:]
+            assert [row.split(",")[2:] for row in rows] == [["", "1"]] * lines
 
     def test_divergence_merged(self, tmp_path, capsys):
         code, out = run(
@@ -593,10 +622,16 @@ class TestOneTrajectoryPerCommand:
              "distances": [1], "lags": [0, 2], "samples": samples, "burn_in": burn_in},
         )
         window = json.loads(capsys.readouterr().out)["burn_in_window"]
-        # the full batch steps its burn-in window once, then the lag-2
-        # continuation; any other core is the probe on ceil(M / 64) replicas
+        # the full batch steps each window it tries once, doubling from the
+        # first, then the lag-2 continuation; any other core is the probe
+        # on ceil(M / 64) replicas
+        full = [t for m, t in steps if m == samples]
+        tried, w = [], burn_in - full[0]
+        while len(tried) < window:
+            tried += range(burn_in - w, burn_in)
+            w *= 2
         assert code == 0 and window < burn_in
-        assert [t for m, t in steps if m == samples] == list(range(burn_in - window, burn_in + 2))
+        assert full == tried + [burn_in, burn_in + 1]
         assert {m for m, _ in steps} == {samples, -(-samples // 64)}
 
     @pytest.mark.parametrize("eps, route", [(0.1, "window"), (0.7, "plain")])
@@ -611,7 +646,7 @@ class TestOneTrajectoryPerCommand:
             windows.append(json.loads(capsys.readouterr().out)["burn_in_window"])
         assert windows[0] == windows[1]
         if route == "window":
-            assert 0 < windows[0] <= 30 and windows[0] % 3 == 0
+            assert 0 < windows[0] <= 30
         else:
             assert windows[0] == 60
 

@@ -350,8 +350,17 @@ class TestBurnInFromThePast:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_window_route(self, seed):
-        window = self.same(STAV, symmetric_noise(0.1), (8,), 120, 20000, seed)
-        assert 0 < window <= 60 and window % 3 == 0
+        # a probe of 313 replicas fits its tail, and the batch burns in
+        # over fewer steps than three times the probe's meeting step
+        noise = symmetric_noise(0.1)
+        window = self.same(STAV, noise, (8,), 120, 20000, seed)
+        assert 0 < window < 3 * oracles.probe_meeting_step(STAV, noise, (8,), 20000, seed, 20)
+
+    def test_small_probe_takes_three_meeting_steps(self):
+        # 1984 replicas give a probe of 31, too few for a fit over 4..m/8
+        noise = symmetric_noise(0.1)
+        window = self.same(STAV, noise, (8,), 120, 1984, 4)
+        assert window == 3 * oracles.probe_meeting_step(STAV, noise, (8,), 1984, 4, 20)
 
     def test_probe_that_does_not_meet(self):
         # low noise on nec 16x16: the plus and minus phases stay apart
@@ -361,13 +370,19 @@ class TestBurnInFromThePast:
         # eps > 1/2 makes raising a neighbor lower p(+1), so no sandwich holds
         assert self.same(STAV, symmetric_noise(0.7), (8,), 60, 1000, 5) == 60
 
-    @pytest.mark.parametrize("met", [1, 4])
-    def test_window_that_misses(self, monkeypatch, met):
-        # windows of 3 and 12 steps leave about 19k and 200 of the 20k pairs
-        # apart, so the burn-in runs again from step 0
-        monkeypatch.setattr(stats, "_meeting_step", lambda probe, stop: met)
-        window = self.same(STAV, symmetric_noise(0.1), (8,), 120, 20000, 6)
-        assert window == 3 * met + 120
+    @pytest.mark.parametrize("first", [1, 4])
+    def test_window_that_misses(self, monkeypatch, first):
+        # windows of up to 8 steps leave some of the 20k pairs apart, and
+        # 16 passes half the burn-in, so the burn-in runs again from step 0
+        monkeypatch.setattr(stats, "_probe_window", lambda probe, stop, replicas: first)
+        window = self.same(STAV, symmetric_noise(0.1), (8,), 30, 20000, 6)
+        assert window == sum(w for w in (1, 2, 4, 8) if w >= first) + 30
+
+    def test_window_that_misses_once(self, monkeypatch):
+        # these 20k pairs all meet over the last 18 steps but not over 10,
+        # so the doubled window of 20 closes
+        monkeypatch.setattr(stats, "_probe_window", lambda probe, stop, replicas: 10)
+        assert self.same(STAV, symmetric_noise(0.1), (8,), 120, 20000, 6) == 10 + 20
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_threads(self, threads):
