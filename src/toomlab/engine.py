@@ -9,7 +9,10 @@ torus, selected per axis by precomputed packed range masks.  The rule table
 is evaluated by Shannon expansion over those planes, and its leaves are
 words: all-zero and all-one for probabilities 0 and 1, and otherwise one
 packed noise mask per distinct value p of the kernel.  A deterministic step
-is the case without drawn leaves.
+is the case without drawn leaves.  Every Monte Carlo path steps through one
+loop, `_PackedCore.run`, whose rows share each step's draws; a second row
+(the all-minus half of a coupled pair) is dropped from the step at which it
+equals the first, since it stays equal from then on.
 
 Randomness is counter-based: the draw consumed by site x at step t is output
 number x of a Philox stream keyed by (seed) with counter (0, 0, t, 0), so a
@@ -41,7 +44,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.random import Philox
@@ -567,13 +570,16 @@ def working_bytes(
 
 
 class _PackedCore:
-    """One synchronous update of packed rows; every stepping entry point runs on it.
+    """Synchronous updates of packed rows; every Monte Carlo path runs on it.
 
     kern[c] is the probability of output +1 for local configuration c (0/1
     for a deterministic step).  step() advances a (C, n_words) array whose
     rows all consume the same step-t draws, C at most `rows`.  With
     `replicas` set, a row holds that many tori end to end: replica r is flat
     bits [r*N, (r+1)*N), which is exactly its slot in the shared stream.
+    run() is the one trajectory loop over step(): it drops a second row from
+    the step at which it equals the first, since both consume the same
+    draws and stay equal from then on.
     """
 
     def __init__(
@@ -659,26 +665,20 @@ class _PackedCore:
         out[..., -1] &= self._tail
         return out
 
+    def run(self, rows: np.ndarray, start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (t + 1, rows) after the step-t update, for t in [start, stop).
+
+        A second row is dropped from the step at which it equals the first.
+        """
+        for t in range(start, stop):
+            rows = self.step(rows, t)
+            if len(rows) > 1 and np.array_equal(rows[0], rows[1]):
+                rows = rows[:1]
+            yield t + 1, rows
+
 
 # --------------------------------------------------------------------------
 # stepping
-
-
-def step_deterministic(state: LatticeState, rule: RuleSpec) -> LatticeState:
-    """Simultaneous rule application at every site; the input is unmodified."""
-    return evolve(state, rule, None, RngKey(0), 0, 1)
-
-
-def step_noisy(
-    state: LatticeState,
-    rule: RuleSpec,
-    noise: NoiseModel,
-    key: RngKey,
-    t: int,
-    threads: int = 1,
-) -> LatticeState:
-    """One synchronous noisy update; site x consumes draw x of stream (seed, t)."""
-    return evolve(state, rule, noise, key, t, 1, threads=threads)
 
 
 def evolve(
@@ -690,12 +690,12 @@ def evolve(
     steps: int,
     threads: int = 1,
 ) -> LatticeState:
-    """Run steps t0 .. t0+steps-1."""
+    """Run steps t0 .. t0+steps-1; noise None applies the rule deterministically."""
     kern = rule.table if noise is None else kernel_plus(noise, rule)
     core = _PackedCore(rule, state.dims, kern, key, threads)
     words = state.words[None, :]
-    for t in range(t0, t0 + steps):
-        words = core.step(words, t)
+    for _, words in core.run(words, t0, t0 + steps):
+        pass
     return LatticeState(dims=state.dims, words=words[0])
 
 
@@ -769,8 +769,7 @@ def erosion_time(
     core = _PackedCore(rule, dims, rule.table)
     words = LatticeState.plus_with_island(dims, sites).words[None, :]
     sizes = []
-    for n in range(1, cutoff + 1):
-        words = core.step(words, n - 1)
+    for n, words in core.run(words, 0, cutoff):
         if on_step is not None:
             on_step(n, LatticeState(dims=dims, words=words[0]))
         remaining = core.n_sites - int(_plus_counts(words)[0])

@@ -19,12 +19,14 @@ The burn-in is coupled from the past where the kernel is monotone.  Rows
 stepped on shared draws then stay ordered, so the run from all-plus lies
 between an all-plus and an all-minus row started at any later step, and
 once those two agree it is fixed whatever came before (a monotone
-sandwich).  A probe on 1/64 of the replicas steps the two rows from step 0
-until they meet, at step c.  With at least 32 probe replicas, the fitted
-geometric tail of its replicas still apart gives the window W in [c, 3c]
-that leaves about 1/50 of a batch replica apart; else W = 3c.  The batch
-steps both rows over the last W, 2W, 4W, ... burn-in steps, up to half
-the burn-in, and keeps the plus row of the first window in which every
+sandwich).  Every trajectory here, the pair included, steps through the
+engine's one loop, `_PackedCore.run`, which keeps one row from the step at
+which the two agree.  A probe on 1/64 of the replicas runs the two rows
+from step 0 until they meet, at step c.  With at least 32 probe replicas,
+the fitted geometric tail of its replicas still apart gives the window W in
+[c, 3c] that leaves about 1/50 of a batch replica apart; else W = 3c.  The
+batch steps both rows over the last W, 2W, 4W, ... burn-in steps, up to
+half the burn-in, and keeps the plus row of the first window in which every
 replica has met, bit-identical to the plain burn-in.  When the probe does
 not meet within a sixth of the burn-in, or no window closes, the burn-in
 runs from step 0.
@@ -137,12 +139,10 @@ def minus_density_run(
         on_step(0, state)
     densities = np.empty(steps + 1)
     densities[0] = 0.0
-    words = state.words[None, :]
-    for t in range(steps):
-        words = core.step(words, t)
-        densities[t + 1] = 1.0 - engine._plus_counts(words)[0] / core.n_sites
+    for t, words in core.run(state.words[None, :], 0, steps):
+        densities[t] = 1.0 - engine._plus_counts(words)[0] / core.n_sites
         if on_step is not None:
-            on_step(t + 1, LatticeState(dims=core.dims, words=words[0]))
+            on_step(t, LatticeState(dims=core.dims, words=words[0]))
     tail = densities[burn_in + 1 :]  # empty when steps == burn_in
     return RunSummary(
         density_series=densities,
@@ -222,19 +222,6 @@ def _plus_minus(dims: Sequence[int]) -> np.ndarray:
     return np.stack([LatticeState.all_plus(dims).words, LatticeState.all_minus(dims).words])
 
 
-def _sandwich(core: engine._PackedCore, rows: np.ndarray, start: int, stop: int):
-    """Yield (t + 1, rows) after stepping rows at each t in [start, stop).
-
-    A second row is dropped from the step it equals the first: both consume
-    the same draws, so they stay equal from then on.
-    """
-    for t in range(start, stop):
-        rows = core.step(rows, t)
-        if len(rows) > 1 and np.array_equal(rows[0], rows[1]):
-            rows = rows[:1]
-        yield t + 1, rows
-
-
 def _probe_window(probe: engine._PackedCore, stop: int, replicas: int) -> Optional[int]:
     """The first burn-in window for a batch of `replicas`, from the step c
     at which probe's all-plus and all-minus rows meet (None if not by stop):
@@ -244,7 +231,7 @@ def _probe_window(probe: engine._PackedCore, stop: int, replicas: int) -> Option
     clipped to [c, 3c]."""
     m, n = probe.dims[0], math.prod(probe.dims[1:])
     tail = []  # (t, ln u(t))
-    for c, rows in _sandwich(probe, _plus_minus(probe.dims), 0, stop):
+    for c, rows in probe.run(_plus_minus(probe.dims), 0, stop):
         if len(rows) == 1:
             break
         u = np.count_nonzero(engine._replica_counts(rows[0] ^ rows[1], m, n)) if m >= 32 else 0
@@ -316,14 +303,14 @@ def stationary_sample(
     else:
         w = _probe_window(packed(-(-replicas // _PROBE_SHARE), 2), probe_steps, replicas)
     while w is not None and w <= burn_in / 2:
-        for _, rows in _sandwich(core, _plus_minus(core.dims), burn_in - w, burn_in):
+        for _, rows in core.run(_plus_minus(core.dims), burn_in - w, burn_in):
             pass
         window, w = window + w, 2 * w
         if len(rows) == 1:
             break
     else:  # no window tried, or none closed
         rows = LatticeState.all_plus(core.dims).words[None, :]
-        for _, rows in _sandwich(core, rows, 0, burn_in):
+        for _, rows in core.run(rows, 0, burn_in):
             pass
         window += burn_in
     return ReplicaSample(dims=core.dims, words=rows[0], core=core,
@@ -367,7 +354,9 @@ def spatial_correlation(
     """
     m, dims = sample.dims[0], sample.dims[1:]
     n = math.prod(dims)
-    if max(distances) >= min(dims) / 2:
+    if min(distances, default=0) < 0:
+        raise ConfigError("distances must be nonnegative")
+    if max(distances, default=0) >= min(dims) / 2:
         raise ConfigError("max distance must stay below min(dims)/2")
     words = sample.words
     m_r = _replica_means(words, m, n)
@@ -403,15 +392,14 @@ def temporal_autocorrelation(
     words0 = sample.words
     m0_r = _replica_means(words0, m, n)
     m0 = float(m0_r.mean())
+    t, rows = sample.steps, words0[None, :]
+    trajectory = sample.core.run(rows, t, t + max(lags, default=0))
     summary = RunSummary()
-    words = words0[None, :]
-    t = sample.steps
     for lag in lags:
         while t < sample.steps + lag:
-            words = sample.core.step(words, t)
-            t += 1
-        v_r = _replica_means(~(words0 ^ words[0]), m, n)
-        mk_r = _replica_means(words[0], m, n)
+            t, rows = next(trajectory)
+        v_r = _replica_means(~(words0 ^ rows[0]), m, n)
+        mk_r = _replica_means(rows[0], m, n)
         g_hat = float(v_r.mean())
         mk = float(mk_r.mean())
         cov_hat = g_hat - m0 * mk
@@ -490,18 +478,16 @@ def two_phase_divergence(
         rule, dims, engine.kernel_plus(noise, rule), RngKey(seed), threads, rows=2
     )
     n = core.n_sites
-    words = np.stack([LatticeState.all_plus(dims).words, LatticeState.all_minus(dims).words])
     mag_p = np.empty(steps + 1)
     mag_m = np.empty(steps + 1)
     mag_p[0], mag_m[0] = 1.0, -1.0
     met = None
-    for t in range(steps):
-        words = core.step(words, t)
-        plus = engine._plus_counts(words)
-        mag_p[t + 1] = 2.0 * (plus[0] / n) - 1.0
-        mag_m[t + 1] = 2.0 * (plus[-1] / n) - 1.0
-        if met is None and np.array_equal(words[0], words[-1]):
-            met, words = t + 1, words[:1]
+    for t, rows in core.run(_plus_minus(core.dims), 0, steps):
+        plus = engine._plus_counts(rows)
+        mag_p[t] = 2.0 * (plus[0] / n) - 1.0
+        mag_m[t] = 2.0 * (plus[-1] / n) - 1.0
+        if met is None and len(rows) == 1:
+            met = t
     gap = mag_p[burn_in + 1 :] - mag_m[burn_in + 1 :]
     if gap.size == 0:
         gap = mag_p[-1:] - mag_m[-1:]

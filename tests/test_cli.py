@@ -1,11 +1,13 @@
 import json
 import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from toomlab import cli
+from toomlab.rules import builtin
 
 
 def run(tmp_path, command, config, *extra):
@@ -446,6 +448,16 @@ class TestStrictInputs:
         assert code == 1 and error_type(capsys) == "ConfigError"
         assert not (out / "correlate_spatial.csv").exists()
 
+    def test_negative_distance_rejected(self, tmp_path, capsys):
+        # on a ring of 8, -5 would alias distance 3 and enter the fit at x = -5
+        code, out = run(
+            tmp_path, "correlate",
+            {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1},
+             "dims": [8], "distances": [-5, 1, 2], "samples": 10},
+        )
+        assert code == 1 and error_type(capsys) == "ConfigError"
+        assert not (out / "correlate_spatial.csv").exists()
+
     def test_negative_burn_in_rejected(self, tmp_path, capsys):
         code, out = run(
             tmp_path, "correlate",
@@ -659,6 +671,39 @@ class TestOneTrajectoryPerCommand:
         assert report["coalescence_step"] == 1
         code, out = run(tmp_path, "divergence", dict(config, noise={"kind": "symmetric", "eps": 0.0}))
         assert read_json(out / "divergence_report.json")["coalescence_step"] is None
+
+
+    def test_every_step_goes_through_the_one_loop(self, tmp_path, monkeypatch):
+        callers = []
+        step = cli.engine._PackedCore.step
+
+        def recorded(self, words, t):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return step(self, words, t)
+
+        monkeypatch.setattr(cli.engine._PackedCore, "step", recorded)
+        noise = {"kind": "symmetric", "eps": 0.1}
+        configs = {
+            "simulate": {"rule": "nec", "noise": noise, "dims": [8, 8], "steps": 4,
+                         "snapshot_every": 2},
+            "erode": {"rule": "nec", "island": [[0, 0], [0, 1]], "dims": [16, 16],
+                      "cutoff": 4, "snapshot_every": 1},
+            "divergence": {"rule": "nec", "noise": noise, "dims": [8, 8], "steps": 6},
+            "scan": {"rule": "nec", "noise_kind": "symmetric", "eps_grid": [0.1, 0.2],
+                     "dims": [8, 8], "steps": 4, "burn_in": 2},
+            "correlate": {"rule": "stavskaya", "noise": noise, "dims": [8],
+                          "distances": [1], "lags": [0, 2], "samples": 200, "burn_in": 30},
+        }
+        for command, config in configs.items():
+            (tmp_path / command).mkdir()
+            before = len(callers)
+            assert run(tmp_path / command, command, config)[0] == 0
+            assert len(callers) > before, command
+        before = len(callers)
+        state = cli.engine.LatticeState.all_plus((8,))
+        cli.engine.evolve(state, builtin("stavskaya"), None, cli.engine.RngKey(0), 0, 3)
+        assert len(callers) == before + 3
+        assert set(callers) == {"run"}
 
 
 class TestSnapshotsStream:

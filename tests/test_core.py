@@ -75,7 +75,7 @@ def test_noisy_step_matches_gather_reference(rng, seed):
     want = reference_step(rule, dims, kern, bits, key, t)
     state = LatticeState.from_bits(dims, bits)
     for threads in (1, 3):
-        got = engine.step_noisy(state, rule, noise, key, t, threads=threads)
+        got = engine.evolve(state, rule, noise, key, t, 1, threads=threads)
         # equal words, so the padding past the last site is zero as well
         assert got == LatticeState.from_bits(dims, want), threads
 
@@ -90,7 +90,7 @@ def test_deterministic_steps_match_gather_reference(rng, seed):
     stepper = TorusStepper(rule, dims)
     state = LatticeState.from_bits(dims, bits)
     for _ in range(4):
-        state = engine.step_deterministic(state, rule)
+        state = engine.evolve(state, rule, None, RngKey(0), 0, 1)
         bits = stepper.table[stepper.local_index(bits)]
         assert np.array_equal(state.bits(), bits)
 
@@ -141,7 +141,7 @@ def test_threshold_extremes_through_a_step():
     dims = (13, 11)
     bits = np.random.default_rng(2).integers(0, 2, size=143).astype(np.uint8)
     want = reference_step(rule, dims, np.array(p), bits, RngKey(3), 8)
-    got = engine.step_noisy(LatticeState.from_bits(dims, bits), rule, noise, RngKey(3), 8)
+    got = engine.evolve(LatticeState.from_bits(dims, bits), rule, noise, RngKey(3), 8, 1)
     assert np.array_equal(got.bits(), want)
 
 

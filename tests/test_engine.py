@@ -13,10 +13,9 @@ from toomlab.engine import (
     biased_noise,
     check_assumptions,
     erosion_time,
+    evolve,
     influence_radius,
     kernel_plus,
-    step_deterministic,
-    step_noisy,
     symmetric_noise,
     table_noise,
 )
@@ -72,25 +71,25 @@ class TestDeterministicStep:
         rule = builtin(name)
         for make in (LatticeState.all_plus, LatticeState.all_minus):
             state = make(dims)
-            assert step_deterministic(state, rule) == state
+            assert evolve(state, rule, None, RngKey(0), 0, 1) == state
 
     def test_stavskaya_hand_example(self):
         # a site stays -1 iff it and its right neighbor are both -1
         rule = builtin("stavskaya")
         state = LatticeState.plus_with_island((8,), [2, 3, 4])
-        out = step_deterministic(state, rule)
+        out = evolve(state, rule, None, RngKey(0), 0, 1)
         assert sorted(np.flatnonzero(out.bits() == 0).tolist()) == [2, 3]
 
     def test_nec_single_minus_heals(self):
         rule = builtin("nec")
         state = LatticeState.plus_with_island((6, 6), [(0, 0)])
-        assert step_deterministic(state, rule) == LatticeState.all_plus((6, 6))
+        assert evolve(state, rule, None, RngKey(0), 0, 1) == LatticeState.all_plus((6, 6))
 
     def test_input_unmodified(self):
         rule = builtin("stavskaya")
         state = LatticeState.plus_with_island((8,), [1])
         before = state.bits().copy()
-        step_deterministic(state, rule)
+        evolve(state, rule, None, RngKey(0), 0, 1)
         assert np.array_equal(state.bits(), before)
 
     def test_aliasing_dims_rejected(self):
@@ -101,7 +100,7 @@ class TestDeterministicStep:
     def test_aliasing_dims_rejected_by_the_packed_step(self, dims):
         rule = builtin("nec")
         with pytest.raises(ConfigError, match="aliases"):
-            step_deterministic(LatticeState.all_plus(dims), rule)
+            evolve(LatticeState.all_plus(dims), rule, None, RngKey(0), 0, 1)
         with pytest.raises(ConfigError, match="aliases"):
             engine.evolve(LatticeState.all_plus(dims), rule, symmetric_noise(0.1), RngKey(1), 0, 3)
 
@@ -129,11 +128,11 @@ class TestDeterministicStep:
             lo = rng.integers(0, 2, size=n).astype(np.uint8)
             hi = lo | rng.integers(0, 2, size=n).astype(np.uint8)
             lo_s, hi_s = LatticeState.from_bits(dims, lo), LatticeState.from_bits(dims, hi)
-            out_lo = step_deterministic(lo_s, rule).bits()
-            out_hi = step_deterministic(hi_s, rule).bits()
+            out_lo = evolve(lo_s, rule, None, RngKey(0), 0, 1).bits()
+            out_hi = evolve(hi_s, rule, None, RngKey(0), 0, 1).bits()
             assert np.all(out_lo <= out_hi)
-            out_lo = step_noisy(lo_s, rule, noise, RngKey(t), t).bits()
-            out_hi = step_noisy(hi_s, rule, noise, RngKey(t), t).bits()
+            out_lo = evolve(lo_s, rule, noise, RngKey(t), t, 1).bits()
+            out_hi = evolve(hi_s, rule, noise, RngKey(t), t, 1).bits()
             assert np.all(out_lo <= out_hi)
 
     def test_translation_covariance(self):
@@ -143,8 +142,9 @@ class TestDeterministicStep:
         bits = rng.integers(0, 2, size=36).astype(np.uint8)
         state = LatticeState.from_bits(dims, bits)
         shifted = LatticeState.from_bits(dims, np.roll(bits.reshape(dims), (1, 2), (0, 1)).ravel())
-        a = step_deterministic(shifted, rule).bits().reshape(dims)
-        b = np.roll(step_deterministic(state, rule).bits().reshape(dims), (1, 2), (0, 1))
+        a = evolve(shifted, rule, None, RngKey(0), 0, 1).bits().reshape(dims)
+        b = evolve(state, rule, None, RngKey(0), 0, 1).bits().reshape(dims)
+        b = np.roll(b, (1, 2), (0, 1))
         assert np.array_equal(a, b)
 
 
@@ -152,8 +152,8 @@ class TestNoisyStep:
     def test_zero_noise_equals_deterministic(self):
         rule = builtin("stavskaya")
         state = LatticeState.plus_with_island((12,), [3, 4])
-        noisy = step_noisy(state, rule, symmetric_noise(0.0), RngKey(1), 0)
-        assert noisy == step_deterministic(state, rule)
+        noisy = evolve(state, rule, symmetric_noise(0.0), RngKey(1), 0, 1)
+        assert noisy == evolve(state, rule, None, RngKey(0), 0, 1)
 
     def test_half_noise_is_iid_uniform(self):
         # p = 1/2 everywhere: magnetization over 100 steps of a 64x64 torus
@@ -165,7 +165,7 @@ class TestNoisyStep:
         total = 0.0
         state = LatticeState.all_plus(dims)
         for t in range(100):
-            state = step_noisy(state, rule, noise, key, t)
+            state = evolve(state, rule, noise, key, t, 1)
             total += 2.0 * state.bits().mean() - 1.0
         n_draws = 64 * 64 * 100
         assert abs(total / 100) < 4.0 / math.sqrt(n_draws)
@@ -175,7 +175,7 @@ class TestNoisyStep:
         state = LatticeState.plus_with_island((32, 32), [(3, 3)])
         noise = symmetric_noise(0.2)
         outs = [
-            step_noisy(state, rule, noise, RngKey(17), 5, threads=w)
+            evolve(state, rule, noise, RngKey(17), 5, 1, threads=w)
             for w in (1, 2, 8)
         ]
         assert outs[0] == outs[1] == outs[2]
@@ -184,10 +184,10 @@ class TestNoisyStep:
         rule = builtin("stavskaya")
         state = LatticeState.all_plus((64,))
         noise = symmetric_noise(0.3)
-        a = step_noisy(state, rule, noise, RngKey(1), 0)
-        assert a == step_noisy(state, rule, noise, RngKey(1), 0)
-        assert a != step_noisy(state, rule, noise, RngKey(2), 0)
-        assert a != step_noisy(state, rule, noise, RngKey(1), 1)
+        a = evolve(state, rule, noise, RngKey(1), 0, 1)
+        assert a == evolve(state, rule, noise, RngKey(1), 0, 1)
+        assert a != evolve(state, rule, noise, RngKey(2), 0, 1)
+        assert a != evolve(state, rule, noise, RngKey(1), 1, 1)
 
     def test_noisy_translation_covariance_with_shifted_draws(self):
         # stepping a shifted state with correspondingly shifted uniforms

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from toomlab import engine, oracle
-from toomlab.engine import LatticeState, biased_noise, symmetric_noise, table_noise
+from toomlab.engine import LatticeState, RngKey, biased_noise, symmetric_noise, table_noise
 from toomlab.errors import ConfigError, NumericalError, ResourceLimitError
 from toomlab.oracle import (
     CylinderFunction,
@@ -50,7 +50,7 @@ class TestTransferApply:
         state = LatticeState.plus_with_island((6,), [1, 4])
         dist = point_mass((6,), state)
         out = transfer_apply(dist, ExactKernel(STAV, symmetric_noise(0.0), (6,)))
-        image = engine.step_deterministic(state, STAV)
+        image = engine.evolve(state, STAV, None, RngKey(0), 0, 1)
         assert out.probs[image.to_int()] == 1.0
 
     def test_half_noise_gives_uniform(self):

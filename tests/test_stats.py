@@ -164,6 +164,18 @@ class TestSpatialCorrelation:
         with pytest.raises(ConfigError):
             spatial_correlation(sample, [4])
 
+    def test_negative_distance_rejected(self):
+        # -5 on a ring of 8 would alias distance 3, past the bound
+        sample = stationary_sample(STAV, symmetric_noise(0.1), (8,), 100, 10, seed=1)
+        with pytest.raises(ConfigError, match="nonnegative"):
+            spatial_correlation(sample, [-5, 1, 2])
+
+    def test_no_distances_give_an_empty_table(self):
+        sample = stationary_sample(STAV, symmetric_noise(0.1), (8,), 100, 10, seed=1)
+        summary, fit = spatial_correlation(sample, [])
+        assert summary.table == [] and not fit.valid
+        assert fit == temporal_autocorrelation(sample, [])[1]
+
 
 def int8_moments(bits, dims, dist=None, later=None):
     """Per-replica float64 means the estimators used on unpacked int8 spins:
@@ -234,6 +246,14 @@ class TestTemporalAutocorrelation:
         sample = stationary_sample(STAV, noise, (8,), 100, 10, seed=1)
         with pytest.raises(ConfigError):
             temporal_autocorrelation(sample, [-1])
+
+    def test_repeated_unsorted_lags(self):
+        sample = stationary_sample(STAV, symmetric_noise(0.2), (8,), 40, 500, seed=3)
+        table = temporal_autocorrelation(sample, [2, 0, 2])[0].table
+        assert table == temporal_autocorrelation(sample, [0, 2, 2])[0].table
+        assert [row[0] for row in table] == [0, 2, 2]
+        for row in table:
+            assert [row] == temporal_autocorrelation(sample, [row[0]])[0].table
 
 
 class TestTwoPhase:
@@ -317,6 +337,17 @@ class TestCoalescence:
         assert res.coalescence_step == 1
         assert rows == [2] + [1] * 9
         assert np.array_equal(res.mag_plus[1:], res.mag_minus[1:])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_meeting_step_past_the_first(self, seed):
+        # the reference steps the plus and minus rows as separate batches;
+        # one replica draws the same stream slots as the plain torus
+        noise = symmetric_noise(0.2)
+        res = two_phase_divergence(NEC, noise, (8, 8), 60, seed)
+        met = oracles.probe_meeting_step(NEC, noise, (8, 8), 1, seed, 60)
+        assert met is not None and met > 1 and res.coalescence_step == met
+        assert np.array_equal(res.mag_plus[met:], res.mag_minus[met:])
+        assert np.all(res.mag_plus[:met] > res.mag_minus[:met])
 
     def test_separated_run_never_meets(self):
         res = two_phase_divergence(NEC, symmetric_noise(0.01), (16, 16), steps=50, seed=2)
