@@ -407,7 +407,10 @@ def cmd_exact(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
     fit = stats.fit_log_decay(ns[usable], np.asarray(curve)[usable])
     origin = tuple([0] * rule.dimension)
     f = oracle.spin_observable(origin, rule.dimension)
-    lhs = oracle.cylinder_expectation(oracle.transfer_apply(pi, kernel), f)
+    # pi is translation-invariant, so pi T is one apply in the space pi was solved in
+    space = oracle._space(kernel)
+    t_pi = space.lift(space.apply(pi.probs if space.reps is None else pi.probs[space.reps]))
+    lhs = oracle.cylinder_expectation(oracle.StateDistribution(dims=kernel.dims, probs=t_pi), f)
     rhs = oracle.cylinder_expectation(pi, oracle.dual_apply(f, kernel))
     payload = {
         "window": [list(s) for s in window],
@@ -431,7 +434,8 @@ def cmd_correlate(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tupl
     header = ("distance_or_lag", "estimate", "stderr", "n")
     sample = stats.stationary_sample(rule, cfg["noise"], cfg["dims"], cfg["burn_in"],
                                      cfg["samples"], cfg["seed"], threads)
-    payload: dict = {"burn_in_window": sample.burn_in_window}
+    payload: dict = {"burn_in_window": sample.burn_in_window,
+                     "burn_in_stragglers": sample.burn_in_stragglers}
     estimates = {}
     if cfg["distances"]:
         estimates["spatial"] = stats.spatial_correlation(sample, cfg["distances"])

@@ -20,7 +20,10 @@ trajectory is a pure function of (seed, initial state, rule, noise, steps).
 Site x takes +1 when its draw u satisfies u < p; the mask tests the raw
 64-bit draw against an integer bound that gives the same answer bit for bit.
 Batches of replicas are one lattice with a leading replica axis, so replica
-r owns outputs [r*N, (r+1)*N) of the shared stream.  With threads > 1 the
+r owns outputs [r*N, (r+1)*N) of the shared stream.  A core over chosen
+replicas of a batch reads those outputs by counter instead (`_philox_at`,
+Philox4x64-10 computed per 4-word block), and gets the same words as stream
+order, so its replicas step exactly as in the batch.  With threads > 1 the
 draws are made in 64-site-aligned spans on one process-wide pool; each span
 starts its generator at its own offset, so results do not depend on the
 thread count.  Within its span a thread draws blocks of 65,536 sites, each
@@ -29,8 +32,9 @@ thresholded and packed into the masks before the next is drawn.
 Memory per step is a few packed rows of ceil(sites / 64) words (state in
 and out, shifted planes, Shannon node values, noise masks, each dropped
 after its last use; see :func:`working_bytes`) plus under 600 KiB of draw
-scratch per thread.  A run whose estimate exceeds MAX_MC_BYTES is refused
-with ResourceLimitError before anything of lattice size is allocated.
+scratch per thread, or about 5 MiB when the draws are read by counter.  A
+run whose estimate exceeds MAX_MC_BYTES is refused with ResourceLimitError
+before anything of lattice size is allocated.
 
 The exact oracle reads the same wrapped neighborhoods, as an index table,
 from :func:`neighbor_table`.
@@ -341,6 +345,51 @@ def _philox(key: RngKey, t: int, start: int) -> Philox:
     return bg
 
 
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key increments
+_LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products a * m, from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a_lo, a_hi = a & _LOW32, a >> _32
+    mid = a_hi * m_lo
+    cross = (a_lo * m_lo >> _32) + (mid & _LOW32) + a_lo * m_hi  # below 2**64
+    return a_hi * m_hi + (mid >> _32) + (cross >> _32), a * np.uint64(m)
+
+
+def _philox_at(key: RngKey, t: int, positions: np.ndarray) -> np.ndarray:
+    """Outputs `positions` of the step-t stream, as `_philox(key, t, 0)`'s
+    random_raw gives them, in any order.
+
+    Philox4x64-10 (Salmon et al. 2011) vectorized over 4-word blocks: output
+    j is word j % 4 of the block whose counter is (j // 4 + 1, 0, t, 0),
+    numpy incrementing the counter before it computes a block, under the key
+    (seed, 0).  Adjacent positions in one block share its computation.
+    """
+    positions = np.asarray(positions, dtype=np.uint64)
+    block = positions >> np.uint64(2)
+    new = np.empty(block.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(block[1:], block[:-1], out=new[1:])
+    c0 = block[new]
+    c0 += np.uint64(1)  # below 2**62, so it never carries into word 1
+    c1, c2, c3 = np.zeros_like(c0), np.full_like(c0, t), np.zeros_like(c0)
+    k0, k1 = key.seed, 0
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        hi1 ^= c1
+        hi1 ^= np.uint64(k0)
+        hi0 ^= c3
+        hi0 ^= np.uint64(k1)
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+        k0, k1 = (k0 + _PHILOX_W[0]) % 2**64, (k1 + _PHILOX_W[1]) % 2**64
+    words = np.stack([c0, c1, c2, c3], axis=1)
+    return words[np.cumsum(new) - 1, positions & np.uint64(3)]
+
+
 def _threshold(p: float) -> np.uint64:
     """T with (raw < T) == (Generator.random() < p) for every raw draw, 0 < p < 1.
 
@@ -366,6 +415,7 @@ _M1, _M2, _M4, _H01 = (
     for c in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
 )
 _DRAW_BLOCK = 1 << 16  # sites per Philox block: 512 KiB of raw words
+_ADDRESSED_BYTES = 80  # draw scratch per site of a counter-addressed block (74 measured at worst)
 MAX_MC_BYTES = 1 << 32  # largest packed working set of one Monte Carlo run
 
 
@@ -416,6 +466,27 @@ def _replica_counts(words: np.ndarray, m: int, n: int) -> np.ndarray:
     part = np.take(words, q, mode="clip")
     part &= (np.uint64(1) << (edges & np.uint64(63))) - np.uint64(1)
     return np.diff(below[q] + _popcount(part))
+
+
+def _put_replicas(words: np.ndarray, ids: np.ndarray, src: np.ndarray, take: np.ndarray,
+                  n: int) -> None:
+    """Write replica take[k] of packed row src over replica ids[k] of packed
+    row words, in place, for ascending ids; runs of n sites need not start
+    on a word.
+
+    Only the bits of those replicas are read: each word of words flips the
+    bits in which it differs from its new value, OR-ed per word.
+    """
+    j = np.arange(n, dtype=np.uint64)
+    dst = (np.asarray(ids, dtype=np.uint64)[:, None] * np.uint64(n) + j).reshape(-1)
+    at = (np.asarray(take, dtype=np.uint64)[:, None] * np.uint64(n) + j).reshape(-1)
+    q, r = dst >> np.uint64(6), dst & np.uint64(63)
+    flip = (words[q] >> r) ^ (src[at >> np.uint64(6)] >> (at & np.uint64(63)))
+    flip &= np.uint64(1)
+    flip <<= r
+    first = np.flatnonzero(np.diff(q, prepend=q[:1] + np.uint64(1)))
+    if first.size:
+        words[q[first]] ^= np.bitwise_or.reduceat(flip, first)
 
 
 def _shifted(words: np.ndarray, s: int) -> np.ndarray:
@@ -541,6 +612,7 @@ def working_bytes(
     rows: int = 1,
     replicas: Optional[int] = None,
     threads: int = 1,
+    addressed: bool = False,
 ) -> int:
     """Peak bytes of one packed step of `rows` chains (each `replicas` tori of
     dims end to end); ResourceLimitError above MAX_MC_BYTES.
@@ -548,7 +620,8 @@ def working_bytes(
     Counted in packed rows of ceil(sites / 64) words: the live peak of
     `_schedule` (state, shifted planes, Shannon node values and noise masks,
     each dropped after its last use, and the temporaries of the operation
-    under way), one range mask per axis move, and each thread's draw block.
+    under way), one range mask per axis move, and each thread's draw block,
+    of _ADDRESSED_BYTES per site when the draws are counter-addressed.
     Every Monte Carlo path calls this before it allocates anything of
     lattice size.
     """
@@ -560,7 +633,7 @@ def working_bytes(
     n_moves = {var: sum(1 for c in rule.neighborhood[var] if c) for var, _, _ in nodes}
     _, live = _schedule(nodes, root, noisy, n_moves)
     need = row * (sum(n_moves.values()) + max(rows * chain + masks for chain, masks in live))
-    need += threads * _DRAW_BLOCK * 9 if noisy else 0
+    need += threads * _DRAW_BLOCK * (_ADDRESSED_BYTES if addressed else 9) if noisy else 0
     if need > MAX_MC_BYTES:
         raise ResourceLimitError(
             f"a Monte Carlo step on {rows} x {replicas or 1} x {dims} sites needs"
@@ -577,6 +650,9 @@ class _PackedCore:
     rows all consume the same step-t draws, C at most `rows`.  With
     `replicas` set, a row holds that many tori end to end: replica r is flat
     bits [r*N, (r+1)*N), which is exactly its slot in the shared stream.
+    With `ids` set instead, a row holds those replicas of a batch, in that
+    order, and replica ids[r] draws its own slots [ids[r]*N, (ids[r]+1)*N)
+    by counter (`_philox_at`), so it steps exactly as in the whole batch.
     run() is the one trajectory loop over step(): it drops a second row from
     the step at which it equals the first, since both consume the same
     draws and stay equal from then on.
@@ -591,9 +667,14 @@ class _PackedCore:
         threads: int = 1,
         replicas: Optional[int] = None,
         rows: int = 1,
+        ids: Optional[np.ndarray] = None,
     ):
         self.threads = max(1, int(threads))
-        working_bytes(rule, kern, dims, rows, replicas, self.threads)
+        if ids is not None:
+            ids = np.asarray(ids, dtype=np.uint64)
+            replicas = ids.size
+        self._ids = ids
+        working_bytes(rule, kern, dims, rows, replicas, self.threads, ids is not None)
         dims, offsets = _torus_dims(rule, dims), rule.neighborhood
         if replicas is not None:
             dims, offsets = (int(replicas),) + dims, tuple((0,) + u for u in offsets)
@@ -621,6 +702,8 @@ class _PackedCore:
         generator at the span's offset, so the thread count changes nothing.
         It draws the span in blocks of _DRAW_BLOCK sites, each thresholded
         and packed before the next is drawn, so its scratch stays fixed.
+        With ids, a block's words are read by counter at the stream slots
+        of its sites instead.
         Each mask is its own array, so a step can free it after its last use.
         """
         masks = [np.zeros(self.n_words, dtype="<u8") for _ in self._thresholds]
@@ -628,17 +711,26 @@ class _PackedCore:
 
         def work(span: tuple[int, int]) -> None:
             a, b = span
-            bg = _philox(self.key, t, a)
+            bg = _philox(self.key, t, a) if self._ids is None else None
             for lo in range(a, b, _DRAW_BLOCK):
-                raw = bg.random_raw(min(_DRAW_BLOCK, b - lo))
+                if bg is not None:
+                    raw = bg.random_raw(min(_DRAW_BLOCK, b - lo))
+                else:  # site r*N + j reads stream slot ids[r]*N + j
+                    n = np.uint64(self.n_sites // self._ids.size)
+                    site = np.arange(lo, min(lo + _DRAW_BLOCK, b), dtype=np.uint64)
+                    slot = self._ids[site // n]
+                    slot *= n
+                    slot += site % n
+                    del site
+                    raw = _philox_at(self.key, t, slot)
+                    del slot
                 for j, thr in enumerate(self._thresholds):
                     packed = np.packbits(raw < thr, bitorder="little")
                     out[j][lo // 8 : lo // 8 + packed.size] = packed
                 del raw  # so the next block replaces this one rather than joining it
 
-        n = self.n_sites
-        size = -(-n // (64 * self.threads)) * 64
-        spans = [(a, min(a + size, n)) for a in range(0, n, size)]
+        size = -(-self.n_sites // (64 * self.threads)) * 64
+        spans = [(a, min(a + size, self.n_sites)) for a in range(0, self.n_sites, size)]
         list((map if len(spans) == 1 else _pool().map)(work, spans))
         return masks
 

@@ -9,7 +9,8 @@ carries its chain (the stepping core and its step count), which the lags
 continue.  It stays packed: one LatticeState over dims (M, *dims), the
 core's own replica layout, and every per-replica average is a popcount of
 its words (of w for the magnetization, of NOT(w XOR w') for a two-point
-product), divided as np.mean divides the exact spin sum.
+product), divided as np.mean divides the exact spin sum; the sample's own
+means are counted once for both estimators.
 Single-trajectory series (densities, magnetization gaps) report batch-means
 standard errors instead.  Decay fits are unweighted least squares on
 log-magnitudes, restricted to points above the noise floor (2 standard
@@ -19,21 +20,23 @@ The burn-in is coupled from the past where the kernel is monotone.  Rows
 stepped on shared draws then stay ordered, so the run from all-plus lies
 between an all-plus and an all-minus row started at any later step, and
 once those two agree it is fixed whatever came before (a monotone
-sandwich).  Every trajectory here, the pair included, steps through the
-engine's one loop, `_PackedCore.run`, which keeps one row from the step at
-which the two agree.  A probe on 1/64 of the replicas runs the two rows
-from step 0 until they meet, at step c.  With at least 32 probe replicas,
-the fitted geometric tail of its replicas still apart gives the window W in
-[c, 3c] that leaves about 1/50 of a batch replica apart; else W = 3c.  The
-batch steps both rows over the last W, 2W, 4W, ... burn-in steps, up to
-half the burn-in, and keeps the plus row of the first window in which every
-replica has met, bit-identical to the plain burn-in.  When the probe does
-not meet within a sixth of the burn-in, or no window closes, the burn-in
-runs from step 0.
+sandwich).  Replicas are independent, so each needs only as long a window
+as its own two rows take to meet.  Every trajectory here steps through the
+engine's one loop, `_PackedCore.run`.  A probe on 1/64 of the replicas runs
+the two rows from step 0 until they meet, at step c, and gives the first
+window W <= c that balances the batch's steps against the share of its
+replicas it leaves apart.  The whole batch steps both rows over the last W
+burn-in steps in stream order; the replicas still apart are stepped again,
+on their own and over twice the window each time, reading their draws by
+counter, and each one that meets is written into the batch, bit-identical
+to the plain burn-in.  A window of the whole burn-in is the plain burn-in,
+which non-monotone kernels and probes that do not meet take at once.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -199,17 +202,24 @@ def density_vs_epsilon_scan(
 class ReplicaSample(LatticeState):
     """A replica batch over dims (M, *torus dims), replica r at flat sites
     [r*N, (r+1)*N), with the core that stepped it `steps` times from
-    all-plus.  burn_in_window counts its burn-in steps, over all windows.
+    all-plus.  burn_in_window counts the burn-in steps made on the whole
+    batch, and burn_in_stragglers the replicas then stepped on their own.
     Equality and hash are the lattice state's."""
 
     core: engine._PackedCore
     steps: int
     burn_in_window: int
+    burn_in_stragglers: int
+
+    @functools.cached_property
+    def means(self) -> np.ndarray:
+        """Each replica's spin average (see `_replica_means`), counted once."""
+        return _replica_means(self.words, self.dims[0], math.prod(self.dims[1:]))
 
 
 _PROBE_SHARE = 64  # the probe steps the first ceil(M / 64) replicas
-_WINDOW_FACTOR = 3  # the first window spans at most 3 times the probe's meeting step
-_MISS_TARGET = 50  # the fitted window expects 1/50 of a batch replica apart
+_PROBE_STOP = 6  # for at most burn_in // 6 steps
+_ADDRESSED_COST = 8  # a counter-addressed draw costs about 8 stream-order draws
 
 
 def _monotone(kern: np.ndarray) -> bool:
@@ -222,30 +232,42 @@ def _plus_minus(dims: Sequence[int]) -> np.ndarray:
     return np.stack([LatticeState.all_plus(dims).words, LatticeState.all_minus(dims).words])
 
 
-def _probe_window(probe: engine._PackedCore, stop: int, replicas: int) -> Optional[int]:
-    """The first burn-in window for a batch of `replicas`, from the step c
-    at which probe's all-plus and all-minus rows meet (None if not by stop):
-    3c, unless probe's m >= 32 replicas give 3 steps t with 4 <= u(t) <=
-    m / 8, u the count still apart, and a least-squares fit ln u = a + b t
-    with b < 0; then the least w with replicas / m * e^(a + b w) <= 1/50,
-    clipped to [c, 3c]."""
-    m, n = probe.dims[0], math.prod(probe.dims[1:])
-    tail = []  # (t, ln u(t))
-    for c, rows in probe.run(_plus_minus(probe.dims), 0, stop):
+def _apart(core: engine._PackedCore, rows: np.ndarray) -> np.ndarray:
+    """Indices of core's replicas whose two rows differ (none for one row)."""
+    if len(rows) == 1:
+        return np.zeros(0, dtype=np.int64)
+    m, n = core.dims[0], math.prod(core.dims[1:])
+    return np.flatnonzero(engine._replica_counts(rows[0] ^ rows[1], m, n))
+
+
+def _first_window(probe: engine._PackedCore, stop: int) -> Optional[int]:
+    """The first burn-in window read off a probe: the t <= c that minimizes
+    t * (1 + 2K f(t)), where c is the step at which probe's all-plus and
+    all-minus rows meet (None if not by stop), f(t) the share of its m
+    replicas still apart after t steps and K = _ADDRESSED_COST.
+
+    The batch pays t steps for the window and about 2t steps at K times the
+    cost for the share f(t) it leaves apart.  With m < 32 the share says
+    too little, and the window is c.
+    """
+    m = probe.dims[0]
+    costs = []
+    for t, rows in probe.run(_plus_minus(probe.dims), 0, stop):
         if len(rows) == 1:
-            break
-        u = np.count_nonzero(engine._replica_counts(rows[0] ^ rows[1], m, n)) if m >= 32 else 0
-        if 4 <= u <= m / 8:
-            tail.append((c, math.log(u)))
-    else:
-        return None
-    k, st, sy = len(tail), sum(t for t, _ in tail), sum(y for _, y in tail)
-    stt, sty = sum(t * t for t, _ in tail), sum(t * y for t, y in tail)
-    b = (k * sty - st * sy) / max(k * stt - st * st, 1)  # the max guards only k < 2
-    if k < 3 or b >= 0:
-        return _WINDOW_FACTOR * c
-    w = (math.log(m / (replicas * _MISS_TARGET)) - (sy - b * st) / k) / b
-    return min(max(math.ceil(w), c), _WINDOW_FACTOR * c)
+            return 1 + int(np.argmin(costs + [t]))
+        f = _apart(probe, rows).size / m if m >= 32 else math.inf
+        costs.append(t * (1 + 2 * _ADDRESSED_COST * f))
+    return None
+
+
+def _window(core: engine._PackedCore, w: int, burn_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """core's plus row after the burn-in steps [burn_in - w, burn_in), from
+    an all-plus and an all-minus row (all-plus alone when w = burn_in), and
+    the indices of its replicas whose rows still differ there."""
+    rows = _plus_minus(core.dims) if w < burn_in else LatticeState.all_plus(core.dims).words[None, :]
+    for _, rows in core.run(rows, burn_in - w, burn_in):
+        pass
+    return rows[0].copy(), _apart(core, rows)  # a copy, so the minus row is freed
 
 
 def stationary_sample(
@@ -266,21 +288,25 @@ def stationary_sample(
     stay ordered.  The run from all-plus at step 0 then lies, from any step
     s on, between an all-plus and an all-minus row started at s, and if
     those two agree at step burn_in, so does the run (a monotone sandwich;
-    coupling from the past, Propp and Wilson 1996).
+    coupling from the past, Propp and Wilson 1996).  Replicas are
+    independent, so each needs only its own s.
 
-    s comes from a probe: the first ceil(M / 64) replicas, which draw a
-    prefix of every step's stream, stepped as an all-plus and an all-minus
-    row from step 0 for at most burn_in // 6 steps, give a first window W
-    (_probe_window).  The full batch steps both rows over [burn_in - w,
-    burn_in) for w = W, 2W, 4W, ... up to burn_in / 2, and the plus row of
-    the first window in which every replica's rows agree is the sample.
-    Otherwise, and when the probe does not meet, the burn-in runs from
-    step 0.  burn_in_window sums the batch steps of these runs: W when the
-    first window closes, 3W when the second does.  The worst case adds
-    burn_in // 6 probe steps on 1/64 of the batch, plus under burn_in
-    window steps.  A kernel that is not monotone, or a batch MAX_MC_BYTES
-    refuses two rows, burns in from step 0; a batch it refuses one row is
-    refused before anything runs.
+    A probe, the first ceil(M / 64) replicas (a prefix of every step's
+    stream), steps an all-plus and an all-minus row from step 0 for at most
+    burn_in // 6 steps and gives the first window W (`_first_window`).  The
+    whole batch steps both rows over the last W burn-in steps, in stream
+    order.  The replicas whose rows still differ are stepped again over the
+    last min(2w, burn_in) steps, w the previous window, as their own core
+    that reads their draws by counter; each replica whose rows agree there
+    is written into the batch, and the rest go on to the next window.  A
+    window of the whole burn-in steps the plus row alone from step 0, which
+    settles every replica.  A stage whose stragglers cost at least as much
+    as the batch (K of them per batch replica, K = _ADDRESSED_COST), or
+    whose counter draws MAX_MC_BYTES refuses, steps the whole batch again
+    in stream order instead.  A kernel that is not monotone, a probe that
+    does not meet and a batch MAX_MC_BYTES refuses two rows start at
+    W = burn_in, the plain burn-in; a batch it refuses one row is refused
+    before anything runs.
     """
     if replicas < 1:
         raise ConfigError(f"samples must be at least 1, got {replicas}")
@@ -288,33 +314,37 @@ def stationary_sample(
         raise ConfigError(f"burn_in must be nonnegative, got {burn_in}")
     kern = engine.kernel_plus(noise, rule)
 
-    def packed(m: int, rows: int) -> engine._PackedCore:
-        return engine._PackedCore(rule, dims, kern, RngKey(seed), threads, replicas=m, rows=rows)
+    def packed(rows: int, m: Optional[int] = None, ids=None) -> engine._PackedCore:
+        return engine._PackedCore(rule, dims, kern, RngKey(seed), threads, m, rows, ids)
 
-    core, w, window = None, None, 0
-    probe_steps = burn_in // (2 * _WINDOW_FACTOR)  # so the first window is at most burn_in / 2
-    if probe_steps and _monotone(kern):
-        try:
-            core = packed(replicas, 2)
-        except ResourceLimitError:
-            pass
+    core, w, stop = None, burn_in, burn_in // _PROBE_STOP
+    if stop and _monotone(kern):
+        with contextlib.suppress(ResourceLimitError):
+            core = packed(2, replicas)
     if core is None:
-        core = packed(replicas, 1)
+        core = packed(1, replicas)
     else:
-        w = _probe_window(packed(-(-replicas // _PROBE_SHARE), 2), probe_steps, replicas)
-    while w is not None and w <= burn_in / 2:
-        for _, rows in core.run(_plus_minus(core.dims), burn_in - w, burn_in):
-            pass
-        window, w = window + w, 2 * w
-        if len(rows) == 1:
-            break
-    else:  # no window tried, or none closed
-        rows = LatticeState.all_plus(core.dims).words[None, :]
-        for _, rows in core.run(rows, 0, burn_in):
-            pass
-        window += burn_in
-    return ReplicaSample(dims=core.dims, words=rows[0], core=core,
-                         steps=burn_in, burn_in_window=window)
+        w = _first_window(packed(2, -(-replicas // _PROBE_SHARE)), stop) or burn_in
+    plus, ids = _window(core, w, burn_in)
+    window, stragglers, n = w, 0, core.n_sites // replicas
+    while ids.size:
+        w = min(2 * w, burn_in)
+        sub = None
+        if ids.size * _ADDRESSED_COST < replicas:
+            with contextlib.suppress(ResourceLimitError):  # counter draws need more scratch
+                sub = packed(2, ids=ids)
+        if sub is None:  # the whole batch again, in stream order
+            plus, ids = _window(core, w, burn_in)
+            window += w
+            continue
+        stragglers = stragglers or ids.size
+        sub_plus, apart = _window(sub, w, burn_in)
+        met = np.ones(ids.size, dtype=bool)
+        met[apart] = False
+        engine._put_replicas(plus, ids[met], sub_plus, np.flatnonzero(met), n)
+        ids = ids[apart]
+    return ReplicaSample(dims=core.dims, words=plus, core=core, steps=burn_in,
+                         burn_in_window=window, burn_in_stragglers=stragglers)
 
 
 def _replica_means(words: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -359,7 +389,7 @@ def spatial_correlation(
     if max(distances, default=0) >= min(dims) / 2:
         raise ConfigError("max distance must stay below min(dims)/2")
     words = sample.words
-    m_r = _replica_means(words, m, n)
+    m_r = sample.means
     m_hat = float(m_r.mean())
     summary = RunSummary()
     for dist in distances:
@@ -389,8 +419,7 @@ def temporal_autocorrelation(
     if lags and lags[0] < 0:
         raise ConfigError("lags must be nonnegative")
     m, n = sample.dims[0], math.prod(sample.dims[1:])
-    words0 = sample.words
-    m0_r = _replica_means(words0, m, n)
+    words0, m0_r = sample.words, sample.means
     m0 = float(m0_r.mean())
     t, rows = sample.steps, words0[None, :]
     trajectory = sample.core.run(rows, t, t + max(lags, default=0))
@@ -398,8 +427,11 @@ def temporal_autocorrelation(
     for lag in lags:
         while t < sample.steps + lag:
             t, rows = next(trajectory)
-        v_r = _replica_means(~(words0 ^ rows[0]), m, n)
-        mk_r = _replica_means(rows[0], m, n)
+        if lag:
+            v_r = _replica_means(~(words0 ^ rows[0]), m, n)
+            mk_r = _replica_means(rows[0], m, n)
+        else:  # every spin agrees with itself
+            v_r, mk_r = np.ones(m), m0_r
         g_hat = float(v_r.mean())
         mk = float(mk_r.mean())
         cov_hat = g_hat - m0 * mk

@@ -15,8 +15,9 @@ reference but an adapter: it runs an unpacked (M, N) replica batch through
 the packed core, for tests that compare batches site by site.
 ``plain_stationary_sample`` is the replica burn-in stepped from step 0 with
 no sandwich, which ``toomlab.stats.stationary_sample`` must match bit for
-bit, and ``probe_meeting_step`` finds the probe's meeting step from two
-one-row batches, without the two-row sandwich.
+bit, and ``probe_meeting_step`` and ``probe_apart_counts`` find the probe's
+meeting step, and its replicas still apart at each step, from two one-row
+batches, without the two-row sandwich.
 """
 
 from __future__ import annotations
@@ -314,7 +315,7 @@ def plain_stationary_sample(
     for t in range(burn_in):
         words = core.step(words, t)
     return ReplicaSample(dims=core.dims, words=words[0], core=core, steps=burn_in,
-                         burn_in_window=burn_in)
+                         burn_in_window=burn_in, burn_in_stragglers=0)
 
 
 def probe_meeting_step(
@@ -331,4 +332,26 @@ def probe_meeting_step(
         plus, minus = core.step(plus, t), core.step(minus, t)
         if np.array_equal(plus, minus):
             return t + 1
+    return None
+
+
+def probe_apart_counts(
+    rule: RuleSpec, noise: NoiseModel, dims: Sequence[int], replicas: int, seed: int, stop: int
+):
+    """Per step t = 1, 2, ... until they meet, how many of the first
+    ceil(replicas / 64) replicas differ between an all-plus and an all-minus
+    batch, each stepped alone from step 0 and compared on unpacked spins;
+    None if they do not meet within stop steps."""
+    kern = engine.kernel_plus(noise, rule)
+    core = engine._PackedCore(rule, dims, kern, RngKey(seed), replicas=-(-replicas // 64))
+    m, n = core.dims[0], core.n_sites // core.dims[0]
+    plus = engine.LatticeState.all_plus(core.dims).words[None, :]
+    minus = engine.LatticeState.all_minus(core.dims).words[None, :]
+    counts = []
+    for t in range(stop):
+        plus, minus = core.step(plus, t), core.step(minus, t)
+        differ = engine._unpack(plus[0], m * n) != engine._unpack(minus[0], m * n)
+        counts.append(int(differ.reshape(m, n).any(axis=1).sum()))
+        if counts[-1] == 0:
+            return counts
     return None

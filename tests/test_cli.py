@@ -618,33 +618,49 @@ class TestOneTrajectoryPerCommand:
         )
         assert code == 0 and len(built) == 1
 
+    def test_exact_duality_check_builds_no_sweep_plan(self, tmp_path, monkeypatch):
+        # up to 11 sites pi T is one apply of the orbit matrix
+        def refused(*args):
+            raise AssertionError("sweep plan built")
+
+        monkeypatch.setattr(cli.oracle, "_sweep_plan", refused)
+        code, out = run(
+            tmp_path, "exact",
+            {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1}, "dims": [11]},
+        )
+        assert code == 0 and read_json(out / "exact_report.json")["duality_residual"] < 1e-12
+
     def test_correlate_burns_in_once(self, tmp_path, monkeypatch, capsys):
-        steps = []
+        cores = {}  # id -> (core, steps), the core held so no id is reused
         step = cli.engine._PackedCore.step
 
         def counted(self, words, t):
-            steps.append((self.dims[0], t))
+            cores.setdefault(id(self), (self, []))[1].append(t)
             return step(self, words, t)
 
         monkeypatch.setattr(cli.engine._PackedCore, "step", counted)
-        samples, burn_in = 200, 60
+        samples, burn_in = 2000, 60
         code, _ = run(
             tmp_path, "correlate",
-            {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1}, "dims": [8],
-             "distances": [1], "lags": [0, 2], "samples": samples, "burn_in": burn_in},
+            {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.2}, "dims": [8],
+             "distances": [1], "lags": [0, 2], "samples": samples, "burn_in": burn_in,
+             "seed": 0},
         )
-        window = json.loads(capsys.readouterr().out)["burn_in_window"]
-        # the full batch steps each window it tries once, doubling from the
-        # first, then the lag-2 continuation; any other core is the probe
-        # on ceil(M / 64) replicas
-        full = [t for m, t in steps if m == samples]
-        tried, w = [], burn_in - full[0]
-        while len(tried) < window:
-            tried += range(burn_in - w, burn_in)
-            w *= 2
-        assert code == 0 and window < burn_in
-        assert full == tried + [burn_in, burn_in + 1]
-        assert {m for m, _ in steps} == {samples, -(-samples // 64)}
+        report = json.loads(capsys.readouterr().out)
+        window, stragglers = report["burn_in_window"], report["burn_in_stragglers"]
+        # the probe on ceil(M / 64) replicas runs from step 0 until its rows
+        # meet, at or after the first window; the full batch steps that
+        # window once, then the lag-2 continuation; each straggler core
+        # steps the last min(2w, burn_in) steps, w the window before it
+        (probe, probe_steps), (batch, batch_steps), *others = cores.values()
+        assert code == 0 and probe.dims[0] == -(-samples // 64) and batch.dims[0] == samples
+        assert probe_steps == list(range(len(probe_steps))) and window <= len(probe_steps)
+        assert batch_steps == list(range(burn_in - window, burn_in + 2))
+        assert others and others[0][0].dims[0] == stragglers
+        w = window
+        for core, steps in others:
+            w = min(2 * w, burn_in)
+            assert core.dims[0] <= stragglers and steps == list(range(burn_in - w, burn_in))
 
     @pytest.mark.parametrize("eps, route", [(0.1, "window"), (0.7, "plain")])
     def test_correlate_reports_its_burn_in_window(self, tmp_path, capsys, eps, route):
@@ -655,12 +671,13 @@ class TestOneTrajectoryPerCommand:
         for name in ("a", "b"):
             (tmp_path / name).mkdir()
             assert run(tmp_path / name, "correlate", config)[0] == 0
-            windows.append(json.loads(capsys.readouterr().out)["burn_in_window"])
+            report = json.loads(capsys.readouterr().out)
+            windows.append((report["burn_in_window"], report["burn_in_stragglers"]))
         assert windows[0] == windows[1]
         if route == "window":
-            assert 0 < windows[0] <= 30
+            assert 0 < windows[0][0] <= 10
         else:
-            assert windows[0] == 60
+            assert windows[0] == (60, 0)
 
     def test_divergence_reports_coalescence(self, tmp_path, capsys):
         config = {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.5},

@@ -268,6 +268,71 @@ class TestBlockedDraw:
         assert peak < (1 << 20) + sum(m.nbytes for m in masks)
 
 
+class TestAddressedDraw:
+    """Words read by counter against the same words read in stream order."""
+
+    B = engine._DRAW_BLOCK
+
+    @pytest.mark.parametrize("seed", [0, 2**32 + 1, 2**64 - 1])
+    @pytest.mark.parametrize("t", [0, 5, 2**32 + 3])
+    def test_philox_at_equals_random_raw(self, seed, t):
+        key, b = RngKey(seed), self.B
+        stream = engine._philox(key, t, 0).random_raw(b + 16)
+        # runs across 4-word Philox blocks and the draw chunk edge, out of
+        # order and repeated
+        pos = np.r_[0:3, 3:12, b - 3 : b + 6, 13, 2, 2, 7]
+        assert np.array_equal(engine._philox_at(key, t, pos), stream[pos])
+        far = 3 * b + np.arange(9)
+        want = engine._philox(key, t, 3 * b).random_raw(9)
+        assert np.array_equal(engine._philox_at(key, t, far), want)
+        assert engine._philox_at(key, t, np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("dims", [(5,), (8,), (3, 5)])
+    def test_replicas_draw_their_own_slots(self, monkeypatch, threads, dims):
+        # draw chunks of 64 sites end inside replicas, and replicas of 5 or
+        # 15 sites start off the 4-word blocks
+        monkeypatch.setattr(engine, "_DRAW_BLOCK", 64)
+        rule = builtin("stavskaya" if len(dims) == 1 else "nec")
+        kern = kernel_plus(symmetric_noise(0.2), rule)
+        ids = np.array([0, 2, 3, 9, 10, 11, 31, 40, 41, 57, 58, 59, 60, 61, 62, 99])
+        batch = engine._PackedCore(rule, dims, kern, RngKey(9), replicas=100)
+        sub = engine._PackedCore(rule, dims, kern, RngKey(9), threads, ids=ids)
+        n = math.prod(dims)
+        assert sub.dims == (ids.size,) + dims
+        for whole, part in zip(batch._draw(7), sub._draw(7)):
+            want = engine._unpack(whole, 100 * n).reshape(100, n)[ids]
+            assert np.array_equal(engine._unpack(part, ids.size * n).reshape(-1, n), want)
+
+    def test_scratch_of_one_addressed_draw_is_bounded(self):
+        # 3-site replicas two sites apart share the fewest Philox blocks
+        rule = builtin("stavskaya")
+        kern = kernel_plus(symmetric_noise(0.1), rule)
+        ids = np.arange(0, 2 * self.B, 2)
+        core = engine._PackedCore(rule, (3,), kern, RngKey(3), ids=ids)
+        tracemalloc.start()
+        try:
+            masks = core._draw(0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.B * engine._ADDRESSED_BYTES + sum(m.nbytes for m in masks)
+        assert engine.working_bytes(rule, kern, (3,), replicas=ids.size, addressed=True) - \
+            engine.working_bytes(rule, kern, (3,), replicas=ids.size) == \
+            self.B * (engine._ADDRESSED_BYTES - 9)
+
+    @pytest.mark.parametrize("m, n", [(37, 5), (9, 64), (20, 13), (6, 3)])
+    def test_put_replicas(self, m, n):
+        rng = np.random.default_rng(m * n)
+        bits = rng.integers(0, 2, size=(m, n)).astype(np.uint8)
+        src = rng.integers(0, 2, size=(4, n)).astype(np.uint8)
+        ids, take = np.sort(rng.choice(m, 4, replace=False)), np.array([3, 0, 2, 2])
+        words = engine._pack(bits.reshape(-1), -(-m * n // 64))
+        engine._put_replicas(words, ids, engine._pack(src.reshape(-1), -(-4 * n // 64)), take, n)
+        bits[ids] = src[take]
+        assert np.array_equal(words, engine._pack(bits.reshape(-1), -(-m * n // 64)))
+
+
 class TestPopcount:
     def test_random_words(self):
         words = np.random.default_rng(0).integers(0, 2**64, size=4000, dtype=np.uint64)

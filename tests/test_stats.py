@@ -218,6 +218,23 @@ class TestPackedEstimators:
             assert got.dtype == np.float64 and np.array_equal(got, ref)
 
 
+def test_replica_means_are_counted_once_per_sample(monkeypatch):
+    sample = stationary_sample(STAV, symmetric_noise(0.1), (8,), 20, 500, seed=8)
+    calls = []
+    counts = engine._replica_counts
+
+    def counted(words, m, n):
+        calls.append(m)
+        return counts(words, m, n)
+
+    monkeypatch.setattr(engine, "_replica_counts", counted)
+    spatial_correlation(sample, [1, 2, 3])
+    temporal_autocorrelation(sample, [0, 1, 2])
+    # the sample's means once, one product per distance, and a product and
+    # the later means per nonzero lag
+    assert calls == [500] * (1 + 3 + 2 * 2)
+
+
 class TestTemporalAutocorrelation:
     def test_lag_zero_is_variance(self):
         noise = symmetric_noise(0.2)
@@ -377,48 +394,110 @@ class TestBurnInFromThePast:
             spatial_correlation(want, distances)[0].table
         assert temporal_autocorrelation(got, [0, 1, 3])[0].table == \
             temporal_autocorrelation(want, [0, 1, 3])[0].table
-        return got.burn_in_window
+        return got
+
+    @staticmethod
+    def stages(monkeypatch):
+        """Record each stage as (replicas stepped, window, replicas left apart)."""
+        log = []
+        window = stats._window
+
+        def logged(core, w, burn_in):
+            plus, ids = window(core, w, burn_in)
+            log.append((core.dims[0], w, ids.size))
+            return plus, ids
+
+        monkeypatch.setattr(stats, "_window", logged)
+        return log
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_window_route(self, seed):
-        # a probe of 313 replicas fits its tail, and the batch burns in
-        # over fewer steps than three times the probe's meeting step
+    def test_window_route(self, monkeypatch, seed):
+        # the first window minimizes t (1 + 2K f(t)) over the probe's 313
+        # replicas; the batch leaves a few hundred of its 20k apart, and
+        # those meet over twice the window, stepped on their own
+        log = self.stages(monkeypatch)
         noise = symmetric_noise(0.1)
-        window = self.same(STAV, noise, (8,), 120, 20000, seed)
-        assert 0 < window < 3 * oracles.probe_meeting_step(STAV, noise, (8,), 20000, seed, 20)
+        got = self.same(STAV, noise, (8,), 120, 20000, seed)
+        counts = oracles.probe_apart_counts(STAV, noise, (8,), 20000, seed, 20)
+        costs = [t * (1 + 2 * stats._ADDRESSED_COST * u / 313) for t, u in enumerate(counts, 1)]
+        w, k = got.burn_in_window, got.burn_in_stragglers
+        assert w == 1 + int(np.argmin(costs)) < len(counts)
+        assert log == [(20000, w, k), (k, 2 * w, 0)] and 0 < k * stats._ADDRESSED_COST < 20000
 
-    def test_small_probe_takes_three_meeting_steps(self):
-        # 1984 replicas give a probe of 31, too few for a fit over 4..m/8
+    def test_small_probe_takes_its_meeting_step(self):
+        # 1984 replicas give a probe of 31, too few to read a share off
         noise = symmetric_noise(0.1)
-        window = self.same(STAV, noise, (8,), 120, 1984, 4)
-        assert window == 3 * oracles.probe_meeting_step(STAV, noise, (8,), 1984, 4, 20)
+        window = self.same(STAV, noise, (8,), 120, 1984, 4).burn_in_window
+        assert window == oracles.probe_meeting_step(STAV, noise, (8,), 1984, 4, 20)
 
     def test_probe_that_does_not_meet(self):
         # low noise on nec 16x16: the plus and minus phases stay apart
-        assert self.same(NEC, symmetric_noise(0.05), (16, 16), 60, 300, 4) == 60
+        got = self.same(NEC, symmetric_noise(0.05), (16, 16), 60, 300, 4)
+        assert (got.burn_in_window, got.burn_in_stragglers) == (60, 0)
 
     def test_anti_monotone_kernel(self):
         # eps > 1/2 makes raising a neighbor lower p(+1), so no sandwich holds
-        assert self.same(STAV, symmetric_noise(0.7), (8,), 60, 1000, 5) == 60
+        assert self.same(STAV, symmetric_noise(0.7), (8,), 60, 1000, 5).burn_in_window == 60
 
-    @pytest.mark.parametrize("first", [1, 4])
+    @pytest.mark.parametrize("rule, noise, dims, m", [
+        # 5 sites: the replicas start off the 4-word Philox blocks
+        (STAV, symmetric_noise(0.1), (5,), 20000),
+        (NEC, symmetric_noise(0.3), (5, 7), 5000),
+        (STAV, symmetric_noise(0.1), (8,), 4099),
+        (STAV, engine.biased_noise(0.05, 0.15), (8,), 20000),
+    ])
+    def test_stragglers(self, monkeypatch, rule, noise, dims, m):
+        log = self.stages(monkeypatch)
+        got = self.same(rule, noise, dims, 120, m, 3)
+        assert got.burn_in_stragglers > 0 and len(log) == 2
+
+    @pytest.mark.parametrize("first", [1, 4, 8])
     def test_window_that_misses(self, monkeypatch, first):
-        # windows of up to 8 steps leave some of the 20k pairs apart, and
-        # 16 passes half the burn-in, so the burn-in runs again from step 0
-        monkeypatch.setattr(stats, "_probe_window", lambda probe, stop, replicas: first)
-        window = self.same(STAV, symmetric_noise(0.1), (8,), 30, 20000, 6)
-        assert window == sum(w for w in (1, 2, 4, 8) if w >= first) + 30
+        # windows of up to 8 steps leave thousands of the 20k pairs apart
+        # (3275 after 8), which would cost more by counter than the batch
+        # in stream order, so the batch steps again, doubling the window,
+        # until the 10 pairs that 16 steps leave apart go alone
+        monkeypatch.setattr(stats, "_first_window", lambda probe, stop: first)
+        log = self.stages(monkeypatch)
+        got = self.same(STAV, symmetric_noise(0.1), (8,), 30, 20000, 6)
+        batch = [w for w in (1, 2, 4, 8, 16) if w >= first]
+        assert [(m, w) for m, w, _ in log] == [(20000, w) for w in batch] + [(10, 30)]
+        assert (got.burn_in_window, got.burn_in_stragglers) == (sum(batch), 10)
 
     def test_window_that_misses_once(self, monkeypatch):
-        # these 20k pairs all meet over the last 18 steps but not over 10,
-        # so the doubled window of 20 closes
-        monkeypatch.setattr(stats, "_probe_window", lambda probe, stop, replicas: 10)
-        assert self.same(STAV, symmetric_noise(0.1), (8,), 120, 20000, 6) == 10 + 20
+        # a window of 10 leaves 898 of 20k pairs apart, and all of them
+        # meet over the last 20 steps, stepped on their own
+        monkeypatch.setattr(stats, "_first_window", lambda probe, stop: 10)
+        log = self.stages(monkeypatch)
+        got = self.same(STAV, symmetric_noise(0.1), (8,), 120, 20000, 6)
+        assert log == [(20000, 10, 898), (898, 20, 0)]
+        assert (got.burn_in_window, got.burn_in_stragglers) == (10, 898)
+
+    def test_straggler_stage_reaching_burn_in(self, monkeypatch):
+        # 10 steps leave 876 of 20k pairs apart and 20 leave one, which
+        # then burns in from step 0 on its own
+        monkeypatch.setattr(stats, "_first_window", lambda probe, stop: 10)
+        log = self.stages(monkeypatch)
+        got = self.same(STAV, symmetric_noise(0.1), (8,), 30, 20000, 6)
+        assert log == [(20000, 10, 876), (876, 20, 1), (1, 30, 0)]
+        assert (got.burn_in_window, got.burn_in_stragglers) == (10, 876)
+
+    def test_stragglers_that_do_not_fit(self, monkeypatch):
+        # a cap that admits the batch's two rows but not the stragglers'
+        # counter draws sends the stragglers back to the whole batch
+        noise, m = symmetric_noise(0.1), 20000
+        kern = engine.kernel_plus(noise, STAV)
+        monkeypatch.setattr(engine, "MAX_MC_BYTES", engine.working_bytes(STAV, kern, (8,), 2, m))
+        log = self.stages(monkeypatch)
+        got = self.same(STAV, noise, (8,), 120, m, 0)
+        (first, w, apart), *rest = log
+        assert first == m and 0 < apart * stats._ADDRESSED_COST < m and rest == [(m, 2 * w, 0)]
+        assert (got.burn_in_window, got.burn_in_stragglers) == (3 * w, 0)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_threads(self, threads):
-        window = self.same(STAV, symmetric_noise(0.1), (8,), 120, 20000, 7, threads)
-        assert window < 120
+        got = self.same(STAV, symmetric_noise(0.1), (8,), 120, 20000, 7, threads)
+        assert got.burn_in_window < 120 and got.burn_in_stragglers > 0
 
     def test_batch_that_fits_one_row_only(self, monkeypatch):
         noise, m = symmetric_noise(0.1), 20000
@@ -426,7 +505,8 @@ class TestBurnInFromThePast:
         one, two = (engine.working_bytes(STAV, kern, (8,), rows, m) for rows in (1, 2))
         assert one < two
         monkeypatch.setattr(engine, "MAX_MC_BYTES", one)
-        assert self.same(STAV, noise, (8,), 120, m, 8) == 120
+        got = self.same(STAV, noise, (8,), 120, m, 8)
+        assert (got.burn_in_window, got.burn_in_stragglers) == (120, 0)
 
 
 class TestOneTrajectory:
