@@ -2,7 +2,10 @@
 
 The CSV and PPM digests were recorded with the gather-table engine, before
 the packed stepping core replaced it, and guard byte-for-byte
-reproducibility through every rewrite of the stepping code.  Other JSON
+reproducibility through every rewrite of the stepping code.  The two
+N = 15 `correlate` digests were recorded later, with the prefix-sum replica
+counts, and guard the estimators' float sums on replicas that do not fill
+whole bytes.  Other JSON
 reports are not digested, since reports may gain keys; their numbers are
 checked by the other CLI tests.  The `check` artifacts (`certificate.json`
 and `bounds_report.json`) are digested as well: they were recorded with the
@@ -46,6 +49,19 @@ CASES = {
         "dims": [8], "distances": [1, 2, 3], "lags": [0, 1, 2], "samples": 700,
         "burn_in": 30, "seed": 13,
     }),
+    # N = 15 replicas start off byte and word edges, and their means are
+    # not dyadic, so a reordered float sum would change these bytes; the
+    # stavskaya run also writes back stragglers (71 at seed 17)
+    "correlate_nec_3x5": ("correlate", {
+        "rule": "nec", "noise": {"kind": "symmetric", "eps": 0.1},
+        "dims": [3, 5], "distances": [0, 1], "lags": [0, 1, 2, 3], "samples": 900,
+        "burn_in": 30, "seed": 17,
+    }),
+    "correlate_stavskaya_15": ("correlate", {
+        "rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.15},
+        "dims": [15], "distances": [1, 2, 3, 4], "lags": [0, 1, 2, 3], "samples": 3000,
+        "burn_in": 60, "seed": 17,
+    }),
     "erode_nec_frames": ("erode", {
         "rule": "nec", "island": NEC_ISLAND, "dims": [30, 30], "cutoff": 10,
         "snapshot_every": 2,
@@ -53,6 +69,18 @@ CASES = {
 }
 
 DIGESTS = {
+    "correlate_nec_3x5": {
+        "correlate_spatial.csv":
+            "c7d4e0bc6a9292d2eb0d496bda38b242bacef71ef6ee257478d4fdb046c10ede",
+        "correlate_temporal.csv":
+            "2d1614d8fd57845abe22381cf33eacc8e05e20944cbe51f98d4d19b82cf01aab",
+    },
+    "correlate_stavskaya_15": {
+        "correlate_spatial.csv":
+            "94c60a75e6ac638ecb448b1e03d8061544734b69645aaab60f77db65418bebcc",
+        "correlate_temporal.csv":
+            "78052ae9526956c2f256a196dbac7688ed3b952d527b1789062bd4c19440df92",
+    },
     "correlate_stavskaya_8": {
         "correlate_spatial.csv":
             "dba3970045bf58bd6c3c531ca437f4464e5c6234faaf2a30e56e11308999c799",
@@ -137,6 +165,18 @@ CHECK_CASES = {
 }
 
 CHECK_DIGESTS = {
+    "correlate_nec_3x5": {
+        "correlate_spatial.csv":
+            "c7d4e0bc6a9292d2eb0d496bda38b242bacef71ef6ee257478d4fdb046c10ede",
+        "correlate_temporal.csv":
+            "2d1614d8fd57845abe22381cf33eacc8e05e20944cbe51f98d4d19b82cf01aab",
+    },
+    "correlate_stavskaya_15": {
+        "correlate_spatial.csv":
+            "94c60a75e6ac638ecb448b1e03d8061544734b69645aaab60f77db65418bebcc",
+        "correlate_temporal.csv":
+            "78052ae9526956c2f256a196dbac7688ed3b952d527b1789062bd4c19440df92",
+    },
     "check_majority_1d": {
         "certificate.json":
             "28e93951336130e9a18c20d1e027fc7e187755de8882b346c3d123fe00b026bc",
