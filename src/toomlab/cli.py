@@ -432,6 +432,7 @@ def cmd_correlate(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tupl
     if not (cfg["distances"] or cfg["lags"]):
         raise ConfigError("correlate needs distances and/or lags")
     header = ("distance_or_lag", "estimate", "stderr", "n")
+    stats.estimator_bytes(cfg["samples"], 3 if cfg["lags"] else 2)
     sample = stats.stationary_sample(rule, cfg["noise"], cfg["dims"], cfg["burn_in"],
                                      cfg["samples"], cfg["seed"], threads)
     payload: dict = {"burn_in_window": sample.burn_in_window,

@@ -25,9 +25,10 @@ replicas of a batch reads those outputs by counter instead (`_philox_at`,
 Philox4x64-10 computed per 4-word block), and gets the same words as stream
 order, so its replicas step exactly as in the batch.  With threads > 1 the
 draws are made in 64-site-aligned spans on one process-wide pool; each span
-starts its generator at its own offset, so results do not depend on the
-thread count.  Within its span a thread draws blocks of 65,536 sites, each
-thresholded and packed into the masks before the next is drawn.
+keeps one generator, moved every step to its own offset of that step's
+stream, so results do not depend on the thread count.  Within its span a
+thread draws blocks of 65,536 sites, each thresholded and packed into the
+masks before the next is drawn.
 
 Memory per step is a few packed rows of ceil(sites / 64) words (state in
 and out, shifted planes, Shannon node values, noise masks, each dropped
@@ -337,9 +338,21 @@ def neighbor_table(rule: RuleSpec, dims: Sequence[int]) -> np.ndarray:
     ])
 
 
-def _philox(key: RngKey, t: int, start: int) -> Philox:
-    """Bit generator positioned at output `start` (a multiple of 4) of stream t."""
-    bg = Philox(key=key.seed, counter=[0, 0, int(t), 0])
+def _philox(key: RngKey, t: int, start: int, bg: Optional[Philox] = None) -> Philox:
+    """Bit generator positioned at output `start` (a multiple of 4) of stream t:
+    bg moved there in place, or a new one.
+
+    Moving a generator costs about half of building one, for which numpy
+    also reads os.urandom, only for the key to replace that entropy.
+    """
+    if bg is None:
+        bg = Philox(key=key.seed)
+    bg.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([0, 0, t, 0], dtype=np.uint64),
+                  "key": np.array([key.seed, 0], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
     if start:
         bg.advance(start // 4)
     return bg
@@ -431,8 +444,9 @@ def _unpack(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little")
 
 
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 word, as int64 (SWAR: pair, nibble and byte sums)."""
+def _byte_counts(words: np.ndarray) -> np.ndarray:
+    """Set bits of each byte of each uint64 word, in that byte (SWAR: pair and
+    nibble sums); viewed as uint8, byte k holds the count of sites 8k..8k+7."""
     w = words >> np.uint64(1)
     w &= _M1
     w = words - w
@@ -443,6 +457,12 @@ def _popcount(words: np.ndarray) -> np.ndarray:
     t = w >> np.uint64(4)
     w += t
     w &= _M4
+    return w
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word, as int64: the byte counts summed by one multiply."""
+    w = _byte_counts(words)
     w *= _H01
     w >>= np.uint64(56)
     return w.view(np.int64)
@@ -453,19 +473,41 @@ def _plus_counts(words: np.ndarray) -> np.ndarray:
     return _popcount(words).sum(axis=-1)
 
 
-def _replica_counts(words: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Set bits in each of the m runs [r*n, (r+1)*n) of a packed row of words.
+# _BITS_BELOW[r, b]: set bits of byte value b below bit r
+_BITS_BELOW = np.array(
+    [[bin(b & ((1 << r) - 1)).count("1") for b in range(256)] for r in range(8)], dtype=np.uint8
+)
 
-    Runs need not start on a word: the count below each edge is the prefix
-    sum of whole-word counts plus the bits of its word below the edge.
+
+def _replica_counts(words: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Set bits in each of the m runs [r*n, (r+1)*n) of a packed row of words,
+    as int64; bits past the last run are never read.
+
+    Counted from the bits per byte.  A run of whole bytes (n a multiple of
+    8) sums its own bytes' counts.  Any other run is the difference of the
+    counts below its edges: the prefix sum of whole-word counts, plus the
+    bytes of the edge's word below its byte (their counts times _H01 is
+    the prefix sum over a word's bytes), plus the bits of its byte below it.
     """
+    per_byte = _byte_counts(words)
+    if n % 8 == 0:
+        return per_byte.view(np.uint8)[: m * n // 8].reshape(m, n // 8).sum(axis=1, dtype=np.int64)
+    # byte k of a word: the bits of its bytes 0..k, then of bytes 0..k-1;
+    # a zero word past the end serves an edge at the end of the row
+    in_word = np.zeros(words.size + 1, dtype=np.uint64)
+    np.multiply(per_byte, _H01, out=in_word[:-1])
     below = np.zeros(words.size + 1, dtype=np.int64)
-    np.cumsum(_popcount(words), out=below[1:])
-    edges = np.arange(m + 1, dtype=np.uint64) * np.uint64(n)
-    q = edges >> np.uint64(6)
-    part = np.take(words, q, mode="clip")
-    part &= (np.uint64(1) << (edges & np.uint64(63))) - np.uint64(1)
-    return np.diff(below[q] + _popcount(part))
+    np.cumsum(in_word[:-1] >> np.uint64(56), dtype=np.int64, out=below[1:])
+    in_word[:-1] -= per_byte
+    del per_byte
+    q = np.arange(m + 1, dtype=np.int64) * n  # each edge, then its byte
+    counts = below[q >> 6]
+    r = q & 7
+    q >>= 3
+    counts += in_word.view(np.uint8)[q]
+    counts += _BITS_BELOW[r, np.take(words.view(np.uint8), q, mode="clip")]
+    del q, r
+    return np.diff(counts)
 
 
 def _put_replicas(words: np.ndarray, ids: np.ndarray, src: np.ndarray, take: np.ndarray,
@@ -694,12 +736,15 @@ class _PackedCore:
         }
         n_moves = {var: len(moves) for var, moves in self._moves.items()}
         self._drops, _ = _schedule(self._nodes, self._root, self._noisy, n_moves)
+        size = -(-self.n_sites // (64 * self.threads)) * 64
+        self._spans = [(a, min(a + size, self.n_sites)) for a in range(0, self.n_sites, size)]
+        self._bgs: list[Optional[Philox]] = [None] * len(self._spans)  # each span's, reused
 
     def _draw(self, t: int) -> list[np.ndarray]:
         """One packed mask raw < T per drawn leaf, from the step-t stream.
 
-        Each thread takes a 64-aligned span of sites and starts its own
-        generator at the span's offset, so the thread count changes nothing.
+        Each thread takes a 64-aligned span of sites and moves the span's
+        own generator to its offset, so the thread count changes nothing.
         It draws the span in blocks of _DRAW_BLOCK sites, each thresholded
         and packed before the next is drawn, so its scratch stays fixed.
         With ids, a block's words are read by counter at the stream slots
@@ -709,9 +754,11 @@ class _PackedCore:
         masks = [np.zeros(self.n_words, dtype="<u8") for _ in self._thresholds]
         out = [mask.view(np.uint8) for mask in masks]
 
-        def work(span: tuple[int, int]) -> None:
-            a, b = span
-            bg = _philox(self.key, t, a) if self._ids is None else None
+        def work(i: int) -> None:
+            a, b = self._spans[i]
+            bg = None
+            if self._ids is None:
+                bg = self._bgs[i] = _philox(self.key, t, a, self._bgs[i])
             for lo in range(a, b, _DRAW_BLOCK):
                 if bg is not None:
                     raw = bg.random_raw(min(_DRAW_BLOCK, b - lo))
@@ -729,8 +776,7 @@ class _PackedCore:
                     out[j][lo // 8 : lo // 8 + packed.size] = packed
                 del raw  # so the next block replaces this one rather than joining it
 
-        size = -(-self.n_sites // (64 * self.threads)) * 64
-        spans = [(a, min(a + size, self.n_sites)) for a in range(0, self.n_sites, size)]
+        spans = range(len(self._spans))
         list((map if len(spans) == 1 else _pool().map)(work, spans))
         return masks
 

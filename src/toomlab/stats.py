@@ -9,8 +9,12 @@ carries its chain (the stepping core and its step count), which the lags
 continue.  It stays packed: one LatticeState over dims (M, *dims), the
 core's own replica layout, and every per-replica average is a popcount of
 its words (of w for the magnetization, of NOT(w XOR w') for a two-point
-product), divided as np.mean divides the exact spin sum; the sample's own
-means are counted once for both estimators.
+product), summed from per-byte bit counts and divided as np.mean divides
+the exact spin sum; the sample's own means are counted once for both
+estimators.  Each table row divides its averages straight into the
+columns of one (M, k) float64 matrix, the layout np.column_stack gives,
+which np.cov then reads as it is; :func:`estimator_bytes` bounds what a
+row holds, and `correlate` checks it before the burn-in.
 Single-trajectory series (densities, magnetization gaps) report batch-means
 standard errors instead.  Decay fits are unweighted least squares on
 log-magnitudes, restricted to points above the noise floor (2 standard
@@ -347,13 +351,37 @@ def stationary_sample(
                          burn_in_window=window, burn_in_stragglers=stragglers)
 
 
-def _replica_means(words: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Each replica's spin average, (2 * plus - N) / N from popcounts.
+def _replica_means(words: np.ndarray, m: int, n: int,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each replica's spin average, (2 * plus - N) / N from popcounts, into
+    out if given (a column of an estimator's value matrix).
 
     That is the exact float64 sum of the N spins divided by N, which is what
     np.mean gives on the unpacked spins, bit for bit.
     """
-    return (2 * engine._replica_counts(words, m, n) - n).astype(np.float64) / n
+    spins = engine._replica_counts(words, m, n)
+    spins *= 2
+    spins -= n
+    return np.divide(spins, n, out=out, dtype=np.float64)
+
+
+def estimator_bytes(replicas: int, columns: int) -> int:
+    """Bytes the estimators hold for one table row of `columns` replica
+    averages (2 spatial, 3 temporal); ResourceLimitError above MAX_MC_BYTES.
+
+    8 M (2k + 3) for M replicas and k columns: the (M, k) value matrix and
+    np.cov's centered copy, the sample's means, and the int64 counts being
+    divided with their edge scratch.  The packed rows are working_bytes's.
+    Checked before the burn-in, so a batch the step admits is not refused
+    only once it has been stepped.
+    """
+    need = 8 * replicas * (2 * columns + 3)
+    if need > engine.MAX_MC_BYTES:
+        raise ResourceLimitError(
+            f"estimates over {replicas} replicas need about {need} bytes,"
+            f" over the {engine.MAX_MC_BYTES}-byte cap"
+        )
+    return need
 
 
 def _fit_rows(table: list) -> FitResult:
@@ -362,7 +390,12 @@ def _fit_rows(table: list) -> FitResult:
 
 
 def _delta_se(values: np.ndarray, means: np.ndarray, grad: np.ndarray) -> Optional[float]:
-    """SE of f(sample means) with gradient grad, via the sample covariance (None for m < 2)."""
+    """SE of f(sample means) with gradient grad, via the sample covariance (None for m < 2).
+
+    values is the (m, k) C-ordered matrix of the k replica averages, the
+    layout np.column_stack gives: np.cov then sums each column's mean
+    replica by replica, and those are the bits every artifact records.
+    """
     m = values.shape[0]
     if m < 2:
         return None
@@ -389,20 +422,16 @@ def spatial_correlation(
     if max(distances, default=0) >= min(dims) / 2:
         raise ConfigError("max distance must stay below min(dims)/2")
     words = sample.words
-    m_r = sample.means
-    m_hat = float(m_r.mean())
+    m_hat = float(sample.means.mean())
     summary = RunSummary()
     for dist in distances:
         u = int(dist) % dims[0]
         partner = engine._moved(words, [engine._axis_move(sample.dims, 1, u)] if u else [])
-        v_r = _replica_means(~(words ^ partner), m, n)
-        g_hat = float(v_r.mean())
+        values = np.empty((m, 2))  # columns v_r, m_r
+        values[:, 1] = sample.means
+        g_hat = float(_replica_means(~(words ^ partner), m, n, out=values[:, 0]).mean())
         cov_hat = g_hat - m_hat * m_hat
-        se = _delta_se(
-            np.column_stack([v_r, m_r]),
-            np.array([g_hat, m_hat]),
-            np.array([1.0, -2.0 * m_hat]),
-        )
+        se = _delta_se(values, np.array([g_hat, m_hat]), np.array([1.0, -2.0 * m_hat]))
         summary.table.append((int(dist), cov_hat, se, m))
     return summary, _fit_rows(summary.table)
 
@@ -427,19 +456,18 @@ def temporal_autocorrelation(
     for lag in lags:
         while t < sample.steps + lag:
             t, rows = next(trajectory)
+        values = np.empty((m, 3))  # columns v_r, m0_r, mk_r
+        values[:, 1] = m0_r
         if lag:
-            v_r = _replica_means(~(words0 ^ rows[0]), m, n)
-            mk_r = _replica_means(rows[0], m, n)
+            _replica_means(~(words0 ^ rows[0]), m, n, out=values[:, 0])
+            _replica_means(rows[0], m, n, out=values[:, 2])
         else:  # every spin agrees with itself
-            v_r, mk_r = np.ones(m), m0_r
-        g_hat = float(v_r.mean())
-        mk = float(mk_r.mean())
+            values[:, 0] = 1.0
+            values[:, 2] = m0_r
+        g_hat = float(values[:, 0].mean())
+        mk = float(values[:, 2].mean())
         cov_hat = g_hat - m0 * mk
-        se = _delta_se(
-            np.column_stack([v_r, m0_r, mk_r]),
-            np.array([g_hat, m0, mk]),
-            np.array([1.0, -mk, -m0]),
-        )
+        se = _delta_se(values, np.array([g_hat, m0, mk]), np.array([1.0, -mk, -m0]))
         summary.table.append((lag, cov_hat, se, m))
     return summary, _fit_rows(summary.table)
 

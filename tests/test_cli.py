@@ -759,6 +759,9 @@ class TestMonteCarloCap:
         ("divergence", {"rule": "nec", "noise": NOISE, "dims": [4096, 4096], "steps": 1}),
         ("correlate", {"rule": "nec", "noise": NOISE, "dims": [64, 64], "samples": 10000,
                        "burn_in": 1, "distances": [1], "lags": [1]}),
+        # a 20 kB batch the step admits, but 1.4 MB of float64 estimates
+        ("correlate", {"rule": "stavskaya", "noise": NOISE, "dims": [8], "samples": 20000,
+                       "burn_in": 12, "distances": [1], "lags": [1]}),
         ("erode", {"rule": "nec", "island": [[0, 0]], "dims": [4096, 4096], "cutoff": 2,
                    "snapshot_every": 1}),
         # the per-step float64 series alone are 8 TB and 16 TB
@@ -767,8 +770,8 @@ class TestMonteCarloCap:
     ])
     def test_refused_before_anything_lattice_sized(self, tmp_path, capsys, monkeypatch,
                                                    command, config):
-        # each packed lattice here is over 1 MiB, so a traced peak under the
-        # cap means none was allocated before the refusal
+        # each packed lattice or estimate here is over 1 MiB, so a traced
+        # peak under the cap means none was allocated before the refusal
         cap = 1 << 20
         monkeypatch.setattr(cli.engine, "MAX_MC_BYTES", cap)
         tracemalloc.start()
