@@ -759,14 +759,14 @@ class TestMonteCarloCap:
         ("divergence", {"rule": "nec", "noise": NOISE, "dims": [4096, 4096], "steps": 1}),
         ("correlate", {"rule": "nec", "noise": NOISE, "dims": [64, 64], "samples": 10000,
                        "burn_in": 1, "distances": [1], "lags": [1]}),
-        # a 20 kB batch the step admits, but 1.4 MB of float64 estimates
-        ("correlate", {"rule": "stavskaya", "noise": NOISE, "dims": [8], "samples": 20000,
-                       "burn_in": 12, "distances": [1], "lags": [1]}),
         ("erode", {"rule": "nec", "island": [[0, 0]], "dims": [4096, 4096], "cutoff": 2,
                    "snapshot_every": 1}),
         # the per-step float64 series alone are 8 TB and 16 TB
         ("simulate", {"rule": "stavskaya", "noise": NOISE, "dims": [16], "steps": 10**12}),
         ("divergence", {"rule": "nec", "noise": NOISE, "dims": [8, 8], "steps": 10**12}),
+        # a 20 kB batch the step admits, but 1.4 MB of float64 estimates
+        ("correlate", {"rule": "stavskaya", "noise": NOISE, "dims": [8], "samples": 20000,
+                       "burn_in": 12, "distances": [1], "lags": [1]}),
     ])
     def test_refused_before_anything_lattice_sized(self, tmp_path, capsys, monkeypatch,
                                                    command, config):

@@ -165,18 +165,6 @@ CHECK_CASES = {
 }
 
 CHECK_DIGESTS = {
-    "correlate_nec_3x5": {
-        "correlate_spatial.csv":
-            "c7d4e0bc6a9292d2eb0d496bda38b242bacef71ef6ee257478d4fdb046c10ede",
-        "correlate_temporal.csv":
-            "2d1614d8fd57845abe22381cf33eacc8e05e20944cbe51f98d4d19b82cf01aab",
-    },
-    "correlate_stavskaya_15": {
-        "correlate_spatial.csv":
-            "94c60a75e6ac638ecb448b1e03d8061544734b69645aaab60f77db65418bebcc",
-        "correlate_temporal.csv":
-            "78052ae9526956c2f256a196dbac7688ed3b952d527b1789062bd4c19440df92",
-    },
     "check_majority_1d": {
         "certificate.json":
             "28e93951336130e9a18c20d1e027fc7e187755de8882b346c3d123fe00b026bc",
