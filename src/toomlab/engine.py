@@ -473,7 +473,7 @@ def _plus_counts(words: np.ndarray) -> np.ndarray:
     return _popcount(words).sum(axis=-1)
 
 
-# _BITS_BELOW[r, b]: set bits of byte value b below bit r
+# _BITS_BELOW[r, b]: set bits of byte value b below bit r, where a replica edge cuts it
 _BITS_BELOW = np.array(
     [[bin(b & ((1 << r) - 1)).count("1") for b in range(256)] for r in range(8)], dtype=np.uint8
 )
@@ -483,31 +483,33 @@ def _replica_counts(words: np.ndarray, m: int, n: int) -> np.ndarray:
     """Set bits in each of the m runs [r*n, (r+1)*n) of a packed row of words,
     as int64; bits past the last run are never read.
 
-    Counted from the bits per byte.  A run of whole bytes (n a multiple of
-    8) sums its own bytes' counts.  Any other run is the difference of the
-    counts below its edges: the prefix sum of whole-word counts, plus the
-    bytes of the edge's word below its byte (their counts times _H01 is
-    the prefix sum over a word's bytes), plus the bits of its byte below it.
+    Counted from the bits per byte, the same way for every n.  Runs repeat
+    their byte alignment every p = 8 / gcd(n, 8) runs, which fill n*p/8
+    whole bytes, so the row is read as blocks of that many bytes (from a
+    zero-padded copy when the last block runs past the row), a byte column
+    at a time.  Run j of each block sums the byte counts from the byte
+    holding its start up to the one holding its end, less the first's bits
+    below its start, plus the last's bits below its end (_BITS_BELOW).
     """
-    per_byte = _byte_counts(words)
-    if n % 8 == 0:
-        return per_byte.view(np.uint8)[: m * n // 8].reshape(m, n // 8).sum(axis=1, dtype=np.int64)
-    # byte k of a word: the bits of its bytes 0..k, then of bytes 0..k-1;
-    # a zero word past the end serves an edge at the end of the row
-    in_word = np.zeros(words.size + 1, dtype=np.uint64)
-    np.multiply(per_byte, _H01, out=in_word[:-1])
-    below = np.zeros(words.size + 1, dtype=np.int64)
-    np.cumsum(in_word[:-1] >> np.uint64(56), dtype=np.int64, out=below[1:])
-    in_word[:-1] -= per_byte
-    del per_byte
-    q = np.arange(m + 1, dtype=np.int64) * n  # each edge, then its byte
-    counts = below[q >> 6]
-    r = q & 7
-    q >>= 3
-    counts += in_word.view(np.uint8)[q]
-    counts += _BITS_BELOW[r, np.take(words.view(np.uint8), q, mode="clip")]
-    del q, r
-    return np.diff(counts)
+    p = 8 // math.gcd(n, 8)
+    width = n * p // 8
+    size = -(-m // p) * width
+    per_byte, raw = _byte_counts(words).view(np.uint8), words.view(np.uint8)
+    if size > raw.size:
+        per_byte, raw = (np.pad(b, (0, size - b.size)) for b in (per_byte, raw))
+    per_byte, raw = per_byte[:size].reshape(-1, width), raw[:size].reshape(-1, width)
+    counts = np.empty((p, per_byte.shape[0]), dtype=np.int64)  # run j of each block
+    for j, count in enumerate(counts):
+        a, r = divmod(j * n, 8)
+        b, s = divmod(j * n + n, 8)
+        count[...] = per_byte[:, a] if a < b else 0
+        for k in range(a + 1, b):
+            count += per_byte[:, k]
+        if r:
+            count -= _BITS_BELOW[r][raw[:, a]]
+        if s:
+            count += _BITS_BELOW[s][raw[:, b]]
+    return counts.T.reshape(-1)[:m]
 
 
 def _put_replicas(words: np.ndarray, ids: np.ndarray, src: np.ndarray, take: np.ndarray,
@@ -604,47 +606,52 @@ def _moved(words: np.ndarray, moves: list[tuple]) -> np.ndarray:
     return words
 
 
-def _schedule(
-    nodes: list[tuple[int, int, int]], root: int, noisy: list[int], n_moves: dict[int, int]
-) -> tuple[list[tuple[list[int], list[int]]], list[tuple[int, int]]]:
-    """When a step can drop each value, and what it holds at each point.
+class _StepPlan:
+    """A kernel's step on any lattice, and what it holds at each point.
 
-    nodes and root are `_shannon`'s; noisy lists the leaves that are drawn
-    masks, and n_moves[var] counts the axis moves that build slot var's
-    plane (none: the plane is the state itself).  Returns, per node, the
-    value references and plane slots whose last use it is, and the live
-    (per-chain rows, shared mask rows) at the draw, at each plane build
-    (one plus two temporaries for one move, three for more), at each node
-    evaluation (two temporaries) and at the output copy.  The state in
-    counts as one chain row throughout.
+    probs are kern's distinct values, one leaf each; nodes and root are
+    `_shannon`'s over them; noisy lists the drawn leaves, n_moves[var] the
+    axis moves (nonzero offset coordinates) that build slot var's plane.
+    drops lists, per node, the value references and plane slots whose last
+    use it is; live the (per-chain rows, shared mask rows) held at the draw,
+    at each plane build (one plus two temporaries for one move, three for
+    more), at each node evaluation (two temporaries) and at the output copy,
+    the state in counting as one chain row.
     """
-    last_value: dict[int, int] = {}
-    last_plane: dict[int, int] = {}
-    for k, (var, hi, lo) in enumerate(nodes):
-        last_value[hi] = last_value[lo] = last_plane[var] = k
-    last_value.pop(root, None)
-    drops = [
-        ([r for r, j in last_value.items() if j == k], [v for v, j in last_plane.items() if j == k])
-        for k in range(len(nodes))
-    ]
-    # node k is reference n_leaves + k, and the root is the last node built
-    n_leaves = root - len(nodes) + 1
-    planes = values = 0
-    masks = len(noisy)
-    built: set[int] = set()
-    live = [(1, masks)]
-    for (var, _, _), (drop_values, drop_planes) in zip(nodes, drops):
-        if var not in built and n_moves[var]:
-            live.append((1 + planes + values + (3 if n_moves[var] == 1 else 4), masks))
-            planes += 1
-        built.add(var)
-        live.append((1 + planes + values + 2, masks))
-        values += 1
-        values -= sum(r >= n_leaves for r in drop_values)
-        masks -= sum(r in noisy for r in drop_values)
-        planes -= sum(1 for v in drop_planes if n_moves[v])
-    live.append((1 + values + 1, masks))
-    return drops, live
+
+    def __init__(self, rule: RuleSpec, kern: np.ndarray):
+        probs, leaf_of = np.unique(np.asarray(kern, dtype=np.float64), return_inverse=True)
+        nodes, root = _shannon(leaf_of)
+        noisy = [j for j, p in enumerate(probs) if 0.0 < p < 1.0]
+        n_moves = {var: sum(1 for c in rule.neighborhood[var] if c) for var, _, _ in nodes}
+        last_value: dict[int, int] = {}
+        last_plane: dict[int, int] = {}
+        for k, (var, hi, lo) in enumerate(nodes):
+            last_value[hi] = last_value[lo] = last_plane[var] = k
+        last_value.pop(root, None)
+        drops = [
+            ([r for r, j in last_value.items() if j == k], [v for v, j in last_plane.items() if j == k])
+            for k in range(len(nodes))
+        ]
+        # node k is reference n_leaves + k, and the root is the last node built
+        n_leaves = root - len(nodes) + 1
+        planes = values = 0
+        masks = len(noisy)
+        built: set[int] = set()
+        live = [(1, masks)]
+        for (var, _, _), (drop_values, drop_planes) in zip(nodes, drops):
+            if var not in built and n_moves[var]:
+                live.append((1 + planes + values + (3 if n_moves[var] == 1 else 4), masks))
+                planes += 1
+            built.add(var)
+            live.append((1 + planes + values + 2, masks))
+            values += 1
+            values -= sum(r >= n_leaves for r in drop_values)
+            masks -= sum(r in noisy for r in drop_values)
+            planes -= sum(1 for v in drop_planes if n_moves[v])
+        live.append((1 + values + 1, masks))
+        self.probs, self.nodes, self.root, self.noisy = probs, nodes, root, noisy
+        self.n_moves, self.drops, self.live = n_moves, drops, live
 
 
 def working_bytes(
@@ -655,27 +662,22 @@ def working_bytes(
     replicas: Optional[int] = None,
     threads: int = 1,
     addressed: bool = False,
+    plan: Optional[_StepPlan] = None,
 ) -> int:
     """Peak bytes of one packed step of `rows` chains (each `replicas` tori of
     dims end to end); ResourceLimitError above MAX_MC_BYTES.
 
-    Counted in packed rows of ceil(sites / 64) words: the live peak of
-    `_schedule` (state, shifted planes, Shannon node values and noise masks,
-    each dropped after its last use, and the temporaries of the operation
-    under way), one range mask per axis move, and each thread's draw block,
-    of _ADDRESSED_BYTES per site when the draws are counter-addressed.
-    Every Monte Carlo path calls this before it allocates anything of
-    lattice size.
+    Counted in packed rows of ceil(sites / 64) words: the live peak of the
+    kernel's `_StepPlan` (passed as plan if the caller holds it), one range
+    mask per axis move, and each thread's draw block, of _ADDRESSED_BYTES
+    per site when the draws are counter-addressed.  Every Monte Carlo path
+    calls this before it allocates anything of lattice size.
     """
     dims = _torus_dims(rule, dims)
     row = 8 * -(-(replicas or 1) * math.prod(dims) // 64)
-    values, leaf_of = np.unique(np.asarray(kern, dtype=np.float64), return_inverse=True)
-    nodes, root = _shannon(leaf_of)
-    noisy = [j for j, p in enumerate(values) if 0.0 < p < 1.0]
-    n_moves = {var: sum(1 for c in rule.neighborhood[var] if c) for var, _, _ in nodes}
-    _, live = _schedule(nodes, root, noisy, n_moves)
-    need = row * (sum(n_moves.values()) + max(rows * chain + masks for chain, masks in live))
-    need += threads * _DRAW_BLOCK * (_ADDRESSED_BYTES if addressed else 9) if noisy else 0
+    plan = plan or _StepPlan(rule, kern)
+    need = row * (sum(plan.n_moves.values()) + max(rows * chain + masks for chain, masks in plan.live))
+    need += threads * _DRAW_BLOCK * (_ADDRESSED_BYTES if addressed else 9) if plan.noisy else 0
     if need > MAX_MC_BYTES:
         raise ResourceLimitError(
             f"a Monte Carlo step on {rows} x {replicas or 1} x {dims} sites needs"
@@ -716,7 +718,8 @@ class _PackedCore:
             ids = np.asarray(ids, dtype=np.uint64)
             replicas = ids.size
         self._ids = ids
-        working_bytes(rule, kern, dims, rows, replicas, self.threads, ids is not None)
+        self._plan = plan = _StepPlan(rule, kern)
+        working_bytes(rule, kern, dims, rows, replicas, self.threads, ids is not None, plan=plan)
         dims, offsets = _torus_dims(rule, dims), rule.neighborhood
         if replicas is not None:
             dims, offsets = (int(replicas),) + dims, tuple((0,) + u for u in offsets)
@@ -724,18 +727,13 @@ class _PackedCore:
         self.n_sites = math.prod(dims)
         self.n_words = -(-self.n_sites // 64)
         self._tail = _ONES >> np.uint64(-self.n_sites % 64)
-        values, leaf_of = np.unique(np.asarray(kern, dtype=np.float64), return_inverse=True)
-        self._nodes, self._root = _shannon(leaf_of)
         # p = 0 and p = 1 are constant words; each other value is a drawn mask
-        self._leaves = [_ONES if p == 1.0 else np.uint64(0) for p in values]
-        self._noisy = [j for j, p in enumerate(values) if 0.0 < p < 1.0]
-        self._thresholds = [_threshold(values[j]) for j in self._noisy]
+        self._leaves = [_ONES if p == 1.0 else np.uint64(0) for p in plan.probs]
+        self._thresholds = [_threshold(plan.probs[j]) for j in plan.noisy]
         self._moves = {
             var: [_axis_move(dims, k, u) for k, u in enumerate(offsets[var]) if u]
-            for var in {var for var, _, _ in self._nodes}
+            for var in plan.n_moves
         }
-        n_moves = {var: len(moves) for var, moves in self._moves.items()}
-        self._drops, _ = _schedule(self._nodes, self._root, self._noisy, n_moves)
         size = -(-self.n_sites // (64 * self.threads)) * 64
         self._spans = [(a, min(a + size, self.n_sites)) for a in range(0, self.n_sites, size)]
         self._bgs: list[Optional[Philox]] = [None] * len(self._spans)  # each span's, reused
@@ -782,13 +780,14 @@ class _PackedCore:
 
     def step(self, words: np.ndarray, t: int) -> np.ndarray:
         """Rows after the step-t update; the input is unmodified."""
+        plan = self._plan
         values = list(self._leaves)
-        if self._noisy:
+        if plan.noisy:
             masks = self._draw(t)
-            for j in reversed(self._noisy):  # values holds the only reference
+            for j in reversed(plan.noisy):  # values holds the only reference
                 values[j] = masks.pop()
         planes = {}
-        for (var, hi, lo), (drop_values, drop_planes) in zip(self._nodes, self._drops):
+        for (var, hi, lo), (drop_values, drop_planes) in zip(plan.nodes, plan.drops):
             if var not in planes:
                 planes[var] = _moved(words, self._moves[var])
             h, l = values[hi], values[lo]
@@ -799,7 +798,7 @@ class _PackedCore:
             for v in drop_planes:
                 del planes[v]
         out = np.empty(words.shape, dtype="<u8")
-        out[...] = values[self._root]
+        out[...] = values[plan.root]
         out[..., -1] &= self._tail
         return out
 

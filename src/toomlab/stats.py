@@ -370,8 +370,8 @@ def estimator_bytes(replicas: int, columns: int) -> int:
     averages (2 spatial, 3 temporal); ResourceLimitError above MAX_MC_BYTES.
 
     8 M (2k + 3) for M replicas and k columns: the (M, k) value matrix and
-    np.cov's centered copy, the sample's means, and the int64 counts being
-    divided with their edge scratch.  The packed rows are working_bytes's.
+    np.cov's centered copy, the sample's means, and the int64 counts, held
+    twice while they are counted.  The packed rows are working_bytes's.
     Checked before the burn-in, so a batch the step admits is not refused
     only once it has been stepped.
     """

@@ -129,6 +129,17 @@ class TestScan:
         assert all(a <= b for a, b in zip(dens, dens[1:]))
         assert dens[-1] - dens[0] > 5.0 * (rows[0]["stderr"] + rows[-1]["stderr"])
 
+    @pytest.mark.parametrize("rule, dims", [(NEC, (32, 32)), (STAV, (64,))])
+    def test_one_sided_bias_is_ordered_pathwise(self, rule, dims):
+        # the grid shares one seed, and noise that only turns +1 into -1
+        # keeps a monotone rule's trajectories ordered at every step, as the
+        # scan docstring claims; symmetric noise orders only the means
+        series = [
+            minus_density_run(rule, engine.biased_noise(eps, 0.0), dims, 100, 0, seed=0).density_series
+            for eps in [0.02, 0.05, 0.1, 0.3]
+        ]
+        assert all(np.all(a <= b) for a, b in zip(series, series[1:]))
+
     def test_biased_scan_low_vs_high(self):
         # low bias keeps the plus phase; strong bias floods the ring
         rows = density_vs_epsilon_scan(
