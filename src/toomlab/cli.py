@@ -1,13 +1,14 @@
 """Command-line front end: config parsing, orchestration, artifact output.
 
 Every command reads one JSON config (strictly validated, unknown fields
-rejected), resolves the effective seed (--seed flag beats the TOOMLAB_SEED
-environment variable, which beats the config), runs the requested
-computation, and writes artifacts atomically (temp file + rename) with the
-fully resolved config embedded, so re-running an embedded config reproduces
-the artifact byte for byte.  Timestamps never enter artifacts; they go to a
-sidecar toomlab.log.  Exit codes: 0 success (or eroder verdict), 2 the
-non-eroder verdict from `check`, 1 any error.
+rejected), resolves the seed of a Monte Carlo command (--seed beats the
+TOOMLAB_SEED environment variable, which beats the config; check, erode and
+exact draw nothing and take no seed), runs the requested computation, and
+writes artifacts atomically (temp file + rename) with the fully resolved
+config embedded, so re-running an embedded config reproduces the artifact
+byte for byte.  Timestamps never enter artifacts; they go to a sidecar
+toomlab.log.  Exit codes: 0 success (or eroder verdict), 2 the non-eroder
+verdict from `check`, 1 any error, usage errors included.
 """
 
 from __future__ import annotations
@@ -37,9 +38,13 @@ SEED_ENV = "TOOMLAB_SEED"
 _OPT = object()
 
 
-def _validate(config: dict, schema: dict[str, tuple], command: str) -> dict:
+def _validate(config: dict, schema: dict[str, tuple], command: str,
+              seed: Optional[str] = None) -> dict:
+    """The typed config; a seed given as text (flag or environment) replaces its field."""
     if not isinstance(config, dict):
         raise ConfigError(f"{command} config must be a JSON object")
+    if seed is not None:
+        config = dict(config, seed=int(seed) if seed.removeprefix("-").isdecimal() else seed)
     unknown = set(config) - set(schema)
     if unknown:
         raise ConfigError(f"unknown {command} config fields: {sorted(unknown)}")
@@ -60,9 +65,11 @@ def _coerce(value: Any, kind: str, name: str) -> Any:
             if not isinstance(value, str):
                 raise ValueError("expected string")
             return value
-        if kind == "int":
+        if kind in ("int", "seed"):
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError("expected integer")
+                raise ValueError(f"expected integer, got {value!r}")
+            if kind == "seed" and not 0 <= value < 2**64:  # one seed, one Philox key
+                raise ValueError(f"a seed lies in [0, 2**64), got {value}")
             return value
         if kind == "float":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -98,7 +105,6 @@ _SCHEMAS = {
         "alpha": ("float", 0.0),
         "eps_prime": ("float", 0.0),
         "K": ("float", 1.0),
-        "seed": ("int", 0),
         "out": ("str", "."),
     },
     "erode": {
@@ -107,7 +113,6 @@ _SCHEMAS = {
         "dims": ("int_list", None),
         "cutoff": ("int", None),
         "snapshot_every": ("int", 0),
-        "seed": ("int", 0),
         "out": ("str", "."),
     },
     "simulate": {
@@ -117,7 +122,7 @@ _SCHEMAS = {
         "steps": ("int", _OPT),
         "burn_in": ("int", 0),
         "snapshot_every": ("int", 0),
-        "seed": ("int", 0),
+        "seed": ("seed", 0),
         "out": ("str", "."),
     },
     "exact": {
@@ -131,7 +136,6 @@ _SCHEMAS = {
         # proven to have one invariant law or refused
         "allow_absorbing": ("bool", False),
         "tv_steps": ("int", 100),
-        "seed": ("int", 0),
         "out": ("str", "."),
     },
     "correlate": {
@@ -142,7 +146,7 @@ _SCHEMAS = {
         "lags": ("int_list", []),
         "samples": ("int", _OPT),
         "burn_in": ("int", 100),
-        "seed": ("int", 0),
+        "seed": ("seed", 0),
         "out": ("str", "."),
     },
     "scan": {
@@ -152,7 +156,7 @@ _SCHEMAS = {
         "dims": ("int_list", _OPT),
         "steps": ("int", _OPT),
         "burn_in": ("int", 0),
-        "seed": ("int", 0),
+        "seed": ("seed", 0),
         "out": ("str", "."),
     },
     "divergence": {
@@ -161,7 +165,7 @@ _SCHEMAS = {
         "dims": ("int_list", _OPT),
         "steps": ("int", _OPT),
         "burn_in": ("int", None),
-        "seed": ("int", 0),
+        "seed": ("seed", 0),
         "out": ("str", "."),
     },
 }
@@ -260,9 +264,7 @@ def _log(out_dir: str, message: str) -> None:
 
 
 def _json_float(x: Optional[float]):
-    if x is None:
-        return None
-    return float(x)
+    return None if x is None else float(x)
 
 
 def cmd_check(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[int, dict]:
@@ -383,8 +385,8 @@ def cmd_simulate(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple
 
 
 def cmd_exact(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[int, dict]:
-    if cfg["tv_steps"] < 0 or cfg["max_iter"] < 1:
-        raise ConfigError("exact needs tv_steps >= 0 and max_iter >= 1")
+    if cfg["tv_steps"] < 0 or cfg["max_iter"] < 1 or cfg["tol"] <= 0:
+        raise ConfigError("exact needs tv_steps >= 0, max_iter >= 1 and tol > 0")
     rule = rules.load_rule(cfg["rule"])
     dims = tuple(cfg["dims"])
     noise = cfg["noise"]
@@ -477,12 +479,8 @@ def cmd_divergence(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tup
             (t, float(p), float(m), float(p - m))
             for t, (p, m) in enumerate(zip(result.mag_plus, result.mag_minus))
         ]
-        write_csv(
-            os.path.join(out_dir, "divergence.csv"),
-            ("step", "mag_plus", "mag_minus", "gap"),
-            rows,
-            resolved,
-        )
+        write_csv(os.path.join(out_dir, "divergence.csv"),
+                  ("step", "mag_plus", "mag_minus", "gap"), rows, resolved)
     write_json(os.path.join(out_dir, "divergence_report.json"), payload, resolved)
     return 0, payload
 
@@ -498,31 +496,32 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # exit 2 is check's non-eroder verdict, so a usage error is a JSON error
+        raise ConfigError(message)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toomlab",
         description="noisy monotone binary cellular automata laboratory",
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON run config")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--seed", default=None, help="override the config seed (Monte Carlo commands)")
     parser.add_argument("--threads", type=int, default=1, help="worker-count cap (does not affect results)")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    args = parser.parse_args(argv)
 
     try:
+        args = parser.parse_args(argv)
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": {"type": "config", "message": str(exc)}}))
-        return 1
-
-    try:
-        cfg = _validate(raw, _SCHEMAS[args.command], args.command)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        elif os.environ.get(SEED_ENV):
-            cfg["seed"] = int(os.environ[SEED_ENV])
+        schema = _SCHEMAS[args.command]
+        seed = args.seed
+        if seed is None and "seed" in schema:
+            seed = os.environ.get(SEED_ENV) or None
+        cfg = _validate(raw, schema, args.command, seed)
         if args.out is not None:
             cfg["out"] = args.out
         out_dir = cfg["out"]

@@ -189,6 +189,106 @@ class TestSeedPrecedence:
         assert '"seed":42' in embedded
 
 
+# the commands that draw nothing, each with a small config that writes artifacts
+DETERMINISTIC = {
+    "check": {"rule": "nec", "eps": 0.001},
+    "erode": {"rule": "nec", "island": [[0, 0], [0, 1], [1, 1]], "dims": [16, 16], "cutoff": 6,
+              "snapshot_every": 2},
+    "exact": {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1}, "dims": [6],
+              "tv_steps": 5},
+}
+
+MONTE_CARLO = {
+    "simulate": {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.2},
+                 "dims": [16], "steps": 3},
+    "correlate": {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.2},
+                  "dims": [8], "distances": [1], "samples": 10, "burn_in": 5},
+    "scan": {"rule": "stavskaya", "eps_grid": [0.2], "dims": [16], "steps": 3},
+    "divergence": {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.2},
+                   "dims": [8, 8], "steps": 2},
+}
+
+
+def artifacts(out):
+    """Every file a run wrote but the timestamped log, by name."""
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "toomlab.log"}
+
+
+class TestSeedOnlyWhereDrawn:
+    @pytest.mark.parametrize("command", sorted(DETERMINISTIC))
+    def test_config_seed_refused(self, tmp_path, capsys, command):
+        code, out = run(tmp_path, command, dict(DETERMINISTIC[command], seed=0))
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == 1 and error["type"] == "ConfigError" and "seed" in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(DETERMINISTIC))
+    def test_seed_flag_refused(self, tmp_path, capsys, command):
+        code, out = run(tmp_path, command, DETERMINISTIC[command], "--seed", "1")
+        assert code == 1 and error_type(capsys) == "ConfigError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(DETERMINISTIC))
+    def test_environment_seed_ignored(self, tmp_path, monkeypatch, command):
+        code, out = run(tmp_path, command, DETERMINISTIC[command])
+        expected = artifacts(out)
+        assert code == 0 and expected
+        for value in ("abc", "1", "2"):
+            monkeypatch.setenv(cli.SEED_ENV, value)
+            again = tmp_path / value
+            again.mkdir()
+            assert run(again, command, DETERMINISTIC[command])[0] == code
+            assert artifacts(again / "out") == expected
+
+    @pytest.mark.parametrize("source", ["config", "flag", "environment"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, "abc"])
+    @pytest.mark.parametrize("command", sorted(MONTE_CARLO))
+    def test_bad_seed_refused(self, tmp_path, capsys, monkeypatch, command, seed, source):
+        config, extra = MONTE_CARLO[command], ()
+        if source == "config":
+            config = dict(config, seed=seed)
+        elif source == "flag":
+            extra = ("--seed", str(seed))
+        else:
+            monkeypatch.setenv(cli.SEED_ENV, str(seed))
+        code, out = run(tmp_path, command, config, *extra)
+        assert code == 1 and error_type(capsys) == "ConfigError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("command", sorted(MONTE_CARLO))
+    def test_seed_range_accepted(self, tmp_path, command, seed):
+        code, out = run(tmp_path, command, dict(MONTE_CARLO[command], seed=seed))
+        tables = sorted(out.glob("*.csv"))
+        assert code == 0 and tables
+        for table in tables:
+            assert f'"seed":{seed}' in table.read_text().splitlines()[0]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["check", "--config", "c.json", "--seed", "abc"],
+        ["check", "--config", "c.json", "--threads", "x"],
+        ["check"],
+        ["chek", "--config", "c.json"],
+        ["check", "--config", "c.json", "--bogus"],
+    ], ids=["seed-abc", "threads-x", "no-config", "unknown-command", "unknown-flag"])
+    def test_exit_one_with_one_json_error(self, tmp_path, capsys, monkeypatch, argv):
+        # exit 2 is check's non-eroder verdict, so no usage error may return it
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps({"rule": "nec"}))
+        assert cli.main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"]["type"] == "ConfigError"
+        assert not (tmp_path / "certificate.json").exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["--help"])
+        assert stop.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+
 class TestExact:
     def test_stavskaya_symmetric_report(self, tmp_path, capsys):
         code, out = run(
@@ -486,7 +586,10 @@ class TestStrictInputs:
         ({"window": [[i] for i in range(45)]}, "ResourceLimitError"),
         ({"tv_steps": -3}, "ConfigError"),
         ({"max_iter": 0}, "ConfigError"),
-    ], ids=["wrapped-duplicate", "window-21", "window-45", "negative-tv-steps", "zero-max-iter"])
+        ({"tol": 0}, "ConfigError"),
+        ({"tol": -1e-9}, "ConfigError"),
+    ], ids=["wrapped-duplicate", "window-21", "window-45", "negative-tv-steps", "zero-max-iter",
+            "zero-tol", "negative-tol"])
     def test_bad_exact_input_rejected(self, tmp_path, capsys, fields, error):
         # refused before anything window-sized (2^21 doubles is 16 MiB) exists
         tracemalloc.start()
