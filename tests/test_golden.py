@@ -11,6 +11,12 @@ checked by the other CLI tests.  The `check` artifacts (`certificate.json`
 and `bounds_report.json`) are digested as well: they were recorded with the
 `Fraction` simplex, before the integer simplex replaced it, and guard that
 every certificate keeps its exact bytes.
+
+The `check` digests and the `erode_nec_frames` frames were re-recorded once
+since, when `check`, `erode` and `exact` stopped taking a seed that nothing
+they compute reads: their embedded config lost its `"seed":0`, and every
+other byte (certificate, bounds, pixels) stayed as it was.  No Monte Carlo
+digest moved.
 """
 
 import hashlib
@@ -93,13 +99,13 @@ DIGESTS = {
     },
     "erode_nec_frames": {
         "erode_000000.ppm":
-            "76082cd42867d0a572659fd8f9338d2e384914c89a56880c336d095fc15c43bf",
+            "eace1622efd4f89c42cfc334e4c57cf67ac663db4bdd6c80cb648e55c3926136",
         "erode_000002.ppm":
-            "f0db399a1ef932d7f45795b4cc68ef4c9c7778bc7b75e870f59431261063bc72",
+            "423bba7b6586160751ea748a1238498635e43504595db60d5642a4090d2136ff",
         "erode_000004.ppm":
-            "4863ab3d735f89018c3710e3cd671bab6690237d67a272f400ac359461f78979",
+            "75314900e14018924caa03c1e856a851578c5ab2e8ff943e7e684c4f4d73664b",
         "erode_000006.ppm":
-            "e5d208745fea4d981a9c01bd7e69d0a927243828b19fb52215830f964d67f3cd",
+            "4a56d008d74dd4106d6f0e91735bf8079d22732f2289845bad7ee05bb5c7f9f9",
     },
     "simulate_nec_2d_frames": {
         "density.csv":
@@ -167,25 +173,25 @@ CHECK_CASES = {
 CHECK_DIGESTS = {
     "check_majority_1d": {
         "certificate.json":
-            "28e93951336130e9a18c20d1e027fc7e187755de8882b346c3d123fe00b026bc",
+            "2c56a1b6f295ba7e9e6503f605d3d6e1bcfb1b59affbde40c3c03d7834e10fca",
     },
     "check_nec": {
         "bounds_report.json":
-            "491d8abaf6825258506f6d8a6c01dc2fd0859f5266485d055b310837edf92a68",
+            "48c703f37a4d519a0192926d53ef2b37451ac0bf254cad92ee502b2be44ff8a9",
         "certificate.json":
-            "13603d5d43ccc1bd2824d55c891c715ae7175510414e6f320a6cc05c1843432d",
+            "ae015d8d78409952d0c423997cf86d3a86252483700160081002c46b6d0e80c3",
     },
     "check_random_3d": {
         "bounds_report.json":
-            "8ff8baada0df4c70db647956cf62631ed6cfb16e01e7ea24c740247ddb59e375",
+            "fc5c30541f91ed1dd3f1493e09352e33f83efe5b5de907213e6d11744951a0ca",
         "certificate.json":
-            "1b51af925e99b8e3f31c42af743bbcf55d46508722b8b7141c14400b76522a39",
+            "ce9d95458b3579c9a2fc3ca52bec40dd7352dc8ca3124fb4522470cdc8cf81c1",
     },
     "check_stavskaya": {
         "bounds_report.json":
-            "2d457f1e2f2af0417eac6526ed47036a36b88cac7a450217e76820698000d5f8",
+            "9ef388cc7d9ad4aeb09f3c35d9abd7c1d339e290daafe9e1d133402103c16231",
         "certificate.json":
-            "bf14a682cb1ef553a4cdfb4b913943fbfe8bbf4e1ed9a2cb433185ab099dcdda",
+            "bd252b0fe0100dd163abbb11391f05ee96b60bf0e4e47357c0718d0fd45d2345",
     },
 }
 
