@@ -17,11 +17,18 @@ since, when `check`, `erode` and `exact` stopped taking a seed that nothing
 they compute reads: their embedded config lost its `"seed":0`, and every
 other byte (certificate, bounds, pixels) stayed as it was.  No Monte Carlo
 digest moved.
+
+The `exact` reports of two chains are pinned field by field instead
+(`data/exact_reports.json`): the orbit route (8 sites) and the site sweep
+(12 sites).  Solver, window and counts must match exactly and every float
+to 1e-12, not byte for byte, since GMRES's inner products go through BLAS,
+whose summation order varies with the CPU kernel.
 """
 
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -212,3 +219,39 @@ def check_digests(tmp_path, monkeypatch, config, rule_body):
 @pytest.mark.parametrize("case", sorted(CHECK_CASES))
 def test_check_artifacts_match_frozen_digests(tmp_path, monkeypatch, case, capsys):
     assert check_digests(tmp_path, monkeypatch, *CHECK_CASES[case]) == CHECK_DIGESTS[case]
+
+
+EXACT_CASES = {
+    "stavskaya_8_orbit": {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1},
+                          "dims": [8]},
+    "stavskaya_12_sweep": {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1},
+                           "dims": [12]},
+}
+
+EXACT_REPORTS = json.loads((Path(__file__).parent / "data" / "exact_reports.json").read_text())
+
+
+def assert_report_matches(got, want, where="report"):
+    """Equal structure, strings, bools and ints; floats within 1e-12."""
+    if isinstance(want, float):
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12), where
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            assert_report_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_report_matches(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_exact_report_matches_pinned_fields(tmp_path, case, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(EXACT_CASES[case]))
+    out = tmp_path / "out"
+    assert cli.main(["exact", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "exact_report.json").read_text())
+    assert_report_matches(report, EXACT_REPORTS[case])
