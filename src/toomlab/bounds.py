@@ -245,7 +245,6 @@ def decay_constants(C: float, sigma_value: float, neighborhood: Sequence[Sequenc
 
 
 def bounds_report(
-    R: int,
     q: int,
     r: Real,
     neighborhood: Sequence[Sequence[int]],
@@ -259,6 +258,7 @@ def bounds_report(
     Fields that require admissibility (C, C_inv, C', eta) come out None when
     the noise is too large for the bounds to apply.
     """
+    R = len(neighborhood)
     p = BoundParams(R=R, q=q, r=float(r), alpha=alpha, eps=eps, eps_prime=eps_prime, K=K)
     a_star = alpha_star(R)
     e_star = epsilon_star(R, q, r, alpha) if alpha < a_star else None

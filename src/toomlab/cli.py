@@ -268,21 +268,19 @@ def _json_float(x: Optional[float]):
 
 
 def cmd_check(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[int, dict]:
+    rule = None
     try:
-        rule = rules.load_rule(cfg["rule"])
+        rule = rules.load_rule_unchecked(cfg["rule"])
+        family = rules.minimal_plus_sets(rule)  # validates the rule
     except rules.RuleValidationError as exc:
         payload = {"rule_valid": False, "message": str(exc)}
-        try:
-            report = rules.check_monotone(rules.load_rule_unchecked(cfg["rule"]))
-        except ToomlabError:
-            report = None
-        if report is not None:
+        if rule is not None:  # loaded, but not monotone or constant
+            report = rules.check_monotone(rule)
             payload["monotone"] = report.monotone
             payload["constant"] = report.constant
             payload["witness"] = report.witness
         write_json(os.path.join(out_dir, "check_report.json"), payload, resolved)
         return 1, payload
-    family = rules.minimal_plus_sets(rule)
     cert = certify.check_eroder(family)
     if not certify.verify_certificate(family, cert):
         raise ToomlabError("internal error: certificate failed verification")
@@ -299,7 +297,6 @@ def cmd_check(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
         return 2, payload
     q, r = certify.certificate_constants(cert)
     report = bounds.bounds_report(
-        R=rule.size,
         q=q,
         r=float(r),
         neighborhood=rule.neighborhood,
@@ -322,24 +319,20 @@ def _snapshot_every(cfg: dict) -> int:
 
 def cmd_erode(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[int, dict]:
     rule = rules.load_rule(cfg["rule"])
-    dims, every = cfg["dims"], _snapshot_every(cfg)
+    every = _snapshot_every(cfg)
     record = None
     if every > 0:
         if rule.dimension != 2:
             raise ConfigError("erode snapshots support d = 2 (frames) only")
-        if dims is None:
-            raise ConfigError("snapshots need explicit dims")
 
         def record(t: int, state: engine.LatticeState) -> None:
             if t % every == 0:
                 write_ppm(os.path.join(out_dir, f"erode_{t:06d}.ppm"),
-                          state.bits().reshape(dims), resolved)
+                          state.bits().reshape(state.dims), resolved)
 
     result = engine.erosion_time(
-        rule, cfg["island"], dims=dims, cutoff=cfg["cutoff"], on_step=record
+        rule, cfg["island"], dims=cfg["dims"], cutoff=cfg["cutoff"], on_step=record
     )
-    if record is not None:
-        record(0, engine.LatticeState.plus_with_island(dims, cfg["island"]))
     payload = {
         "erased": result.erased,
         "steps": result.steps,
@@ -388,32 +381,22 @@ def cmd_exact(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
     if cfg["tv_steps"] < 0 or cfg["max_iter"] < 1 or cfg["tol"] <= 0:
         raise ConfigError("exact needs tv_steps >= 0, max_iter >= 1 and tol > 0")
     rule = rules.load_rule(cfg["rule"])
-    dims = tuple(cfg["dims"])
-    noise = cfg["noise"]
-    kernel = oracle.ExactKernel(rule, noise, dims)
-    window = cfg["window"]
-    if window is None:
-        window = [[0] * rule.dimension]
-    window = oracle.window_sites(window, kernel.dims)  # refused before the solve
+    window = [[0] * rule.dimension] if cfg["window"] is None else cfg["window"]
+    window = oracle.window_sites(window, tuple(cfg["dims"]))  # refused before the solve
     pi = oracle.stationary_distribution(
-        rule, noise, dims,
-        tol=cfg["tol"], max_iter=cfg["max_iter"], kernel=kernel,
+        rule, cfg["noise"], cfg["dims"], tol=cfg["tol"], max_iter=cfg["max_iter"]
     )
     marginal = oracle.window_marginal(pi, window)
     # stop the curve above the accuracy of pi itself, else it saturates
     curve = oracle.tv_curve(
-        kernel, pi, n_max=cfg["tv_steps"], floor=max(1e-13, 10.0 * cfg["tol"])
+        pi.kernel, pi, n_max=cfg["tv_steps"], floor=max(1e-13, 10.0 * cfg["tol"])
     )
     ns = np.arange(len(curve))
     usable = ns > 5
     fit = stats.fit_log_decay(ns[usable], np.asarray(curve)[usable])
-    origin = tuple([0] * rule.dimension)
-    f = oracle.spin_observable(origin, rule.dimension)
-    # pi is translation-invariant, so pi T is one apply in the space pi was solved in
-    space = oracle._space(kernel)
-    t_pi = space.lift(space.apply(pi.probs if space.reps is None else pi.probs[space.reps]))
-    lhs = oracle.cylinder_expectation(oracle.StateDistribution(dims=kernel.dims, probs=t_pi), f)
-    rhs = oracle.cylinder_expectation(pi, oracle.dual_apply(f, kernel))
+    f = oracle.spin_observable((0,) * rule.dimension, rule.dimension)
+    lhs = oracle.cylinder_expectation(pi.step(), f)
+    rhs = oracle.cylinder_expectation(pi, oracle.dual_apply(f, pi.kernel))
     payload = {
         "window": [list(s) for s in window],
         "stationary_marginal": [float(p) for p in marginal],
@@ -515,6 +498,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         schema = _SCHEMAS[args.command]
@@ -527,7 +512,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out_dir = cfg["out"]
         os.makedirs(out_dir, exist_ok=True)
         resolved = _resolved_config(args.command, cfg)
-        code, payload = _COMMANDS[args.command](cfg, resolved, out_dir, max(1, args.threads))
+        code, payload = _COMMANDS[args.command](cfg, resolved, out_dir, args.threads)
         print(json.dumps(payload, sort_keys=True, default=str))
         _log(out_dir, f"{args.command} config={args.config} exit={code}")
         return code

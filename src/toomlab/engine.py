@@ -713,7 +713,9 @@ class _PackedCore:
         rows: int = 1,
         ids: Optional[np.ndarray] = None,
     ):
-        self.threads = max(1, int(threads))
+        if threads < 1:
+            raise ConfigError(f"threads must be at least 1, got {threads}")
+        self.threads = int(threads)
         if ids is not None:
             ids = np.asarray(ids, dtype=np.uint64)
             replicas = ids.size
@@ -882,12 +884,14 @@ def erosion_time(
     The torus must be large enough that the island's light cone under the
     cutoff cannot wrap around and feed back on itself; otherwise the finite
     run would not witness the infinite-lattice behavior.  With dims omitted,
-    a torus of exactly that size is built.  on_step, if given, sees (t,
-    state) after each step, the state packed, so a caller unpacks only what
-    it keeps.
+    a torus of exactly that size is built.  on_step, if given, sees (0,
+    initial state), for an empty island only on given dims, then (t, state)
+    after each step, packed, so a caller unpacks only what it keeps.
     """
     sites = _as_sites(island, rule.dimension)
     if not sites:
+        if on_step is not None and dims is not None:
+            on_step(0, LatticeState.plus_with_island(dims, sites))
         return ErosionResult(erased=True, steps=0, sizes=())
     diam = _manhattan_diameter(sites)
     if cutoff is None:
@@ -904,9 +908,11 @@ def erosion_time(
             f"dims {dims} too small: the {cutoff}-step light cone needs >= {need}"
         )
     core = _PackedCore(rule, dims, rule.table)
-    words = LatticeState.plus_with_island(dims, sites).words[None, :]
+    state = LatticeState.plus_with_island(dims, sites)
+    if on_step is not None:
+        on_step(0, state)
     sizes = []
-    for n, words in core.run(words, 0, cutoff):
+    for n, words in core.run(state.words[None, :], 0, cutoff):
         if on_step is not None:
             on_step(n, LatticeState(dims=dims, words=words[0]))
         remaining = core.n_sites - int(_plus_counts(words)[0])

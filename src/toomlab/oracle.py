@@ -17,11 +17,10 @@ N = 12 and 0.5-0.75 ms at N = 14 on a ring, 3.2-3.5 ms on a 3 x 4 nec
 torus (2-core machine).  A torus is refused when one sweep step's input and
 output together exceed MAX_SWEEP_BYTES.  `ExactKernel.apply` takes one
 2^N vector.  The functions that push distributions or observables forward
-(`transfer_apply`, `tv_curve`, `dual_apply`, and `stationary_distribution`
-when given one) take an `ExactKernel`, so a caller builds one kernel, with
-its sweep plan, for all of them.  Up to 11
-sites the stationary solver and `tv_curve` run on translation orbits (see
-`_Space`): 64 of them on a 3 x 3 torus, 188 on an 11-ring.
+(`transfer_apply`, `tv_curve`, `dual_apply`) take an `ExactKernel`; a
+stationary law carries the one it was solved on, with its sweep plan.  Up
+to 11 sites the solver, `tv_curve` and `StationaryLaw.step` run on
+translation orbits (see `_Space`): 64 on a 3 x 3 torus, 188 on an 11-ring.
 
 On top of the kernel: the stationary distribution of a chain whose
 invariant law is proven unique (restarted GMRES, checked by its
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -400,12 +399,20 @@ class StationaryLaw(StateDistribution):
 
     solver is "krylov", the one route.  iterations counts its kernel
     applications, the verifying ones included.  residual is TV(T pi, pi),
-    the total-variation residual that passed the `< tol` check.
+    the total-variation residual that passed the `< tol` check.  kernel is
+    the ExactKernel the law was solved on.
     """
 
     solver: str
     iterations: int
     residual: float
+    kernel: ExactKernel = field(compare=False, repr=False)
+
+    def step(self) -> StateDistribution:
+        """pi T in the space pi was solved in: the orbit matrix up to MAX_ORBIT_SITES."""
+        space = _space(self.kernel)
+        x = self.probs if space.reps is None else self.probs[space.reps]
+        return StateDistribution(dims=self.dims, probs=space.lift(space.apply(x)))
 
 
 class _Space:
@@ -542,7 +549,7 @@ def _krylov_solve(kernel: ExactKernel, tol: float, max_iter: int) -> StationaryL
         resid = space.tv(t_pi / space.total(t_pi), pi)
         if resid < tol:
             return StationaryLaw(dims=kernel.dims, probs=space.lift(pi), solver="krylov",
-                                 iterations=applies, residual=resid)
+                                 iterations=applies, residual=resid, kernel=kernel)
         r = t_pi - pi
         beta = math.sqrt(space.dot(r, r))
         # a cycle that does not lower the residual norm has reached the
@@ -591,28 +598,20 @@ def stationary_distribution(
     dims: Sequence[int],
     tol: float = 1e-10,
     max_iter: int = 10**6,
-    kernel: Optional[ExactKernel] = None,
 ) -> StationaryLaw:
     """The unique invariant law pi, verified by TV(T pi, pi) < tol.
 
-    `kernel`, if given, is an ExactKernel of the same rule, noise and dims,
-    used in place of building another.  A chain whose law is not proven
-    unique (see `_unique_law_provable`) is refused with ConfigError, since a
-    chain with several invariant laws has no one answer; one that is, an
-    absorbing one included, is solved by restarted GMRES from the uniform
-    law (see `_krylov_solve`).  A stall above tol, or max_iter kernel
+    pi carries the ExactKernel it was solved on, for the functions that push
+    it forward.  A chain whose law is not proven unique (see
+    `_unique_law_provable`) is refused with ConfigError, since a chain with
+    several invariant laws has no one answer; one that is, an absorbing one
+    included, is solved by restarted GMRES from the uniform law (see
+    `_krylov_solve`).  A stall above tol, or max_iter kernel
     applications first, raises NumericalError.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if kernel is None:
-        kernel = ExactKernel(rule, noise, dims)
-    elif not (
-        kernel.dims == tuple(int(L) for L in dims)
-        and np.array_equal(kernel.kern, kernel_plus(noise, rule))
-        and np.array_equal(kernel.nbr, neighbor_table(rule, kernel.dims))
-    ):
-        raise ValueError("kernel was not built from this rule, noise and dims")
+    kernel = ExactKernel(rule, noise, dims)
     if not _unique_law_provable(kernel):
         raise ConfigError(
             "no constant state is shown reachable from every state, so the chain's"

@@ -258,7 +258,7 @@ class TestDecayConstants:
 class TestBoundsReport:
     def test_report_fields(self):
         rep = bounds.bounds_report(
-            R=2, q=2, r=1.0, neighborhood=((0,), (1,)), eps=1e-30, alpha=0.0
+            q=2, r=1.0, neighborhood=((0,), (1,)), eps=1e-30, alpha=0.0
         )
         for key in ("q", "r", "alpha_star", "epsilon_star", "sigma", "C", "C_inv",
                     "C_prime", "eta", "v"):
@@ -268,7 +268,7 @@ class TestBoundsReport:
 
     def test_report_inadmissible(self):
         rep = bounds.bounds_report(
-            R=2, q=1, r=1.0, neighborhood=((0,), (1,)), eps=0.5
+            q=1, r=1.0, neighborhood=((0,), (1,)), eps=0.5
         )
         assert not rep["admissible"] and rep["C"] is None and rep["eta"] is None
 

@@ -105,6 +105,36 @@ class TestErode:
         head = frames[0].read_bytes()[:2]
         assert head == b"P6"
 
+    def test_frames_on_the_torus_the_run_built(self, tmp_path):
+        # without dims the run builds the smallest torus its light cone
+        # allows: 2 * cutoff * v + diameter + 1 = 15 sites a side here
+        config = {"rule": "nec", "island": [[0, 0], [0, 1], [1, 0], [1, 1]], "cutoff": 6,
+                  "snapshot_every": 2}
+        for name in ("built", "given"):
+            (tmp_path / name).mkdir()
+        code, out = run(tmp_path / "built", "erode", config)
+        steps = read_json(out / "erosion_report.json")["steps"]
+        frames = sorted(out.glob("erode_*.ppm"))
+        assert code == 0 and [p.name for p in frames] == [
+            f"erode_{t:06d}.ppm" for t in range(0, steps + 1, 2)]
+        code, given = run(tmp_path / "given", "erode", dict(config, dims=[15, 15]))
+        assert code == 0
+        for frame in frames:
+            # the same pixels as on the torus named in the config, whose
+            # embedded config differs
+            lines = frame.read_bytes().split(b"\n", 2)
+            assert lines[2].startswith(b"15 15\n")
+            assert lines[2] == (given / frame.name).read_bytes().split(b"\n", 2)[2]
+
+    def test_empty_island_frame(self, tmp_path):
+        code, out = run(
+            tmp_path, "erode",
+            {"rule": "nec", "island": [], "dims": [4, 6], "snapshot_every": 1},
+        )
+        assert code == 0 and read_json(out / "erosion_report.json")["steps"] == 0
+        assert [p.name for p in out.glob("erode_*.ppm")] == ["erode_000000.ppm"]
+        assert (out / "erode_000000.ppm").read_bytes().endswith(b"\n6 4\n255\n" + b"\xff" * 72)
+
 
 class TestSimulate:
     def test_density_csv(self, tmp_path):
@@ -272,7 +302,10 @@ class TestUsageErrors:
         ["check"],
         ["chek", "--config", "c.json"],
         ["check", "--config", "c.json", "--bogus"],
-    ], ids=["seed-abc", "threads-x", "no-config", "unknown-command", "unknown-flag"])
+        ["check", "--config", "c.json", "--threads", "0"],
+        ["check", "--config", "c.json", "--threads=-3"],
+    ], ids=["seed-abc", "threads-x", "no-config", "unknown-command", "unknown-flag",
+            "threads-0", "threads-negative"])
     def test_exit_one_with_one_json_error(self, tmp_path, capsys, monkeypatch, argv):
         # exit 2 is check's non-eroder verdict, so no usage error may return it
         monkeypatch.chdir(tmp_path)
@@ -702,6 +735,14 @@ class TestOneTrajectoryPerCommand:
              "dims": [16, 16], "steps": 6},
         )
         assert code == 0 and len(calls) == 1
+
+    def test_check_validates_the_rule_once(self, tmp_path, monkeypatch):
+        checked = []
+        require = cli.rules._require_valid
+        monkeypatch.setattr(cli.rules, "_require_valid",
+                            lambda rule: checked.append(rule) or require(rule))
+        code, _ = run(tmp_path, "check", {"rule": "nec"})
+        assert code == 0 and len(checked) == 1
 
     def test_exact_builds_one_kernel(self, tmp_path, monkeypatch):
         # the stationary solve, the TV curve and the duality check share one

@@ -253,6 +253,12 @@ class TestBlockedDraw:
         want = [engine._pack(u < q, core.n_words) for q in (0.1, 0.5)]
         assert np.array_equal(core._draw(5), np.stack(want))
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_fewer_than_one_thread_refused(self, threads):
+        with pytest.raises(ConfigError, match="threads"):
+            engine._PackedCore(builtin("stavskaya"), (64,), np.array([0.0, 0.1, 0.5, 1.0]),
+                               RngKey(17), threads)
+
     def test_scratch_of_one_draw_is_one_block(self):
         n = 16 * self.B
         rule = builtin("nec")

@@ -96,9 +96,9 @@ class TestTransferApply:
         # up to 11 sites, solving and tracing run on the orbit matrix alone
         noise = symmetric_noise(0.1)
         for rule, dims in [(STAV, (11,)), (NEC, (3, 3))]:
-            k = ExactKernel(rule, noise, dims)
-            tv_curve(k, stationary_distribution(rule, noise, dims, kernel=k), n_max=20)
-            assert k._sweep_steps is None
+            pi = stationary_distribution(rule, noise, dims)
+            tv_curve(pi.kernel, pi, n_max=20)
+            assert pi.kernel._sweep_steps is None
 
     def test_large_system_mass_preserved(self):
         rng = np.random.default_rng(5)
@@ -350,23 +350,11 @@ class TestStationary:
         built = []
         build = oracle._orbit_space
         monkeypatch.setattr(oracle, "_orbit_space", lambda k: built.append(k) or build(k))
-        k = ExactKernel(STAV, symmetric_noise(0.1), (8,))
-        pi = stationary_distribution(STAV, symmetric_noise(0.1), (8,), tol=1e-12, kernel=k)
-        tv_curve(k, pi, n_max=5)
-        assert built == [k]
+        pi = stationary_distribution(STAV, symmetric_noise(0.1), (8,), tol=1e-12)
+        tv_curve(pi.kernel, pi, n_max=5)
+        assert built == [pi.kernel]
         want = stationary_distribution(STAV, symmetric_noise(0.1), (8,), tol=1e-12)
         assert np.array_equal(pi.probs, want.probs)
-
-    @pytest.mark.parametrize("rule, noise, dims", [
-        (STAV, symmetric_noise(0.2), (8,)),
-        (RuleSpec(dimension=1, neighborhood=((0,), (-1,)), table=STAV.table),
-         symmetric_noise(0.1), (8,)),
-        (STAV, symmetric_noise(0.1), (7,)),
-    ])
-    def test_rejects_a_foreign_kernel(self, rule, noise, dims):
-        k = ExactKernel(STAV, symmetric_noise(0.1), (8,))
-        with pytest.raises(ValueError, match="kernel was not built"):
-            stationary_distribution(rule, noise, dims, kernel=k)
 
     def test_absorbing_chain_needs_no_opt_in(self):
         # all-minus absorbs, and the uniqueness proof alone admits the chain
