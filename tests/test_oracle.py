@@ -353,8 +353,12 @@ class TestStationary:
         pi = stationary_distribution(STAV, symmetric_noise(0.1), (8,), tol=1e-12)
         tv_curve(pi.kernel, pi, n_max=5)
         assert built == [pi.kernel]
-        want = stationary_distribution(STAV, symmetric_noise(0.1), (8,), tol=1e-12)
-        assert np.array_equal(pi.probs, want.probs)
+
+    @pytest.mark.parametrize("dims", [(8,), (12,)])
+    def test_step_is_the_full_space_update(self, dims):
+        # the orbit matrix up to 11 sites, the site sweep above
+        pi = stationary_distribution(STAV, symmetric_noise(0.1), dims)
+        assert np.allclose(pi.step().probs, pi.kernel.apply(pi.probs), rtol=0.0, atol=1e-15)
 
     def test_absorbing_chain_needs_no_opt_in(self):
         # all-minus absorbs, and the uniqueness proof alone admits the chain
