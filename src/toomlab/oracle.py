@@ -19,8 +19,12 @@ output together exceed MAX_SWEEP_BYTES.  `ExactKernel.apply` takes one
 2^N vector.  The functions that push distributions or observables forward
 (`transfer_apply`, `tv_curve`, `dual_apply`) take an `ExactKernel`; a
 stationary law carries the one it was solved on, with its sweep plan.  Up
-to 11 sites the solver, `tv_curve` and `StationaryLaw.step` run on
+to 11 sites the solver, `StationaryLaw.step` and `_plus_iterates`, the one
+T^n delta_plus that `tv_curve` and `window_marginal_consistency` step, run on
 translation orbits (see `_Space`): 64 on a 3 x 3 torus, 188 on an 11-ring.
+`_local_codes` reads local configurations out of state codes and `_products`
+multiplies per-site probabilities into product weights, for the orbit
+matrix and the dual table alike.
 
 On top of the kernel: the stationary distribution of a chain whose
 invariant law is proven unique (restarted GMRES, checked by its
@@ -140,13 +144,6 @@ class ExactKernel:
         self._orbits: Optional[_Space] = None
         if self.n_sites > MAX_ORBIT_SITES:
             self._sweep()  # refuses an oversize torus before anything is allocated
-
-    def plus_probs(self, states: np.ndarray) -> np.ndarray:
-        """(len(states), N) matrix of per-target-site +1 probabilities."""
-        local = np.zeros((len(states), self.n_sites), dtype=np.uint64)
-        for i, src in enumerate(self.nbr.astype(np.uint64)):
-            local |= ((states[:, None] >> src) & np.uint64(1)) << np.uint64(i)
-        return self.kern[local]
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Linear kernel application to one signed 2^N vector.
@@ -356,34 +353,39 @@ def _sweep_step(
     )
 
 
-def _expand_products(probs: np.ndarray) -> np.ndarray:
-    """Rows (p_1..p_n) of per-bit probabilities -> rows of 2^n product weights.
+def _local_codes(codes: np.ndarray, slots: Sequence) -> np.ndarray:
+    """Local configurations: bit i of entry [c, ...] is bit slots[i, ...] of codes[c],
+    so the (R, N) neighbor table gives each target's rule input, one row of sites their code."""
+    slots = np.asarray(slots, dtype=np.int64)
+    codes = codes.reshape((-1,) + (1,) * (slots.ndim - 1))
+    return sum(((codes >> s) & 1) << i for i, s in enumerate(slots))
 
-    Output column j holds prod_i (p_i if bit i of j else 1-p_i): the product
-    measure over n bits, little-endian.
-    """
-    b, n = probs.shape
-    out = np.empty((b, 1 << n))
-    out[:, 0] = 1.0
-    for x in range(n):
-        w = 1 << x
-        p = probs[:, x : x + 1]
-        np.multiply(out[:, :w], p, out=out[:, w : 2 * w])
-        out[:, :w] *= 1.0 - p
+
+def _products(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Entry [k, b] is prod_x (probs[b, x] if bit x of targets[k] is set, else 1 - probs[b, x]),
+    multiplied in ascending x: the weight of each target configuration given each source."""
+    out = np.ones((len(targets), len(probs)))
+    for x in range(probs.shape[1]):
+        p = probs[:, x]
+        out *= np.where((targets[:, None] >> x) & 1, p, 1.0 - p)
     return out
 
 
-def transfer_apply(dist: StateDistribution, kernel: ExactKernel) -> StateDistribution:
-    """One exact noisy update of a distribution, renormalized (drift logged)."""
-    out = kernel.apply(dist.probs)
-    total = float(out.sum())
+def _renormalized(out: np.ndarray, total: float) -> np.ndarray:
+    """out / total, refused with NumericalError when T drifted the mass by over 1e-9."""
     drift = total - 1.0
     if abs(drift) > 1e-9:
         raise NumericalError(f"transfer application lost mass: drift {drift}")
     if drift != 0.0:
         logger.debug("transfer mass drift %.3e renormalized", drift)
         out /= total
-    return StateDistribution(dims=dist.dims, probs=out)
+    return out
+
+
+def transfer_apply(dist: StateDistribution, kernel: ExactKernel) -> StateDistribution:
+    """One exact noisy update of a distribution, renormalized (see `_renormalized`)."""
+    out = kernel.apply(dist.probs)
+    return StateDistribution(dims=dist.dims, probs=_renormalized(out, float(out.sum())))
 
 
 def tv_distance(d1: StateDistribution, d2: StateDistribution) -> float:
@@ -461,11 +463,10 @@ def _orbit_space(kernel: ExactKernel) -> _Space:
     """The translation orbits of a small torus, each named by its least code."""
     dims, n = kernel.dims, kernel.n_sites
     codes = np.arange(kernel.n_states)
-    bits = (codes[:, None] >> np.arange(n)) & 1
     least = codes
     for axis, size in enumerate(dims):
         # every code moved one site along the axis, a table composed size - 1 times
-        moved = np.roll(bits.reshape((-1,) + dims), 1, axis=axis + 1).reshape(-1, n) @ (1 << np.arange(n))
+        moved = _local_codes(codes, np.roll(np.arange(n).reshape(dims), 1, axis=axis).ravel())
         image, best = codes, least
         for _ in range(size - 1):
             image = moved[image]
@@ -474,11 +475,8 @@ def _orbit_space(kernel: ExactKernel) -> _Space:
     reps, index = np.unique(least, return_inverse=True)
     sizes = np.bincount(index)
     # sources sorted by orbit, so that each orbit is one run of columns
-    probs = kernel.plus_probs(np.argsort(index, kind="stable").astype(np.uint64)).T
-    factors = np.stack([1.0 - probs, probs], axis=1)  # site, its spin in rep_k, source
-    t = np.ones((len(reps), kernel.n_states))  # T(s, rep_k) as row k
-    for x in range(n):
-        t *= factors[x][(reps >> x) & 1]
+    sources = np.argsort(index, kind="stable")
+    t = _products(kernel.kern[_local_codes(sources, kernel.nbr)], reps)  # T(s, rep_k) as row k
     matrix = np.add.reduceat(t, np.cumsum(sizes) - sizes, axis=1).T
     return _Space(kernel, (matrix, index, reps, sizes.astype(np.float64)))
 
@@ -623,19 +621,24 @@ def stationary_distribution(
 def tv_curve(
     kernel: ExactKernel, reference: StateDistribution, n_max: int = 200, floor: float = 1e-13
 ) -> list[float]:
-    """TV(T^n delta_plus, reference) for n = 0..n_max, stopping once below floor."""
+    """TV(T^n delta_plus, reference) for n = 0..n_max, stopping once below floor at n >= 1."""
     space = _space(kernel)
-    cur = np.zeros(space.size)
-    cur[-1] = 1.0  # all-plus, the last state and the last (singleton) orbit
-    ref = reference.probs
-    curve = [0.5 * float(np.abs(space.lift(cur) - ref).sum())]
-    for _ in range(n_max):
-        cur = space.apply(cur)
-        cur /= space.total(cur)
-        curve.append(0.5 * float(np.abs(space.lift(cur) - ref).sum()))
-        if curve[-1] < floor:
+    curve: list[float] = []
+    for cur in _plus_iterates(space, n_max):
+        curve.append(0.5 * float(np.abs(space.lift(cur) - reference.probs).sum()))
+        if len(curve) > 1 and curve[-1] < floor:
             break
     return curve
+
+
+def _plus_iterates(space: _Space, n: int) -> Iterable[np.ndarray]:
+    """T^k delta_plus for k = 0..n in space's coordinates, renormalized (see `_renormalized`)."""
+    cur = np.zeros(space.size)
+    cur[-1] = 1.0  # all-plus, the last state and the last (singleton) orbit
+    yield cur
+    for _ in range(n):
+        cur = space.apply(cur)
+        yield _renormalized(cur, space.total(cur))
 
 
 # --------------------------------------------------------------------------
@@ -676,13 +679,7 @@ def spin_observable(site: Sitelike, dimension: int = 1) -> CylinderFunction:
 
 def _window_codes(window: Iterable[tuple[int, ...]], dims: tuple[int, ...]) -> np.ndarray:
     """Window configuration code of every torus state, vectorized."""
-    n = int(np.prod(dims))
-    states = np.arange(1 << n, dtype=np.uint64)
-    code = np.zeros(1 << n, dtype=np.uint32)
-    for j, site in enumerate(window):
-        flat = _flat_index(site, dims)
-        code |= (((states >> np.uint64(flat)) & 1) << j).astype(np.uint32)
-    return code
+    return _local_codes(np.arange(1 << math.prod(dims)), [_flat_index(s, dims) for s in window])
 
 
 def cylinder_expectation(dist: StateDistribution, f: CylinderFunction) -> float:
@@ -713,26 +710,18 @@ def dual_apply(f: CylinderFunction, kernel: ExactKernel) -> CylinderFunction:
     neighborhoods, wrapped on the kernel's torus: the sources are read from
     kernel.nbr and the +1 probabilities from kernel.kern.
     """
-    slots = [kernel.nbr[:, _flat_index(w, kernel.dims)] for w in f.window]
-    seen: dict[int, int] = {}  # flat source site -> its bit in the result's window
-    for row in slots:
-        for s in row:
-            seen.setdefault(int(s), len(seen))
+    slots = kernel.nbr[:, [_flat_index(w, kernel.dims) for w in f.window]].tolist()
+    seen = list(dict.fromkeys(s for row in zip(*slots) for s in row))  # in order of first use
     if len(seen) > MAX_WINDOW:
         raise ValueError(f"dual window needs {len(seen)} sites, exceeding cap {MAX_WINDOW}")
     if len(seen) + len(f.window) > MAX_EXACT_SITES:
         raise ResourceLimitError("dual table would exceed the exact-computation cap")
-    src_cfgs = np.arange(1 << len(seen), dtype=np.uint32)
-    # per original-window site: its local rule-configuration under each source cfg
-    probs = np.empty((1 << len(seen), len(f.window)))
-    for j, row in enumerate(slots):
-        local = np.zeros(1 << len(seen), dtype=np.uint32)
-        for i, s in enumerate(row):
-            local |= ((src_cfgs >> np.uint32(seen[int(s)])) & 1) << np.uint32(i)
-        probs[:, j] = kernel.kern[local]
-    table = _expand_products(probs) @ f.table
+    # each window site's +1 probability under every configuration of the sources
+    bits = [[seen.index(s) for s in row] for row in slots]
+    probs = kernel.kern[_local_codes(np.arange(1 << len(seen)), bits)]
+    weights = _products(probs, np.arange(1 << len(f.window))).T.copy()  # C order keeps the bits
     window = tuple(np.unravel_index(s, kernel.dims) for s in seen)
-    return CylinderFunction(window=window, table=table)
+    return CylinderFunction(window=window, table=weights @ f.table)
 
 
 def window_sites(window: Sequence[Sitelike], dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -778,11 +767,10 @@ def window_marginal_consistency(
         )
     marginals = []
     for dims in (dims_small, dims_large):
-        kernel = ExactKernel(rule, noise, dims)
-        cur = delta_plus(kernel.dims)
-        for _ in range(n):
-            cur = transfer_apply(cur, kernel)
-        marginals.append(window_marginal(cur, sites))
+        space = _space(ExactKernel(rule, noise, dims))
+        for cur in _plus_iterates(space, n):
+            pass
+        marginals.append(window_marginal(StateDistribution(dims, space.lift(cur)), sites))
     return float(np.abs(marginals[0] - marginals[1]).max())
 
 

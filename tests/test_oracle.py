@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toomlab import engine, oracle
 from toomlab.engine import LatticeState, RngKey, biased_noise, symmetric_noise, table_noise
@@ -99,6 +100,26 @@ class TestTransferApply:
             pi = stationary_distribution(rule, noise, dims)
             tv_curve(pi.kernel, pi, n_max=20)
             assert pi.kernel._sweep_steps is None
+
+    @pytest.mark.parametrize("loss, refused", [(1e-6, True), (1e-12, False)])
+    def test_one_drift_rule_for_every_push_forward(self, loss, refused):
+        # transfer_apply and the T^n delta_plus iterate behind tv_curve share
+        # one rule: a drift over 1e-9 is refused, a smaller one divided out
+        class Leaky:
+            n_states = 64
+
+            def apply(self, vec):
+                return vec * (1.0 - loss)
+
+        start = delta_plus((6,))
+        if refused:
+            with pytest.raises(NumericalError, match="lost mass"):
+                transfer_apply(start, Leaky())
+            with pytest.raises(NumericalError, match="lost mass"):
+                tv_curve(Leaky(), start, n_max=3)
+        else:
+            assert transfer_apply(start, Leaky()).probs[-1] == 1.0
+            assert tv_curve(Leaky(), start, n_max=3) == [0.0, 0.0]
 
     def test_large_system_mass_preserved(self):
         rng = np.random.default_rng(5)
@@ -251,6 +272,25 @@ class TestOrbits:
         xi /= space.total(xi)
         want = brute_force_transfer(rule, p_plus, dims, space.lift(xi))[0][space.reps]
         assert np.abs(xi @ space.matrix - want).max() < 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_products_multiply_in_ascending_site_order(self, data):
+        # the orbit matrix and the dual table take their product weights
+        # from one helper, which keeps the bits of a per-entry product
+        n = data.draw(st.integers(1, 6))
+        rows = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+        probs = np.array(data.draw(st.lists(rows, min_size=1, max_size=5)))
+        targets = np.array(data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                                              max_size=8)))
+        got = oracle._products(probs, targets)
+        assert got.shape == (len(targets), len(probs))
+        for k, target in enumerate(targets.tolist()):
+            for b, row in enumerate(probs.tolist()):
+                want = 1.0
+                for x, p in enumerate(row):
+                    want *= p if target >> x & 1 else 1.0 - p
+                assert got[k, b] == want
 
     @pytest.mark.parametrize("rule, dims, orbits", [
         (STAV, (6,), 14), (STAV, (8,), 36), (NEC, (3, 3), 64), (STAV, (11,), 188),
@@ -550,6 +590,30 @@ class TestWindowConsistency:
             NEC, symmetric_noise(0.1), [(0, 0)], 1, (3, 3), (4, 4)
         )
         assert d < 1e-12
+
+    @pytest.mark.parametrize("rule, window, n, small, large", [
+        (STAV, [(0,), (1,)], 3, (9,), (11,)),
+        (NEC, [(0, 0)], 1, (3, 3), (4, 4)),
+    ])
+    def test_orbit_route_matches_full_space(self, monkeypatch, rule, window, n, small, large):
+        # up to 11 sites T^n delta_plus is iterated on orbits; the marginals
+        # it gives are those of the full-space sweep
+        marginals = {}
+        marginal = oracle.window_marginal
+
+        def kept(dist, sites):
+            out = marginal(dist, sites)
+            marginals.setdefault(route, []).append(out)
+            return out
+
+        monkeypatch.setattr(oracle, "window_marginal", kept)
+        for route in ("orbit", "full"):
+            if route == "full":
+                monkeypatch.setattr(oracle, "MAX_ORBIT_SITES", 0)
+            assert window_marginal_consistency(
+                rule, symmetric_noise(0.1), window, n, small, large) < 1e-12
+        for orbit, full in zip(marginals["orbit"], marginals["full"]):
+            assert np.abs(orbit - full).max() < 1e-15
 
     def test_precondition_violation(self):
         with pytest.raises(ValueError):
