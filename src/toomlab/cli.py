@@ -27,7 +27,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from . import bounds, certify, engine, oracle, rules, stats
-from .errors import ToomlabError, ConfigError
+from .errors import ConfigError, ResourceLimitError, ToomlabError
 
 SEED_ENV = "TOOMLAB_SEED"
 
@@ -105,7 +105,6 @@ _SCHEMAS = {
         "alpha": ("float", 0.0),
         "eps_prime": ("float", 0.0),
         "K": ("float", 1.0),
-        "out": ("str", "."),
     },
     "erode": {
         "rule": ("str", _OPT),
@@ -113,7 +112,6 @@ _SCHEMAS = {
         "dims": ("int_list", None),
         "cutoff": ("int", None),
         "snapshot_every": ("int", 0),
-        "out": ("str", "."),
     },
     "simulate": {
         "rule": ("str", _OPT),
@@ -123,7 +121,6 @@ _SCHEMAS = {
         "burn_in": ("int", 0),
         "snapshot_every": ("int", 0),
         "seed": ("seed", 0),
-        "out": ("str", "."),
     },
     "exact": {
         "rule": ("str", _OPT),
@@ -136,7 +133,6 @@ _SCHEMAS = {
         # proven to have one invariant law or refused
         "allow_absorbing": ("bool", False),
         "tv_steps": ("int", 100),
-        "out": ("str", "."),
     },
     "correlate": {
         "rule": ("str", _OPT),
@@ -147,7 +143,6 @@ _SCHEMAS = {
         "samples": ("int", _OPT),
         "burn_in": ("int", 100),
         "seed": ("seed", 0),
-        "out": ("str", "."),
     },
     "scan": {
         "rule": ("str", _OPT),
@@ -157,7 +152,6 @@ _SCHEMAS = {
         "steps": ("int", _OPT),
         "burn_in": ("int", 0),
         "seed": ("seed", 0),
-        "out": ("str", "."),
     },
     "divergence": {
         "rule": ("str", _OPT),
@@ -166,9 +160,10 @@ _SCHEMAS = {
         "steps": ("int", _OPT),
         "burn_in": ("int", None),
         "seed": ("seed", 0),
-        "out": ("str", "."),
     },
 }
+for _schema in _SCHEMAS.values():
+    _schema["out"] = ("str", ".")
 
 
 def _resolved_config(command: str, cfg: dict) -> dict:
@@ -295,10 +290,9 @@ def cmd_check(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
     if cert.verdict == certify.NON_ERODER:
         payload["witness"] = [str(Fraction(c)) for c in cert.witness]
         return 2, payload
-    q, r = certify.certificate_constants(cert)
     report = bounds.bounds_report(
-        q=q,
-        r=float(r),
+        q=cert.q,  # normalized by check_eroder, checked by verify_certificate
+        r=float(cert.r),
         neighborhood=rule.neighborhood,
         eps=cfg["eps"],
         alpha=cfg["alpha"],
@@ -310,26 +304,40 @@ def cmd_check(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
     return 0, payload
 
 
-def _snapshot_every(cfg: dict) -> int:
-    """The snapshot period; 0 writes no frames, and a negative one is refused."""
-    if cfg["snapshot_every"] < 0:
-        raise ConfigError(f"snapshot_every must be nonnegative, got {cfg['snapshot_every']}")
-    return cfg["snapshot_every"]
+def _snapshot_every(cfg: dict, sites: int, steps: int) -> int:
+    """The snapshot period, refused when negative or when its steps // every + 1
+    frames of 3 bytes per site would exceed engine.MAX_MC_BYTES."""
+    every = cfg["snapshot_every"]
+    if every < 0:
+        raise ConfigError(f"snapshot_every must be nonnegative, got {every}")
+    if every and 3 * sites * (steps // every + 1) > engine.MAX_MC_BYTES:
+        raise ResourceLimitError(f"snapshots would exceed the {engine.MAX_MC_BYTES}-byte cap")
+    return every
+
+
+def _frame_writer(every: int, out_dir: str, name: str, resolved: dict, strip=None):
+    """on_step writing every every-th state as taken, to name_<t>.ppm or as a strip row."""
+    def record(t: int, state: engine.LatticeState) -> None:
+        if t % every:
+            return
+        bits = state.bits()
+        if strip is None:
+            write_ppm(os.path.join(out_dir, f"{name}_{t:06d}.ppm"), bits.reshape(state.dims), resolved)
+        else:
+            strip.write(_ppm_pixels(bits))
+
+    return record if every else None
 
 
 def cmd_erode(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[int, dict]:
     rule = rules.load_rule(cfg["rule"])
-    every = _snapshot_every(cfg)
-    record = None
-    if every > 0:
-        if rule.dimension != 2:
-            raise ConfigError("erode snapshots support d = 2 (frames) only")
-
-        def record(t: int, state: engine.LatticeState) -> None:
-            if t % every == 0:
-                write_ppm(os.path.join(out_dir, f"erode_{t:06d}.ppm"),
-                          state.bits().reshape(state.dims), resolved)
-
+    dims, steps = cfg["dims"], 0
+    if cfg["island"]:
+        dims, steps = engine.erosion_torus(rule, cfg["island"], dims, cfg["cutoff"])
+    every = _snapshot_every(cfg, math.prod(dims) if dims else 0, steps)
+    if every > 0 and rule.dimension != 2:
+        raise ConfigError("erode snapshots support d = 2 (frames) only")
+    record = _frame_writer(every, out_dir, "erode", resolved)
     result = engine.erosion_time(
         rule, cfg["island"], dims=cfg["dims"], cutoff=cfg["cutoff"], on_step=record
     )
@@ -344,28 +352,18 @@ def cmd_erode(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
 
 def cmd_simulate(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[int, dict]:
     rule = rules.load_rule(cfg["rule"])
-    dims, every = tuple(cfg["dims"]), _snapshot_every(cfg)
+    dims = tuple(cfg["dims"])
+    every = _snapshot_every(cfg, math.prod(dims), cfg["steps"])
     if every > 0 and rule.dimension not in (1, 2):
         raise ConfigError("snapshots support d = 1 (strip) and d = 2 (frames) only")
-    strip = None
-
-    def record(t: int, state: engine.LatticeState) -> None:
-        """Write a frame as it is taken: to its own file, or as the next strip row."""
-        if t % every:
-            return
-        bits = state.bits()
-        if strip is None:
-            write_ppm(os.path.join(out_dir, f"frame_{t:06d}.ppm"), bits.reshape(dims), resolved)
-        else:
-            strip.write(_ppm_pixels(bits))
-
     with contextlib.ExitStack() as stack:
+        strip = None
         if every > 0 and rule.dimension == 1:
             strip = stack.enter_context(_atomic_file(os.path.join(out_dir, "strip.ppm")))
             strip.write(_ppm_header(dims[0], cfg["steps"] // every + 1, resolved))
         run = stats.minus_density_run(
             rule, cfg["noise"], dims, cfg["steps"], cfg["burn_in"], cfg["seed"],
-            threads=threads, on_step=record if every > 0 else None,
+            threads=threads, on_step=_frame_writer(every, out_dir, "frame", resolved, strip),
         )
     rows = [(t, float(d)) for t, d in enumerate(run.density_series)]
     write_csv(os.path.join(out_dir, "density.csv"), ("step", "density"), rows, resolved)

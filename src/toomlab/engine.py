@@ -872,27 +872,16 @@ def _manhattan_diameter(sites: Sequence[Site]) -> int:
     return int((proj.max(axis=0) - proj.min(axis=0)).max())
 
 
-def erosion_time(
-    rule: RuleSpec,
-    island: Iterable,
-    dims: Optional[Sequence[int]] = None,
-    cutoff: Optional[int] = None,
-    on_step: Optional[Callable[[int, LatticeState], None]] = None,
-) -> ErosionResult:
-    """Steps until an all-plus-except-island state returns to all-plus.
+def erosion_torus(rule: RuleSpec, island: Iterable, dims: Optional[Sequence[int]] = None,
+                  cutoff: Optional[int] = None) -> tuple[tuple[int, ...], int]:
+    """The torus and step cutoff of an erosion run from a nonempty island.
 
     The torus must be large enough that the island's light cone under the
     cutoff cannot wrap around and feed back on itself; otherwise the finite
     run would not witness the infinite-lattice behavior.  With dims omitted,
-    a torus of exactly that size is built.  on_step, if given, sees (0,
-    initial state), for an empty island only on given dims, then (t, state)
-    after each step, packed, so a caller unpacks only what it keeps.
+    a torus of exactly that size is built.
     """
     sites = _as_sites(island, rule.dimension)
-    if not sites:
-        if on_step is not None and dims is not None:
-            on_step(0, LatticeState.plus_with_island(dims, sites))
-        return ErosionResult(erased=True, steps=0, sizes=())
     diam = _manhattan_diameter(sites)
     if cutoff is None:
         cutoff = 64 * (diam + 1)
@@ -907,6 +896,28 @@ def erosion_time(
         raise ConfigError(
             f"dims {dims} too small: the {cutoff}-step light cone needs >= {need}"
         )
+    return dims, cutoff
+
+
+def erosion_time(
+    rule: RuleSpec,
+    island: Iterable,
+    dims: Optional[Sequence[int]] = None,
+    cutoff: Optional[int] = None,
+    on_step: Optional[Callable[[int, LatticeState], None]] = None,
+) -> ErosionResult:
+    """Steps until an all-plus-except-island state returns to all-plus.
+
+    The torus and cutoff are `erosion_torus`'s.  on_step, if given, sees
+    (0, initial state), for an empty island only on given dims, then (t,
+    state) after each step, packed, so a caller unpacks only what it keeps.
+    """
+    sites = _as_sites(island, rule.dimension)
+    if not sites:
+        if on_step is not None and dims is not None:
+            on_step(0, LatticeState.plus_with_island(dims, sites))
+        return ErosionResult(erased=True, steps=0, sizes=())
+    dims, cutoff = erosion_torus(rule, sites, dims, cutoff)
     core = _PackedCore(rule, dims, rule.table)
     state = LatticeState.plus_with_island(dims, sites)
     if on_step is not None:

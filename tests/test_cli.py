@@ -927,3 +927,26 @@ class TestMonteCarloCap:
         assert code == 1 and error_type(capsys) == "ResourceLimitError"
         assert peak < cap
         assert not any(p.suffix in (".csv", ".ppm") for p in out.iterdir())
+
+    @pytest.mark.parametrize("command, config, stage", [
+        # no dims: a 6063^2 torus and the 3008-step default cutoff, so up to
+        # 3009 frames of 110 MB
+        ("erode", {"rule": "nec", "snapshot_every": 1,
+                   "island": [[i, j] for i in range(24) for j in range(24)]}, "engine"),
+        # a strip of 2001 rows of 2^20 pixels, 6.3 GB
+        ("simulate", {"rule": "stavskaya", "noise": NOISE, "dims": [1 << 20], "steps": 2000,
+                      "snapshot_every": 1}, "stats"),
+    ], ids=["erode", "simulate-strip"])
+    def test_snapshots_over_the_cap_refused_before_the_first_step(self, tmp_path, capsys,
+                                                                  monkeypatch, command, config,
+                                                                  stage):
+        # the frames, 3 bytes a site, would exceed MAX_MC_BYTES; the run
+        # itself is never started
+        def started(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        name = {"engine": "erosion_time", "stats": "minus_density_run"}[stage]
+        monkeypatch.setattr(getattr(cli, stage), name, started)
+        code, out = run(tmp_path, command, config)
+        assert code == 1 and error_type(capsys) == "ResourceLimitError"
+        assert not any(p.suffix == ".ppm" for p in out.iterdir())
