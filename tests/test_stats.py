@@ -349,6 +349,61 @@ class TestWindowMarginalAgreement:
             assert abs(p_hat - exact[entry]) < 4.0 * se
 
 
+class TestShortTimeLaw:
+    """E[sigma_0(t)] from all-plus, read off the exact T^t delta_plus.
+
+    From all-plus the spin at (0, t) depends only on the noise in its
+    backward light cone, so on a torus the cone does not wrap the value is
+    the infinite lattice's: stavskaya's cone at t <= 10 spans 11 sites of
+    the 11-ring, nec's at t <= 2 the 3 x 3 torus.  Monte Carlo on a large
+    torus must hit it at every step, on any random stream.
+    """
+
+    @staticmethod
+    def exact_magnetization(rule, noise, dims, steps):
+        space = oracle._space(oracle.ExactKernel(rule, noise, dims))
+        out = []
+        for cur in oracle._plus_iterates(space, steps):
+            law = oracle.StateDistribution(dims, space.lift(cur))
+            minus, plus = oracle.window_marginal(law, [(0,) * len(dims)])
+            out.append(plus - minus)
+        return np.array(out)
+
+    @staticmethod
+    def sampled_magnetization(rule, noise, dims, steps, block, seed):
+        """Per-step mean spin and its batch-means standard error, over
+        blocks of block^d sites, wider than the light cone."""
+        rows = []
+
+        def on_step(t, state):
+            spins = 2.0 * state.bits().reshape(dims) - 1.0
+            shape = [n for side in dims for n in (side // block, block)]
+            means = spins.reshape(shape).mean(axis=tuple(range(1, len(shape), 2))).ravel()
+            rows.append((means.mean(), means.std(ddof=1) / np.sqrt(means.size)))
+
+        minus_density_run(rule, noise, dims, steps, 0, seed, on_step=on_step)
+        return np.array(rows).T
+
+    @pytest.mark.parametrize("rule, small, larger, steps, dims, block", [
+        (STAV, (11,), (12,), 10, (1 << 20,), 256),
+        (NEC, (3, 3), (4, 4), 2, (1024, 1024), 16),
+    ], ids=["stavskaya", "nec"])
+    @pytest.mark.parametrize("eps", [0.1, 0.05])
+    def test_monte_carlo_hits_the_exact_curve(self, rule, small, larger, steps, dims, block, eps):
+        noise = symmetric_noise(eps)
+        exact = self.exact_magnetization(rule, noise, small, steps)
+        # the cone does not wrap: the next larger torus gives the same curve
+        assert np.abs(exact - self.exact_magnetization(rule, noise, larger, steps)).max() < 1e-12
+        mean, se = self.sampled_magnetization(rule, noise, dims, steps, block, seed=0)
+        assert exact[0] == mean[0] == 1.0
+        assert (np.abs(mean - exact) <= 4.0 * se).all(), (mean - exact) / np.maximum(se, 1e-300)
+
+    def test_stavskaya_at_ten_steps(self):
+        # the value the dual side reaches on longer windows, to six places
+        exact = self.exact_magnetization(STAV, symmetric_noise(0.1), (11,), 10)
+        assert exact[-1] == pytest.approx(0.778941, abs=5e-7)
+
+
 class TestCoalescence:
     def test_merged_run_stops_the_minus_chain(self, monkeypatch):
         rows = []
