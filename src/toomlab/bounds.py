@@ -1,4 +1,4 @@
-"""Closed-form constants and counting bounds of the low-noise regime.
+"""Closed-form constants of the low-noise regime.
 
 Everything here is a pure function of a handful of scalars:
 
@@ -17,14 +17,11 @@ factor per time step is
 which is < 1 exactly when alpha < alpha_star = 1/R and eps_tilde is below
 the closed-form inverse  epsilon_star(alpha)  of sigma = 1.  The prefactors
 C, C_inv are the closed forms of a convergent double geometric series over
-graph classes; ``series_check`` reproduces that series numerically.  All
-real arithmetic is double precision; the graph-class counting bound uses
-exact integers because it overflows 64 bits almost immediately.
+graph classes.  All arithmetic is double precision.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
@@ -104,50 +101,6 @@ def epsilon_star(R: int, q: int, r: Real, alpha: float = 0.0) -> float:
     return base ** (1.0 + 2.0 * q / float(r))
 
 
-class GraphCountBound(NamedTuple):
-    binom_bound: int
-    loose_bound: int
-
-
-@dataclass(frozen=True)
-class GraphClassParams:
-    """Size parameters of a class of disconnected trace graphs."""
-
-    gamma_minus_size: int
-    c: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if min(self.gamma_minus_size, self.c, self.m) < 0:
-            raise ValueError("graph class parameters must be nonnegative")
-
-
-def graph_count_bound(g: GraphClassParams, q: int, R: int) -> GraphCountBound:
-    """Upper bounds on the number of graphs with c parts and m edges.
-
-    Exact integers: binom(n, c) * B^(2m) and the looser 2^n * B^(2m) with
-    n the number of negative path points.  c > n gives the empty class (0).
-    """
-    B = edge_type_count(q, R)
-    n = g.gamma_minus_size
-    if g.c > n:
-        return GraphCountBound(0, 0)
-    power = B ** (2 * g.m)
-    return GraphCountBound(math.comb(n, g.c) * power, (1 << n) * power)
-
-
-def edge_error_inequality(edges: int, parts: int, q: int, r: Real) -> int:
-    """Least error count consistent with  edges/(1+2q/r) + parts <= errors.
-
-    Evaluated in exact rational arithmetic so the ceiling is unambiguous at
-    integer boundaries.
-    """
-    if edges < 0 or parts < 0:
-        raise ValueError("edges and parts must be nonnegative")
-    denom = 1 + 2 * Fraction(q) / Fraction(r)
-    return math.ceil(Fraction(edges) / denom + parts)
-
-
 class Prefactors(NamedTuple):
     C: float
     C_inv: float
@@ -176,50 +129,6 @@ def constants_C(p: BoundParams) -> Prefactors:
     e1, e2 = _series_denominators(p.B, p.eps, expo)
     C_inv = 2.0 / (e1 * e2)
     return Prefactors(C, C_inv)
-
-
-class SeriesCheck(NamedTuple):
-    partial: float
-    closed: float
-    gap: float
-
-
-def series_check(p: BoundParams, truncation: int, gamma_minus: int = 1) -> SeriesCheck:
-    """Truncated double series over (parts c, extra edges k) vs its closed form.
-
-    Term(c, k) = 2^g * B^(2(g - c + k)) * eps_tilde^((g + 2q/r * c + k)/(1 + 2q/r))
-    for g = gamma_minus.  The partial sum runs over 0 <= c, k < truncation and
-    is always bounded by the closed form
-
-        (2 B^2 t)^g / ((1 - B^2 t)(1 - B^-2 t^(2q/r))),   t = eps_tilde^(1/(1+2q/r)),
-
-    with a gap that vanishes as the truncation grows.
-    """
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    if gamma_minus < 0:
-        raise ValueError("gamma_minus must be nonnegative")
-    if not p.admissible:
-        raise ValueError("series diverges: admissibility flag is false")
-    expo = _exponent(p.q, p.r)
-    B2 = float(p.B) ** 2
-    beta = p.eps_tilde**expo
-    # the double sum factorizes exactly into two geometric partial sums
-    x = (beta ** (1.0 / expo - 1.0)) / B2  # ratio in c
-    y = B2 * beta  # ratio in k
-    lead = (2.0 * B2 * beta) ** gamma_minus
-    partial = lead * _geometric_partial(x, truncation) * _geometric_partial(y, truncation)
-    closed = lead / ((1.0 - y) * (1.0 - x))
-    return SeriesCheck(partial, closed, closed - partial)
-
-
-def _geometric_partial(ratio: float, n: int) -> float:
-    total = 0.0
-    term = 1.0
-    for _ in range(n):
-        total += term
-        term *= ratio
-    return total
 
 
 class DecayConstants(NamedTuple):

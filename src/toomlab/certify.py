@@ -236,20 +236,6 @@ def verify_certificate(family: PlusSetFamily, cert: ErosionCertificate) -> bool:
     return True
 
 
-def certificate_constants(cert: ErosionCertificate) -> tuple[int, Fraction]:
-    """Derived constants (q, r) after coefficient normalization.
-
-    q is the number of separating functionals (at most dimension+1 by the
-    Helly reduction); r is the sum of thresholds once the largest absolute
-    functional coefficient is scaled to 1.  Only ERODER certificates have
-    these constants.
-    """
-    if cert.verdict != ERODER:
-        raise ValueError("certificate constants are defined for ERODER verdicts only")
-    functionals, thresholds = _normalize(cert.functionals, cert.thresholds)
-    return len(functionals), sum(thresholds, ZERO)
-
-
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 

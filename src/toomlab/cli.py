@@ -19,8 +19,8 @@ import datetime
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
@@ -188,9 +188,14 @@ def _resolved_config(command: str, cfg: dict) -> dict:
 
 @contextlib.contextmanager
 def _atomic_file(path: str):
-    """A binary file handle that replaces path only once the block succeeds."""
+    """A binary file handle that replaces path only once the block succeeds.
+
+    The temporary file is created exclusively, under a random 64-bit name,
+    with mode 0o666, which the umask filters as it does for open().
+    """
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_toomlab_")
+    tmp = os.path.join(directory, f".tmp_toomlab_{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

@@ -126,20 +126,6 @@ class LatticeState:
             bits[idx] = 0
         return cls.from_bits(dims, bits)
 
-    def minus_fraction(self) -> float:
-        return 1.0 - float(self.bits().mean())
-
-    def to_int(self) -> int:
-        """State as an integer, bit i = spin at flat site i (for exact kernels)."""
-        nbytes = -(-self.n_sites // 8)
-        return int.from_bytes(self.words.view(np.uint8)[:nbytes].tobytes(), "little")
-
-    @classmethod
-    def from_int(cls, dims: Sequence[int], value: int) -> "LatticeState":
-        n = int(np.prod([int(L) for L in dims]))
-        bits = np.array([(value >> i) & 1 for i in range(n)], dtype=np.uint8)
-        return cls.from_bits(dims, bits)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatticeState):
             return NotImplemented

@@ -17,8 +17,8 @@ N = 12 and 0.5-0.75 ms at N = 14 on a ring, 3.2-3.5 ms on a 3 x 4 nec
 torus (2-core machine).  A torus is refused when one sweep step's input and
 output together exceed MAX_SWEEP_BYTES.  `ExactKernel.apply` takes one
 2^N vector.  The functions that push distributions or observables forward
-(`transfer_apply`, `tv_curve`, `dual_apply`) take an `ExactKernel`; a
-stationary law carries the one it was solved on, with its sweep plan.  Up
+(`tv_curve`, `dual_apply`) take an `ExactKernel`; a stationary law carries
+the one it was solved on, with its sweep plan.  Up
 to 11 sites the solver, `StationaryLaw.step` and `_plus_iterates`, the one
 T^n delta_plus that `tv_curve` and `window_marginal_consistency` step, run on
 translation orbits (see `_Space`): 64 on a 3 x 3 torus, 188 on an 11-ring.
@@ -28,11 +28,10 @@ matrix and the dual table alike.
 
 On top of the kernel: the stationary distribution of a chain whose
 invariant law is proven unique (restarted GMRES, checked by its
-total-variation residual; any other chain is refused), total-variation
-distances, expectations and the flip seminorm of cylinder functions, the
-dual action on observables, product-measure basin membership, and the
-light-cone check that window marginals on two torus sizes agree exactly
-until influence wraps.
+total-variation residual; any other chain is refused), the total-variation
+curve of T^n delta_plus, expectations of cylinder functions, the dual action
+on observables, window marginals, and the light-cone check that window
+marginals on two torus sizes agree exactly until influence wraps.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .engine import LatticeState, NoiseModel, influence_radius, kernel_plus, neighbor_table
+from .engine import NoiseModel, influence_radius, kernel_plus, neighbor_table
 from .errors import ConfigError, NumericalError, ResourceLimitError
 from .rules import RuleSpec
 
@@ -102,29 +101,6 @@ class StateDistribution:
     @property
     def n_sites(self) -> int:
         return int(np.prod(self.dims))
-
-
-def point_mass(dims: Sequence[int], state: Union[LatticeState, int]) -> StateDistribution:
-    dims = tuple(int(L) for L in dims)
-    n = int(np.prod(dims))
-    code = state.to_int() if isinstance(state, LatticeState) else int(state)
-    probs = np.zeros(1 << n)
-    probs[code] = 1.0
-    return StateDistribution(dims=dims, probs=probs)
-
-
-def delta_plus(dims: Sequence[int]) -> StateDistribution:
-    return point_mass(dims, LatticeState.all_plus(dims))
-
-
-def delta_minus(dims: Sequence[int]) -> StateDistribution:
-    return point_mass(dims, 0)
-
-
-def uniform_distribution(dims: Sequence[int]) -> StateDistribution:
-    dims = tuple(int(L) for L in dims)
-    n = int(np.prod(dims))
-    return StateDistribution(dims=dims, probs=np.full(1 << n, 1.0 / (1 << n)))
 
 
 class ExactKernel:
@@ -380,19 +356,6 @@ def _renormalized(out: np.ndarray, total: float) -> np.ndarray:
         logger.debug("transfer mass drift %.3e renormalized", drift)
         out /= total
     return out
-
-
-def transfer_apply(dist: StateDistribution, kernel: ExactKernel) -> StateDistribution:
-    """One exact noisy update of a distribution, renormalized (see `_renormalized`)."""
-    out = kernel.apply(dist.probs)
-    return StateDistribution(dims=dist.dims, probs=_renormalized(out, float(out.sum())))
-
-
-def tv_distance(d1: StateDistribution, d2: StateDistribution) -> float:
-    """Total variation distance, half the L1 difference."""
-    if d1.dims != d2.dims:
-        raise ValueError(f"dims mismatch: {d1.dims} vs {d2.dims}")
-    return 0.5 * float(np.abs(d1.probs - d2.probs).sum())
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -693,16 +656,6 @@ def cylinder_expectation(dist: StateDistribution, f: CylinderFunction) -> float:
     return float(np.dot(dist.probs, f.table[codes]))
 
 
-def seminorm(f: CylinderFunction) -> float:
-    """Sum over window sites of the sup flip-difference |f(w) - f(w^x)|."""
-    total = 0.0
-    codes = np.arange(f.table.shape[0], dtype=np.uint32)
-    for j in range(len(f.window)):
-        flipped = f.table[codes ^ np.uint32(1 << j)]
-        total += float(np.abs(f.table - flipped).max())
-    return total
-
-
 def dual_apply(f: CylinderFunction, kernel: ExactKernel) -> CylinderFunction:
     """The dual (observable-side) action: (T f)(omega) = E[f(next) | omega].
 
@@ -772,57 +725,3 @@ def window_marginal_consistency(
             pass
         marginals.append(window_marginal(StateDistribution(dims, space.lift(cur)), sites))
     return float(np.abs(marginals[0] - marginals[1]).max())
-
-
-# --------------------------------------------------------------------------
-# basins of product measures
-
-
-@dataclass(frozen=True)
-class ProductMeasureSpec:
-    """Product measure given by per-site minus probabilities.
-
-    Either an explicit finite list (torus sites) or one uniform value
-    interpreted over an unbounded site set.
-    """
-
-    minus_probs: Optional[tuple[float, ...]] = None
-    uniform: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if (self.minus_probs is None) == (self.uniform is None):
-            raise ValueError("give exactly one of minus_probs or uniform")
-        values = self.minus_probs if self.uniform is None else (self.uniform,)
-        if any(not 0.0 <= m <= 1.0 for m in values):
-            raise ValueError("minus probabilities must lie in [0, 1]")
-        if self.minus_probs is not None:
-            object.__setattr__(
-                self, "minus_probs", tuple(float(m) for m in self.minus_probs)
-            )
-
-
-def basin_membership(spec: ProductMeasureSpec, K: float, eps_prime: float) -> bool:
-    """Whether every all-minus pattern probability is within K * eps_prime^|set|.
-
-    For a product measure that is  sup over finite site sets of
-    prod (m_x / eps_prime) <= K;  the empty set forces K >= 1.  A positive
-    uniform rate above eps_prime fails over large sets; eps_prime = 0 admits
-    only measures with no minus mass at all.
-    """
-    if K < 0 or not 0.0 <= eps_prime <= 1.0:
-        raise ValueError("need K >= 0 and eps_prime in [0, 1]")
-    if K < 1.0:
-        return False
-    if spec.uniform is not None:
-        m = spec.uniform
-        return m == 0.0 or (eps_prime > 0.0 and m <= eps_prime)
-    worst = 1.0
-    for m in spec.minus_probs:
-        if m == 0.0:
-            continue
-        if eps_prime == 0.0:
-            return False
-        factor = m / eps_prime
-        if factor > 1.0:
-            worst *= factor
-    return worst <= K

@@ -108,10 +108,6 @@ class PlusSetFamily:
     offsets: tuple[Offset, ...]
     sets: tuple[tuple[int, ...], ...]
 
-    def points(self, i: int) -> tuple[Offset, ...]:
-        """Offset vectors of the i-th plus set."""
-        return tuple(self.offsets[j] for j in self.sets[i])
-
 
 @dataclass(frozen=True)
 class MonotoneReport:
@@ -137,15 +133,6 @@ def encode(local: Sequence[int]) -> int:
 def decode(cfg: int, size: int) -> tuple[int, ...]:
     """Inverse of :func:`encode`."""
     return tuple(_bit_to_spin((cfg >> i) & 1) for i in range(size))
-
-
-def evaluate(rule: RuleSpec, local: Sequence[int]) -> int:
-    """Apply the rule's table to one local configuration of R spins."""
-    if len(local) != rule.size:
-        raise ValueError(
-            f"expected {rule.size} local spins, got {len(local)}"
-        )
-    return _bit_to_spin(int(rule.table[encode(local)]))
 
 
 def check_monotone(rule: RuleSpec) -> MonotoneReport:
@@ -267,19 +254,6 @@ def builtin(name: str) -> RuleSpec:
 
 
 BUILTIN_NAMES = tuple(sorted(_BUILTINS))
-
-
-def rule_to_json(rule: RuleSpec) -> dict:
-    """JSON-ready dict: table serialized as a hex string, bit i = entry i."""
-    value = 0
-    for i, b in enumerate(rule.table):
-        value |= int(b) << i
-    digits = max(1, -(-rule.table.shape[0] // 4))
-    return {
-        "dimension": rule.dimension,
-        "neighborhood": [list(u) for u in rule.neighborhood],
-        "table": format(value, f"0{digits}x"),
-    }
 
 
 def rule_from_json(data: dict, name: Optional[str] = None) -> RuleSpec:

@@ -18,6 +18,15 @@ no sandwich, which ``toomlab.stats.stationary_sample`` must match bit for
 bit, and ``probe_meeting_step`` and ``probe_apart_counts`` find the probe's
 meeting step, and its replicas still apart at each step, from two one-row
 batches, without the two-row sandwich.
+
+The helpers at the end are adapters too, fixtures that no command needs:
+``to_int`` and ``from_int`` convert between a ``LatticeState`` and its
+index in the exact oracle's 2^N vectors; ``point_mass``, ``delta_plus``,
+``delta_minus`` and ``uniform_distribution`` build start laws;
+``transfer_apply`` is one ``ExactKernel.apply`` renormalized by the
+oracle's own mass-drift rule; ``tv_distance`` is half the L1 distance;
+``evaluate`` reads one rule output; and ``rule_to_json`` writes the rule
+file format that ``toomlab.rules.rule_from_json`` reads.
 """
 
 from __future__ import annotations
@@ -31,8 +40,9 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
-from toomlab import engine
-from toomlab.engine import NoiseModel, RngKey, _torus_dims
+from toomlab import engine, oracle, rules
+from toomlab.engine import LatticeState, NoiseModel, RngKey, _torus_dims
+from toomlab.oracle import ExactKernel, StateDistribution
 from toomlab.rules import RuleSpec, monotone_closure
 from toomlab.stats import ReplicaSample
 
@@ -355,3 +365,72 @@ def probe_apart_counts(
         if counts[-1] == 0:
             return counts
     return None
+
+
+def to_int(state: LatticeState) -> int:
+    """State as an integer, bit i = spin at flat site i (the exact oracle's index)."""
+    nbytes = -(-state.n_sites // 8)
+    return int.from_bytes(state.words.view(np.uint8)[:nbytes].tobytes(), "little")
+
+
+def from_int(dims: Sequence[int], value: int) -> LatticeState:
+    n = int(np.prod([int(L) for L in dims]))
+    bits = np.array([(value >> i) & 1 for i in range(n)], dtype=np.uint8)
+    return LatticeState.from_bits(dims, bits)
+
+
+def point_mass(dims: Sequence[int], state: LatticeState | int) -> StateDistribution:
+    dims = tuple(int(L) for L in dims)
+    n = int(np.prod(dims))
+    code = to_int(state) if isinstance(state, LatticeState) else int(state)
+    probs = np.zeros(1 << n)
+    probs[code] = 1.0
+    return StateDistribution(dims=dims, probs=probs)
+
+
+def delta_plus(dims: Sequence[int]) -> StateDistribution:
+    return point_mass(dims, LatticeState.all_plus(dims))
+
+
+def delta_minus(dims: Sequence[int]) -> StateDistribution:
+    return point_mass(dims, 0)
+
+
+def uniform_distribution(dims: Sequence[int]) -> StateDistribution:
+    dims = tuple(int(L) for L in dims)
+    n = int(np.prod(dims))
+    return StateDistribution(dims=dims, probs=np.full(1 << n, 1.0 / (1 << n)))
+
+
+def transfer_apply(dist: StateDistribution, kernel: ExactKernel) -> StateDistribution:
+    """One exact noisy update of a distribution, renormalized by the oracle's
+    mass-drift rule (``toomlab.oracle._renormalized``)."""
+    out = kernel.apply(dist.probs)
+    return StateDistribution(dims=dist.dims, probs=oracle._renormalized(out, float(out.sum())))
+
+
+def tv_distance(d1: StateDistribution, d2: StateDistribution) -> float:
+    """Total variation distance, half the L1 difference."""
+    if d1.dims != d2.dims:
+        raise ValueError(f"dims mismatch: {d1.dims} vs {d2.dims}")
+    return 0.5 * float(np.abs(d1.probs - d2.probs).sum())
+
+
+def evaluate(rule: RuleSpec, local: Sequence[int]) -> int:
+    """Apply the rule's table to one local configuration of R spins."""
+    if len(local) != rule.size:
+        raise ValueError(f"expected {rule.size} local spins, got {len(local)}")
+    return rules.PLUS if rule.table[rules.encode(local)] else rules.MINUS
+
+
+def rule_to_json(rule: RuleSpec) -> dict:
+    """The rule file format: table as a hex string, bit i = entry i."""
+    value = 0
+    for i, b in enumerate(rule.table):
+        value |= int(b) << i
+    digits = max(1, -(-rule.table.shape[0] // 4))
+    return {
+        "dimension": rule.dimension,
+        "neighborhood": [list(u) for u in rule.neighborhood],
+        "table": format(value, f"0{digits}x"),
+    }

@@ -7,15 +7,11 @@ import pytest
 from toomlab import bounds
 from toomlab.bounds import (
     BoundParams,
-    GraphClassParams,
     alpha_star,
     constants_C,
     decay_constants,
-    edge_error_inequality,
     edge_type_count,
     epsilon_star,
-    graph_count_bound,
-    series_check,
     sigma,
 )
 
@@ -34,17 +30,14 @@ def summed_series(p: BoundParams, gamma_minus: int, n_terms: int = 400) -> float
     expo = 1.0 / (1.0 + 2.0 * p.q / p.r)
     log_B2 = 2.0 * math.log(edge_type_count(p.q, p.R))
     log_eps = math.log(p.eps_tilde)
-    total = 0.0
-    for c in range(n_terms):
-        for k in range(n_terms):
-            log_term = (
-                gamma_minus * math.log(2.0)
-                + (gamma_minus - c + k) * log_B2
-                + (gamma_minus + 2.0 * p.q / p.r * c + k) * expo * log_eps
-            )
-            if log_term > -700.0:
-                total += math.exp(log_term)
-    return total
+    c = np.arange(n_terms, dtype=np.float64)[:, None]
+    k = np.arange(n_terms, dtype=np.float64)[None, :]
+    log_term = (
+        gamma_minus * math.log(2.0)
+        + (gamma_minus - c + k) * log_B2
+        + (gamma_minus + 2.0 * p.q / p.r * c + k) * expo * log_eps
+    )
+    return float(np.exp(log_term[log_term > -700.0]).sum())
 
 
 def admissible_params(rng: random.Random) -> BoundParams:
@@ -116,48 +109,6 @@ class TestEpsilonStar:
             epsilon_star(2, 1, 1.0, -0.01)
 
 
-class TestGraphCountBound:
-    def test_worked_example(self):
-        g = GraphClassParams(gamma_minus_size=2, c=1, m=1)
-        got = graph_count_bound(g, q=1, R=2)
-        assert got.binom_bound == 2 * 256
-        assert got.loose_bound == 4 * 256
-
-    def test_empty_class(self):
-        g = GraphClassParams(gamma_minus_size=1, c=2, m=3)
-        assert graph_count_bound(g, q=1, R=2) == (0, 0)
-
-    def test_no_edges(self):
-        g = GraphClassParams(gamma_minus_size=5, c=2, m=0)
-        assert graph_count_bound(g, q=1, R=2).binom_bound == math.comb(5, 2)
-
-    def test_binom_below_loose(self):
-        for n in range(6):
-            for c in range(n + 1):
-                for m in range(3):
-                    g = GraphClassParams(gamma_minus_size=n, c=c, m=m)
-                    got = graph_count_bound(g, q=2, R=3)
-                    assert got.binom_bound <= got.loose_bound
-
-    def test_arbitrary_precision(self):
-        g = GraphClassParams(gamma_minus_size=80, c=40, m=50)
-        got = graph_count_bound(g, q=4, R=5)
-        assert got.binom_bound > 2**200  # far beyond 64-bit range
-
-
-class TestEdgeErrorInequality:
-    def test_single_part_needs_one_error(self):
-        assert edge_error_inequality(0, 1, q=1, r=1.0) == 1
-
-    def test_worked_examples(self):
-        assert edge_error_inequality(3, 1, q=1, r=1.0) == 2
-        assert edge_error_inequality(4, 2, q=2, r=1.0) == 3
-
-    def test_exact_boundary(self):
-        # 6 edges / 3 + 1 = 3 exactly; the ceiling must not round up
-        assert edge_error_inequality(6, 1, q=1, r=1.0) == 3
-
-
 class TestConstantsC:
     def test_zero_noise(self):
         assert constants_C(params(K=1.0)) == (2.0, 2.0)
@@ -200,38 +151,6 @@ class TestConstantsC:
         assert constants_C(p) == constants_C(
             params(R=p.R, q=p.q, r=p.r, eps=p.eps, K=p.K)
         )
-
-
-class TestSeriesCheck:
-    def test_zero_noise_trivial(self):
-        got = series_check(params(), truncation=10, gamma_minus=1)
-        assert got.partial == 0.0 and got.closed == 0.0
-
-    def test_partial_below_closed_with_small_gap(self):
-        # inside the convergence region the stated example noise level must
-        # shrink: 1e-6 diverges for (R=2, q=1, r=1), 1e-8 converges
-        p = params(eps=1e-8)
-        got = series_check(p, truncation=50, gamma_minus=1)
-        assert 0.0 < got.partial <= got.closed
-        assert got.gap < 1e-12 * got.closed
-
-    def test_divergent_parameters_raise(self):
-        with pytest.raises(ValueError):
-            series_check(params(eps=1e-6), truncation=50)
-
-    def test_monotone_in_truncation(self):
-        p = params(eps=1e-8)
-        vals = [series_check(p, truncation=n).partial for n in range(1, 12)]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
-
-    def test_oracle_agreement(self):
-        p = params(eps=1e-9, K=2.0)
-        got = series_check(p, truncation=300, gamma_minus=1)
-        assert got.partial == pytest.approx(summed_series(p, 1, n_terms=300), rel=1e-12)
-
-    def test_bad_truncation(self):
-        with pytest.raises(ValueError):
-            series_check(params(), truncation=0)
 
 
 class TestDecayConstants:

@@ -12,7 +12,6 @@ from toomlab import certify, rules
 from toomlab.certify import (
     ERODER,
     NON_ERODER,
-    certificate_constants,
     certificate_from_json,
     certificate_to_json,
     check_eroder,
@@ -68,15 +67,13 @@ class TestVerdicts:
 class TestConstants:
     def test_stavskaya_q2(self):
         cert = check_eroder(family("stavskaya"))
-        q, r = certificate_constants(cert)
-        assert q == 2 and r > 0
+        assert cert.q == 2 and cert.r > 0
 
     def test_nec_q3(self):
         # Helly caps q at d+1 = 3; all pairwise hull intersections are
         # nonempty, so exactly three sets are needed
         cert = check_eroder(family("nec"))
-        q, r = certificate_constants(cert)
-        assert q == 3 and r > 0
+        assert cert.q == 3 and cert.r > 0
 
     def test_normalization_scale(self):
         cert = check_eroder(family("nec"))
@@ -85,13 +82,26 @@ class TestConstants:
 
     def test_non_eroder_has_no_constants(self):
         cert = check_eroder(family("majority1d"))
-        with pytest.raises(ValueError):
-            certificate_constants(cert)
+        assert cert.verdict == NON_ERODER
+        assert cert.q is None and cert.r is None
 
-    def test_idempotent(self):
-        cert = check_eroder(family("stavskaya"))
-        q, r = certificate_constants(cert)
-        assert (q, r) == (cert.q, cert.r)
+    def test_largest_coefficient_is_one(self):
+        # the normalization that makes (q, r) unique, on every eroder drawn
+        erod = 0
+        for seed in range(40):
+            cert = check_eroder(minimal_plus_sets(random_rule(random.Random(seed))))
+            if cert.verdict == ERODER:
+                erod += 1
+                assert max(abs(c) for f in cert.functionals for c in f) == 1, seed
+        assert erod >= 10
+
+    @pytest.mark.parametrize("field", ["q", "r"])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_q_or_r_alone_off_by_one_rejected(self, field, delta):
+        fam = family("nec")
+        cert = check_eroder(fam)
+        bad = replace(cert, **{field: getattr(cert, field) + delta})
+        assert not verify_certificate(fam, bad)
 
 
 class TestVerification:

@@ -516,6 +516,17 @@ class TestHygiene:
         )
         assert not [p for p in out.iterdir() if p.name.startswith(".tmp_toomlab")]
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_artifacts_take_the_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            _, out = run(tmp_path, "check", {"rule": "nec", "eps": 1e-40})
+        finally:
+            os.umask(old)
+        for name in ("certificate.json", "bounds_report.json"):
+            assert (out / name).stat().st_mode & 0o777 == mode, name
+
     def test_timestamps_only_in_sidecar(self, tmp_path):
         _, out = run(
             tmp_path, "simulate",

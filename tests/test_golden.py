@@ -32,9 +32,9 @@ from pathlib import Path
 
 import pytest
 
-from toomlab import cli, rules
+from toomlab import cli
 
-from .oracles import random_rule
+from .oracles import random_rule, rule_to_json
 
 NEC_ISLAND = [[i, j] for i in range(3, 7) for j in range(3, 7)]
 
@@ -173,7 +173,7 @@ CHECK_CASES = {
     # d = 3, R = 7, three plus sets separated by three functionals
     "check_random_3d": (
         {"rule": "random_3d.json", "eps": 0.0001},
-        rules.rule_to_json(random_rule(random.Random(195))),
+        rule_to_json(random_rule(random.Random(195))),
     ),
 }
 
