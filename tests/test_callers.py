@@ -17,9 +17,9 @@ SRC = ROOT / "src" / "toomlab"
 
 ALLOWED = {
     "engine.check_assumptions": "acceptance criterion 7 checks the noise assumptions through it",
-    "engine.evolve": "acceptance criterion 8 steps one state through it; perfbench/tracer.py wraps it by name",
-    "oracle.window_marginal_consistency": "acceptance criterion 5 checks the light-cone agreement through it",
-    "rules.builtin": "the validated lookup of a built-in rule by name; commands reach the same rules through load_rule",
+    "engine.evolve": "acceptance criterion 8 steps a state through it; perfbench/tracer.py wraps it",
+    "oracle.window_marginal_consistency": "acceptance criterion 5 checks light-cone agreement with it",
+    "rules.builtin": "validated built-in lookup; commands take the same names through load_rule",
     "rules.BUILTIN_NAMES": "the names builtin accepts, for callers that iterate over them",
     "rules.MonotoneReport.ok": "the report's one verdict; check writes the two fields it combines",
     "cli._Parser.error": "argparse calls it on a usage error",
@@ -47,7 +47,8 @@ def definitions() -> dict[str, tuple[Path, ast.AST, bool]]:
 def references() -> list[tuple[Path, int, str, bool]]:
     """(file, line, name, is_attribute) of every name read in src/toomlab and perfbench."""
     files = list(SRC.glob("*.py"))
-    files += [p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.parts]
+    bench = ROOT / "perfbench"
+    files += [p for p in bench.rglob("*.py") if "tests" not in p.relative_to(bench).parts]
     out = []
     for path in files:
         for node in ast.walk(ast.parse(path.read_text())):

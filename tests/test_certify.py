@@ -87,13 +87,13 @@ class TestConstants:
 
     def test_largest_coefficient_is_one(self):
         # the normalization that makes (q, r) unique, on every eroder drawn
-        erod = 0
+        eroders = 0
         for seed in range(40):
             cert = check_eroder(minimal_plus_sets(random_rule(random.Random(seed))))
             if cert.verdict == ERODER:
-                erod += 1
+                eroders += 1
                 assert max(abs(c) for f in cert.functionals for c in f) == 1, seed
-        assert erod >= 10
+        assert eroders >= 10
 
     @pytest.mark.parametrize("field", ["q", "r"])
     @pytest.mark.parametrize("delta", [-1, 1])
