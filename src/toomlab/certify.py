@@ -10,8 +10,14 @@ one convex-weight vector per plus set, constrained to produce a common point.
   functionals f_1..f_q and thresholds c_1..c_q with  sum f_i = 0,
   sum c_i > 0  and  f_i >= c_i on the i-th selected plus set.  Any point in
   all hulls would give 0 = sum f_i(x) >= sum c_i > 0, a contradiction, so
-  the family proves emptiness.  A Helly-style search over subfamilies keeps
-  the number of functionals q at most dimension+1.
+  the family proves emptiness.
+
+By Helly's theorem k hulls in R^d fail to meet iff some d+1 of them do, so
+the search tries subfamilies of 2 to d+1 sets, smallest first, then in
+lexicographic order, and certifies the first infeasible one (q <= d+1).  A
+proper subfamily whose sets share an offset meets there and skips the LP.
+The full system is solved last: as the size-k subfamily when k <= d+1, else
+for the NON_ERODER point and weights.
 
 Functionals are normalized so the largest absolute coefficient is 1, which
 pins down the derived constants (q, r = sum c_i) uniquely.
@@ -114,56 +120,42 @@ def _normalize(
 def check_eroder(family: PlusSetFamily) -> ErosionCertificate:
     """Decide emptiness of the intersection of the family's convex hulls.
 
-    Returns an ERODER certificate (separating functionals over at most d+1
-    sets, found by searching subfamilies smallest-first in lexicographic
-    order) or a NON_ERODER certificate (common point with convex weights).
+    Returns an ERODER certificate (separating functionals) from the first
+    subfamily of 2 to d+1 sets, smallest first and then in lexicographic
+    order, that the LP finds infeasible; proper subfamilies whose sets share
+    an offset meet there and skip the LP.  With k <= d+1 sets the last
+    subfamily is the full system; otherwise, or for k = 1, the full system
+    is solved once no small subfamily separated, and by Helly it is feasible.
+    Its solution gives the NON_ERODER certificate (common point with convex
+    weights).
     """
     d = family.dimension
     if not family.sets:
         raise ValueError("plus-set family is empty")
 
     k = len(family.sets)
-    full = tuple(range(k))
-    A, b = _hull_system(family, full)
-    feasible, sol = solve_feasibility(A, b)
-    if feasible:
-        sizes = [len(z) for z in family.sets]
-        starts = [sum(sizes[:i]) for i in range(k)]
-        weights = tuple(
-            tuple(sol[starts[i] + j] for j in range(sizes[i])) for i in range(k)
-        )
-        witness = tuple(
-            sum(
-                (w * Fraction(family.offsets[idx][kk]) for w, idx in zip(weights[0], family.sets[0])),
-                ZERO,
-            )
-            for kk in range(d)
-        )
-        return ErosionCertificate(
-            verdict=NON_ERODER, dimension=d, witness=witness, weights=weights
-        )
-
-    # Helly: some subfamily of size <= d+1 is already infeasible; take the
-    # first one, sweeping sizes upward then index tuples lexicographically.
     for size in range(2, min(d + 1, k) + 1):
         for subset in itertools.combinations(range(k), size):
-            if size == k:
-                sub_feasible, sub_sol = False, sol  # full system already solved
-            else:
-                sub_feasible, sub_sol = solve_feasibility(*_hull_system(family, subset))
-            if not sub_feasible:
-                functionals, thresholds = _farkas_to_functionals(family, subset, sub_sol)
-                functionals, thresholds = _normalize(functionals, thresholds)
+            first, *rest = (family.sets[i] for i in subset)
+            if size < k and set(first).intersection(*rest):
+                continue  # a shared offset is a common point
+            feasible, sol = solve_feasibility(*_hull_system(family, subset))
+            if not feasible:
+                functionals, thresholds = _normalize(*_farkas_to_functionals(family, subset, sol))
                 return ErosionCertificate(
-                    verdict=ERODER,
-                    dimension=d,
-                    selected=subset,
-                    functionals=functionals,
-                    thresholds=thresholds,
-                    q=size,
-                    r=sum(thresholds, ZERO),
+                    verdict=ERODER, dimension=d, selected=subset, functionals=functionals,
+                    thresholds=thresholds, q=size, r=sum(thresholds, ZERO),
                 )
-    raise AssertionError("infeasible family with no small infeasible subfamily")
+    if not 2 <= k <= d + 1:  # else the size-k subfamily above was the full system
+        feasible, sol = solve_feasibility(*_hull_system(family, tuple(range(k))))
+        if not feasible:
+            raise AssertionError("infeasible family with no small infeasible subfamily")
+    ends = list(itertools.accumulate(len(z) for z in family.sets))
+    weights = tuple(tuple(sol[end - len(z):end]) for z, end in zip(family.sets, ends))
+    # the first hull's weighted offsets give the common point
+    terms = [(w, family.offsets[idx]) for w, idx in zip(weights[0], family.sets[0])]
+    witness = tuple(sum((w * Fraction(z[kk]) for w, z in terms), ZERO) for kk in range(d))
+    return ErosionCertificate(verdict=NON_ERODER, dimension=d, witness=witness, weights=weights)
 
 
 def _check_shape(family: PlusSetFamily, cert: ErosionCertificate) -> None:

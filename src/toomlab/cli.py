@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import functools
 import json
 import math
 import os
@@ -488,19 +489,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _Parser(
-        prog="toomlab",
-        description="noisy monotone binary cellular automata laboratory",
-    )
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and kept: parse_args holds no state."""
+    parser = _Parser(prog="toomlab", description="noisy monotone binary cellular automata laboratory")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--seed", default=None, help="override the config seed (Monte Carlo commands)")
     parser.add_argument("--threads", type=int, default=1, help="worker-count cap (does not affect results)")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
+    return parser
 
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         with open(args.config, "r", encoding="utf-8") as fh:

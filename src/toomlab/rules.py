@@ -306,8 +306,12 @@ def load_rule_unchecked(source: str) -> RuleSpec:
     """Resolve a rule without the monotonicity/constancy validation."""
     if source in _BUILTINS:
         return _BUILTINS[source]()
-    with open(source, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"no rule file {source!r}, and no built-in rule of that name;"
+                                f" built-ins: {', '.join(BUILTIN_NAMES)}") from None
     return rule_from_json(data, name=source)
 
 

@@ -5,12 +5,17 @@ implementations it checks: interval intersection over exact rationals for
 one-dimensional hull emptiness, exhaustive monotone-table enumeration, a
 direct double-loop subset scan for plus sets, the exact transfer operator
 expanded one source configuration at a time, a reachability search for the
-closed classes of its support, a phase-one simplex over
-``Fraction`` that the integer simplex in ``toomlab.ratlp`` must match, and
-the gather-table step (``TorusStepper`` tables indexed by ``step_uniforms``
+closed classes of its support, a phase-one simplex over ``Fraction`` that
+the integer simplex in ``toomlab.ratlp`` must match, the erosion search as
+it stood before the shared-offset skip (``reference_check_eroder``: full
+system first, every subfamily by LP), whose certificates
+``toomlab.certify.check_eroder`` must match byte for byte, and the
+gather-table step (``TorusStepper`` tables indexed by ``step_uniforms``
 draws) that the packed stepping core in ``toomlab.engine`` must match bit
 for bit.  Only the torus-size check is shared, so that the reference
-refuses the same aliasing dims as the engine.  ``evolve_batch`` is not a
+refuses the same aliasing dims as the engine, and the hull systems, Farkas
+read-out and normalization of ``toomlab.certify``, so that the two searches
+differ in their order of solves alone.  ``evolve_batch`` is not a
 reference but an adapter: it runs an unpacked (M, N) replica batch through
 the packed core, for tests that compare batches site by site.
 ``plain_stationary_sample`` is the replica burn-in stepped from step 0 with
@@ -40,7 +45,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
-from toomlab import engine, oracle, rules
+from toomlab import certify, engine, oracle, ratlp, rules
 from toomlab.engine import LatticeState, NoiseModel, RngKey, _torus_dims
 from toomlab.oracle import ExactKernel, StateDistribution
 from toomlab.rules import RuleSpec, monotone_closure
@@ -104,6 +109,47 @@ def fraction_feasibility(A, b) -> tuple[bool, list[Fraction]]:
                 v[bi] = tab[i][ncols]
         return True, v
     return False, [signs[i] * (one - rc[n + i]) for i in range(m)]
+
+
+def reference_check_eroder(family: rules.PlusSetFamily, solve=ratlp.solve_feasibility):
+    """The erosion search as it stood before the shared-offset skip.
+
+    The full hull system is solved first; if infeasible, every subfamily of
+    2 to d+1 sets, smallest first and then in lexicographic order, goes to
+    the LP (the size-k one reuses the full solve), and the first infeasible
+    one is certified.  ``solve`` is the LP, so a test can count its calls.
+    """
+    d = family.dimension
+    k = len(family.sets)
+    feasible, sol = solve(*certify._hull_system(family, tuple(range(k))))
+    if feasible:
+        sizes = [len(z) for z in family.sets]
+        starts = [sum(sizes[:i]) for i in range(k)]
+        weights = tuple(tuple(sol[starts[i] + j] for j in range(sizes[i])) for i in range(k))
+        witness = tuple(
+            sum((w * Fraction(family.offsets[idx][kk])
+                 for w, idx in zip(weights[0], family.sets[0])), Fraction(0))
+            for kk in range(d)
+        )
+        return certify.ErosionCertificate(
+            verdict=certify.NON_ERODER, dimension=d, witness=witness, weights=weights
+        )
+    for size in range(2, min(d + 1, k) + 1):
+        for subset in itertools.combinations(range(k), size):
+            if size == k:
+                sub_feasible, sub_sol = False, sol
+            else:
+                sub_feasible, sub_sol = solve(*certify._hull_system(family, subset))
+            if not sub_feasible:
+                functionals, thresholds = certify._normalize(
+                    *certify._farkas_to_functionals(family, subset, sub_sol)
+                )
+                return certify.ErosionCertificate(
+                    verdict=certify.ERODER, dimension=d, selected=subset,
+                    functionals=functionals, thresholds=thresholds,
+                    q=size, r=sum(thresholds, Fraction(0)),
+                )
+    raise AssertionError("infeasible family with no small infeasible subfamily")
 
 
 def brute_force_plus_sets(rule: RuleSpec) -> list[tuple[int, ...]]:

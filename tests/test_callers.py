@@ -20,7 +20,6 @@ ALLOWED = {
     "engine.evolve": "acceptance criterion 8 steps a state through it; perfbench/tracer.py wraps it",
     "oracle.window_marginal_consistency": "acceptance criterion 5 checks light-cone agreement with it",
     "rules.builtin": "validated built-in lookup; commands take the same names through load_rule",
-    "rules.BUILTIN_NAMES": "the names builtin accepts, for callers that iterate over them",
     "rules.MonotoneReport.ok": "the report's one verdict; check writes the two fields it combines",
     "cli._Parser.error": "argparse calls it on a usage error",
 }

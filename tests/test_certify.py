@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import threading
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toomlab import certify, rules
+from toomlab import certify, ratlp, rules
 from toomlab.certify import (
     ERODER,
     NON_ERODER,
@@ -26,6 +27,7 @@ from .oracles import (
     random_monotone_table,
     random_offsets_1d,
     random_rule,
+    reference_check_eroder,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "stavskaya_certificate.json"
@@ -240,6 +242,97 @@ class TestSoundnessProperty:
         worker.join(timeout=30)
         assert not worker.is_alive()
         assert drawn[0].dimension == 1 and drawn[0].size == 5
+
+
+# drawn once from a fixed seed: 600 random rules, d = 1, 2 and 3
+SEARCH_DRAWS = random.Random(27)
+SEARCH_FAMILIES = [minimal_plus_sets(random_rule(SEARCH_DRAWS)) for _ in range(600)]
+
+
+def hull_sets(A, b) -> list[set]:
+    """The plus sets of one hull system, as sets of offsets read off its rows:
+    first a convexity row per set (right-hand side 1), then a row per (set,
+    coordinate) holding that coordinate of each of the set's offsets."""
+    size = b.count(1)
+    d = (len(A) - size) // size
+    return [
+        {tuple(A[size + i * d + kk][j] for kk in range(d)) for j, x in enumerate(A[i]) if x}
+        for i in range(size)
+    ]
+
+
+def solved_systems(monkeypatch, fam) -> tuple[certify.ErosionCertificate, list[list[set]]]:
+    """check_eroder's certificate and the plus sets of every system it sent to the LP."""
+    systems = []
+    solve = certify.solve_feasibility
+
+    def spy(A, b):
+        systems.append(hull_sets(A, b))
+        return solve(A, b)
+
+    monkeypatch.setattr(certify, "solve_feasibility", spy)
+    cert = check_eroder(fam)
+    monkeypatch.setattr(certify, "solve_feasibility", solve)
+    return cert, systems
+
+
+class TestSearch:
+    def test_draws_cover_every_dimension_and_verdict(self):
+        assert {f.dimension for f in SEARCH_FAMILIES} == {1, 2, 3}
+        assert {check_eroder(f).verdict for f in SEARCH_FAMILIES} == {ERODER, NON_ERODER}
+
+    def test_certificates_match_the_reference_byte_for_byte(self):
+        builtins = [family(name) for name in rules.BUILTIN_NAMES]
+        for fam in builtins + SEARCH_FAMILIES:
+            new = json.dumps(certificate_to_json(check_eroder(fam)))
+            assert new == json.dumps(certificate_to_json(reference_check_eroder(fam)))
+
+    def test_no_subfamily_sharing_an_offset_reaches_the_lp(self, monkeypatch):
+        shared = 0
+        for fam in SEARCH_FAMILIES:
+            _, systems = solved_systems(monkeypatch, fam)
+            for sets in systems:
+                if len(sets) < len(fam.sets):
+                    assert not set.intersection(*sets), (fam, sets)
+            offsets = [{fam.offsets[i] for i in z} for z in fam.sets]
+            shared += sum(
+                bool(set.intersection(*(offsets[i] for i in subset)))
+                for size in range(2, min(fam.dimension + 1, len(fam.sets) - 1) + 1)
+                for subset in itertools.combinations(range(len(fam.sets)), size)
+            )
+        assert shared > 100  # the reference would have solved these
+
+    def test_eroder_with_more_than_d_plus_one_sets_never_solves_the_full_system(
+        self, monkeypatch
+    ):
+        many = 0
+        for fam in SEARCH_FAMILIES:
+            k = len(fam.sets)
+            if k <= fam.dimension + 1:
+                continue
+            cert, systems = solved_systems(monkeypatch, fam)
+            if cert.verdict == ERODER:
+                many += 1
+                assert all(len(sets) < k for sets in systems)
+        assert many > 20
+
+    def test_no_more_solves_than_the_reference(self, monkeypatch):
+        counted = []
+
+        def counting(A, b):
+            counted.append(1)
+            return ratlp.solve_feasibility(A, b)
+
+        total_new = total_ref = 0
+        for fam in SEARCH_FAMILIES:
+            cert, systems = solved_systems(monkeypatch, fam)
+            counted.clear()
+            reference_check_eroder(fam, solve=counting)
+            # a NON_ERODER family can cost more: the reference solves it once
+            if cert.verdict == ERODER:
+                assert len(systems) <= len(counted)
+            total_new, total_ref = total_new + len(systems), total_ref + len(counted)
+        assert total_new <= total_ref
 
 
 class TestSerialization:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from toomlab import cli
+from toomlab import cli, rules
 from toomlab.rules import builtin
 
 
@@ -58,6 +58,17 @@ class TestCheck:
         assert code == 1
         err = json.loads(capsys.readouterr().out)["error"]
         assert "bogus" in err["message"]
+
+    def test_misspelled_builtin_names_the_builtins(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out = run(tmp_path, "check", {"rule": "stavskya"})
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "FileNotFoundError" and "'stavskya'" in err["message"]
+        assert all(name in err["message"] for name in rules.BUILTIN_NAMES)
+        assert not (out / "certificate.json").exists()
 
 
 class TestErode:
@@ -320,6 +331,47 @@ class TestUsageErrors:
             cli.main(["--help"])
         assert stop.value.code == 0
         assert "--config" in capsys.readouterr().out
+
+
+class TestReusedParser:
+    def test_many_calls_build_one_parser(self, tmp_path, monkeypatch):
+        built = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        cli._parser.cache_clear()
+        try:
+            codes = [run(tmp_path, "check", {"rule": name})[0]
+                     for name in ("nec", "majority1d", "stavskaya")]
+        finally:
+            cli._parser.cache_clear()
+        assert codes == [0, 2, 0] and len(built) == 1
+
+    def test_seed_flag_does_not_leak_into_the_next_call(self, tmp_path):
+        cfg = {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.2},
+               "dims": [16], "steps": 3, "seed": 3}
+        seeds = []
+        for extra in (("--seed", "5"), ()):
+            again = tmp_path / str(len(seeds))
+            again.mkdir()
+            code, out = run(again, "simulate", cfg, *extra)
+            assert code == 0
+            seeds.append(json.loads((out / "density.csv").read_text()
+                                    .splitlines()[0].removeprefix("# config: "))["seed"])
+        assert seeds == [5, 3]
+
+    def test_usage_error_after_a_good_call(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps({"rule": "nec"}))
+        assert cli.main(["check", "--config", "c.json", "--out", "good"]) == 0
+        capsys.readouterr()
+        assert cli.main(["check", "--config", "c.json", "--bogus"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"]["type"] == "ConfigError"
 
 
 class TestExact:
