@@ -12,12 +12,11 @@ one convex-weight vector per plus set, constrained to produce a common point.
   all hulls would give 0 = sum f_i(x) >= sum c_i > 0, a contradiction, so
   the family proves emptiness.
 
-By Helly's theorem k hulls in R^d fail to meet iff some d+1 of them do, so
-the search tries subfamilies of 2 to d+1 sets, smallest first, then in
-lexicographic order, and certifies the first infeasible one (q <= d+1).  A
-proper subfamily whose sets share an offset meets there and skips the LP.
-The full system is solved last: as the size-k subfamily when k <= d+1, else
-for the NON_ERODER point and weights.
+If the hulls do not meet, by Helly's theorem some d+1 of them do not, so the
+search tries subfamilies of 2 to d+1 sets, smallest first, then
+lexicographically; those whose sets share an offset meet there and skip the
+LP.  The full system is solved last: as the size-k subfamily (k <= d+1), or
+for the NON_ERODER certificate.
 
 Functionals are normalized so the largest absolute coefficient is 1, which
 pins down the derived constants (q, r = sum c_i) uniquely.
@@ -120,14 +119,9 @@ def _normalize(
 def check_eroder(family: PlusSetFamily) -> ErosionCertificate:
     """Decide emptiness of the intersection of the family's convex hulls.
 
-    Returns an ERODER certificate (separating functionals) from the first
-    subfamily of 2 to d+1 sets, smallest first and then in lexicographic
-    order, that the LP finds infeasible; proper subfamilies whose sets share
-    an offset meet there and skip the LP.  With k <= d+1 sets the last
-    subfamily is the full system; otherwise, or for k = 1, the full system
-    is solved once no small subfamily separated, and by Helly it is feasible.
-    Its solution gives the NON_ERODER certificate (common point with convex
-    weights).
+    ERODER: separating functionals over the first infeasible subfamily in the
+    module's search order.  NON_ERODER: common point and convex weights from
+    the full system, which meets (Helly) once no small subfamily separated.
     """
     d = family.dimension
     if not family.sets:
@@ -152,7 +146,6 @@ def check_eroder(family: PlusSetFamily) -> ErosionCertificate:
             raise AssertionError("infeasible family with no small infeasible subfamily")
     ends = list(itertools.accumulate(len(z) for z in family.sets))
     weights = tuple(tuple(sol[end - len(z):end]) for z, end in zip(family.sets, ends))
-    # the first hull's weighted offsets give the common point
     terms = [(w, family.offsets[idx]) for w, idx in zip(weights[0], family.sets[0])]
     witness = tuple(sum((w * Fraction(z[kk]) for w, z in terms), ZERO) for kk in range(d))
     return ErosionCertificate(verdict=NON_ERODER, dimension=d, witness=witness, weights=weights)

@@ -491,7 +491,7 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _parser() -> _Parser:
-    """The argument parser, built on first use and kept: parse_args holds no state."""
+    """Built once: parse_args keeps no state between calls."""
     parser = _Parser(prog="toomlab", description="noisy monotone binary cellular automata laboratory")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON run config")

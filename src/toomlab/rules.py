@@ -310,8 +310,9 @@ def load_rule_unchecked(source: str) -> RuleSpec:
         with open(source, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
-        raise FileNotFoundError(f"no rule file {source!r}, and no built-in rule of that name;"
-                                f" built-ins: {', '.join(BUILTIN_NAMES)}") from None
+        raise FileNotFoundError(
+            f"no rule file or built-in rule {source!r}; built-ins: {', '.join(BUILTIN_NAMES)}"
+        ) from None
     return rule_from_json(data, name=source)
 
 

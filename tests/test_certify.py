@@ -270,10 +270,9 @@ def solved_systems(monkeypatch, fam) -> tuple[certify.ErosionCertificate, list[l
         systems.append(hull_sets(A, b))
         return solve(A, b)
 
-    monkeypatch.setattr(certify, "solve_feasibility", spy)
-    cert = check_eroder(fam)
-    monkeypatch.setattr(certify, "solve_feasibility", solve)
-    return cert, systems
+    with monkeypatch.context() as patch:
+        patch.setattr(certify, "solve_feasibility", spy)
+        return check_eroder(fam), systems
 
 
 class TestSearch:
