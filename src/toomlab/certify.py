@@ -10,13 +10,9 @@ one convex-weight vector per plus set, constrained to produce a common point.
   functionals f_1..f_q and thresholds c_1..c_q with  sum f_i = 0,
   sum c_i > 0  and  f_i >= c_i on the i-th selected plus set.  Any point in
   all hulls would give 0 = sum f_i(x) >= sum c_i > 0, a contradiction, so
-  the family proves emptiness.
-
-If the hulls do not meet, by Helly's theorem some d+1 of them do not, so the
-search tries subfamilies of 2 to d+1 sets, smallest first, then
-lexicographically; those whose sets share an offset meet there and skip the
-LP.  The full system is solved last: as the size-k subfamily (k <= d+1), or
-for the NON_ERODER certificate.
+  the family proves emptiness.  By Helly's theorem it needs at most d+1
+  sets; :func:`check_eroder` gives the order subfamilies are tried in, which
+  skip the LP, and when the full system is solved.
 
 Functionals are normalized so the largest absolute coefficient is 1, which
 pins down the derived constants (q, r = sum c_i) uniquely.
@@ -119,9 +115,12 @@ def _normalize(
 def check_eroder(family: PlusSetFamily) -> ErosionCertificate:
     """Decide emptiness of the intersection of the family's convex hulls.
 
-    ERODER: separating functionals over the first infeasible subfamily in the
-    module's search order.  NON_ERODER: common point and convex weights from
-    the full system, which meets (Helly) once no small subfamily separated.
+    If the hulls do not meet, some d+1 of them do not (Helly), so subfamilies
+    of 2 to d+1 sets go to the LP smallest first, then lexicographically; the
+    first infeasible one gives the ERODER certificate.  A proper subfamily
+    whose sets share an offset meets there and skips the LP.  The full system
+    is solved last, as the size-k subfamily (k <= d+1) or for the NON_ERODER
+    point and weights.
     """
     d = family.dimension
     if not family.sets:
