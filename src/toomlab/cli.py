@@ -398,9 +398,7 @@ def cmd_exact(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
     ns = np.arange(len(curve))
     usable = ns > 5
     fit = stats.fit_log_decay(ns[usable], np.asarray(curve)[usable])
-    f = oracle.spin_observable((0,) * rule.dimension, rule.dimension)
-    lhs = oracle.cylinder_expectation(pi.step(), f)
-    rhs = oracle.cylinder_expectation(pi, oracle.dual_apply(f, pi.kernel))
+    lhs, rhs = oracle.spin_duality(pi)
     payload = {
         "window": [list(s) for s in window],
         "stationary_marginal": [float(p) for p in marginal],

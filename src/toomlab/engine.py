@@ -472,10 +472,10 @@ def _replica_counts(words: np.ndarray, m: int, n: int) -> np.ndarray:
     Counted from the bits per byte, the same way for every n.  Runs repeat
     their byte alignment every p = 8 / gcd(n, 8) runs, which fill n*p/8
     whole bytes, so the row is read as blocks of that many bytes (from a
-    zero-padded copy when the last block runs past the row), a byte column
-    at a time.  Run j of each block sums the byte counts from the byte
-    holding its start up to the one holding its end, less the first's bits
-    below its start, plus the last's bits below its end (_BITS_BELOW).
+    zero-padded copy when the last block runs past the row).  Run j of each
+    block sums, in one call, the byte counts from the byte holding its start
+    up to the one holding its end, less the first's bits below its start,
+    plus the last's bits below its end (_BITS_BELOW).
     """
     p = 8 // math.gcd(n, 8)
     width = n * p // 8
@@ -488,9 +488,7 @@ def _replica_counts(words: np.ndarray, m: int, n: int) -> np.ndarray:
     for j, count in enumerate(counts):
         a, r = divmod(j * n, 8)
         b, s = divmod(j * n + n, 8)
-        count[...] = per_byte[:, a] if a < b else 0
-        for k in range(a + 1, b):
-            count += per_byte[:, k]
+        per_byte[:, a:b].sum(axis=1, dtype=np.int64, out=count)
         if r:
             count -= _BITS_BELOW[r][raw[:, a]]
         if s:

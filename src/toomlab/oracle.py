@@ -16,22 +16,21 @@ so no step makes a transposed copy: 0.15-0.21 ms per application at
 N = 12 and 0.5-0.75 ms at N = 14 on a ring, 3.2-3.5 ms on a 3 x 4 nec
 torus (2-core machine).  A torus is refused when one sweep step's input and
 output together exceed MAX_SWEEP_BYTES.  `ExactKernel.apply` takes one
-2^N vector.  The functions that push distributions or observables forward
-(`tv_curve`, `dual_apply`) take an `ExactKernel`; a stationary law carries
-the one it was solved on, with its sweep plan.  Up
-to 11 sites the solver, `StationaryLaw.step` and `_plus_iterates`, the one
-T^n delta_plus that `tv_curve` and `window_marginal_consistency` step, run on
-translation orbits (see `_Space`): 64 on a 3 x 3 torus, 188 on an 11-ring.
-`_local_codes` reads local configurations out of state codes and `_products`
-multiplies per-site probabilities into product weights, for the orbit
-matrix and the dual table alike.
+2^N vector.  `tv_curve` takes an `ExactKernel`; a stationary law carries
+the one it was solved on, with its sweep plan.  Up to 11 sites the solver
+and `_plus_iterates`, the one T^n delta_plus that `tv_curve` and
+`window_marginal_consistency` step, run on translation orbits (see
+`_Space`): 64 on a 3 x 3 torus, 188 on an 11-ring.  `_local_codes` reads
+local configurations out of state codes, for the orbit matrix, window
+marginals and the duality check, and `_products` multiplies per-site
+probabilities into the orbit matrix's product weights.
 
 On top of the kernel: the stationary distribution of a chain whose
 invariant law is proven unique (restarted GMRES, checked by its
 total-variation residual; any other chain is refused), the total-variation
-curve of T^n delta_plus, expectations of cylinder functions, the dual action
-on observables, window marginals, and the light-cone check that window
-marginals on two torus sizes agree exactly until influence wraps.
+curve of T^n delta_plus, the duality check E_{pi T}[sigma_0] = E_pi[T sigma_0]
+for the spin at the origin, window marginals, and the light-cone check that
+window marginals on two torus sizes agree exactly until influence wraps.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .engine import NoiseModel, influence_radius, kernel_plus, neighbor_table
+from .engine import NoiseModel, _as_sites, influence_radius, kernel_plus, neighbor_table
 from .errors import ConfigError, NumericalError, ResourceLimitError
 from .rules import RuleSpec
 
@@ -57,15 +56,6 @@ KRYLOV_RESTART = 40  # Arnoldi steps per GMRES cycle
 MAX_BASIS_BYTES = 1 << 30  # largest Krylov basis; the cycle shortens to fit
 
 Sitelike = Union[int, Sequence[int]]
-
-
-def _site_tuple(site: Sitelike, dimension: int) -> tuple[int, ...]:
-    if isinstance(site, int):
-        site = (site,)
-    site = tuple(int(c) for c in site)
-    if len(site) != dimension:
-        raise ValueError(f"site {site} does not match dimension {dimension}")
-    return site
 
 
 def _flat_index(site: tuple[int, ...], dims: tuple[int, ...]) -> int:
@@ -364,20 +354,17 @@ class StationaryLaw(StateDistribution):
 
     solver is "krylov", the one route.  iterations counts its kernel
     applications, the verifying ones included.  residual is TV(T pi, pi),
-    the total-variation residual that passed the `< tol` check.  kernel is
-    the ExactKernel the law was solved on.
+    the total-variation residual that passed the `< tol` check.  stepped is
+    that verifying application's pi T, lifted to the 2^N space and clipped
+    at 0 as probs is, not renormalized.  kernel is the ExactKernel the law
+    was solved on.
     """
 
     solver: str
     iterations: int
     residual: float
+    stepped: np.ndarray = field(compare=False, repr=False)
     kernel: ExactKernel = field(compare=False, repr=False)
-
-    def step(self) -> StateDistribution:
-        """pi T in the space pi was solved in: the orbit matrix up to MAX_ORBIT_SITES."""
-        space = _space(self.kernel)
-        x = self.probs if space.reps is None else self.probs[space.reps]
-        return StateDistribution(dims=self.dims, probs=space.lift(space.apply(x)))
 
 
 class _Space:
@@ -509,8 +496,11 @@ def _krylov_solve(kernel: ExactKernel, tol: float, max_iter: int) -> StationaryL
         applies += 1
         resid = space.tv(t_pi / space.total(t_pi), pi)
         if resid < tol:
+            stepped = np.clip(space.lift(t_pi), 0.0, None)
+            stepped.setflags(write=False)
             return StationaryLaw(dims=kernel.dims, probs=space.lift(pi), solver="krylov",
-                                 iterations=applies, residual=resid, kernel=kernel)
+                                 iterations=applies, residual=resid, stepped=stepped,
+                                 kernel=kernel)
         r = t_pi - pi
         beta = math.sqrt(space.dot(r, r))
         # a cycle that does not lower the residual norm has reached the
@@ -604,84 +594,25 @@ def _plus_iterates(space: _Space, n: int) -> Iterable[np.ndarray]:
         yield _renormalized(cur, space.total(cur))
 
 
-# --------------------------------------------------------------------------
-# cylinder functions
+def spin_duality(pi: StationaryLaw) -> tuple[float, float]:
+    """E_{pi T}[sigma_0] and E_pi[T sigma_0], the two sides of the duality
+    for the spin at flat site 0.
 
-
-@dataclass(frozen=True)
-class CylinderFunction:
-    """Observable depending on finitely many sites, as an explicit table."""
-
-    window: tuple[tuple[int, ...], ...]
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.window:
-            raise ValueError("window must contain at least one site")
-        dim = len(self.window[0]) if not isinstance(self.window[0], int) else 1
-        window = tuple(_site_tuple(s, dim) for s in self.window)
-        if len(set(window)) != len(window):
-            raise ValueError("window sites must be distinct")
-        if len(window) > MAX_WINDOW:
-            raise ValueError(f"window size {len(window)} exceeds cap {MAX_WINDOW}")
-        object.__setattr__(self, "window", window)
-        table = np.asarray(self.table, dtype=np.float64)
-        if table.shape != (1 << len(window),):
-            raise ValueError(
-                f"table must have length 2^{len(window)}, got {table.shape}"
-            )
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
-
-
-def spin_observable(site: Sitelike, dimension: int = 1) -> CylinderFunction:
-    """The single-site observable omega_x with values -1/+1."""
-    s = _site_tuple(site, dimension)
-    return CylinderFunction(window=(s,), table=np.array([-1.0, 1.0]))
-
-
-def _window_codes(window: Iterable[tuple[int, ...]], dims: tuple[int, ...]) -> np.ndarray:
-    """Window configuration code of every torus state, vectorized."""
-    return _local_codes(np.arange(1 << math.prod(dims)), [_flat_index(s, dims) for s in window])
-
-
-def cylinder_expectation(dist: StateDistribution, f: CylinderFunction) -> float:
-    """Expectation of a cylinder observable under an exact distribution."""
-    for site in f.window:
-        if len(site) != len(dist.dims):
-            raise ValueError(f"window site {site} does not match torus {dist.dims}")
-        if any(not 0 <= c < L for c, L in zip(site, dist.dims)):
-            raise ValueError(f"window site {site} lies outside torus {dist.dims}")
-    codes = _window_codes(f.window, dist.dims)
-    return float(np.dot(dist.probs, f.table[codes]))
-
-
-def dual_apply(f: CylinderFunction, kernel: ExactKernel) -> CylinderFunction:
-    """The dual (observable-side) action: (T f)(omega) = E[f(next) | omega].
-
-    The result is a cylinder function on the union of the window sites'
-    neighborhoods, wrapped on the kernel's torus: the sources are read from
-    kernel.nbr and the +1 probabilities from kernel.kern.
+    The left side reads pi's verified step.  The right side weighs each state
+    by (T sigma_0)(omega) = p - (1 - p), with p the +1 probability of site 0's
+    local configuration in omega, read from the kernel table.
     """
-    slots = kernel.nbr[:, [_flat_index(w, kernel.dims) for w in f.window]].tolist()
-    seen = list(dict.fromkeys(s for row in zip(*slots) for s in row))  # in order of first use
-    if len(seen) > MAX_WINDOW:
-        raise ValueError(f"dual window needs {len(seen)} sites, exceeding cap {MAX_WINDOW}")
-    if len(seen) + len(f.window) > MAX_EXACT_SITES:
-        raise ResourceLimitError("dual table would exceed the exact-computation cap")
-    # each window site's +1 probability under every configuration of the sources
-    bits = [[seen.index(s) for s in row] for row in slots]
-    probs = kernel.kern[_local_codes(np.arange(1 << len(seen)), bits)]
-    weights = _products(probs, np.arange(1 << len(f.window))).T.copy()  # C order keeps the bits
-    window = tuple(np.unravel_index(s, kernel.dims) for s in seen)
-    return CylinderFunction(window=window, table=weights @ f.table)
+    states = np.arange(pi.kernel.n_states)
+    p = pi.kernel.kern[_local_codes(states, pi.kernel.nbr[:, 0])]
+    lhs = np.dot(pi.stepped, np.where(states & 1, 1.0, -1.0))
+    return float(lhs), float(np.dot(pi.probs, p - (1.0 - p)))
 
 
 def window_sites(window: Sequence[Sitelike], dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The window's sites, refused when over MAX_WINDOW or coinciding on the torus."""
     if len(window) > MAX_WINDOW:
         raise ResourceLimitError(f"window of {len(window)} sites exceeds the cap {MAX_WINDOW}")
-    sites = tuple(_site_tuple(s, len(dims)) for s in window)
+    sites = tuple(_as_sites(window, len(dims)))
     if len({_flat_index(s, dims) for s in sites}) != len(sites):
         raise ConfigError(f"window sites {list(sites)} are not distinct on torus {dims}")
     return sites
@@ -690,7 +621,7 @@ def window_sites(window: Sequence[Sitelike], dims: tuple[int, ...]) -> tuple[tup
 def window_marginal(dist: StateDistribution, window: Sequence[Sitelike]) -> np.ndarray:
     """Exact marginal law of the window bits, indexed little-endian."""
     sites = window_sites(window, dist.dims)
-    codes = _window_codes(sites, dist.dims)
+    codes = _local_codes(np.arange(len(dist.probs)), [_flat_index(s, dist.dims) for s in sites])
     out = np.zeros(1 << len(sites))
     np.add.at(out, codes, dist.probs)
     return out
@@ -710,7 +641,7 @@ def window_marginal_consistency(
     influence cone fits in the smaller torus: window radius + n*v must stay
     below min(dims_small)/2.
     """
-    sites = tuple(_site_tuple(s, rule.dimension) for s in window)
+    sites = _as_sites(window, rule.dimension)
     radius = max(sum(abs(c) for c in s) for s in sites)
     v = influence_radius(rule)
     if not radius + n * v < min(int(L) for L in dims_small) / 2:

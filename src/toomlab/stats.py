@@ -59,7 +59,6 @@ class FitResult:
     """Exponential-decay fit on log-magnitudes of usable points."""
 
     rate: Optional[float]
-    intercept: Optional[float]
     r_squared: Optional[float]
     n_points: int
     valid: bool
@@ -87,7 +86,7 @@ def fit_log_decay(
     usable = (np.abs(ys) > NOISE_FLOOR_SE * errs) & (np.abs(ys) > 0.0)
     n = int(usable.sum())
     if n < 3:
-        return FitResult(None, None, None, n, False)
+        return FitResult(None, None, n, False)
     x = xs[usable]
     logy = np.log(np.abs(ys[usable]))
     slope, intercept = np.polyfit(x, logy, 1)
@@ -97,8 +96,8 @@ def fit_log_decay(
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     rate = math.exp(slope)
     if rate > 1.0:
-        return FitResult(None, float(intercept), r2, n, False)
-    return FitResult(rate, float(intercept), r2, n, True)
+        return FitResult(None, r2, n, False)
+    return FitResult(rate, r2, n, True)
 
 
 def batch_means_se(series: np.ndarray) -> float:

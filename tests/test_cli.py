@@ -678,14 +678,15 @@ class TestStrictInputs:
 
     @pytest.mark.parametrize("fields, error", [
         ({"window": [[0], [6]]}, "ConfigError"),  # site 6 wraps onto site 0
+        ({"window": [[0, 0]]}, "ConfigError"),  # a 2-d site on a ring
         ({"window": [[i] for i in range(21)]}, "ResourceLimitError"),  # over MAX_WINDOW
         ({"window": [[i] for i in range(45)]}, "ResourceLimitError"),
         ({"tv_steps": -3}, "ConfigError"),
         ({"max_iter": 0}, "ConfigError"),
         ({"tol": 0}, "ConfigError"),
         ({"tol": -1e-9}, "ConfigError"),
-    ], ids=["wrapped-duplicate", "window-21", "window-45", "negative-tv-steps", "zero-max-iter",
-            "zero-tol", "negative-tol"])
+    ], ids=["wrapped-duplicate", "window-wrong-dimension", "window-21", "window-45",
+            "negative-tv-steps", "zero-max-iter", "zero-tol", "negative-tol"])
     def test_bad_exact_input_rejected(self, tmp_path, capsys, fields, error):
         # refused before anything window-sized (2^21 doubles is 16 MiB) exists
         tracemalloc.start()
@@ -824,6 +825,22 @@ class TestOneTrajectoryPerCommand:
              "tv_steps": 10},
         )
         assert code == 0 and len(built) == 1
+
+    @pytest.mark.parametrize("dims", [[8], [12]], ids=["orbits", "sweep"])
+    def test_exact_applies_t_only_to_solve_and_trace(self, tmp_path, monkeypatch, dims):
+        # the duality check reads the solve's verifying apply and the kernel table
+        applies = []
+        apply = cli.oracle._Space.apply
+        monkeypatch.setattr(cli.oracle._Space, "apply",
+                            lambda space, x: applies.append(len(x)) or apply(space, x))
+        code, out = run(
+            tmp_path, "exact",
+            {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1}, "dims": dims,
+             "tv_steps": 10},
+        )
+        report = read_json(out / "exact_report.json")
+        assert code == 0 and report["duality_residual"] < 1e-12
+        assert len(applies) == report["stationary_iterations"] + len(report["tv_curve"]) - 1
 
     def test_exact_duality_check_builds_no_sweep_plan(self, tmp_path, monkeypatch):
         # up to 11 sites pi T is one apply of the orbit matrix

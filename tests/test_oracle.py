@@ -9,12 +9,9 @@ from toomlab import engine, oracle
 from toomlab.engine import LatticeState, RngKey, biased_noise, symmetric_noise, table_noise
 from toomlab.errors import ConfigError, NumericalError, ResourceLimitError
 from toomlab.oracle import (
-    CylinderFunction,
     ExactKernel,
     StateDistribution,
-    cylinder_expectation,
-    dual_apply,
-    spin_observable,
+    spin_duality,
     stationary_distribution,
     tv_curve,
     window_marginal,
@@ -278,8 +275,8 @@ class TestOrbits:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_products_multiply_in_ascending_site_order(self, data):
-        # the orbit matrix and the dual table take their product weights
-        # from one helper, which keeps the bits of a per-entry product
+        # the orbit matrix takes its product weights from this helper, which
+        # keeps the bits of a per-entry product
         n = data.draw(st.integers(1, 6))
         rows = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
         probs = np.array(data.draw(st.lists(rows, min_size=1, max_size=5)))
@@ -398,9 +395,10 @@ class TestStationary:
 
     @pytest.mark.parametrize("dims", [(8,), (12,)])
     def test_step_is_the_full_space_update(self, dims):
-        # the orbit matrix up to 11 sites, the site sweep above
+        # the verifying apply: the orbit matrix up to 11 sites, the site sweep above
         pi = stationary_distribution(STAV, symmetric_noise(0.1), dims)
-        assert np.allclose(pi.step().probs, pi.kernel.apply(pi.probs), rtol=0.0, atol=1e-15)
+        assert np.allclose(pi.stepped, pi.kernel.apply(pi.probs), rtol=0.0, atol=1e-15)
+        assert not pi.stepped.flags.writeable
 
     def test_absorbing_chain_needs_no_opt_in(self):
         # all-minus absorbs, and the uniqueness proof alone admits the chain
@@ -498,41 +496,21 @@ class TestTvDistance:
             tv_distance(delta_plus((4,)), delta_plus((5,)))
 
 
-class TestCylinderFunctions:
-    def test_normalization_and_point_masses(self):
-        one = CylinderFunction(window=((0,),), table=np.array([1.0, 1.0]))
-        u = uniform_distribution((6,))
-        assert cylinder_expectation(u, one) == pytest.approx(1.0)
-        spin = spin_observable((0,), 1)
-        assert cylinder_expectation(u, spin) == pytest.approx(0.0)
-        assert cylinder_expectation(delta_plus((6,)), spin) == 1.0
-        assert cylinder_expectation(delta_minus((6,)), spin) == -1.0
-
-    def test_window_outside_torus(self):
-        spin = spin_observable((7,), 1)
-        with pytest.raises(ValueError):
-            cylinder_expectation(uniform_distribution((6,)), spin)
-
-    def test_window_cap(self):
-        with pytest.raises(ValueError):
-            CylinderFunction(window=tuple((i,) for i in range(21)), table=np.zeros(2**21))
-
-    def test_duality_exact(self):
-        # <T mu, f> == <mu, T f> for the dual pairing, exactly
-        rng = np.random.default_rng(11)
-        for dims, rule, noise in [
-            ((8,), STAV, symmetric_noise(0.12)),
-            ((3, 3), NEC, symmetric_noise(0.22)),
-        ]:
-            probs = rng.random(1 << int(np.prod(dims)))
-            probs /= probs.sum()
-            dist = StateDistribution(dims=dims, probs=probs)
-            window = ((0,) * len(dims), (1,) + (0,) * (len(dims) - 1))
-            f = CylinderFunction(window=window, table=rng.normal(size=4))
-            kernel = ExactKernel(rule, noise, dims)
-            lhs = cylinder_expectation(transfer_apply(dist, kernel), f)
-            rhs = cylinder_expectation(dist, dual_apply(f, kernel))
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+class TestSpinDuality:
+    @pytest.mark.parametrize("rule, noise, dims", [
+        (STAV, symmetric_noise(0.1), (8,)),
+        (NEC, table_noise([0.05, 0.1, 0.2, 0.9, 0.15, 0.85, 0.7, 0.97]), (3, 3)),
+    ], ids=["stavskaya-8", "nec-3x3-table"])
+    def test_right_side_is_pi_times_t_sigma(self, rule, noise, dims):
+        # E_pi[T sigma_0] against pi . (T sigma_0), T built one source state at a
+        # time; pi T is formed first, as T sigma_0's 512-term rows of products
+        # round to 4.6e-15 on the table noise
+        pi = stationary_distribution(rule, noise, dims)
+        n = pi.kernel.n_states
+        matrix = brute_force_transfer(rule, pi.kernel.kern, dims, np.eye(n))
+        want = (pi.probs @ matrix) @ np.where(np.arange(n) & 1, 1.0, -1.0)
+        lhs, rhs = spin_duality(pi)
+        assert abs(rhs - want) < 1e-15 and abs(lhs - want) < 1e-15
 
 
 class TestWindowConsistency:
