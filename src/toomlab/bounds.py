@@ -134,10 +134,9 @@ def constants_C(p: BoundParams) -> Prefactors:
 class DecayConstants(NamedTuple):
     C_prime: float
     eta: float | None
-    v: int
 
 
-def decay_constants(C: float, sigma_value: float, neighborhood: Sequence[Sequence[int]]) -> DecayConstants:
+def decay_constants(C: float, sigma_value: float, v: int) -> DecayConstants:
     """Spatial-decay constants from the temporal ones.
 
     v is the one-step influence radius max_u |u|_1; correlations at distance
@@ -147,10 +146,9 @@ def decay_constants(C: float, sigma_value: float, neighborhood: Sequence[Sequenc
     """
     if not 0.0 < sigma_value < 1.0:
         raise ValueError(f"sigma must lie in (0, 1), got {sigma_value}")
-    v = max(sum(abs(int(c)) for c in u) for u in neighborhood)
     C_prime = 2.0 * C / sigma_value
     eta = sigma_value ** (1.0 / (2.0 * v)) if v > 0 else None
-    return DecayConstants(C_prime, eta, v)
+    return DecayConstants(C_prime, eta)
 
 
 def bounds_report(
@@ -168,6 +166,7 @@ def bounds_report(
     the noise is too large for the bounds to apply.
     """
     R = len(neighborhood)
+    v = max(sum(abs(int(c)) for c in u) for u in neighborhood)
     p = BoundParams(R=R, q=q, r=float(r), alpha=alpha, eps=eps, eps_prime=eps_prime, K=K)
     a_star = alpha_star(R)
     e_star = epsilon_star(R, q, r, alpha) if alpha < a_star else None
@@ -189,14 +188,14 @@ def bounds_report(
         "C_inv": None,
         "C_prime": None,
         "eta": None,
-        "v": max(sum(abs(int(c)) for c in u) for u in neighborhood),
+        "v": v,
     }
     if p.admissible:
         C, C_inv = constants_C(p)
         report["C"] = C
         report["C_inv"] = C_inv
         if 0.0 < s < 1.0:
-            dc = decay_constants(C, s, neighborhood)
+            dc = decay_constants(C, s, v)
             report["C_prime"] = dc.C_prime
             report["eta"] = dc.eta
     return report

@@ -72,6 +72,11 @@ def _as_sites(island: Iterable, dimension: int) -> list[Site]:
     return sites
 
 
+def _flat_index(site: Site, dims: tuple[int, ...]) -> int:
+    """Flat index of a site, wrapped onto the torus."""
+    return int(np.ravel_multi_index(tuple(c % L for c, L in zip(site, dims)), dims))
+
+
 @dataclass(frozen=True)
 class LatticeState:
     """Immutable bit-packed spin configuration on a torus."""
@@ -122,8 +127,7 @@ class LatticeState:
         dims = tuple(int(L) for L in dims)
         bits = np.ones(int(np.prod(dims)), dtype=np.uint8)
         for s in _as_sites(island, len(dims)):
-            idx = np.ravel_multi_index(tuple(c % L for c, L in zip(s, dims)), dims)
-            bits[idx] = 0
+            bits[_flat_index(s, dims)] = 0
         return cls.from_bits(dims, bits)
 
     def __eq__(self, other: object) -> bool:

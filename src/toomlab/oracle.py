@@ -42,7 +42,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .engine import NoiseModel, _as_sites, influence_radius, kernel_plus, neighbor_table
+from .engine import NoiseModel, _as_sites, _flat_index, influence_radius, kernel_plus, neighbor_table
 from .errors import ConfigError, NumericalError, ResourceLimitError
 from .rules import RuleSpec
 
@@ -56,10 +56,6 @@ KRYLOV_RESTART = 40  # Arnoldi steps per GMRES cycle
 MAX_BASIS_BYTES = 1 << 30  # largest Krylov basis; the cycle shortens to fit
 
 Sitelike = Union[int, Sequence[int]]
-
-
-def _flat_index(site: tuple[int, ...], dims: tuple[int, ...]) -> int:
-    return int(np.ravel_multi_index(tuple(c % L for c, L in zip(site, dims)), dims))
 
 
 @dataclass(frozen=True)
@@ -87,10 +83,6 @@ class StateDistribution:
         probs = np.clip(probs, 0.0, None)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-
-    @property
-    def n_sites(self) -> int:
-        return int(np.prod(self.dims))
 
 
 class ExactKernel:

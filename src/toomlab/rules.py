@@ -27,14 +27,6 @@ MAX_NEIGHBORHOOD = 20
 Offset = tuple[int, ...]
 
 
-def _spin_to_bit(s: int) -> int:
-    if s == PLUS:
-        return 1
-    if s == MINUS:
-        return 0
-    raise ValueError(f"spin must be +1 or -1, got {s!r}")
-
-
 def _bit_to_spin(b: int) -> int:
     return PLUS if b else MINUS
 
@@ -122,16 +114,8 @@ class MonotoneReport:
         return self.monotone and self.constant is None
 
 
-def encode(local: Sequence[int]) -> int:
-    """Encode a local spin configuration as a table index (bit i = spin at offset i)."""
-    cfg = 0
-    for i, s in enumerate(local):
-        cfg |= _spin_to_bit(s) << i
-    return cfg
-
-
 def decode(cfg: int, size: int) -> tuple[int, ...]:
-    """Inverse of :func:`encode`."""
+    """Spins of local configuration ``cfg`` on ``size`` offsets: bit i set is +1 at offset i."""
     return tuple(_bit_to_spin((cfg >> i) & 1) for i in range(size))
 
 
@@ -238,19 +222,6 @@ _BUILTINS = {
         name="identity",
     ),
 }
-
-
-def builtin(name: str) -> RuleSpec:
-    """Return one of the validated built-in rules by name."""
-    try:
-        make = _BUILTINS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown builtin rule {name!r}; choices: {sorted(_BUILTINS)}"
-        ) from None
-    rule = make()
-    _require_valid(rule)
-    return rule
 
 
 BUILTIN_NAMES = tuple(sorted(_BUILTINS))

@@ -60,7 +60,6 @@ class FitResult:
 
     rate: Optional[float]
     r_squared: Optional[float]
-    n_points: int
     valid: bool
 
 
@@ -84,9 +83,8 @@ def fit_log_decay(
         errs = np.zeros_like(ys)
     errs = np.asarray(errs, dtype=np.float64)
     usable = (np.abs(ys) > NOISE_FLOOR_SE * errs) & (np.abs(ys) > 0.0)
-    n = int(usable.sum())
-    if n < 3:
-        return FitResult(None, None, n, False)
+    if usable.sum() < 3:
+        return FitResult(None, None, False)
     x = xs[usable]
     logy = np.log(np.abs(ys[usable]))
     slope, intercept = np.polyfit(x, logy, 1)
@@ -96,8 +94,8 @@ def fit_log_decay(
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     rate = math.exp(slope)
     if rate > 1.0:
-        return FitResult(None, r2, n, False)
-    return FitResult(rate, r2, n, True)
+        return FitResult(None, r2, False)
+    return FitResult(rate, r2, True)
 
 
 def batch_means_se(series: np.ndarray) -> float:

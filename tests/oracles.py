@@ -466,7 +466,12 @@ def evaluate(rule: RuleSpec, local: Sequence[int]) -> int:
     """Apply the rule's table to one local configuration of R spins."""
     if len(local) != rule.size:
         raise ValueError(f"expected {rule.size} local spins, got {len(local)}")
-    return rules.PLUS if rule.table[rules.encode(local)] else rules.MINUS
+    cfg = 0
+    for i, s in enumerate(local):
+        if s not in (rules.PLUS, rules.MINUS):
+            raise ValueError(f"spin must be +1 or -1, got {s!r}")
+        cfg |= (s == rules.PLUS) << i
+    return rules.PLUS if rule.table[cfg] else rules.MINUS
 
 
 def rule_to_json(rule: RuleSpec) -> dict:

@@ -16,7 +16,7 @@ import pytest
 from toomlab import bounds, certify, engine, oracle, stats
 from toomlab.certify import ERODER, NON_ERODER
 from toomlab.engine import LatticeState, RngKey, biased_noise, symmetric_noise
-from toomlab.rules import RuleSpec, builtin, minimal_plus_sets
+from toomlab.rules import RuleSpec, load_rule, minimal_plus_sets
 
 from .oracles import (
     enumerate_1d_rules_exhaustive,
@@ -57,7 +57,7 @@ def test_c01_erosion_verdicts():
             "identity": NON_ERODER,
         }
         for name, verdict in expected.items():
-            family = minimal_plus_sets(builtin(name))
+            family = minimal_plus_sets(load_rule(name))
             cert = certify.check_eroder(family)
             assert cert.verdict == verdict, name
             assert certify.verify_certificate(family, cert), name
@@ -131,7 +131,7 @@ def test_c03_bound_formulas():
 
 def test_c04_oracle_equivalence():
     with _Budget("criterion 4: Monte Carlo vs exact oracle", 300.0):
-        rule = builtin("stavskaya")
+        rule = load_rule("stavskaya")
         noise = symmetric_noise(0.1)
         dims = (8,)
         replicas = 120_000
@@ -171,24 +171,24 @@ def test_c04_oracle_equivalence():
 def test_c05_light_cone_consistency():
     with _Budget("criterion 5: window-marginal consistency", 120.0):
         d1 = oracle.window_marginal_consistency(
-            builtin("stavskaya"), symmetric_noise(0.1), [(0,)], 2, (8,), (12,)
+            load_rule("stavskaya"), symmetric_noise(0.1), [(0,)], 2, (8,), (12,)
         )
         assert d1 < 1e-12
         d2 = oracle.window_marginal_consistency(
-            builtin("nec"), symmetric_noise(0.1), [(0, 0)], 1, (3, 3), (4, 4)
+            load_rule("nec"), symmetric_noise(0.1), [(0, 0)], 1, (3, 3), (4, 4)
         )
         assert d2 < 1e-12
 
 
 def test_c06_erosion_time_table():
     with _Budget("criterion 6: erosion-time table", 10.0):
-        rule = builtin("stavskaya")
+        rule = load_rule("stavskaya")
         for k in range(1, 33):
             res = engine.erosion_time(rule, [[i] for i in range(k)])
             assert res.erased and res.steps == k, k
-        res = engine.erosion_time(builtin("nec"), [(0, 0)])
+        res = engine.erosion_time(load_rule("nec"), [(0, 0)])
         assert res.erased and res.steps == 1
-        res = engine.erosion_time(builtin("majority1d"), [0, 1], cutoff=1000)
+        res = engine.erosion_time(load_rule("majority1d"), [0, 1], cutoff=1000)
         assert not res.erased and res.steps == 1000
 
 
@@ -196,15 +196,15 @@ def test_c07_noise_assumption_checker():
     with _Budget("criterion 7: noise-assumption checker", 1.0):
         for eps in (0.0, 0.05, 0.1):
             for name in ("stavskaya", "nec", "majority1d", "identity"):
-                got = engine.check_assumptions(symmetric_noise(eps), builtin(name))
+                got = engine.check_assumptions(symmetric_noise(eps), load_rule(name))
                 assert got == (eps, 0.0), (name, eps)
-            got = engine.check_assumptions(biased_noise(eps, 0.0), builtin("stavskaya"))
+            got = engine.check_assumptions(biased_noise(eps, 0.0), load_rule("stavskaya"))
             assert got == (eps, 0.0), eps
 
 
 def test_c08_threaded_determinism():
     with _Budget("criterion 8: thread/invocation determinism", 60.0):
-        rule = builtin("nec")
+        rule = load_rule("nec")
         noise = symmetric_noise(0.1)
         dims = (256, 256)
         start = LatticeState.all_plus(dims)
@@ -219,7 +219,7 @@ def test_c08_threaded_determinism():
 
 def test_c09_convergence_rate():
     with _Budget("criterion 9: exact TV convergence rate", 60.0):
-        rule = builtin("stavskaya")
+        rule = load_rule("stavskaya")
         noise = symmetric_noise(0.05)
         dims = (10,)
         pi = oracle.stationary_distribution(rule, noise, dims, tol=1e-12)
@@ -234,7 +234,7 @@ def test_c09_convergence_rate():
 
 def test_c10_two_phase_stability():
     with _Budget("criterion 10: phase divergence classification", 600.0):
-        rule = builtin("nec")
+        rule = load_rule("nec")
         dims = (256, 256)
         for seed in (11, 22, 33):
             low = stats.two_phase_divergence(

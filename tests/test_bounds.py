@@ -155,23 +155,23 @@ class TestConstantsC:
 
 class TestDecayConstants:
     def test_nec_influence_radius(self):
-        got = decay_constants(1.0, 0.5, ((0, 0), (1, 0), (0, 1)))
-        assert got.v == 1
+        rep = bounds.bounds_report(q=2, r=1.0, neighborhood=((0, 0), (1, 0), (0, 1)), eps=1e-30)
+        assert rep["v"] == 1
 
     def test_eta_and_prefactor(self):
-        got = decay_constants(1.0, 0.25, ((0,), (1,)))
+        got = decay_constants(1.0, 0.25, 1)
         assert got.eta == pytest.approx(0.5, abs=1e-15)
         assert got.C_prime == pytest.approx(8.0, abs=1e-15)
 
     def test_origin_only_neighborhood(self):
-        got = decay_constants(1.0, 0.5, ((0,),))
-        assert got.v == 0 and got.eta is None
+        got = decay_constants(1.0, 0.5, 0)
+        assert got.eta is None
 
     def test_sigma_domain(self):
         with pytest.raises(ValueError):
-            decay_constants(1.0, 1.0, ((0,), (1,)))
+            decay_constants(1.0, 1.0, 1)
         with pytest.raises(ValueError):
-            decay_constants(1.0, 0.0, ((0,), (1,)))
+            decay_constants(1.0, 0.0, 1)
 
 
 class TestBoundsReport:

@@ -1,12 +1,22 @@
 """Every name that ``src/toomlab`` defines has a caller outside the tests.
 
 A top-level function or class, a public method of a top-level class, or a
-public module-level constant must be referenced by code in ``src/toomlab``
-or ``perfbench`` (``perfbench/tests`` excluded).  References inside the
-name's own definition do not count, and docstrings and comments are not
-code.  A helper that only tests use belongs in ``tests/oracles.py``.  The
-few names kept in ``src`` for tests on purpose are listed in ALLOWED, each
-with its reason.
+public module-level constant must be read by code in ``src/toomlab`` or
+``perfbench`` (``perfbench/tests`` excluded).  Reads inside the name's own
+definition do not count, and docstrings and comments are not code.  A helper
+that only tests use belongs in ``tests/oracles.py``.  The few names kept in
+``src`` for tests on purpose are listed in ALLOWED, each with its reason.
+
+A top-level name ``M.x`` is read by name resolution, not by spelling:
+- a bare ``x`` inside module ``M``;
+- a bare name bound by ``from .M import x`` or ``from toomlab.M import x``,
+  following re-exports (``stats``'s ``from .engine import RuleSpec`` reads
+  ``rules.RuleSpec``, which ``engine`` imports);
+- an attribute of ``M``'s module object, such as ``engine.x`` or
+  ``cli.engine.x``.
+So ``str.encode`` is not a read of a ``rules.encode``.  A method still
+counts as read by any attribute of its name, since the type of the object
+it is read from is not known without running the code.
 """
 
 import ast
@@ -14,13 +24,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "toomlab"
+PACKAGE = "__init__"  # the module name of the package itself
 
 ALLOWED = {
     "engine.check_assumptions": "acceptance criterion 7 checks the noise assumptions through it",
     "engine.evolve": "acceptance criterion 8 steps a state through it; perfbench/tracer.py wraps it",
     "oracle.window_marginal_consistency": "acceptance criterion 5 checks light-cone agreement with it",
-    "rules.builtin": "validated built-in lookup; commands take the same names through load_rule",
-    "rules.MonotoneReport.ok": "the report's one verdict; check writes the two fields it combines",
+    "rules.MonotoneReport.ok": (
+        "the report's one verdict; perfbench/tests/test_perfbench_workloads.py reads it"
+        " and check writes the two fields it combines"
+    ),
     "cli._Parser.error": "argparse calls it on a usage error",
 }
 
@@ -43,18 +56,101 @@ def definitions() -> dict[str, tuple[Path, ast.AST, bool]]:
     return out
 
 
-def references() -> list[tuple[Path, int, str, bool]]:
-    """(file, line, name, is_attribute) of every name read in src/toomlab and perfbench."""
-    files = list(SRC.glob("*.py"))
+def _imported_module(node: ast.ImportFrom, in_src: bool) -> str | None:
+    """The src module a ``from ... import`` reads from, or None outside toomlab."""
+    if node.level == 1 and in_src:
+        return node.module or PACKAGE
+    if node.level == 0 and node.module == "toomlab":
+        return PACKAGE
+    if node.level == 0 and node.module and node.module.startswith("toomlab."):
+        return node.module.split(".", 1)[1]
+    return None
+
+
+def bindings(tree: ast.AST, in_src: bool) -> dict[str, tuple]:
+    """Name -> ("module", M) or ("name", M, x) for each toomlab import in a file.
+
+    Imports anywhere in the file count, function-local ones included.
+    """
+    modules = {p.stem for p in SRC.glob("*.py")}
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = _imported_module(node, in_src)
+            if source is None:
+                continue
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if source == PACKAGE and alias.name in modules:
+                    out[local] = ("module", alias.name)
+                else:
+                    out[local] = ("name", source, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "toomlab" or alias.name.startswith("toomlab."):
+                    if alias.asname:
+                        out[alias.asname] = ("module", alias.name.partition(".")[2] or PACKAGE)
+                    else:
+                        out["toomlab"] = ("module", PACKAGE)
+    return out
+
+
+class Resolver:
+    """Resolves the names and attributes a file reads to src modules and definitions."""
+
+    def __init__(self):
+        self.modules = {p.stem: bindings(ast.parse(p.read_text()), True) for p in SRC.glob("*.py")}
+
+    def member(self, module: str, name: str) -> tuple | None:
+        """What ``name`` is in src ``module``: ("module", M), ("name", "M.x"), or None."""
+        bound = self.modules[module].get(name)
+        if bound is None:
+            if module == PACKAGE and name in self.modules:
+                return ("module", name)
+            return ("name", f"{module}.{name}")
+        if bound[0] == "module":
+            return bound
+        return self.member(bound[1], bound[2])
+
+    def resolve(self, node: ast.AST, module: str | None, local: dict) -> tuple | None:
+        """What a Name or Attribute node reads, seen from ``module`` (None outside src)."""
+        if isinstance(node, ast.Name):
+            if module is not None:
+                return self.member(module, node.id)
+            bound = local.get(node.id)
+            if bound is not None and bound[0] == "name":
+                return self.member(bound[1], bound[2])
+            return bound
+        if isinstance(node, ast.Attribute):
+            owner = self.resolve(node.value, module, local)
+            if owner is not None and owner[0] == "module":
+                return self.member(owner[1], node.attr)
+        return None
+
+
+def references() -> list[tuple[Path, int, str | None, str | None]]:
+    """(file, line, qualified name read, attribute name) of each read in src/toomlab and perfbench.
+
+    The qualified name is None when a read resolves to no src definition, and
+    the attribute name is None for a bare name.
+    """
+    resolver = Resolver()
+    files = [(p, p.stem) for p in SRC.glob("*.py")]
     bench = ROOT / "perfbench"
-    files += [p for p in bench.rglob("*.py") if "tests" not in p.relative_to(bench).parts]
+    files += [(p, None) for p in bench.rglob("*.py") if "tests" not in p.relative_to(bench).parts]
     out = []
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                out.append((path, node.lineno, node.id, False))
-            elif isinstance(node, ast.Attribute):
-                out.append((path, node.lineno, node.attr, True))
+    for path, module in files:
+        tree = ast.parse(path.read_text())
+        local = bindings(tree, False) if module is None else {}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Name, ast.Attribute)):
+                continue
+            target = None
+            if isinstance(node.ctx, ast.Load):
+                target = resolver.resolve(node, module, local)
+            qualified = target[1] if target is not None and target[0] == "name" else None
+            attr = node.attr if isinstance(node, ast.Attribute) else None
+            out.append((path, node.lineno, qualified, attr))
     return out
 
 
@@ -65,8 +161,8 @@ def uncalled() -> set[str]:
         name = qualified.rsplit(".", 1)[1]
         own = range(node.lineno, node.end_lineno + 1)
         if not any(
-            n == name and (attr or not is_method) and not (p == path and line in own)
-            for p, line, n, attr in refs
+            (attr == name if is_method else read == qualified) and not (p == path and line in own)
+            for p, line, read, attr in refs
         ):
             found.add(qualified)
     return found

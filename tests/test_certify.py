@@ -19,7 +19,7 @@ from toomlab.certify import (
     verify_certificate,
 )
 from toomlab.errors import CertificateFormatError
-from toomlab.rules import PlusSetFamily, RuleSpec, builtin, minimal_plus_sets
+from toomlab.rules import PlusSetFamily, RuleSpec, load_rule, minimal_plus_sets
 
 from .oracles import (
     enumerate_1d_rules_exhaustive,
@@ -34,7 +34,7 @@ GOLDEN = Path(__file__).parent / "data" / "stavskaya_certificate.json"
 
 
 def family(name: str) -> PlusSetFamily:
-    return minimal_plus_sets(builtin(name))
+    return minimal_plus_sets(load_rule(name))
 
 
 class TestVerdicts:

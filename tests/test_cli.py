@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from toomlab import cli, rules
-from toomlab.rules import builtin
+from toomlab.rules import load_rule
 
 
 def run(tmp_path, command, config, *extra):
@@ -942,7 +942,7 @@ class TestOneTrajectoryPerCommand:
             assert len(callers) > before, command
         before = len(callers)
         state = cli.engine.LatticeState.all_plus((8,))
-        cli.engine.evolve(state, builtin("stavskaya"), None, cli.engine.RngKey(0), 0, 3)
+        cli.engine.evolve(state, load_rule("stavskaya"), None, cli.engine.RngKey(0), 0, 3)
         assert len(callers) == before + 3
         assert set(callers) == {"run"}
 

@@ -17,7 +17,7 @@ from numpy.random import Generator, Philox
 
 from toomlab import engine
 from toomlab.engine import LatticeState, RngKey, kernel_plus
-from toomlab.rules import RuleSpec, builtin
+from toomlab.rules import RuleSpec, load_rule
 
 from .oracles import TorusStepper, evolve_batch, random_rule, step_uniforms
 
@@ -135,7 +135,7 @@ def test_integer_threshold_equals_float_comparison(p):
 
 
 def test_threshold_extremes_through_a_step():
-    rule = builtin("nec")
+    rule = load_rule("nec")
     p = [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0, 0.5, 0.0, 1.0]
     noise = engine.table_noise(p)
     dims = (13, 11)
@@ -147,7 +147,7 @@ def test_threshold_extremes_through_a_step():
 
 def test_empty_batch_stays_empty():
     got = evolve_batch(
-        np.zeros((0, 8), dtype=np.uint8), builtin("stavskaya"),
+        np.zeros((0, 8), dtype=np.uint8), load_rule("stavskaya"),
         engine.symmetric_noise(0.1), (8,), RngKey(1), 0, 3,
     )
     assert got.shape == (0, 8)

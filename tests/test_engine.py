@@ -20,7 +20,7 @@ from toomlab.engine import (
     table_noise,
 )
 from toomlab.errors import ConfigError
-from toomlab.rules import builtin
+from toomlab.rules import load_rule
 
 from .oracles import (
     TorusStepper,
@@ -71,25 +71,25 @@ class TestDeterministicStep:
         ("stavskaya", (8,)), ("nec", (5, 5)), ("majority1d", (9,)), ("identity", (4,)),
     ])
     def test_homogeneous_invariant(self, name, dims):
-        rule = builtin(name)
+        rule = load_rule(name)
         for make in (LatticeState.all_plus, LatticeState.all_minus):
             state = make(dims)
             assert evolve(state, rule, None, RngKey(0), 0, 1) == state
 
     def test_stavskaya_hand_example(self):
         # a site stays -1 iff it and its right neighbor are both -1
-        rule = builtin("stavskaya")
+        rule = load_rule("stavskaya")
         state = LatticeState.plus_with_island((8,), [2, 3, 4])
         out = evolve(state, rule, None, RngKey(0), 0, 1)
         assert sorted(np.flatnonzero(out.bits() == 0).tolist()) == [2, 3]
 
     def test_nec_single_minus_heals(self):
-        rule = builtin("nec")
+        rule = load_rule("nec")
         state = LatticeState.plus_with_island((6, 6), [(0, 0)])
         assert evolve(state, rule, None, RngKey(0), 0, 1) == LatticeState.all_plus((6, 6))
 
     def test_input_unmodified(self):
-        rule = builtin("stavskaya")
+        rule = load_rule("stavskaya")
         state = LatticeState.plus_with_island((8,), [1])
         before = state.bits().copy()
         evolve(state, rule, None, RngKey(0), 0, 1)
@@ -97,18 +97,18 @@ class TestDeterministicStep:
 
     def test_aliasing_dims_rejected(self):
         with pytest.raises(ConfigError):
-            TorusStepper(builtin("nec"), (2, 5))
+            TorusStepper(load_rule("nec"), (2, 5))
 
     @pytest.mark.parametrize("dims", [(2, 5), (5, 2)])
     def test_aliasing_dims_rejected_by_the_packed_step(self, dims):
-        rule = builtin("nec")
+        rule = load_rule("nec")
         with pytest.raises(ConfigError, match="aliases"):
             evolve(LatticeState.all_plus(dims), rule, None, RngKey(0), 0, 1)
         with pytest.raises(ConfigError, match="aliases"):
             engine.evolve(LatticeState.all_plus(dims), rule, symmetric_noise(0.1), RngKey(1), 0, 3)
 
     def test_monotone_coupling(self):
-        rule = builtin("nec")
+        rule = load_rule("nec")
         rng = np.random.default_rng(3)
         st_ = TorusStepper(rule, (6, 6))
         for _ in range(25):
@@ -124,7 +124,7 @@ class TestDeterministicStep:
     def test_monotone_coupling_through_the_packed_step(self, name, dims):
         # lo <= hi sitewise stays so after a deterministic step, and after a
         # noisy step that both states take with the same draws
-        rule, noise = builtin(name), symmetric_noise(0.2)
+        rule, noise = load_rule(name), symmetric_noise(0.2)
         n = int(np.prod(dims))
         rng = np.random.default_rng(3)
         for t in range(25):
@@ -139,7 +139,7 @@ class TestDeterministicStep:
             assert np.all(out_lo <= out_hi)
 
     def test_translation_covariance(self):
-        rule = builtin("nec")
+        rule = load_rule("nec")
         dims = (6, 6)
         rng = np.random.default_rng(5)
         bits = rng.integers(0, 2, size=36).astype(np.uint8)
@@ -153,7 +153,7 @@ class TestDeterministicStep:
 
 class TestNoisyStep:
     def test_zero_noise_equals_deterministic(self):
-        rule = builtin("stavskaya")
+        rule = load_rule("stavskaya")
         state = LatticeState.plus_with_island((12,), [3, 4])
         noisy = evolve(state, rule, symmetric_noise(0.0), RngKey(1), 0, 1)
         assert noisy == evolve(state, rule, None, RngKey(0), 0, 1)
@@ -161,7 +161,7 @@ class TestNoisyStep:
     def test_half_noise_is_iid_uniform(self):
         # p = 1/2 everywhere: magnetization over 100 steps of a 64x64 torus
         # is a mean of 409600 fair +-1 draws
-        rule = builtin("nec")
+        rule = load_rule("nec")
         dims = (64, 64)
         key = RngKey(99)
         noise = symmetric_noise(0.5)
@@ -174,7 +174,7 @@ class TestNoisyStep:
         assert abs(total / 100) < 4.0 / math.sqrt(n_draws)
 
     def test_thread_count_invariance(self):
-        rule = builtin("nec")
+        rule = load_rule("nec")
         state = LatticeState.plus_with_island((32, 32), [(3, 3)])
         noise = symmetric_noise(0.2)
         outs = [
@@ -184,7 +184,7 @@ class TestNoisyStep:
         assert outs[0] == outs[1] == outs[2]
 
     def test_seed_and_step_keying(self):
-        rule = builtin("stavskaya")
+        rule = load_rule("stavskaya")
         state = LatticeState.all_plus((64,))
         noise = symmetric_noise(0.3)
         a = evolve(state, rule, noise, RngKey(1), 0, 1)
@@ -195,7 +195,7 @@ class TestNoisyStep:
     def test_noisy_translation_covariance_with_shifted_draws(self):
         # stepping a shifted state with correspondingly shifted uniforms
         # equals shifting the stepped state
-        rule = builtin("stavskaya")
+        rule = load_rule("stavskaya")
         dims = (16,)
         st_ = TorusStepper(rule, dims)
         kern = kernel_plus(symmetric_noise(0.25), rule)
@@ -222,7 +222,7 @@ class TestStreams:
             step_uniforms(RngKey(1), 0, 2, 8)
 
     def test_batch_replica_zero_matches_single(self):
-        rule = builtin("stavskaya")
+        rule = load_rule("stavskaya")
         noise = symmetric_noise(0.15)
         key = RngKey(42)
         batch = evolve_batch(
@@ -232,7 +232,7 @@ class TestStreams:
         assert np.array_equal(batch[0], single.bits())
 
     def test_batch_thread_invariance(self):
-        rule = builtin("nec")
+        rule = load_rule("nec")
         noise = symmetric_noise(0.1)
         base = np.ones((10, 9), dtype=np.uint8)
         outs = [
@@ -250,7 +250,7 @@ class TestBlockedDraw:
     def test_masks_equal_the_whole_span_reference(self, threads, extra):
         n = 2 * self.B + 8 if extra is None else self.B + extra
         p = [0.0, 0.1, 0.5, 1.0]
-        rule = builtin("stavskaya")
+        rule = load_rule("stavskaya")
         core = engine._PackedCore(rule, (n,), np.array(p), RngKey(17), threads)
         u = step_uniforms(RngKey(17), 5, 0, n)
         want = [engine._pack(u < q, core.n_words) for q in (0.1, 0.5)]
@@ -259,12 +259,12 @@ class TestBlockedDraw:
     @pytest.mark.parametrize("threads", [0, -3])
     def test_fewer_than_one_thread_refused(self, threads):
         with pytest.raises(ConfigError, match="threads"):
-            engine._PackedCore(builtin("stavskaya"), (64,), np.array([0.0, 0.1, 0.5, 1.0]),
+            engine._PackedCore(load_rule("stavskaya"), (64,), np.array([0.0, 0.1, 0.5, 1.0]),
                                RngKey(17), threads)
 
     def test_scratch_of_one_draw_is_one_block(self):
         n = 16 * self.B
-        rule = builtin("nec")
+        rule = load_rule("nec")
         kern = kernel_plus(symmetric_noise(0.1), rule)
         core = engine._PackedCore(rule, (n // 1024, 1024), kern, RngKey(3))
         tracemalloc.start()
@@ -302,7 +302,7 @@ class TestAddressedDraw:
         # draw chunks of 64 sites end inside replicas, and replicas of 5 or
         # 15 sites start off the 4-word blocks
         monkeypatch.setattr(engine, "_DRAW_BLOCK", 64)
-        rule = builtin("stavskaya" if len(dims) == 1 else "nec")
+        rule = load_rule("stavskaya" if len(dims) == 1 else "nec")
         kern = kernel_plus(symmetric_noise(0.2), rule)
         ids = np.array([0, 2, 3, 9, 10, 11, 31, 40, 41, 57, 58, 59, 60, 61, 62, 99])
         batch = engine._PackedCore(rule, dims, kern, RngKey(9), replicas=100)
@@ -315,7 +315,7 @@ class TestAddressedDraw:
 
     def test_scratch_of_one_addressed_draw_is_bounded(self):
         # 3-site replicas two sites apart share the fewest Philox blocks
-        rule = builtin("stavskaya")
+        rule = load_rule("stavskaya")
         kern = kernel_plus(symmetric_noise(0.1), rule)
         ids = np.arange(0, 2 * self.B, 2)
         core = engine._PackedCore(rule, (3,), kern, RngKey(3), ids=ids)
@@ -408,7 +408,7 @@ def test_manhattan_diameter_matches_pairwise_max(sites):
 
 
 def test_working_bytes_scale_with_the_packed_rows():
-    rule = builtin("nec")
+    rule = load_rule("nec")
     kern = engine.kernel_plus(engine.symmetric_noise(0.1), rule)
     one = engine.working_bytes(rule, kern, (64, 64), replicas=100)
     two = engine.working_bytes(rule, kern, (64, 64), rows=2, replicas=100)
@@ -425,7 +425,7 @@ def test_a_step_stays_within_working_bytes(name, dims):
     # node values, planes and noise masks are freed after their last use,
     # so a step's traced peak, beside the state and the range masks that
     # exist before it, stays within the live-peak estimate
-    rule = builtin(name)
+    rule = load_rule(name)
     kern = kernel_plus(symmetric_noise(0.1), rule)
     core = engine._PackedCore(rule, dims, kern, RngKey(3), replicas=1000)
     words = np.full((1, core.n_words), engine._ONES)
@@ -448,7 +448,7 @@ def test_a_core_build_plans_its_step_once(monkeypatch):
     calls = []
     shannon = engine._shannon
     monkeypatch.setattr(engine, "_shannon", lambda leaf_of: calls.append(1) or shannon(leaf_of))
-    rule = builtin("nec")
+    rule = load_rule("nec")
     engine._PackedCore(rule, (16, 16), kernel_plus(symmetric_noise(0.1), rule), RngKey(0))
     assert len(calls) == 1
 
@@ -457,11 +457,11 @@ class TestCheckAssumptions:
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.1])
     def test_symmetric_exact(self, eps):
         for name in ("stavskaya", "nec", "majority1d"):
-            assert check_assumptions(symmetric_noise(eps), builtin(name)) == (eps, 0.0)
+            assert check_assumptions(symmetric_noise(eps), load_rule(name)) == (eps, 0.0)
 
     @pytest.mark.parametrize("eps", [0.0, 0.05, 0.1])
     def test_stavskaya_biased_exact(self, eps):
-        assert check_assumptions(biased_noise(eps, 0.0), builtin("stavskaya")) == (eps, 0.0)
+        assert check_assumptions(biased_noise(eps, 0.0), load_rule("stavskaya")) == (eps, 0.0)
 
     def test_monotone_substitution_cannot_change_kernel(self):
         # setting one input to the prescribed output value never alters a
@@ -479,7 +479,7 @@ class TestCheckAssumptions:
         # for the identity rule the prescribed value equals the input spin,
         # so substitution never changes the configuration: alpha = 0 even
         # for a lopsided kernel
-        rule = builtin("identity")
+        rule = load_rule("identity")
         eps, alpha = check_assumptions(table_noise([0.2, 0.9]), rule)
         assert eps == pytest.approx(0.2)
         assert alpha == 0.0
@@ -488,58 +488,58 @@ class TestCheckAssumptions:
         # stavskaya cfg (+,-) prescribes +1; rewriting the second spin to +1
         # moves the kernel from p=0.8 to p=0.9:
         #   xi=+1: 0.1/0.8,  xi=-1: 0.1/0.2 = 0.5  (the binding case)
-        rule = builtin("stavskaya")
+        rule = load_rule("stavskaya")
         eps, alpha = check_assumptions(table_noise([0.1, 0.8, 0.9, 0.9]), rule)
         assert eps == pytest.approx(0.2)
         assert alpha == pytest.approx(0.5)
 
     def test_zero_probability_unsatisfiable(self):
-        rule = builtin("stavskaya")
+        rule = load_rule("stavskaya")
         _, alpha = check_assumptions(table_noise([0.1, 1.0, 0.9, 0.9]), rule)
         assert alpha == math.inf
 
     def test_table_length_enforced(self):
         with pytest.raises(ConfigError):
-            kernel_plus(table_noise([0.1, 0.9]), builtin("stavskaya"))
+            kernel_plus(table_noise([0.1, 0.9]), load_rule("stavskaya"))
 
 
 class TestErosion:
     @pytest.mark.parametrize("k", [1, 2, 5, 9])
     def test_stavskaya_linear_erosion(self, k):
-        res = erosion_time(builtin("stavskaya"), [[i] for i in range(k)],
+        res = erosion_time(load_rule("stavskaya"), [[i] for i in range(k)],
                            dims=(4 * k + 8,), cutoff=2 * k)
         assert res.erased and res.steps == k
         assert list(res.sizes) == list(range(k - 1, -1, -1))
 
     def test_default_cutoff_and_dims(self):
-        res = erosion_time(builtin("stavskaya"), [[0], [1], [2]])
+        res = erosion_time(load_rule("stavskaya"), [[0], [1], [2]])
         assert res.erased and res.steps == 3
 
     def test_nec_single_site(self):
-        res = erosion_time(builtin("nec"), [(0, 0)], dims=(12, 12), cutoff=4)
+        res = erosion_time(load_rule("nec"), [(0, 0)], dims=(12, 12), cutoff=4)
         assert res.erased and res.steps == 1
 
     def test_majority1d_pair_persists(self):
-        res = erosion_time(builtin("majority1d"), [0, 1], dims=(60,), cutoff=25)
+        res = erosion_time(load_rule("majority1d"), [0, 1], dims=(60,), cutoff=25)
         assert not res.erased and res.steps == 25
         assert all(s == 2 for s in res.sizes)
 
     def test_identity_island_persists(self):
-        res = erosion_time(builtin("identity"), [0], dims=(5,), cutoff=10)
+        res = erosion_time(load_rule("identity"), [0], dims=(5,), cutoff=10)
         assert not res.erased
 
     def test_empty_island(self):
-        res = erosion_time(builtin("nec"), [])
+        res = erosion_time(load_rule("nec"), [])
         assert res.erased and res.steps == 0
 
     def test_light_cone_dims_enforced(self):
         with pytest.raises(ConfigError):
-            erosion_time(builtin("stavskaya"), [[0]], dims=(8,), cutoff=10)
+            erosion_time(load_rule("stavskaya"), [[0]], dims=(8,), cutoff=10)
 
     def test_influence_radius(self):
-        assert influence_radius(builtin("nec")) == 1
-        assert influence_radius(builtin("majority1d")) == 1
-        assert influence_radius(builtin("identity")) == 0
+        assert influence_radius(load_rule("nec")) == 1
+        assert influence_radius(load_rule("majority1d")) == 1
+        assert influence_radius(load_rule("identity")) == 0
 
 
 class TestEroderCorpusConsistency:
@@ -560,14 +560,14 @@ class TestEroderCorpusConsistency:
             ],
         }
         for name, islands in corpus.items():
-            rule = builtin(name)
+            rule = load_rule(name)
             for island in islands:
                 res = erosion_time(rule, island)
                 assert res.erased, (name, island)
 
     def test_non_eroders_have_persistent_islands(self):
-        assert not erosion_time(builtin("majority1d"), [0, 1], dims=(50,), cutoff=20).erased
-        assert not erosion_time(builtin("identity"), [0], dims=(5,), cutoff=20).erased
+        assert not erosion_time(load_rule("majority1d"), [0, 1], dims=(50,), cutoff=20).erased
+        assert not erosion_time(load_rule("identity"), [0], dims=(5,), cutoff=20).erased
 
     def test_random_1d_eroders_erase(self):
         # verdict/behavior consistency beyond the builtins: every certified
@@ -600,7 +600,7 @@ class TestEroderCorpusConsistency:
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 50))
 def test_trajectory_pure_function_of_seed(seed, t0):
-    rule = builtin("stavskaya")
+    rule = load_rule("stavskaya")
     noise = symmetric_noise(0.2)
     state = LatticeState.all_plus((24,))
     a = engine.evolve(state, rule, noise, RngKey(seed), t0, 5)

@@ -17,7 +17,7 @@ from toomlab.oracle import (
     window_marginal,
     window_marginal_consistency,
 )
-from toomlab.rules import RuleSpec, builtin
+from toomlab.rules import RuleSpec, load_rule
 
 from .oracles import (
     brute_force_transfer,
@@ -32,8 +32,8 @@ from .oracles import (
     uniform_distribution,
 )
 
-STAV = builtin("stavskaya")
-NEC = builtin("nec")
+STAV = load_rule("stavskaya")
+NEC = load_rule("nec")
 
 # (seed, max_R) draws of random_rule(max_d=2) for the site sweep, with a torus
 DRAWN = [

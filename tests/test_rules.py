@@ -8,8 +8,8 @@ from toomlab.rules import (
     MINUS,
     PLUS,
     RuleSpec,
-    builtin,
     check_monotone,
+    load_rule,
     minimal_plus_sets,
     monotone_closure,
     rule_from_json,
@@ -28,31 +28,31 @@ def xor_rule():
 
 class TestEvaluate:
     def test_stavskaya_both_minus(self):
-        assert evaluate(builtin("stavskaya"), [MINUS, MINUS]) == MINUS
+        assert evaluate(load_rule("stavskaya"), [MINUS, MINUS]) == MINUS
 
     def test_stavskaya_mixed(self):
-        rule = builtin("stavskaya")
+        rule = load_rule("stavskaya")
         assert evaluate(rule, [PLUS, MINUS]) == PLUS
         assert evaluate(rule, [MINUS, PLUS]) == PLUS
 
     def test_nec_majority(self):
-        assert evaluate(builtin("nec"), [PLUS, PLUS, MINUS]) == PLUS
-        assert evaluate(builtin("nec"), [MINUS, MINUS, PLUS]) == MINUS
+        assert evaluate(load_rule("nec"), [PLUS, PLUS, MINUS]) == PLUS
+        assert evaluate(load_rule("nec"), [MINUS, MINUS, PLUS]) == MINUS
 
     @pytest.mark.parametrize("name", rules.BUILTIN_NAMES)
     def test_homogeneous_fixed(self, name):
-        rule = builtin(name)
+        rule = load_rule(name)
         assert evaluate(rule, [PLUS] * rule.size) == PLUS
         assert evaluate(rule, [MINUS] * rule.size) == MINUS
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            evaluate(builtin("stavskaya"), [PLUS])
+            evaluate(load_rule("stavskaya"), [PLUS])
 
 
 class TestCheckMonotone:
     def test_stavskaya_passes(self):
-        report = check_monotone(builtin("stavskaya"))
+        report = check_monotone(load_rule("stavskaya"))
         assert report.ok and report.witness is None
 
     def test_xor_fails_with_witness(self):
@@ -90,12 +90,12 @@ class TestCheckMonotone:
 
 class TestMinimalPlusSets:
     def test_stavskaya(self):
-        fam = minimal_plus_sets(builtin("stavskaya"))
+        fam = minimal_plus_sets(load_rule("stavskaya"))
         assert fam.sets == ((0,), (1,))
         assert fam.offsets == ((0,), (1,))
 
     def test_nec(self):
-        fam = minimal_plus_sets(builtin("nec"))
+        fam = minimal_plus_sets(load_rule("nec"))
         assert fam.sets == ((0, 1), (0, 2), (1, 2))
         assert {tuple(fam.offsets[j] for j in z) for z in fam.sets} == {
             ((0, 0), (1, 0)),
@@ -104,7 +104,7 @@ class TestMinimalPlusSets:
         }
 
     def test_majority1d_brute_force(self):
-        rule = builtin("majority1d")
+        rule = load_rule("majority1d")
         fam = minimal_plus_sets(rule)
         assert fam.sets == tuple(brute_force_plus_sets(rule))
         assert fam.sets == ((0, 1), (0, 2), (1, 2))
@@ -115,7 +115,7 @@ class TestMinimalPlusSets:
 
     @pytest.mark.parametrize("name", rules.BUILTIN_NAMES)
     def test_minimality_and_forcing(self, name):
-        rule = builtin(name)
+        rule = load_rule(name)
         fam = minimal_plus_sets(rule)
         for z in fam.sets:
             local = [PLUS if i in z else MINUS for i in range(rule.size)]
@@ -170,11 +170,11 @@ class TestMinimalPlusSets:
 
 class TestBuiltins:
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            builtin("conway")
+        with pytest.raises(FileNotFoundError):
+            load_rule("conway")
 
     def test_identity(self):
-        rule = builtin("identity")
+        rule = load_rule("identity")
         assert rule.dimension == 1 and rule.neighborhood == ((0,),)
         assert evaluate(rule, [MINUS]) == MINUS and evaluate(rule, [PLUS]) == PLUS
 
@@ -198,14 +198,14 @@ class TestRuleSpecValidation:
             RuleSpec(dimension=1, neighborhood=offsets, table=np.zeros(2**21))
 
     def test_table_frozen(self):
-        rule = builtin("stavskaya")
+        rule = load_rule("stavskaya")
         with pytest.raises(ValueError):
             rule.table[0] = 1
 
 
 class TestRuleJson:
     def test_round_trip_table(self):
-        rule = builtin("nec")
+        rule = load_rule("nec")
         data = rule_to_json(rule)
         assert data["table"] == "e8"  # majority-of-three bits 0b11101000
         back = rule_from_json(data)
@@ -218,7 +218,7 @@ class TestRuleJson:
             "plus_sets": [[0], [1]],
         }
         rule = rule_from_json(data)
-        assert rule == builtin("stavskaya")
+        assert rule == load_rule("stavskaya")
 
     def test_completion_is_minimal_monotone_extension(self):
         table = monotone_closure(3, [0b011, 0b101])
@@ -250,4 +250,4 @@ class TestRuleJson:
         path.write_text(
             '{"dimension": 1, "neighborhood": [[0], [1]], "plus_sets": [[0], [1]]}'
         )
-        assert rules.load_rule(str(path)) == builtin("stavskaya")
+        assert rules.load_rule(str(path)) == load_rule("stavskaya")

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from toomlab import engine, oracle, stats
 from . import oracles
 from toomlab.engine import symmetric_noise
 from toomlab.errors import ConfigError
-from toomlab.rules import builtin
+from toomlab.rules import load_rule
 from toomlab.stats import (
     FitResult,
     fit_log_decay,
@@ -18,8 +20,8 @@ from toomlab.stats import (
     two_phase_divergence,
 )
 
-STAV = builtin("stavskaya")
-NEC = builtin("nec")
+STAV = load_rule("stavskaya")
+NEC = load_rule("nec")
 
 
 def exact_spin_stats(rule, noise, dims, lag=0, distance=0):
@@ -60,7 +62,7 @@ class TestFit:
         ys = [1.0, 0.5, 1e-6, 1e-7]
         errs = [1e-3, 1e-3, 1e-3, 1e-3]
         fit = fit_log_decay(xs, ys, errs)
-        assert fit.n_points == 2 and not fit.valid
+        assert fit.rate is None and not fit.valid
 
     def test_growing_sequence_invalid(self):
         fit = fit_log_decay([0, 1, 2, 3], [1.0, 2.0, 4.0, 8.0])
@@ -301,8 +303,8 @@ class TestTwoPhase:
 
     def test_flip_symmetry_detector(self):
         assert is_flip_symmetric(NEC)
-        assert is_flip_symmetric(builtin("majority1d"))
-        assert is_flip_symmetric(builtin("identity"))
+        assert is_flip_symmetric(load_rule("majority1d"))
+        assert is_flip_symmetric(load_rule("identity"))
         assert not is_flip_symmetric(STAV)
 
     def test_gap_nonnegative_under_coupling(self):
@@ -445,6 +447,47 @@ class TestCoalescence:
             assert np.array_equal(other.mag_plus, runs[0].mag_plus)
             assert np.array_equal(other.mag_minus, runs[0].mag_minus)
             assert other.coalescence_step == runs[0].coalescence_step == 1
+
+
+def first_disorder(rule, noise, dims, seed, steps=200):
+    """First step after which the coupled minus row holds +1 where the plus
+    row holds -1, or None if that never happens while both rows remain."""
+    kern = engine.kernel_plus(noise, rule)
+    core = engine._PackedCore(rule, dims, kern, engine.RngKey(seed), rows=2)
+    for t, rows in core.run(stats._plus_minus(dims), 0, steps):
+        if len(rows) == 1:
+            return None
+        if np.any(rows[1] & ~rows[0]):
+            return t
+    return None
+
+
+class TestCouplingOrder:
+    # stationary_sample's sandwich rests on the plus row staying at or above
+    # the minus row at every site, for every step both rows are stepped
+
+    @pytest.mark.parametrize("rule, noise, dims, seed", [
+        (NEC, symmetric_noise(0.05), (64, 64), 1),
+        (STAV, symmetric_noise(0.1), (257,), 2),
+        (NEC, engine.biased_noise(0.1, 0.02), (48, 40), 3),
+        (load_rule("majority1d"), symmetric_noise(0.3), (101,), 4),
+    ])
+    def test_builtin_rules(self, rule, noise, dims, seed):
+        assert first_disorder(rule, noise, dims, seed) is None
+
+    def test_random_rules(self):
+        rng = random.Random(12)
+        for i in range(12):
+            rule = oracles.random_rule(rng, max_R=5, max_d=2)
+            eps = rng.uniform(0.01, 0.5)
+            dims = (9, 9) if rule.dimension == 2 else (61,)
+            got = first_disorder(rule, symmetric_noise(eps), dims, 100 + i)
+            assert got is None, (i, rule, eps, got)
+
+    def test_anti_monotone_kernel_breaks_the_order(self):
+        # eps 0.7 makes raising a neighbor lower p(+1): the check can fail
+        got = first_disorder(NEC, symmetric_noise(0.7), (64, 64), 7, steps=50)
+        assert got is not None
 
 
 class TestBurnInFromThePast:
