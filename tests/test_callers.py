@@ -25,6 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "toomlab"
 PACKAGE = "__init__"  # the module name of the package itself
+MODULES = {p.stem for p in SRC.glob("*.py")}
 
 ALLOWED = {
     "engine.check_assumptions": "acceptance criterion 7 checks the noise assumptions through it",
@@ -72,7 +73,6 @@ def bindings(tree: ast.AST, in_src: bool) -> dict[str, tuple]:
 
     Imports anywhere in the file count, function-local ones included.
     """
-    modules = {p.stem for p in SRC.glob("*.py")}
     out = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -81,7 +81,7 @@ def bindings(tree: ast.AST, in_src: bool) -> dict[str, tuple]:
                 continue
             for alias in node.names:
                 local = alias.asname or alias.name
-                if source == PACKAGE and alias.name in modules:
+                if source == PACKAGE and alias.name in MODULES:
                     out[local] = ("module", alias.name)
                 else:
                     out[local] = ("name", source, alias.name)
@@ -99,13 +99,13 @@ class Resolver:
     """Resolves the names and attributes a file reads to src modules and definitions."""
 
     def __init__(self):
-        self.modules = {p.stem: bindings(ast.parse(p.read_text()), True) for p in SRC.glob("*.py")}
+        self.imports = {m: bindings(ast.parse((SRC / f"{m}.py").read_text()), True) for m in MODULES}
 
-    def member(self, module: str, name: str) -> tuple | None:
-        """What ``name`` is in src ``module``: ("module", M), ("name", "M.x"), or None."""
-        bound = self.modules[module].get(name)
+    def member(self, module: str, name: str) -> tuple:
+        """What ``name`` is in src ``module``: ("module", M) or ("name", "M.x")."""
+        bound = self.imports[module].get(name)
         if bound is None:
-            if module == PACKAGE and name in self.modules:
+            if module == PACKAGE and name in MODULES:
                 return ("module", name)
             return ("name", f"{module}.{name}")
         if bound[0] == "module":
