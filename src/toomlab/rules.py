@@ -288,7 +288,7 @@ def load_rule_unchecked(source: str) -> RuleSpec:
 
 
 def load_rule(source: str) -> RuleSpec:
-    """Resolve a rule from a builtin name or a JSON file path, validated."""
+    """Resolve a rule from a built-in name or a JSON file path, validated."""
     rule = load_rule_unchecked(source)
     _require_valid(rule)
     return rule
