@@ -1,14 +1,15 @@
 """Command-line front end: config parsing, orchestration, artifact output.
 
 Every command reads one JSON config (strictly validated, unknown fields
-rejected), resolves the seed of a Monte Carlo command (--seed beats the
-TOOMLAB_SEED environment variable, which beats the config; check, erode and
-exact draw nothing and take no seed), runs the requested computation, and
-writes artifacts atomically (temp file + rename) with the fully resolved
-config embedded, so re-running an embedded config reproduces the artifact
-byte for byte.  Timestamps never enter artifacts; they go to a sidecar
-toomlab.log.  Exit codes: 0 success (or eroder verdict), 2 the non-eroder
-verdict from `check`, 1 any error, usage errors included.
+rejected), which holds every input that can change an artifact: the seed
+of a Monte Carlo command is its `seed` field, and check, erode and exact
+draw nothing and take no seed.  argv adds only --threads and --out, which
+change no artifact byte.  The command runs the requested computation and
+writes artifacts atomically (temp file + rename) into --out with the fully
+resolved config embedded, so re-running an embedded config reproduces the
+artifact byte for byte.  Timestamps never enter artifacts; they go to a
+sidecar toomlab.log.  Exit codes: 0 success (or eroder verdict), 2 the
+non-eroder verdict from `check`, 1 any error, usage errors included.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ import numpy as np
 from . import bounds, certify, engine, oracle, rules, stats
 from .errors import ConfigError, ResourceLimitError, ToomlabError
 
-SEED_ENV = "TOOMLAB_SEED"
-
 
 # --------------------------------------------------------------------------
 # config validation
@@ -39,13 +38,10 @@ SEED_ENV = "TOOMLAB_SEED"
 _OPT = object()
 
 
-def _validate(config: dict, schema: dict[str, tuple], command: str,
-              seed: Optional[str] = None) -> dict:
-    """The typed config; a seed given as text (flag or environment) replaces its field."""
+def _validate(config: dict, schema: dict[str, tuple], command: str) -> dict:
+    """The typed config: every schema field, given or defaulted; unknown fields refused."""
     if not isinstance(config, dict):
         raise ConfigError(f"{command} config must be a JSON object")
-    if seed is not None:
-        config = dict(config, seed=int(seed) if seed.removeprefix("-").isdecimal() else seed)
     unknown = set(config) - set(schema)
     if unknown:
         raise ConfigError(f"unknown {command} config fields: {sorted(unknown)}")
@@ -163,20 +159,12 @@ _SCHEMAS = {
         "seed": ("seed", 0),
     },
 }
-for _schema in _SCHEMAS.values():
-    _schema["out"] = ("str", ".")
 
 
 def _resolved_config(command: str, cfg: dict) -> dict:
-    """The effective config embedded in artifacts (JSON-ready, canonical).
-
-    The output directory is a filesystem detail, not a computation
-    parameter, so it is left out and artifacts are location-independent.
-    """
+    """The effective config embedded in artifacts (JSON-ready, canonical)."""
     out = {"command": command}
     for k, v in cfg.items():
-        if k == "out":
-            continue
         if isinstance(v, engine.NoiseModel):
             v = engine.noise_to_json(v)
         out[k] = v
@@ -493,9 +481,8 @@ def _parser() -> _Parser:
     parser = _Parser(prog="toomlab", description="noisy monotone binary cellular automata laboratory")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON run config")
-    parser.add_argument("--seed", default=None, help="override the config seed (Monte Carlo commands)")
     parser.add_argument("--threads", type=int, default=1, help="worker-count cap (does not affect results)")
-    parser.add_argument("--out", default=None, help="output directory (overrides config)")
+    parser.add_argument("--out", default=".", help="output directory (does not affect results)")
     return parser
 
 
@@ -506,19 +493,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        schema = _SCHEMAS[args.command]
-        seed = args.seed
-        if seed is None and "seed" in schema:
-            seed = os.environ.get(SEED_ENV) or None
-        cfg = _validate(raw, schema, args.command, seed)
-        if args.out is not None:
-            cfg["out"] = args.out
-        out_dir = cfg["out"]
-        os.makedirs(out_dir, exist_ok=True)
+        cfg = _validate(raw, _SCHEMAS[args.command], args.command)
+        os.makedirs(args.out, exist_ok=True)
         resolved = _resolved_config(args.command, cfg)
-        code, payload = _COMMANDS[args.command](cfg, resolved, out_dir, args.threads)
+        code, payload = _COMMANDS[args.command](cfg, resolved, args.out, args.threads)
         print(json.dumps(payload, sort_keys=True, default=str))
-        _log(out_dir, f"{args.command} config={args.config} exit={code}")
+        _log(args.out, f"{args.command} config={args.config} exit={code}")
         return code
     except (ToomlabError, ValueError, KeyError, OSError, ArithmeticError, AssertionError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))

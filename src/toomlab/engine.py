@@ -33,7 +33,7 @@ masks before the next is drawn.
 Memory per step is a few packed rows of ceil(sites / 64) words (state in
 and out, shifted planes, Shannon node values, noise masks, each dropped
 after its last use; see :func:`working_bytes`) plus under 600 KiB of draw
-scratch per thread, or about 5 MiB when the draws are read by counter.  A
+scratch per span, or about 5 MiB when the draws are read by counter.  A
 run whose estimate exceeds MAX_MC_BYTES is refused with ResourceLimitError
 before anything of lattice size is allocated.
 
@@ -657,15 +657,16 @@ def working_bytes(
 
     Counted in packed rows of ceil(sites / 64) words: the live peak of the
     kernel's `_StepPlan` (passed as plan if the caller holds it), one range
-    mask per axis move, and each thread's draw block, of _ADDRESSED_BYTES
-    per site when the draws are counter-addressed.  Every Monte Carlo path
-    calls this before it allocates anything of lattice size.
+    mask per axis move, and a draw block for each span the core may make
+    (at most one per thread and one per word), of _ADDRESSED_BYTES per site
+    when the draws are counter-addressed.  Every Monte Carlo path calls this
+    before it allocates anything of lattice size.
     """
     dims = _torus_dims(rule, dims)
     row = 8 * -(-(replicas or 1) * math.prod(dims) // 64)
     plan = plan or _StepPlan(rule, kern)
     need = row * (sum(plan.n_moves.values()) + max(rows * chain + masks for chain, masks in plan.live))
-    need += threads * _DRAW_BLOCK * (_ADDRESSED_BYTES if addressed else 9) if plan.noisy else 0
+    need += min(threads, row // 8) * _DRAW_BLOCK * (_ADDRESSED_BYTES if addressed else 9) if plan.noisy else 0
     if need > MAX_MC_BYTES:
         raise ResourceLimitError(
             f"a Monte Carlo step on {rows} x {replicas or 1} x {dims} sites needs"
@@ -864,10 +865,10 @@ def erosion_torus(rule: RuleSpec, island: Iterable, dims: Optional[Sequence[int]
                   cutoff: Optional[int] = None) -> tuple[tuple[int, ...], int]:
     """The torus and step cutoff of an erosion run from a nonempty island.
 
-    The torus must be large enough that the island's light cone under the
-    cutoff cannot wrap around and feed back on itself; otherwise the finite
-    run would not witness the infinite-lattice behavior.  With dims omitted,
-    a torus of exactly that size is built.
+    Every side must exceed 2 * cutoff * v + diam, the width the island's
+    light cone reaches by the cutoff, else the cone wraps around and feeds
+    back on itself, and the finite run does not witness the infinite-lattice
+    behavior.  With dims omitted, the smallest such torus is built.
     """
     sites = _as_sites(island, rule.dimension)
     diam = _manhattan_diameter(sites)
@@ -880,9 +881,9 @@ def erosion_torus(rule: RuleSpec, island: Iterable, dims: Optional[Sequence[int]
     if dims is None:
         dims = tuple(max(need + 1, 3) for _ in range(rule.dimension))
     dims = tuple(int(L) for L in dims)
-    if min(dims) < need:
+    if min(dims) <= need:
         raise ConfigError(
-            f"dims {dims} too small: the {cutoff}-step light cone needs >= {need}"
+            f"dims {dims} too small: the {cutoff}-step light cone needs >= {need + 1}"
         )
     return dims, cutoff
 

@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -189,6 +190,19 @@ class TestSimulate:
         _, out2 = run(tmp_path, "simulate", cfg, "--threads", "8")
         assert (out2 / "density.csv").read_bytes() == body1
 
+    def test_threads_beyond_the_words_accepted(self, tmp_path):
+        # 256 sites make 4 spans whatever --threads asks for, so the step's
+        # draw memory stays that of 4 blocks and the pool that of the cores
+        cfg = {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.2},
+               "dims": [256], "steps": 3, "seed": 1}
+        one = tmp_path / "one"
+        one.mkdir()
+        _, out1 = run(one, "simulate", cfg)
+        code, out2 = run(tmp_path, "simulate", cfg, "--threads", "8000")
+        assert code == 0 and artifacts(out2) == artifacts(out1)
+        workers = [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+        assert 0 < len(workers) <= (os.cpu_count() or 1)
+
     def test_strip_snapshot_1d(self, tmp_path):
         code, out = run(
             tmp_path, "simulate",
@@ -212,24 +226,6 @@ class TestSimulate:
         assert (out / "frame_000002.ppm").exists()
 
 
-class TestSeedPrecedence:
-    def test_env_overrides_config(self, tmp_path, monkeypatch):
-        cfg = {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.2},
-               "dims": [32], "steps": 10, "seed": 1}
-        monkeypatch.setenv(cli.SEED_ENV, "777")
-        _, out = run(tmp_path, "simulate", cfg)
-        embedded = (out / "density.csv").read_text().splitlines()[0]
-        assert '"seed":777' in embedded
-
-    def test_flag_overrides_env(self, tmp_path, monkeypatch):
-        cfg = {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.2},
-               "dims": [32], "steps": 10, "seed": 1}
-        monkeypatch.setenv(cli.SEED_ENV, "777")
-        _, out = run(tmp_path, "simulate", cfg, "--seed", "42")
-        embedded = (out / "density.csv").read_text().splitlines()[0]
-        assert '"seed":42' in embedded
-
-
 # the commands that draw nothing, each with a small config that writes artifacts
 DETERMINISTIC = {
     "check": {"rule": "nec", "eps": 0.001},
@@ -250,12 +246,17 @@ MONTE_CARLO = {
 }
 
 
+ALL_COMMANDS = {**DETERMINISTIC, **MONTE_CARLO}
+
+
 def artifacts(out):
     """Every file a run wrote but the timestamped log, by name."""
     return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "toomlab.log"}
 
 
 class TestSeedOnlyWhereDrawn:
+    # a seed is a config field of the four Monte Carlo commands, and only that
+
     @pytest.mark.parametrize("command", sorted(DETERMINISTIC))
     def test_config_seed_refused(self, tmp_path, capsys, command):
         code, out = run(tmp_path, command, dict(DETERMINISTIC[command], seed=0))
@@ -263,35 +264,35 @@ class TestSeedOnlyWhereDrawn:
         assert code == 1 and error["type"] == "ConfigError" and "seed" in error["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", sorted(DETERMINISTIC))
+    @pytest.mark.parametrize("command", sorted(ALL_COMMANDS))
     def test_seed_flag_refused(self, tmp_path, capsys, command):
-        code, out = run(tmp_path, command, DETERMINISTIC[command], "--seed", "1")
+        code, out = run(tmp_path, command, ALL_COMMANDS[command], "--seed", "1")
         assert code == 1 and error_type(capsys) == "ConfigError"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", sorted(DETERMINISTIC))
+    @pytest.mark.parametrize("command", sorted(ALL_COMMANDS))
     def test_environment_seed_ignored(self, tmp_path, monkeypatch, command):
-        code, out = run(tmp_path, command, DETERMINISTIC[command])
+        monkeypatch.delenv("TOOMLAB_SEED", raising=False)
+        code, out = run(tmp_path, command, ALL_COMMANDS[command])
         expected = artifacts(out)
         assert code == 0 and expected
-        for value in ("abc", "1", "2"):
-            monkeypatch.setenv(cli.SEED_ENV, value)
+        for value in ("abc", "1", "18446744073709551616"):
+            monkeypatch.setenv("TOOMLAB_SEED", value)
             again = tmp_path / value
             again.mkdir()
-            assert run(again, command, DETERMINISTIC[command])[0] == code
+            assert run(again, command, ALL_COMMANDS[command])[0] == code
             assert artifacts(again / "out") == expected
 
-    @pytest.mark.parametrize("source", ["config", "flag", "environment"])
+    @pytest.mark.parametrize("source", ["config", "flag"])
     @pytest.mark.parametrize("seed", [-1, 2**64, "abc"])
     @pytest.mark.parametrize("command", sorted(MONTE_CARLO))
-    def test_bad_seed_refused(self, tmp_path, capsys, monkeypatch, command, seed, source):
+    def test_bad_seed_refused(self, tmp_path, capsys, command, seed, source):
+        # a --seed flag is refused whatever its value, as an unknown flag
         config, extra = MONTE_CARLO[command], ()
         if source == "config":
             config = dict(config, seed=seed)
-        elif source == "flag":
-            extra = ("--seed", str(seed))
         else:
-            monkeypatch.setenv(cli.SEED_ENV, str(seed))
+            extra = ("--seed", str(seed))
         code, out = run(tmp_path, command, config, *extra)
         assert code == 1 and error_type(capsys) == "ConfigError"
         assert not out.exists()
@@ -304,6 +305,26 @@ class TestSeedOnlyWhereDrawn:
         assert code == 0 and tables
         for table in tables:
             assert f'"seed":{seed}' in table.read_text().splitlines()[0]
+
+
+class TestOutputDirectory:
+    # the output directory is --out's, the working directory by default
+
+    @pytest.mark.parametrize("command", sorted(ALL_COMMANDS))
+    def test_out_field_refused(self, tmp_path, capsys, command):
+        code, out = run(tmp_path, command, dict(ALL_COMMANDS[command], out=str(tmp_path / "o")))
+        assert code == 1 and error_type(capsys) == "ConfigError"
+        assert not out.exists() and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", sorted(ALL_COMMANDS))
+    def test_default_is_the_working_directory(self, tmp_path, monkeypatch, command):
+        code, out = run(tmp_path, command, ALL_COMMANDS[command])
+        expected = artifacts(out)
+        here = tmp_path / "here"
+        here.mkdir()
+        monkeypatch.chdir(here)
+        assert cli.main([command, "--config", str(tmp_path / f"{command}.json")]) == code
+        assert artifacts(here) == expected and (here / "toomlab.log").exists()
 
 
 class TestUsageErrors:
@@ -350,19 +371,6 @@ class TestReusedParser:
         finally:
             cli._parser.cache_clear()
         assert codes == [0, 2, 0] and len(built) == 1
-
-    def test_seed_flag_does_not_leak_into_the_next_call(self, tmp_path):
-        cfg = {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.2},
-               "dims": [16], "steps": 3, "seed": 3}
-        seeds = []
-        for extra in (("--seed", "5"), ()):
-            again = tmp_path / str(len(seeds))
-            again.mkdir()
-            code, out = run(again, "simulate", cfg, *extra)
-            assert code == 0
-            seeds.append(json.loads((out / "density.csv").read_text()
-                                    .splitlines()[0].removeprefix("# config: "))["seed"])
-        assert seeds == [5, 3]
 
     def test_usage_error_after_a_good_call(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -615,7 +623,10 @@ class TestHygiene:
 
 
 def error_type(capsys):
-    return json.loads(capsys.readouterr().out.splitlines()[-1])["error"]["type"]
+    """The type of the one JSON error a run printed."""
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]["type"]
 
 
 class TestStrictInputs:
@@ -954,7 +965,7 @@ class TestSnapshotsStream:
         ("simulate", {"rule": "nec", "noise": NOISE, "dims": [64, 64], "steps": 100}),
         ("simulate", {"rule": "stavskaya", "noise": NOISE, "dims": [4096], "steps": 100}),
         ("erode", {"rule": "nec", "island": [[i, j] for i in range(10) for j in range(10)],
-                   "dims": [64, 64], "cutoff": 23}),
+                   "dims": [65, 65], "cutoff": 23}),
     ])
     def test_frames_are_written_as_taken(self, tmp_path, command, config):
         # a frame kept until the run ends costs a byte per site, so these

@@ -507,9 +507,20 @@ class TestErosion:
     @pytest.mark.parametrize("k", [1, 2, 5, 9])
     def test_stavskaya_linear_erosion(self, k):
         res = erosion_time(load_rule("stavskaya"), [[i] for i in range(k)],
-                           dims=(4 * k + 8,), cutoff=2 * k)
+                           dims=(4 * k + 9,), cutoff=2 * k)
         assert res.erased and res.steps == k
         assert list(res.sizes) == list(range(k - 1, -1, -1))
+
+    def test_torus_of_the_cone_size_refused(self, tmp_path):
+        # -1 spreads both ways, so the 3-step cone of [0] spans need = 6
+        # sites; on a ring of 6 its two fronts meet at the last step
+        path = tmp_path / "spread.json"
+        path.write_text('{"dimension": 1, "neighborhood": [[-1], [0], [1]], "plus_sets": [[0, 1, 2]]}')
+        rule = load_rule(str(path))
+        with pytest.raises(ConfigError, match=">= 7"):
+            erosion_time(rule, [[0]], dims=(6,), cutoff=3)
+        sizes = erosion_time(rule, [[0]], dims=(50,), cutoff=3).sizes
+        assert erosion_time(rule, [[0]], dims=(7,), cutoff=3).sizes == sizes == (3, 5, 7)
 
     def test_default_cutoff_and_dims(self):
         res = erosion_time(load_rule("stavskaya"), [[0], [1], [2]])

@@ -1,4 +1,6 @@
+import math
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -404,6 +406,67 @@ class TestShortTimeLaw:
         # the value the dual side reaches on longer windows, to six places
         exact = self.exact_magnetization(STAV, symmetric_noise(0.1), (11,), 10)
         assert exact[-1] == pytest.approx(0.778941, abs=5e-7)
+
+
+def _tiny_law_cases():
+    """Two built-in rules, then 8 random rules on rings of 5-8 sites, each
+    with a random table noise; a case is (id, rule, noise, dims, seed)."""
+    cases = [("stavskaya", STAV, symmetric_noise(0.1), (8,), 31),
+             ("majority1d", load_rule("majority1d"), symmetric_noise(0.2), (7,), 32)]
+    rng = random.Random(12)
+    for i in range(8):
+        rule = oracles.random_rule(rng, max_R=3, max_d=1)
+        reach = max(abs(u[0]) for u in rule.neighborhood)
+        dims = (rng.randint(max(5, 2 * reach + 1), 8),)
+        noise = engine.table_noise([rng.uniform(0.05, 0.95) for _ in range(rule.table.size)])
+        cases.append((f"random{i}", rule, noise, dims, 40 + i))
+    return cases
+
+
+class TestTinyTorusLaw:
+    """stationary_sample's replicas B steps from all-plus, decoded to whole
+    configurations, against the exact law T^B delta_plus on all 2^N states
+    by a chi-square test at the 1e-4 upper quantile.  Cells expected below
+    5 times are pooled, smallest first, until the pool holds at least 5."""
+
+    M = 50_000
+
+    @classmethod
+    def statistic(cls, rule, noise, dims, steps, seed, law_noise=None):
+        """The chi-square statistic over its Wilson-Hilferty 1e-4 quantile."""
+        space = oracle._space(oracle.ExactKernel(rule, law_noise or noise, dims))
+        *_, law = oracle._plus_iterates(space, steps)
+        expected = cls.M * space.lift(law)
+        sample = stationary_sample(rule, noise, dims, steps, cls.M, seed)
+        n = math.prod(dims)
+        codes = sample.bits().reshape(cls.M, n).astype(np.int64) @ (1 << np.arange(n))
+        counts = np.bincount(codes, minlength=1 << n)
+        order = np.argsort(expected, kind="stable")
+        pooled = int(np.searchsorted(expected[order], 5.0))
+        while pooled and expected[order[:pooled]].sum() < 5.0:
+            pooled += 1
+        cells, pool = order[pooled:], order[:pooled]
+        observed = np.append(counts[cells], counts[pool].sum())
+        wanted = np.append(expected[cells], expected[pool].sum())
+        if not pooled:
+            observed, wanted = observed[:-1], wanted[:-1]
+        chi2 = float(((observed - wanted) ** 2 / wanted).sum())
+        df = wanted.size - 1
+        z = statistics.NormalDist().inv_cdf(1.0 - 1e-4)
+        return chi2 / (df * (1.0 - 2.0 / (9 * df) + z * math.sqrt(2.0 / (9 * df))) ** 3)
+
+    @pytest.mark.parametrize("steps", [1, 3, 10])
+    @pytest.mark.parametrize("name, rule, noise, dims, seed", _tiny_law_cases(),
+                             ids=[case[0] for case in _tiny_law_cases()])
+    def test_sample_follows_the_exact_law(self, name, rule, noise, dims, seed, steps):
+        ratio = self.statistic(rule, noise, dims, steps, seed)
+        assert ratio <= 1.0, (name, steps, ratio)
+
+    @pytest.mark.parametrize("steps", [1, 3, 10])
+    def test_a_nearby_noise_is_told_apart(self, steps):
+        # the control: replicas drawn at eps 0.1 against the law at eps 0.11
+        ratio = self.statistic(STAV, symmetric_noise(0.1), (8,), steps, 30, symmetric_noise(0.11))
+        assert ratio > 1.0, (steps, ratio)
 
 
 class TestCoalescence:
