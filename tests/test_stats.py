@@ -410,16 +410,16 @@ class TestShortTimeLaw:
 
 def _tiny_law_cases():
     """Two built-in rules, then 8 random rules on rings of 5-8 sites, each
-    with a random table noise; a case is (id, rule, noise, dims, seed)."""
-    cases = [("stavskaya", STAV, symmetric_noise(0.1), (8,), 31),
-             ("majority1d", load_rule("majority1d"), symmetric_noise(0.2), (7,), 32)]
+    with a random table noise, as (rule, noise, dims, seed)."""
+    cases = [pytest.param(STAV, symmetric_noise(0.1), (8,), 31, id="stavskaya"),
+             pytest.param(load_rule("majority1d"), symmetric_noise(0.2), (7,), 32, id="majority1d")]
     rng = random.Random(12)
     for i in range(8):
         rule = oracles.random_rule(rng, max_R=3, max_d=1)
         reach = max(abs(u[0]) for u in rule.neighborhood)
         dims = (rng.randint(max(5, 2 * reach + 1), 8),)
         noise = engine.table_noise([rng.uniform(0.05, 0.95) for _ in range(rule.table.size)])
-        cases.append((f"random{i}", rule, noise, dims, 40 + i))
+        cases.append(pytest.param(rule, noise, dims, 40 + i, id=f"random{i}"))
     return cases
 
 
@@ -445,22 +445,20 @@ class TestTinyTorusLaw:
         pooled = int(np.searchsorted(expected[order], 5.0))
         while pooled and expected[order[:pooled]].sum() < 5.0:
             pooled += 1
-        cells, pool = order[pooled:], order[:pooled]
-        observed = np.append(counts[cells], counts[pool].sum())
-        wanted = np.append(expected[cells], expected[pool].sum())
-        if not pooled:
-            observed, wanted = observed[:-1], wanted[:-1]
+        observed, wanted = counts[order[pooled:]], expected[order[pooled:]]
+        if pooled:
+            observed = np.append(observed, counts[order[:pooled]].sum())
+            wanted = np.append(wanted, expected[order[:pooled]].sum())
         chi2 = float(((observed - wanted) ** 2 / wanted).sum())
         df = wanted.size - 1
         z = statistics.NormalDist().inv_cdf(1.0 - 1e-4)
         return chi2 / (df * (1.0 - 2.0 / (9 * df) + z * math.sqrt(2.0 / (9 * df))) ** 3)
 
     @pytest.mark.parametrize("steps", [1, 3, 10])
-    @pytest.mark.parametrize("name, rule, noise, dims, seed", _tiny_law_cases(),
-                             ids=[case[0] for case in _tiny_law_cases()])
-    def test_sample_follows_the_exact_law(self, name, rule, noise, dims, seed, steps):
+    @pytest.mark.parametrize("rule, noise, dims, seed", _tiny_law_cases())
+    def test_sample_follows_the_exact_law(self, rule, noise, dims, seed, steps):
         ratio = self.statistic(rule, noise, dims, steps, seed)
-        assert ratio <= 1.0, (name, steps, ratio)
+        assert ratio <= 1.0, (steps, ratio)
 
     @pytest.mark.parametrize("steps", [1, 3, 10])
     def test_a_nearby_noise_is_told_apart(self, steps):
