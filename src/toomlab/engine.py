@@ -413,10 +413,6 @@ def _pool() -> ThreadPoolExecutor:
 # packed words: bit x of row r is site x, 64 sites per little-endian word
 
 _ONES = np.uint64(2**64 - 1)
-_M1, _M2, _M4, _H01 = (
-    np.uint64(c)
-    for c in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
-)
 _DRAW_BLOCK = 1 << 16  # sites per Philox block: 512 KiB of raw words
 _ADDRESSED_BYTES = 80  # draw scratch per site of a counter-addressed block (74 measured at worst)
 MAX_MC_BYTES = 1 << 32  # largest packed working set of one Monte Carlo run
@@ -434,39 +430,9 @@ def _unpack(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little")
 
 
-def _byte_counts(words: np.ndarray) -> np.ndarray:
-    """Set bits of each byte of each uint64 word, in that byte (SWAR: pair and
-    nibble sums); viewed as uint8, byte k holds the count of sites 8k..8k+7."""
-    w = words >> np.uint64(1)
-    w &= _M1
-    w = words - w
-    t = w >> np.uint64(2)
-    t &= _M2
-    w &= _M2
-    w += t
-    t = w >> np.uint64(4)
-    w += t
-    w &= _M4
-    return w
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 word, as int64: the byte counts summed by one multiply."""
-    w = _byte_counts(words)
-    w *= _H01
-    w >>= np.uint64(56)
-    return w.view(np.int64)
-
-
 def _plus_counts(words: np.ndarray) -> np.ndarray:
-    """Set bits (spins +1) per row."""
-    return _popcount(words).sum(axis=-1)
-
-
-# _BITS_BELOW[r, b]: set bits of byte value b below bit r, where a replica edge cuts it
-_BITS_BELOW = np.array(
-    [[bin(b & ((1 << r) - 1)).count("1") for b in range(256)] for r in range(8)], dtype=np.uint8
-)
+    """Set bits (spins +1) per row, as int64."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
 def _replica_counts(words: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -479,24 +445,25 @@ def _replica_counts(words: np.ndarray, m: int, n: int) -> np.ndarray:
     zero-padded copy when the last block runs past the row).  Run j of each
     block sums, in one call, the byte counts from the byte holding its start
     up to the one holding its end, less the first's bits below its start,
-    plus the last's bits below its end (_BITS_BELOW).
+    plus the last's bits below its end.
     """
     p = 8 // math.gcd(n, 8)
     width = n * p // 8
     size = -(-m // p) * width
-    per_byte, raw = _byte_counts(words).view(np.uint8), words.view(np.uint8)
+    raw = words.view(np.uint8)
     if size > raw.size:
-        per_byte, raw = (np.pad(b, (0, size - b.size)) for b in (per_byte, raw))
-    per_byte, raw = per_byte[:size].reshape(-1, width), raw[:size].reshape(-1, width)
-    counts = np.empty((p, per_byte.shape[0]), dtype=np.int64)  # run j of each block
+        raw = np.pad(raw, (0, size - raw.size))
+    raw = raw[:size].reshape(-1, width)
+    per_byte = np.bitwise_count(raw)
+    counts = np.empty((p, raw.shape[0]), dtype=np.int64)  # run j of each block
     for j, count in enumerate(counts):
         a, r = divmod(j * n, 8)
         b, s = divmod(j * n + n, 8)
         per_byte[:, a:b].sum(axis=1, dtype=np.int64, out=count)
         if r:
-            count -= _BITS_BELOW[r][raw[:, a]]
+            count -= np.bitwise_count(raw[:, a] & np.uint8((1 << r) - 1))
         if s:
-            count += _BITS_BELOW[s][raw[:, b]]
+            count += np.bitwise_count(raw[:, b] & np.uint8((1 << s) - 1))
     return counts.T.reshape(-1)[:m]
 
 

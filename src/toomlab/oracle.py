@@ -208,10 +208,10 @@ def _sweep_plan(nbr: np.ndarray, kern: np.ndarray) -> tuple[list[_SweepStep], Op
     for i, x in enumerate(order):
         srcs, nxt = sources[i], sources[i + 1]
         drop = {s for s in srcs if last[s] == i}
+        # the trailing run of sources holds all this step drops: the step
+        # before moved them there (step 0 drops none, or site 0 if r = 1)
         j = len(layout)
         while j and layout[j - 1] in srcs:
-            j -= 1
-        while not drop <= set(layout[j:]):
             j -= 1
         while j < len(layout) - 1 and layout[j] not in drop and layout[j] not in nxt:
             j += 1

@@ -98,11 +98,12 @@ def fit_log_decay(
     return FitResult(rate, r2, True)
 
 
-def batch_means_se(series: np.ndarray) -> float:
-    """Standard error of the mean of a correlated series via 20 batch means."""
+def batch_means_se(series: np.ndarray) -> Optional[float]:
+    """Standard error of the mean of a correlated series via 20 batch means;
+    None below two points, which have no standard error (not one of 0)."""
     series = np.asarray(series, dtype=np.float64)
     if series.size < 2:
-        return 0.0
+        return None
     nb = min(20, series.size)
     means = np.array([chunk.mean() for chunk in np.array_split(series, nb)])
     return float(means.std(ddof=1) / math.sqrt(nb))
@@ -151,8 +152,7 @@ def minus_density_run(
     return RunSummary(
         density_series=densities,
         density_mean=float(tail.mean()) if tail.size else None,
-        # one point has no standard error, not an error of 0
-        density_se=batch_means_se(tail) if tail.size > 1 else None,
+        density_se=batch_means_se(tail),
     )
 
 
@@ -512,7 +512,9 @@ def two_phase_divergence(
     records when that happened.
     MERGED: post-burn-in gap within 3 SE of zero (or exact coalescence);
     SEPARATED: gap above 10 SE; otherwise UNDECIDED.  A single post-burn-in
-    point has no standard error, so a nonzero gap there is UNDECIDED.  Rules
+    point has no standard error, so a nonzero gap there is UNDECIDED.  With
+    no point after burn_in, gap_mean and gap_se are None, and the class is
+    MERGED if the chains coalesced and UNDECIDED otherwise.  Rules
     that are not symmetric under the global flip are reported INAPPLICABLE,
     not an error.
     """
@@ -545,14 +547,14 @@ def two_phase_divergence(
         mag_m[t] = 2.0 * (plus[-1] / n) - 1.0
         if met is None and len(rows) == 1:
             met = t
-    gap = mag_p[burn_in + 1 :] - mag_m[burn_in + 1 :]
-    if gap.size == 0:
-        gap = mag_p[-1:] - mag_m[-1:]
-    gap_mean = float(gap.mean())
+    gap = mag_p[burn_in + 1 :] - mag_m[burn_in + 1 :]  # empty when steps == burn_in
+    gap_mean = float(gap.mean()) if gap.size else None
     gap_se = batch_means_se(gap)
-    if np.all(gap == 0.0):
+    if gap.size == 0:
+        cls = MERGED if met is not None else UNDECIDED
+    elif np.all(gap == 0.0):
         cls = MERGED
-    elif gap.size < 2:
+    elif gap_se is None:
         cls = UNDECIDED
     elif gap_mean < 3.0 * gap_se:
         cls = MERGED

@@ -433,6 +433,19 @@ class TestExact:
         assert error["type"] == "ConfigError" and "not proven unique" in error["message"]
         assert not (out / "exact_report.json").exists()
 
+    def test_refuses_a_table_sure_both_ways_above_the_orbit_route(self, tmp_path, capsys):
+        # p_plus 0 and 1 fix all-minus and all-plus; at 12 sites there is no
+        # orbit matrix to search, so uniqueness is not proven
+        code, out = run(
+            tmp_path, "exact",
+            {"rule": "stavskaya", "noise": {"kind": "table", "p_plus": [0, 0.5, 0.5, 1]},
+             "dims": [12], "tv_steps": 5},
+        )
+        error = one_error(capsys)
+        assert code == 1 and error["type"] == "ConfigError"
+        assert "not proven unique" in error["message"]
+        assert not (out / "exact_report.json").exists()
+
     def test_absorbing_chain_needs_no_opt_in(self, tmp_path):
         # no allow_absorbing: the uniqueness proof alone admits the chain
         code, out = run(
@@ -555,6 +568,51 @@ class TestCorrelateScanDivergence:
         lines = (out / "divergence.csv").read_text().splitlines()
         assert lines[1] == "step,mag_plus,mag_minus,gap"
 
+    DIVERGENCE = {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.2}, "dims": [8, 8],
+                  "seed": 31}
+
+    def test_divergence_merged_within_three_standard_errors(self, tmp_path):
+        # the chains meet at step 24 of 120: a gap at the start of the
+        # window, zero after it, within 3 SE of zero
+        code, out = run(tmp_path, "divergence", dict(self.DIVERGENCE, steps=120, burn_in=0))
+        report = read_json(out / "divergence_report.json")
+        assert code == 0 and report["classification"] == "MERGED"
+        assert report["coalescence_step"] == 24
+        assert 0.0 < report["gap_mean"] < 3.0 * report["gap_se"]
+
+    def test_divergence_undecided_between_three_and_ten_standard_errors(self, tmp_path):
+        # the same chains, averaged over steps 11 to 30
+        code, out = run(tmp_path, "divergence", dict(self.DIVERGENCE, steps=30, burn_in=10))
+        report = read_json(out / "divergence_report.json")
+        assert code == 0 and report["classification"] == "UNDECIDED"
+        assert report["coalescence_step"] == 24
+        assert 3.0 * report["gap_se"] <= report["gap_mean"] <= 10.0 * report["gap_se"]
+
+    @pytest.mark.parametrize("eps, steps, burn_in, cls", [
+        (0.45, 1, 0, "UNDECIDED"),  # one point after burn_in
+        (0.45, 2, 2, "UNDECIDED"),  # no point, chains apart
+        (0.5, 2, 2, "MERGED"),  # no point, chains met at step 1
+    ], ids=["one-point", "no-point-apart", "no-point-met"])
+    def test_divergence_below_two_points_has_no_standard_error(self, tmp_path, capsys, eps,
+                                                                steps, burn_in, cls):
+        # one point read gap_se 0.0, and with burn_in = steps the gap at
+        # burn_in itself was averaged
+        code, out = run(tmp_path, "divergence",
+                        {"rule": "nec", "noise": {"kind": "symmetric", "eps": eps},
+                         "dims": [8, 8], "steps": steps, "burn_in": burn_in})
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and payload["classification"] == cls and payload["gap_se"] is None
+        assert (payload["gap_mean"] is None) == (burn_in == steps)
+        assert read_json(out / "divergence_report.json")["gap_se"] is None
+
+    def test_scan_refuses_table_noise(self, tmp_path, capsys):
+        code, out = run(tmp_path, "scan",
+                        {"rule": "stavskaya", "noise_kind": "table", "eps_grid": [0.1],
+                         "dims": [16], "steps": 3})
+        error = one_error(capsys)
+        assert code == 1 and error["type"] == "ConfigError" and "'table'" in error["message"]
+        assert not (out / "scan.csv").exists()
+
     def test_divergence_inapplicable(self, tmp_path):
         code, out = run(
             tmp_path, "divergence",
@@ -575,6 +633,25 @@ class TestHygiene:
              "dims": [16], "steps": 5},
         )
         assert not [p for p in out.iterdir() if p.name.startswith(".tmp_toomlab")]
+
+    def test_temp_file_removed_when_a_write_fails(self, tmp_path, capsys, monkeypatch):
+        # the strip's temporary file is open through the run; a write that
+        # fails on the third row (a full disk) must not leave it behind
+        rows = []
+        pixels = cli._ppm_pixels
+
+        def fail_third(bits):
+            rows.append(bits)
+            if len(rows) == 3:
+                raise OSError(28, "No space left on device")
+            return pixels(bits)
+
+        monkeypatch.setattr(cli, "_ppm_pixels", fail_third)
+        code, out = run(tmp_path, "simulate",
+                        {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1},
+                         "dims": [16], "steps": 5, "snapshot_every": 1})
+        assert code == 1 and error_type(capsys) == "OSError" and len(rows) == 3
+        assert [p.name for p in out.iterdir()] == []
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask022", "umask077"])
@@ -622,11 +699,16 @@ class TestHygiene:
         assert code == 1
 
 
-def error_type(capsys):
-    """The type of the one JSON error a run printed."""
+def one_error(capsys):
+    """The one JSON error a run printed."""
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
-    return json.loads(lines[0])["error"]["type"]
+    return json.loads(lines[0])["error"]
+
+
+def error_type(capsys):
+    """The type of the one JSON error a run printed."""
+    return one_error(capsys)["type"]
 
 
 class TestStrictInputs:
@@ -673,6 +755,69 @@ class TestStrictInputs:
         )
         assert code == 1 and error_type(capsys) == "ConfigError"
         assert not (out / "correlate_temporal.csv").exists()
+
+    @pytest.mark.parametrize("command", sorted(ALL_COMMANDS))
+    def test_config_not_an_object_refused(self, tmp_path, capsys, command):
+        code, out = run(tmp_path, command, [ALL_COMMANDS[command]])
+        error = one_error(capsys)
+        assert code == 1 and error["type"] == "ConfigError"
+        assert error["message"] == f"{command} config must be a JSON object"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(ALL_COMMANDS))
+    def test_config_without_rule_refused(self, tmp_path, capsys, command):
+        config = dict(ALL_COMMANDS[command])
+        del config["rule"]
+        code, out = run(tmp_path, command, config)
+        error = one_error(capsys)
+        assert code == 1 and error["type"] == "ConfigError"
+        assert error["message"] == f"{command} config requires field 'rule'"
+        assert not out.exists()
+
+    def test_dims_of_the_wrong_dimension_refused(self, tmp_path, capsys):
+        code, out = run(tmp_path, "simulate", dict(self.SIM, dims=[8]))
+        error = one_error(capsys)
+        assert code == 1 and error["type"] == "ConfigError"
+        assert "do not match rule dimension 2" in error["message"]
+        assert [p.name for p in out.iterdir()] == []
+
+    def test_erode_cutoff_zero_refused(self, tmp_path, capsys):
+        code, out = run(tmp_path, "erode", {"rule": "nec", "island": [[0, 0]], "cutoff": 0})
+        error = one_error(capsys)
+        assert code == 1 and error == {"type": "ConfigError",
+                                       "message": "cutoff must be at least 1"}
+        assert not (out / "erosion_report.json").exists()
+
+    def test_divergence_burn_in_beyond_steps_refused(self, tmp_path, capsys):
+        code, out = run(tmp_path, "divergence",
+                        {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.5},
+                         "dims": [8, 8], "steps": 3, "burn_in": 4})
+        error = one_error(capsys)
+        assert code == 1 and error["type"] == "ConfigError"
+        assert error["message"] == "burn_in 4 must lie in [0, steps=3]"
+        assert not (out / "divergence_report.json").exists()
+
+    @pytest.mark.parametrize("rule, message", [
+        ([1, 2], "rule file must hold a JSON object"),
+        ({"neighborhood": [[0]], "table": "2"}, "bad rule header"),
+        ({"dimension": 1, "neighborhood": [[0]], "table": "0x2g"}, "table is not a hex string"),
+        ({"dimension": 1, "neighborhood": [[0], [1]], "plus_sets": [[0], [2]]},
+         "plus-set index 2 out of range"),
+        ({"dimension": 1, "neighborhood": [[0]], "plus_sets": []},
+         "'plus_sets' must list at least one set"),
+        ({"dimension": 1, "neighborhood": [[0]]}, "rule needs a 'table' or 'plus_sets' field"),
+    ], ids=["not-an-object", "no-dimension", "table-not-hex", "plus-set-index-out-of-range",
+            "no-plus-set", "no-table"])
+    def test_malformed_rule_file_refused(self, tmp_path, capsys, rule, message):
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps(rule))
+        code, out = run(tmp_path, "simulate",
+                        {"rule": str(path), "noise": {"kind": "symmetric", "eps": 0.1},
+                         "dims": [8], "steps": 3})
+        error = one_error(capsys)
+        assert code == 1 and error["type"] == "RuleValidationError"
+        assert error["message"].startswith(message)
+        assert [p.name for p in out.iterdir()] == []
 
     def test_zero_divergence_steps_rejected(self, tmp_path, capsys):
         # with no step taken the verdict would rest on the initial condition

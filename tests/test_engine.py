@@ -346,11 +346,11 @@ class TestPopcount:
     def test_random_words(self):
         words = np.random.default_rng(0).integers(0, 2**64, size=4000, dtype=np.uint64)
         want = [bin(int(w)).count("1") for w in words]
-        assert engine._popcount(words).tolist() == want
+        assert engine._plus_counts(words[:, None]).tolist() == want
 
     def test_all_ones_and_single_bits(self):
         words = np.array([2**64 - 1, 0] + [1 << k for k in range(64)], dtype=np.uint64)
-        assert engine._popcount(words).tolist() == [64, 0] + [1] * 64
+        assert engine._plus_counts(words[:, None]).tolist() == [64, 0] + [1] * 64
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
     def test_padded_tails(self, n):

@@ -315,11 +315,16 @@ class TestTwoPhase:
 
     @pytest.mark.parametrize("steps, burn_in", [(1, None), (2, None), (2, 2)])
     def test_one_gap_point_is_undecided(self, steps, burn_in):
-        # one post-burn-in point has no standard error; 200 steps merge here
+        # one post-burn-in point has no standard error, and with burn_in =
+        # steps there is no point to average; 200 steps merge here
         res = two_phase_divergence(
             NEC, symmetric_noise(0.45), (8, 8), steps=steps, seed=0, burn_in=burn_in
         )
-        assert res.gap_mean != 0.0 and res.gap_se == 0.0
+        if burn_in == steps:
+            assert res.gap_mean is None
+        else:
+            assert res.gap_mean != 0.0
+        assert res.gap_se is None and res.coalescence_step is None
         assert res.classification == stats.UNDECIDED
 
     def test_one_zero_gap_point_is_merged(self):
