@@ -24,12 +24,12 @@ import os
 import secrets
 import sys
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import bounds, certify, engine, oracle, rules, stats
-from .errors import ConfigError, ResourceLimitError, ToomlabError
+from .errors import ConfigError, ToomlabError
 
 
 # --------------------------------------------------------------------------
@@ -62,11 +62,11 @@ def _coerce(value: Any, kind: str, name: str) -> Any:
             if not isinstance(value, str):
                 raise ValueError("expected string")
             return value
-        if kind in ("int", "seed"):
+        if kind == "seed":
+            return engine._seed(value)
+        if kind == "int":
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"expected integer, got {value!r}")
-            if kind == "seed" and not 0 <= value < 2**64:  # one seed, one Philox key
-                raise ValueError(f"a seed lies in [0, 2**64), got {value}")
             return value
         if kind == "float":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -210,11 +210,11 @@ def write_json(path: str, payload: dict, resolved: dict) -> None:
     _atomic_write(path, (json.dumps(body, indent=2, sort_keys=True) + "\n").encode())
 
 
-def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence], resolved: dict) -> None:
-    lines = [f"# config: {_config_line(resolved)}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(x) for x in row))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence], resolved: dict) -> None:
+    """Config line, header and rows, written row by row: a generator of rows is never held whole."""
+    with _atomic_file(path) as fh:
+        fh.write(f"# config: {_config_line(resolved)}\n{','.join(header)}\n".encode())
+        fh.writelines(f"{','.join(_csv_cell(x) for x in row)}\n".encode() for row in rows)
 
 
 def _csv_cell(x: Any) -> str:
@@ -304,8 +304,9 @@ def _snapshot_every(cfg: dict, sites: int, steps: int) -> int:
     every = cfg["snapshot_every"]
     if every < 0:
         raise ConfigError(f"snapshot_every must be nonnegative, got {every}")
-    if every and 3 * sites * (steps // every + 1) > engine.MAX_MC_BYTES:
-        raise ResourceLimitError(f"snapshots would exceed the {engine.MAX_MC_BYTES}-byte cap")
+    if every:
+        frames = steps // every + 1
+        engine._within_cap(3 * sites * frames, f"{frames} snapshots of {sites} sites")
     return every
 
 
@@ -359,7 +360,7 @@ def cmd_simulate(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple
             rule, cfg["noise"], dims, cfg["steps"], cfg["burn_in"], cfg["seed"],
             threads=threads, on_step=_frame_writer(every, out_dir, "frame", resolved, strip),
         )
-    rows = [(t, float(d)) for t, d in enumerate(run.density_series)]
+    rows = ((t, float(d)) for t, d in enumerate(run.density_series))
     write_csv(os.path.join(out_dir, "density.csv"), ("step", "density"), rows, resolved)
     payload = {
         "density_mean": _json_float(run.density_mean),
@@ -374,7 +375,8 @@ def cmd_exact(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tuple[in
         raise ConfigError("exact needs tv_steps >= 0, max_iter >= 1 and tol > 0")
     rule = rules.load_rule(cfg["rule"])
     window = [[0] * rule.dimension] if cfg["window"] is None else cfg["window"]
-    window = oracle.window_sites(window, tuple(cfg["dims"]))  # refused before the solve
+    # dims against the rule, then the window against dims, all before the solve
+    window = oracle.window_sites(window, engine._torus_dims(rule, cfg["dims"]))
     pi = oracle.stationary_distribution(
         rule, cfg["noise"], cfg["dims"], tol=cfg["tol"], max_iter=cfg["max_iter"]
     )
@@ -407,6 +409,8 @@ def cmd_correlate(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tupl
     if not (cfg["distances"] or cfg["lags"]):
         raise ConfigError("correlate needs distances and/or lags")
     header = ("distance_or_lag", "estimate", "stderr", "n")
+    # what the estimators would refuse, refused before the burn-in
+    stats._check_estimates(engine._torus_dims(rule, cfg["dims"]), cfg["distances"], cfg["lags"])
     stats.estimator_bytes(cfg["samples"], 3 if cfg["lags"] else 2)
     sample = stats.stationary_sample(rule, cfg["noise"], cfg["dims"], cfg["burn_in"],
                                      cfg["samples"], cfg["seed"], threads)
@@ -448,10 +452,10 @@ def cmd_divergence(cfg: dict, resolved: dict, out_dir: str, threads: int) -> tup
         "coalescence_step": result.coalescence_step,
     }
     if result.classification != stats.INAPPLICABLE:
-        rows = [
+        rows = (
             (t, float(p), float(m), float(p - m))
             for t, (p, m) in enumerate(zip(result.mag_plus, result.mag_minus))
-        ]
+        )
         write_csv(os.path.join(out_dir, "divergence.csv"),
                   ("step", "mag_plus", "mag_minus", "gap"), rows, resolved)
     write_json(os.path.join(out_dir, "divergence_report.json"), payload, resolved)

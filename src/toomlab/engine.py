@@ -35,7 +35,8 @@ and out, shifted planes, Shannon node values, noise masks, each dropped
 after its last use; see :func:`working_bytes`) plus under 600 KiB of draw
 scratch per span, or about 5 MiB when the draws are read by counter.  A
 run whose estimate exceeds MAX_MC_BYTES is refused with ResourceLimitError
-before anything of lattice size is allocated.
+before anything of lattice size is allocated, by `_within_cap`, every cap's
+one check.  `_seed` refuses a seed other than an int in [0, 2**64).
 
 The exact oracle reads the same wrapped neighborhoods, as an index table,
 from :func:`neighbor_table`.
@@ -292,14 +293,11 @@ def check_assumptions(noise: NoiseModel, rule: RuleSpec) -> tuple[float, float]:
 # counter-based randomness
 
 
-@dataclass(frozen=True)
-class RngKey:
-    """Root of the per-(step, position) random streams."""
-
-    seed: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", int(self.seed) & (2**64 - 1))
+def _seed(seed) -> int:
+    """seed, refused unless an int in [0, 2**64): one seed, one Philox key, one stream."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ConfigError(f"a seed is an integer in [0, 2**64), got {seed!r}")
+    return seed
 
 
 def _torus_dims(rule: RuleSpec, dims: Sequence[int]) -> tuple[int, ...]:
@@ -328,19 +326,20 @@ def neighbor_table(rule: RuleSpec, dims: Sequence[int]) -> np.ndarray:
     ])
 
 
-def _philox(key: RngKey, t: int, start: int, bg: Optional[Philox] = None) -> Philox:
+def _philox(seed: int, t: int, start: int, bg: Optional[Philox] = None) -> Philox:
     """Bit generator positioned at output `start` (a multiple of 4) of stream t:
     bg moved there in place, or a new one.
 
     Moving a generator costs about half of building one, for which numpy
     also reads os.urandom, only for the key to replace that entropy.
     """
+    seed = _seed(seed)
     if bg is None:
-        bg = Philox(key=key.seed)
+        bg = Philox(key=seed)
     bg.state = {
         "bit_generator": "Philox",
         "state": {"counter": np.array([0, 0, t, 0], dtype=np.uint64),
-                  "key": np.array([key.seed, 0], dtype=np.uint64)},
+                  "key": np.array([seed, 0], dtype=np.uint64)},
         "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     if start:
@@ -362,8 +361,8 @@ def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return a_hi * m_hi + (mid >> _32) + (cross >> _32), a * np.uint64(m)
 
 
-def _philox_at(key: RngKey, t: int, positions: np.ndarray) -> np.ndarray:
-    """Outputs `positions` of the step-t stream, as `_philox(key, t, 0)`'s
+def _philox_at(seed: int, t: int, positions: np.ndarray) -> np.ndarray:
+    """Outputs `positions` of the step-t stream, as `_philox(seed, t, 0)`'s
     random_raw gives them, in any order.
 
     Philox4x64-10 (Salmon et al. 2011) vectorized over 4-word blocks: output
@@ -379,7 +378,7 @@ def _philox_at(key: RngKey, t: int, positions: np.ndarray) -> np.ndarray:
     c0 = block[new]
     c0 += np.uint64(1)  # below 2**62, so it never carries into word 1
     c1, c2, c3 = np.zeros_like(c0), np.full_like(c0, t), np.zeros_like(c0)
-    k0, k1 = key.seed, 0
+    k0, k1 = _seed(seed), 0
     for _ in range(10):
         hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
         hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
@@ -634,11 +633,13 @@ def working_bytes(
     plan = plan or _StepPlan(rule, kern)
     need = row * (sum(plan.n_moves.values()) + max(rows * chain + masks for chain, masks in plan.live))
     need += min(threads, row // 8) * _DRAW_BLOCK * (_ADDRESSED_BYTES if addressed else 9) if plan.noisy else 0
+    return _within_cap(need, f"a Monte Carlo step on {rows} x {replicas or 1} x {dims} sites")
+
+
+def _within_cap(need: int, what: str) -> int:
+    """need, the bytes of what, refused above MAX_MC_BYTES: every Monte Carlo cap's one check."""
     if need > MAX_MC_BYTES:
-        raise ResourceLimitError(
-            f"a Monte Carlo step on {rows} x {replicas or 1} x {dims} sites needs"
-            f" about {need} bytes, over the {MAX_MC_BYTES}-byte cap"
-        )
+        raise ResourceLimitError(f"{what}: about {need} bytes, over the {MAX_MC_BYTES}-byte cap")
     return need
 
 
@@ -663,12 +664,13 @@ class _PackedCore:
         rule: RuleSpec,
         dims: Sequence[int],
         kern: np.ndarray,
-        key: Optional[RngKey] = None,
+        seed: Optional[int] = None,
         threads: int = 1,
         replicas: Optional[int] = None,
         rows: int = 1,
         ids: Optional[np.ndarray] = None,
     ):
+        self.seed = None if seed is None else _seed(seed)
         if threads < 1:
             raise ConfigError(f"threads must be at least 1, got {threads}")
         self.threads = int(threads)
@@ -681,7 +683,7 @@ class _PackedCore:
         dims, offsets = _torus_dims(rule, dims), rule.neighborhood
         if replicas is not None:
             dims, offsets = (int(replicas),) + dims, tuple((0,) + u for u in offsets)
-        self.dims, self.key = dims, key
+        self.dims = dims
         self.n_sites = math.prod(dims)
         self.n_words = -(-self.n_sites // 64)
         self._tail = _ONES >> np.uint64(-self.n_sites % 64)
@@ -714,7 +716,7 @@ class _PackedCore:
             a, b = self._spans[i]
             bg = None
             if self._ids is None:
-                bg = self._bgs[i] = _philox(self.key, t, a, self._bgs[i])
+                bg = self._bgs[i] = _philox(self.seed, t, a, self._bgs[i])
             for lo in range(a, b, _DRAW_BLOCK):
                 if bg is not None:
                     raw = bg.random_raw(min(_DRAW_BLOCK, b - lo))
@@ -725,7 +727,7 @@ class _PackedCore:
                     slot *= n
                     slot += site % n
                     del site
-                    raw = _philox_at(self.key, t, slot)
+                    raw = _philox_at(self.seed, t, slot)
                     del slot
                 for j, thr in enumerate(self._thresholds):
                     packed = np.packbits(raw < thr, bitorder="little")
@@ -780,14 +782,14 @@ def evolve(
     state: LatticeState,
     rule: RuleSpec,
     noise: Optional[NoiseModel],
-    key: RngKey,
+    seed: int,
     t0: int,
     steps: int,
     threads: int = 1,
 ) -> LatticeState:
-    """Run steps t0 .. t0+steps-1; noise None applies the rule deterministically."""
+    """Run steps t0 .. t0+steps-1 on seed's stream; noise None steps the rule deterministically."""
     kern = rule.table if noise is None else kernel_plus(noise, rule)
-    core = _PackedCore(rule, state.dims, kern, key, threads)
+    core = _PackedCore(rule, state.dims, kern, seed, threads)
     words = state.words[None, :]
     for _, words in core.run(words, t0, t0 + steps):
         pass

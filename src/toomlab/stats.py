@@ -48,7 +48,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import engine
-from .engine import LatticeState, NoiseModel, RngKey, RuleSpec
+from .engine import LatticeState, NoiseModel, RuleSpec
 from .errors import ConfigError, ResourceLimitError
 
 NOISE_FLOOR_SE = 2.0
@@ -109,16 +109,6 @@ def batch_means_se(series: np.ndarray) -> Optional[float]:
     return float(means.std(ddof=1) / math.sqrt(nb))
 
 
-def _check_series(steps: int, count: int) -> None:
-    """Refuse count float64 series of steps + 1 entries over MAX_MC_BYTES."""
-    need = 8 * count * (steps + 1)
-    if need > engine.MAX_MC_BYTES:
-        raise ResourceLimitError(
-            f"{count} series of {steps} steps need {need} bytes,"
-            f" over the {engine.MAX_MC_BYTES}-byte cap"
-        )
-
-
 def minus_density_run(
     rule: RuleSpec,
     noise: NoiseModel,
@@ -137,8 +127,8 @@ def minus_density_run(
     """
     if not 0 <= burn_in <= steps:
         raise ConfigError(f"burn_in {burn_in} must lie in [0, steps={steps}]")
-    _check_series(steps, 1)
-    core = engine._PackedCore(rule, dims, engine.kernel_plus(noise, rule), RngKey(seed), threads)
+    engine._within_cap(8 * (steps + 1), f"a series of {steps} steps")
+    core = engine._PackedCore(rule, dims, engine.kernel_plus(noise, rule), seed, threads)
     state = LatticeState.all_plus(core.dims)
     if on_step is not None:
         on_step(0, state)
@@ -316,7 +306,7 @@ def stationary_sample(
     kern = engine.kernel_plus(noise, rule)
 
     def packed(rows: int, m: Optional[int] = None, ids=None) -> engine._PackedCore:
-        return engine._PackedCore(rule, dims, kern, RngKey(seed), threads, m, rows, ids)
+        return engine._PackedCore(rule, dims, kern, seed, threads, m, rows, ids)
 
     core, w, stop = None, burn_in, burn_in // _PROBE_STOP
     if stop and _monotone(kern):
@@ -373,12 +363,7 @@ def estimator_bytes(replicas: int, columns: int) -> int:
     only once it has been stepped.
     """
     need = 8 * replicas * (2 * columns + 3)
-    if need > engine.MAX_MC_BYTES:
-        raise ResourceLimitError(
-            f"estimates over {replicas} replicas need about {need} bytes,"
-            f" over the {engine.MAX_MC_BYTES}-byte cap"
-        )
-    return need
+    return engine._within_cap(need, f"estimates over {replicas} replicas")
 
 
 def _fit_rows(table: list) -> FitResult:
@@ -401,6 +386,20 @@ def _delta_se(values: np.ndarray, means: np.ndarray, grad: np.ndarray) -> Option
     return math.sqrt(max(var, 0.0))
 
 
+def _check_estimates(dims: Sequence[int], distances: Sequence[int] = (),
+                     lags: Sequence[int] = ()) -> list[int]:
+    """The lags sorted, refused with a distance outside [0, min(dims) / 2) on
+    the torus dims or a negative lag; `correlate` checks before the burn-in."""
+    if min(distances, default=0) < 0:
+        raise ConfigError("distances must be nonnegative")
+    if max(distances, default=0) >= min(dims) / 2:
+        raise ConfigError("max distance must stay below min(dims)/2")
+    lags = sorted(int(k) for k in lags)
+    if lags and lags[0] < 0:
+        raise ConfigError("lags must be nonnegative")
+    return lags
+
+
 def spatial_correlation(
     sample: ReplicaSample, distances: Sequence[int]
 ) -> tuple[RunSummary, FitResult]:
@@ -414,10 +413,7 @@ def spatial_correlation(
     """
     m, dims = sample.dims[0], sample.dims[1:]
     n = math.prod(dims)
-    if min(distances, default=0) < 0:
-        raise ConfigError("distances must be nonnegative")
-    if max(distances, default=0) >= min(dims) / 2:
-        raise ConfigError("max distance must stay below min(dims)/2")
+    _check_estimates(dims, distances)
     words = sample.words
     m_hat = float(sample.means.mean())
     summary = RunSummary()
@@ -441,9 +437,7 @@ def temporal_autocorrelation(
     sample is the lag-0 batch; the lags continue its chain, stepping
     sample.core on from step sample.steps, on the packed words.
     """
-    lags = sorted(int(k) for k in lags)
-    if lags and lags[0] < 0:
-        raise ConfigError("lags must be nonnegative")
+    lags = _check_estimates(sample.dims[1:], lags=lags)
     m, n = sample.dims[0], math.prod(sample.dims[1:])
     words0, m0_r = sample.words, sample.means
     m0 = float(m0_r.mean())
@@ -524,6 +518,7 @@ def two_phase_divergence(
         burn_in = steps // 2
     if not 0 <= burn_in <= steps:
         raise ConfigError(f"burn_in {burn_in} must lie in [0, steps={steps}]")
+    engine._seed(seed)  # refused even where nothing is stepped
     if not is_flip_symmetric(rule):
         return DivergenceResult(
             classification=INAPPLICABLE,
@@ -532,10 +527,8 @@ def two_phase_divergence(
             gap_mean=None,
             gap_se=None,
         )
-    _check_series(steps, 2)
-    core = engine._PackedCore(
-        rule, dims, engine.kernel_plus(noise, rule), RngKey(seed), threads, rows=2
-    )
+    engine._within_cap(16 * (steps + 1), f"two series of {steps} steps")
+    core = engine._PackedCore(rule, dims, engine.kernel_plus(noise, rule), seed, threads, rows=2)
     n = core.n_sites
     mag_p = np.empty(steps + 1)
     mag_m = np.empty(steps + 1)

@@ -46,7 +46,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from toomlab import certify, engine, oracle, ratlp, rules
-from toomlab.engine import LatticeState, NoiseModel, RngKey, _torus_dims
+from toomlab.engine import LatticeState, NoiseModel, _torus_dims
 from toomlab.oracle import ExactKernel, StateDistribution
 from toomlab.rules import RuleSpec, monotone_closure
 from toomlab.stats import ReplicaSample
@@ -317,7 +317,7 @@ class TorusStepper:
         return idx
 
 
-def step_uniforms(key: RngKey, t: int, start: int, count: int) -> np.ndarray:
+def step_uniforms(seed: int, t: int, start: int, count: int) -> np.ndarray:
     """Outputs [start, start+count) of the step-t uniform stream.
 
     start must be a multiple of 4 (the Philox block size) so that chunked
@@ -325,7 +325,7 @@ def step_uniforms(key: RngKey, t: int, start: int, count: int) -> np.ndarray:
     """
     if start % 4:
         raise ValueError("stream start must be 4-aligned")
-    bg = Philox(key=key.seed, counter=[0, 0, int(t), 0])
+    bg = Philox(key=seed, counter=[0, 0, int(t), 0])
     bg.advance(start // 4)
     return Generator(bg).random(count)
 
@@ -335,7 +335,7 @@ def evolve_batch(
     rule: RuleSpec,
     noise: NoiseModel,
     dims: Sequence[int],
-    key: RngKey,
+    seed: int,
     t0: int,
     steps: int,
     threads: int = 1,
@@ -349,7 +349,7 @@ def evolve_batch(
     if m == 0:
         return bits.copy()
     kern = engine.kernel_plus(noise, rule)
-    core = engine._PackedCore(rule, dims, kern, key, threads, replicas=m)
+    core = engine._PackedCore(rule, dims, kern, seed, threads, replicas=m)
     words = engine._pack(bits.reshape(1, m * n), core.n_words)
     for t in range(t0, t0 + steps):
         words = core.step(words, t)
@@ -366,7 +366,7 @@ def plain_stationary_sample(
 ) -> ReplicaSample:
     """The replica batch after every burn-in step from all-plus at step 0."""
     kern = engine.kernel_plus(noise, rule)
-    core = engine._PackedCore(rule, dims, kern, RngKey(seed), replicas=replicas)
+    core = engine._PackedCore(rule, dims, kern, seed, replicas=replicas)
     words = engine.LatticeState.all_plus(core.dims).words[None, :]
     for t in range(burn_in):
         words = core.step(words, t)
@@ -381,7 +381,7 @@ def probe_meeting_step(
     first ceil(replicas / 64) replicas, each stepped alone from step 0,
     agree; None if they do not within stop steps."""
     kern = engine.kernel_plus(noise, rule)
-    core = engine._PackedCore(rule, dims, kern, RngKey(seed), replicas=-(-replicas // 64))
+    core = engine._PackedCore(rule, dims, kern, seed, replicas=-(-replicas // 64))
     plus = engine.LatticeState.all_plus(core.dims).words[None, :]
     minus = engine.LatticeState.all_minus(core.dims).words[None, :]
     for t in range(stop):
@@ -399,7 +399,7 @@ def probe_apart_counts(
     batch, each stepped alone from step 0 and compared on unpacked spins;
     None if they do not meet within stop steps."""
     kern = engine.kernel_plus(noise, rule)
-    core = engine._PackedCore(rule, dims, kern, RngKey(seed), replicas=-(-replicas // 64))
+    core = engine._PackedCore(rule, dims, kern, seed, replicas=-(-replicas // 64))
     m, n = core.dims[0], core.n_sites // core.dims[0]
     plus = engine.LatticeState.all_plus(core.dims).words[None, :]
     minus = engine.LatticeState.all_minus(core.dims).words[None, :]

@@ -15,7 +15,7 @@ import pytest
 
 from toomlab import bounds, certify, engine, oracle, stats
 from toomlab.certify import ERODER, NON_ERODER
-from toomlab.engine import LatticeState, RngKey, biased_noise, symmetric_noise
+from toomlab.engine import LatticeState, biased_noise, symmetric_noise
 from toomlab.rules import RuleSpec, load_rule, minimal_plus_sets
 
 from .oracles import (
@@ -209,11 +209,11 @@ def test_c08_threaded_determinism():
         dims = (256, 256)
         start = LatticeState.all_plus(dims)
         runs = [
-            engine.evolve(start, rule, noise, RngKey(2024), 0, 100, threads=w)
+            engine.evolve(start, rule, noise, 2024, 0, 100, threads=w)
             for w in (1, 2, 8)
         ]
         assert runs[0] == runs[1] == runs[2]
-        again = engine.evolve(start, rule, noise, RngKey(2024), 0, 100, threads=1)
+        again = engine.evolve(start, rule, noise, 2024, 0, 100, threads=1)
         assert again == runs[0]
 
 

@@ -1,13 +1,16 @@
+import ast
 import json
 import os
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from toomlab import cli, rules
+from toomlab.errors import ResourceLimitError
 from toomlab.rules import load_rule
 
 
@@ -832,6 +835,45 @@ class TestStrictInputs:
     EXACT = {"rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1}, "dims": [6],
              "tv_steps": 5}
 
+    @pytest.mark.parametrize("command", ["exact", "simulate"])
+    def test_wrong_dimension_named_as_such(self, tmp_path, capsys, command):
+        # exact checks dims against the rule before it builds the default
+        # window, so it names the dims, as simulate does
+        config = {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.1}, "dims": [8],
+                  "steps": 3}
+        if command == "exact":
+            del config["steps"]
+        code, out = run(tmp_path, command, config)
+        assert code == 1
+        assert one_error(capsys) == {"type": "ConfigError",
+                                     "message": "dims (8,) do not match rule dimension 2"}
+        assert not out.exists() or not any(out.glob("*.json"))
+
+    def test_repeated_window_site_named_as_such(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "exact", {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.1},
+                                          "dims": [4, 4], "window": [[0, 0], [4, 0]]})
+        assert code == 1
+        assert one_error(capsys) == {
+            "type": "ConfigError",
+            "message": "window sites [(0, 0), (4, 0)] are not distinct on torus (4, 4)",
+        }
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"distances": [4]}, "max distance must stay below min(dims)/2"),
+        ({"distances": [-1]}, "distances must be nonnegative"),
+        ({"lags": [-1]}, "lags must be nonnegative"),
+        ({"distances": [1], "lags": [2, -1]}, "lags must be nonnegative"),
+    ], ids=["distance-half-the-ring", "negative-distance", "negative-lag", "one-negative-lag"])
+    def test_bad_distance_or_lag_refused_before_the_burn_in(self, tmp_path, capsys, monkeypatch,
+                                                            fields, message):
+        calls = []
+        monkeypatch.setattr(cli.stats, "stationary_sample", lambda *a, **k: calls.append(a))
+        code, _ = run(tmp_path, "correlate", {
+            "rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1}, "dims": [8],
+            "samples": 1000, "burn_in": 200, "seed": 1, **fields})
+        assert code == 1 and one_error(capsys) == {"type": "ConfigError", "message": message}
+        assert calls == []
+
     @pytest.mark.parametrize("fields, error", [
         ({"window": [[0], [6]]}, "ConfigError"),  # site 6 wraps onto site 0
         ({"window": [[0, 0]]}, "ConfigError"),  # a 2-d site on a ring
@@ -1098,7 +1140,7 @@ class TestOneTrajectoryPerCommand:
             assert len(callers) > before, command
         before = len(callers)
         state = cli.engine.LatticeState.all_plus((8,))
-        cli.engine.evolve(state, load_rule("stavskaya"), None, cli.engine.RngKey(0), 0, 3)
+        cli.engine.evolve(state, load_rule("stavskaya"), None, 0, 0, 3)
         assert len(callers) == before + 3
         assert set(callers) == {"run"}
 
@@ -1130,8 +1172,66 @@ class TestSnapshotsStream:
         assert extra < 12 * 4096
 
 
+class TestCsvRowsStream:
+    @pytest.mark.parametrize("command, series", [("simulate", 1), ("divergence", 2)])
+    def test_rows_are_written_as_made(self, tmp_path, monkeypatch, command, series):
+        # traced from the moment the run returns its series: a table of
+        # every row, or every line, would cost several times the series
+        steps = 20000
+        name = {"simulate": "minus_density_run", "divergence": "two_phase_divergence"}[command]
+        estimate = getattr(cli.stats, name)
+
+        def traced(*args, **kwargs):
+            result = estimate(*args, **kwargs)
+            tracemalloc.start()
+            return result
+
+        monkeypatch.setattr(cli.stats, name, traced)
+        config = {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.1}, "dims": [8, 8],
+                  "steps": steps, "seed": 2}
+        try:
+            assert run(tmp_path, command, config)[0] == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (steps + 1) * series // 2
+
+
 class TestMonteCarloCap:
     NOISE = {"kind": "symmetric", "eps": 0.1}
+
+    @pytest.mark.parametrize("caller, what", [
+        ("working_bytes", "a Monte Carlo step on 1 x 1 x (64, 64) sites"),
+        ("estimator_bytes", "estimates over 10000 replicas"),
+        ("minus_density_run", "a series of 10000 steps"),
+        ("two_phase_divergence", "two series of 10000 steps"),
+        ("_snapshot_every", "10001 snapshots of 64 sites"),
+    ])
+    def test_every_cap_refuses_through_the_one_check(self, monkeypatch, caller, what):
+        engine, stats = cli.engine, cli.stats
+        noise, nec = engine.symmetric_noise(0.1), load_rule("nec")
+        call = {
+            "working_bytes": lambda: engine.working_bytes(
+                nec, engine.kernel_plus(noise, nec), (64, 64)),
+            "estimator_bytes": lambda: stats.estimator_bytes(10**4, 3),
+            "minus_density_run": lambda: stats.minus_density_run(nec, noise, (8, 8), 10**4, 0, 0),
+            "two_phase_divergence": lambda: stats.two_phase_divergence(nec, noise, (8, 8), 10**4, 0),
+            "_snapshot_every": lambda: cli._snapshot_every({"snapshot_every": 1}, 64, 10**4),
+        }[caller]
+        monkeypatch.setattr(engine, "MAX_MC_BYTES", 4096)
+        with pytest.raises(ResourceLimitError) as refused:
+            call()
+        assert str(refused.value).startswith(f"{what}: about ")
+        assert str(refused.value).endswith(" bytes, over the 4096-byte cap")
+        assert refused.traceback[-1].name == "_within_cap"
+
+    def test_one_comparison_with_the_cap(self):
+        src = Path(cli.__file__).parent
+        compares = [
+            node for path in src.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Compare) and "MAX_MC_BYTES" in ast.unparse(node)
+        ]
+        assert len(compares) == 1
 
     @pytest.mark.parametrize("command, config", [
         ("simulate", {"rule": "nec", "noise": NOISE, "dims": [4096, 4096], "steps": 1,

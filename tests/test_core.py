@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.random import Generator, Philox
 
 from toomlab import engine
-from toomlab.engine import LatticeState, RngKey, kernel_plus
+from toomlab.engine import LatticeState, kernel_plus
 from toomlab.rules import RuleSpec, load_rule
 
 from .oracles import TorusStepper, evolve_batch, random_rule, step_uniforms
@@ -26,10 +26,10 @@ from .oracles import TorusStepper, evolve_batch, random_rule, step_uniforms
 DIMS = {1: [(5,), (37,), (131,)], 2: [(5, 7), (9, 13)], 3: [(5, 5, 6), (6, 5, 7)]}
 
 
-def reference_step(rule, dims, kern, bits, key, t):
+def reference_step(rule, dims, kern, bits, seed, t):
     """One noisy step of a site array (N,) or replica batch (M, N)."""
     idx = TorusStepper(rule, dims).local_index(bits)
-    u = step_uniforms(key, t, 0, bits.size).reshape(bits.shape)
+    u = step_uniforms(seed, t, 0, bits.size).reshape(bits.shape)
     return (u < kern[idx]).astype(np.uint8)
 
 
@@ -71,11 +71,11 @@ def test_noisy_step_matches_gather_reference(rng, seed):
     kern = kernel_plus(noise, rule)
     n = int(np.prod(dims))
     bits = np.random.default_rng(seed).integers(0, 2, size=n).astype(np.uint8)
-    key, t = RngKey(seed), rng.randint(0, 1000)
-    want = reference_step(rule, dims, kern, bits, key, t)
+    t = rng.randint(0, 1000)
+    want = reference_step(rule, dims, kern, bits, seed, t)
     state = LatticeState.from_bits(dims, bits)
     for threads in (1, 3):
-        got = engine.evolve(state, rule, noise, key, t, 1, threads=threads)
+        got = engine.evolve(state, rule, noise, seed, t, 1, threads=threads)
         # equal words, so the padding past the last site is zero as well
         assert got == LatticeState.from_bits(dims, want), threads
 
@@ -90,7 +90,7 @@ def test_deterministic_steps_match_gather_reference(rng, seed):
     stepper = TorusStepper(rule, dims)
     state = LatticeState.from_bits(dims, bits)
     for _ in range(4):
-        state = engine.evolve(state, rule, None, RngKey(0), 0, 1)
+        state = engine.evolve(state, rule, None, 0, 0, 1)
         bits = stepper.table[stepper.local_index(bits)]
         assert np.array_equal(state.bits(), bits)
 
@@ -105,9 +105,9 @@ def test_replica_batch_matches_gather_reference(rng, seed):
     m = rng.choice((1, 3, 9))
     bits = np.random.default_rng(seed).integers(0, 2, size=(m, int(np.prod(dims))))
     bits = bits.astype(np.uint8)
-    key, t = RngKey(seed), rng.randint(0, 1000)
-    want = reference_step(rule, dims, kern, bits, key, t)
-    got = evolve_batch(bits, rule, noise, dims, key, t, 1, threads=rng.choice((1, 2)))
+    t = rng.randint(0, 1000)
+    want = reference_step(rule, dims, kern, bits, seed, t)
+    got = evolve_batch(bits, rule, noise, dims, seed, t, 1, threads=rng.choice((1, 2)))
     assert np.array_equal(got, want)
 
 
@@ -140,14 +140,14 @@ def test_threshold_extremes_through_a_step():
     noise = engine.table_noise(p)
     dims = (13, 11)
     bits = np.random.default_rng(2).integers(0, 2, size=143).astype(np.uint8)
-    want = reference_step(rule, dims, np.array(p), bits, RngKey(3), 8)
-    got = engine.evolve(LatticeState.from_bits(dims, bits), rule, noise, RngKey(3), 8, 1)
+    want = reference_step(rule, dims, np.array(p), bits, 3, 8)
+    got = engine.evolve(LatticeState.from_bits(dims, bits), rule, noise, 3, 8, 1)
     assert np.array_equal(got.bits(), want)
 
 
 def test_empty_batch_stays_empty():
     got = evolve_batch(
         np.zeros((0, 8), dtype=np.uint8), load_rule("stavskaya"),
-        engine.symmetric_noise(0.1), (8,), RngKey(1), 0, 3,
+        engine.symmetric_noise(0.1), (8,), 1, 0, 3,
     )
     assert got.shape == (0, 8)

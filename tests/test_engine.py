@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from toomlab import engine
 from toomlab.engine import (
     LatticeState,
-    RngKey,
     biased_noise,
     check_assumptions,
     erosion_time,
@@ -74,25 +73,25 @@ class TestDeterministicStep:
         rule = load_rule(name)
         for make in (LatticeState.all_plus, LatticeState.all_minus):
             state = make(dims)
-            assert evolve(state, rule, None, RngKey(0), 0, 1) == state
+            assert evolve(state, rule, None, 0, 0, 1) == state
 
     def test_stavskaya_hand_example(self):
         # a site stays -1 iff it and its right neighbor are both -1
         rule = load_rule("stavskaya")
         state = LatticeState.plus_with_island((8,), [2, 3, 4])
-        out = evolve(state, rule, None, RngKey(0), 0, 1)
+        out = evolve(state, rule, None, 0, 0, 1)
         assert sorted(np.flatnonzero(out.bits() == 0).tolist()) == [2, 3]
 
     def test_nec_single_minus_heals(self):
         rule = load_rule("nec")
         state = LatticeState.plus_with_island((6, 6), [(0, 0)])
-        assert evolve(state, rule, None, RngKey(0), 0, 1) == LatticeState.all_plus((6, 6))
+        assert evolve(state, rule, None, 0, 0, 1) == LatticeState.all_plus((6, 6))
 
     def test_input_unmodified(self):
         rule = load_rule("stavskaya")
         state = LatticeState.plus_with_island((8,), [1])
         before = state.bits().copy()
-        evolve(state, rule, None, RngKey(0), 0, 1)
+        evolve(state, rule, None, 0, 0, 1)
         assert np.array_equal(state.bits(), before)
 
     def test_aliasing_dims_rejected(self):
@@ -103,9 +102,9 @@ class TestDeterministicStep:
     def test_aliasing_dims_rejected_by_the_packed_step(self, dims):
         rule = load_rule("nec")
         with pytest.raises(ConfigError, match="aliases"):
-            evolve(LatticeState.all_plus(dims), rule, None, RngKey(0), 0, 1)
+            evolve(LatticeState.all_plus(dims), rule, None, 0, 0, 1)
         with pytest.raises(ConfigError, match="aliases"):
-            engine.evolve(LatticeState.all_plus(dims), rule, symmetric_noise(0.1), RngKey(1), 0, 3)
+            engine.evolve(LatticeState.all_plus(dims), rule, symmetric_noise(0.1), 1, 0, 3)
 
     def test_monotone_coupling(self):
         rule = load_rule("nec")
@@ -131,11 +130,11 @@ class TestDeterministicStep:
             lo = rng.integers(0, 2, size=n).astype(np.uint8)
             hi = lo | rng.integers(0, 2, size=n).astype(np.uint8)
             lo_s, hi_s = LatticeState.from_bits(dims, lo), LatticeState.from_bits(dims, hi)
-            out_lo = evolve(lo_s, rule, None, RngKey(0), 0, 1).bits()
-            out_hi = evolve(hi_s, rule, None, RngKey(0), 0, 1).bits()
+            out_lo = evolve(lo_s, rule, None, 0, 0, 1).bits()
+            out_hi = evolve(hi_s, rule, None, 0, 0, 1).bits()
             assert np.all(out_lo <= out_hi)
-            out_lo = evolve(lo_s, rule, noise, RngKey(t), t, 1).bits()
-            out_hi = evolve(hi_s, rule, noise, RngKey(t), t, 1).bits()
+            out_lo = evolve(lo_s, rule, noise, t, t, 1).bits()
+            out_hi = evolve(hi_s, rule, noise, t, t, 1).bits()
             assert np.all(out_lo <= out_hi)
 
     def test_translation_covariance(self):
@@ -145,8 +144,8 @@ class TestDeterministicStep:
         bits = rng.integers(0, 2, size=36).astype(np.uint8)
         state = LatticeState.from_bits(dims, bits)
         shifted = LatticeState.from_bits(dims, np.roll(bits.reshape(dims), (1, 2), (0, 1)).ravel())
-        a = evolve(shifted, rule, None, RngKey(0), 0, 1).bits().reshape(dims)
-        b = evolve(state, rule, None, RngKey(0), 0, 1).bits().reshape(dims)
+        a = evolve(shifted, rule, None, 0, 0, 1).bits().reshape(dims)
+        b = evolve(state, rule, None, 0, 0, 1).bits().reshape(dims)
         b = np.roll(b, (1, 2), (0, 1))
         assert np.array_equal(a, b)
 
@@ -155,20 +154,20 @@ class TestNoisyStep:
     def test_zero_noise_equals_deterministic(self):
         rule = load_rule("stavskaya")
         state = LatticeState.plus_with_island((12,), [3, 4])
-        noisy = evolve(state, rule, symmetric_noise(0.0), RngKey(1), 0, 1)
-        assert noisy == evolve(state, rule, None, RngKey(0), 0, 1)
+        noisy = evolve(state, rule, symmetric_noise(0.0), 1, 0, 1)
+        assert noisy == evolve(state, rule, None, 0, 0, 1)
 
     def test_half_noise_is_iid_uniform(self):
         # p = 1/2 everywhere: magnetization over 100 steps of a 64x64 torus
         # is a mean of 409600 fair +-1 draws
         rule = load_rule("nec")
         dims = (64, 64)
-        key = RngKey(99)
+        seed = 99
         noise = symmetric_noise(0.5)
         total = 0.0
         state = LatticeState.all_plus(dims)
         for t in range(100):
-            state = evolve(state, rule, noise, key, t, 1)
+            state = evolve(state, rule, noise, seed, t, 1)
             total += 2.0 * state.bits().mean() - 1.0
         n_draws = 64 * 64 * 100
         assert abs(total / 100) < 4.0 / math.sqrt(n_draws)
@@ -178,7 +177,7 @@ class TestNoisyStep:
         state = LatticeState.plus_with_island((32, 32), [(3, 3)])
         noise = symmetric_noise(0.2)
         outs = [
-            evolve(state, rule, noise, RngKey(17), 5, 1, threads=w)
+            evolve(state, rule, noise, 17, 5, 1, threads=w)
             for w in (1, 2, 8)
         ]
         assert outs[0] == outs[1] == outs[2]
@@ -187,10 +186,10 @@ class TestNoisyStep:
         rule = load_rule("stavskaya")
         state = LatticeState.all_plus((64,))
         noise = symmetric_noise(0.3)
-        a = evolve(state, rule, noise, RngKey(1), 0, 1)
-        assert a == evolve(state, rule, noise, RngKey(1), 0, 1)
-        assert a != evolve(state, rule, noise, RngKey(2), 0, 1)
-        assert a != evolve(state, rule, noise, RngKey(1), 1, 1)
+        a = evolve(state, rule, noise, 1, 0, 1)
+        assert a == evolve(state, rule, noise, 1, 0, 1)
+        assert a != evolve(state, rule, noise, 2, 0, 1)
+        assert a != evolve(state, rule, noise, 1, 1, 1)
 
     def test_noisy_translation_covariance_with_shifted_draws(self):
         # stepping a shifted state with correspondingly shifted uniforms
@@ -201,7 +200,7 @@ class TestNoisyStep:
         kern = kernel_plus(symmetric_noise(0.25), rule)
         rng = np.random.default_rng(8)
         bits = rng.integers(0, 2, size=16).astype(np.uint8)
-        u = step_uniforms(RngKey(4), 0, 0, 16)
+        u = step_uniforms(4, 0, 0, 16)
         out = (u < kern[st_.local_index(bits)]).astype(np.uint8)
         shift = 5
         bits_s = np.roll(bits, shift)
@@ -212,23 +211,23 @@ class TestNoisyStep:
 
 class TestStreams:
     def test_chunked_equals_single_pass(self):
-        key = RngKey(123)
-        full = step_uniforms(key, 9, 0, 64)
-        parts = [step_uniforms(key, 9, a, 16) for a in (0, 16, 32, 48)]
+        seed = 123
+        full = step_uniforms(seed, 9, 0, 64)
+        parts = [step_uniforms(seed, 9, a, 16) for a in (0, 16, 32, 48)]
         assert np.array_equal(full, np.concatenate(parts))
 
     def test_unaligned_start_rejected(self):
         with pytest.raises(ValueError):
-            step_uniforms(RngKey(1), 0, 2, 8)
+            step_uniforms(1, 0, 2, 8)
 
     def test_batch_replica_zero_matches_single(self):
         rule = load_rule("stavskaya")
         noise = symmetric_noise(0.15)
-        key = RngKey(42)
+        seed = 42
         batch = evolve_batch(
-            np.ones((4, 8), dtype=np.uint8), rule, noise, (8,), key, 0, 7
+            np.ones((4, 8), dtype=np.uint8), rule, noise, (8,), seed, 0, 7
         )
-        single = engine.evolve(LatticeState.all_plus((8,)), rule, noise, key, 0, 7)
+        single = engine.evolve(LatticeState.all_plus((8,)), rule, noise, seed, 0, 7)
         assert np.array_equal(batch[0], single.bits())
 
     def test_batch_thread_invariance(self):
@@ -236,7 +235,7 @@ class TestStreams:
         noise = symmetric_noise(0.1)
         base = np.ones((10, 9), dtype=np.uint8)
         outs = [
-            evolve_batch(base, rule, noise, (3, 3), RngKey(5), 0, 6, threads=w)
+            evolve_batch(base, rule, noise, (3, 3), 5, 0, 6, threads=w)
             for w in (1, 3, 8)
         ]
         assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
@@ -251,8 +250,8 @@ class TestBlockedDraw:
         n = 2 * self.B + 8 if extra is None else self.B + extra
         p = [0.0, 0.1, 0.5, 1.0]
         rule = load_rule("stavskaya")
-        core = engine._PackedCore(rule, (n,), np.array(p), RngKey(17), threads)
-        u = step_uniforms(RngKey(17), 5, 0, n)
+        core = engine._PackedCore(rule, (n,), np.array(p), 17, threads)
+        u = step_uniforms(17, 5, 0, n)
         want = [engine._pack(u < q, core.n_words) for q in (0.1, 0.5)]
         assert np.array_equal(core._draw(5), np.stack(want))
 
@@ -260,13 +259,13 @@ class TestBlockedDraw:
     def test_fewer_than_one_thread_refused(self, threads):
         with pytest.raises(ConfigError, match="threads"):
             engine._PackedCore(load_rule("stavskaya"), (64,), np.array([0.0, 0.1, 0.5, 1.0]),
-                               RngKey(17), threads)
+                               17, threads)
 
     def test_scratch_of_one_draw_is_one_block(self):
         n = 16 * self.B
         rule = load_rule("nec")
         kern = kernel_plus(symmetric_noise(0.1), rule)
-        core = engine._PackedCore(rule, (n // 1024, 1024), kern, RngKey(3))
+        core = engine._PackedCore(rule, (n // 1024, 1024), kern, 3)
         tracemalloc.start()
         try:
             masks = core._draw(0)
@@ -285,16 +284,16 @@ class TestAddressedDraw:
     @pytest.mark.parametrize("seed", [0, 2**32 + 1, 2**64 - 1])
     @pytest.mark.parametrize("t", [0, 5, 2**32 + 3])
     def test_philox_at_equals_random_raw(self, seed, t):
-        key, b = RngKey(seed), self.B
-        stream = engine._philox(key, t, 0).random_raw(b + 16)
+        b = self.B
+        stream = engine._philox(seed, t, 0).random_raw(b + 16)
         # runs across 4-word Philox blocks and the draw chunk edge, out of
         # order and repeated
         pos = np.r_[0:3, 3:12, b - 3 : b + 6, 13, 2, 2, 7]
-        assert np.array_equal(engine._philox_at(key, t, pos), stream[pos])
+        assert np.array_equal(engine._philox_at(seed, t, pos), stream[pos])
         far = 3 * b + np.arange(9)
-        want = engine._philox(key, t, 3 * b).random_raw(9)
-        assert np.array_equal(engine._philox_at(key, t, far), want)
-        assert engine._philox_at(key, t, np.zeros(0)).shape == (0,)
+        want = engine._philox(seed, t, 3 * b).random_raw(9)
+        assert np.array_equal(engine._philox_at(seed, t, far), want)
+        assert engine._philox_at(seed, t, np.zeros(0)).shape == (0,)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("dims", [(5,), (8,), (3, 5)])
@@ -305,8 +304,8 @@ class TestAddressedDraw:
         rule = load_rule("stavskaya" if len(dims) == 1 else "nec")
         kern = kernel_plus(symmetric_noise(0.2), rule)
         ids = np.array([0, 2, 3, 9, 10, 11, 31, 40, 41, 57, 58, 59, 60, 61, 62, 99])
-        batch = engine._PackedCore(rule, dims, kern, RngKey(9), replicas=100)
-        sub = engine._PackedCore(rule, dims, kern, RngKey(9), threads, ids=ids)
+        batch = engine._PackedCore(rule, dims, kern, 9, replicas=100)
+        sub = engine._PackedCore(rule, dims, kern, 9, threads, ids=ids)
         n = math.prod(dims)
         assert sub.dims == (ids.size,) + dims
         for whole, part in zip(batch._draw(7), sub._draw(7)):
@@ -318,7 +317,7 @@ class TestAddressedDraw:
         rule = load_rule("stavskaya")
         kern = kernel_plus(symmetric_noise(0.1), rule)
         ids = np.arange(0, 2 * self.B, 2)
-        core = engine._PackedCore(rule, (3,), kern, RngKey(3), ids=ids)
+        core = engine._PackedCore(rule, (3,), kern, 3, ids=ids)
         tracemalloc.start()
         try:
             masks = core._draw(0)
@@ -427,7 +426,7 @@ def test_a_step_stays_within_working_bytes(name, dims):
     # exist before it, stays within the live-peak estimate
     rule = load_rule(name)
     kern = kernel_plus(symmetric_noise(0.1), rule)
-    core = engine._PackedCore(rule, dims, kern, RngKey(3), replicas=1000)
+    core = engine._PackedCore(rule, dims, kern, 3, replicas=1000)
     words = np.full((1, core.n_words), engine._ONES)
     tracemalloc.start()
     try:
@@ -449,7 +448,7 @@ def test_a_core_build_plans_its_step_once(monkeypatch):
     shannon = engine._shannon
     monkeypatch.setattr(engine, "_shannon", lambda leaf_of: calls.append(1) or shannon(leaf_of))
     rule = load_rule("nec")
-    engine._PackedCore(rule, (16, 16), kernel_plus(symmetric_noise(0.1), rule), RngKey(0))
+    engine._PackedCore(rule, (16, 16), kernel_plus(symmetric_noise(0.1), rule), 0)
     assert len(calls) == 1
 
 
@@ -614,8 +613,8 @@ def test_trajectory_pure_function_of_seed(seed, t0):
     rule = load_rule("stavskaya")
     noise = symmetric_noise(0.2)
     state = LatticeState.all_plus((24,))
-    a = engine.evolve(state, rule, noise, RngKey(seed), t0, 5)
-    b = engine.evolve(state, rule, noise, RngKey(seed), t0, 5, threads=4)
+    a = engine.evolve(state, rule, noise, seed, t0, 5)
+    b = engine.evolve(state, rule, noise, seed, t0, 5, threads=4)
     assert a == b
 
 
@@ -633,7 +632,7 @@ def test_noisy_coupling_monotone_in_state_and_noise(rng, seed):
     npr = np.random.default_rng(seed)
     lo = npr.integers(0, 2, size=12).astype(np.uint8)
     hi = lo | npr.integers(0, 2, size=12).astype(np.uint8)
-    u = step_uniforms(RngKey(seed), 0, 0, 12)
+    u = step_uniforms(seed, 0, 0, 12)
     eps = rng.uniform(0.0, 0.5)
     k = kernel_plus(symmetric_noise(eps), rule)
     out_lo = (u < k[st_.local_index(lo)]).astype(np.uint8)

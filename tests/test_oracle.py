@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toomlab import engine, oracle
-from toomlab.engine import LatticeState, RngKey, biased_noise, symmetric_noise, table_noise
+from toomlab.engine import LatticeState, biased_noise, symmetric_noise, table_noise
 from toomlab.errors import ConfigError, NumericalError, ResourceLimitError
 from toomlab.oracle import (
     ExactKernel,
@@ -50,7 +50,7 @@ class TestTransferApply:
         state = LatticeState.plus_with_island((6,), [1, 4])
         dist = point_mass((6,), state)
         out = transfer_apply(dist, ExactKernel(STAV, symmetric_noise(0.0), (6,)))
-        image = engine.evolve(state, STAV, None, RngKey(0), 0, 1)
+        image = engine.evolve(state, STAV, None, 0, 0, 1)
         assert out.probs[to_int(image)] == 1.0
 
     def test_half_noise_gives_uniform(self):

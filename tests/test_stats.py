@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -519,7 +520,7 @@ def first_disorder(rule, noise, dims, seed, steps=200):
     """First step after which the coupled minus row holds +1 where the plus
     row holds -1, or None if that never happens while both rows remain."""
     kern = engine.kernel_plus(noise, rule)
-    core = engine._PackedCore(rule, dims, kern, engine.RngKey(seed), rows=2)
+    core = engine._PackedCore(rule, dims, kern, seed, rows=2)
     for t, rows in core.run(stats._plus_minus(dims), 0, steps):
         if len(rows) == 1:
             return None
@@ -688,3 +689,49 @@ class TestOneTrajectory:
     def test_zero_samples_rejected(self):
         with pytest.raises(ConfigError):
             stationary_sample(STAV, symmetric_noise(0.1), (8,), 5, 0, seed=1)
+
+
+def _seed_callers(dims, steps):
+    """Each Monte Carlo entry point, as seed -> its trajectory's numbers;
+    evolve's start state is built here, not in the call."""
+    noise, start = symmetric_noise(0.1), engine.LatticeState.all_plus(dims)
+    return {
+        "evolve": lambda seed: engine.evolve(start, NEC, noise, seed, 0, steps).words,
+        "minus_density_run": lambda seed: minus_density_run(
+            NEC, noise, dims, steps, 0, seed).density_series,
+        "density_vs_epsilon_scan": lambda seed: [row["density"] for row in density_vs_epsilon_scan(
+            NEC, "symmetric", [0.1], dims, steps, 0, seed)],
+        "stationary_sample": lambda seed: stationary_sample(NEC, noise, dims, steps, 1, seed).words,
+        "two_phase_divergence": lambda seed: two_phase_divergence(
+            NEC, noise, dims, steps, seed).mag_plus,
+    }
+
+
+class TestOneSeedCheck:
+    """Every Monte Carlo entry point takes a seed as an int in [0, 2**64), one
+    Philox key each, and refuses any other before anything is stepped."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5],
+                             ids=["minus-one", "two-to-64", "true", "float"])
+    @pytest.mark.parametrize("caller", sorted(_seed_callers((8, 8), 1)))
+    def test_refused_before_the_lattice(self, caller, seed):
+        # a packed nec row on 1024 x 1024 is 128 KiB
+        call = _seed_callers((1024, 1024), 10)[caller]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"a seed is an integer in \[0, 2\*\*64\)"):
+                call(seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 10
+
+    @pytest.mark.parametrize("caller", sorted(_seed_callers((8, 8), 1)))
+    def test_ends_of_the_range_are_two_streams(self, caller):
+        call = _seed_callers((8, 8), 10)[caller]
+        assert not np.array_equal(call(0), call(2**64 - 1))
+
+    def test_inapplicable_divergence_still_checks_its_seed(self):
+        assert not is_flip_symmetric(STAV)
+        with pytest.raises(ConfigError, match="seed"):
+            two_phase_divergence(STAV, symmetric_noise(0.1), (8,), 4, -1)
