@@ -31,10 +31,11 @@ thread draws blocks of 65,536 sites, each thresholded and packed into the
 masks before the next is drawn.
 
 Memory per step is a few packed rows of ceil(sites / 64) words (state in
-and out, shifted planes, Shannon node values, noise masks, each dropped
-after its last use; see :func:`working_bytes`) plus under 600 KiB of draw
-scratch per span, or about 5 MiB when the draws are read by counter.  A
-run whose estimate exceeds MAX_MC_BYTES is refused with ResourceLimitError
+and out, shifted planes, Shannon node values, noise masks; see
+:func:`working_bytes`), all but the state and the output from the core's
+pool, which its first step fills to the live peak and later steps reuse,
+plus under 600 KiB of draw scratch per span (about 5 MiB read by counter).
+A run whose estimate exceeds MAX_MC_BYTES is refused with ResourceLimitError
 before anything of lattice size is allocated, by `_within_cap`, every cap's
 one check.  `_seed` refuses a seed other than an int in [0, 2**64).
 
@@ -434,9 +435,10 @@ def _plus_counts(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
-def _replica_counts(words: np.ndarray, m: int, n: int) -> np.ndarray:
+def _replica_counts(words: np.ndarray, m: int, n: int,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Set bits in each of the m runs [r*n, (r+1)*n) of a packed row of words,
-    as int64; bits past the last run are never read.
+    into out if given, else as int64; bits past the last run are never read.
 
     Counted from the bits per byte, the same way for every n.  Runs repeat
     their byte alignment every p = 8 / gcd(n, 8) runs, which fill n*p/8
@@ -454,16 +456,17 @@ def _replica_counts(words: np.ndarray, m: int, n: int) -> np.ndarray:
         raw = np.pad(raw, (0, size - raw.size))
     raw = raw[:size].reshape(-1, width)
     per_byte = np.bitwise_count(raw)
-    counts = np.empty((p, raw.shape[0]), dtype=np.int64)  # run j of each block
-    for j, count in enumerate(counts):
+    counts = np.empty(m, dtype=np.int64) if out is None else out
+    for j in range(p):
+        count = counts[j::p]  # run j of each block
         a, r = divmod(j * n, 8)
         b, s = divmod(j * n + n, 8)
-        per_byte[:, a:b].sum(axis=1, dtype=np.int64, out=count)
+        per_byte[: count.size, a:b].sum(axis=1, dtype=counts.dtype, out=count)
         if r:
-            count -= np.bitwise_count(raw[:, a] & np.uint8((1 << r) - 1))
+            count -= np.bitwise_count(raw[: count.size, a] & np.uint8((1 << r) - 1))
         if s:
-            count += np.bitwise_count(raw[:, b] & np.uint8((1 << s) - 1))
-    return counts.T.reshape(-1)[:m]
+            count += np.bitwise_count(raw[: count.size, b] & np.uint8((1 << s) - 1))
+    return counts
 
 
 def _put_replicas(words: np.ndarray, ids: np.ndarray, src: np.ndarray, take: np.ndarray,
@@ -487,18 +490,25 @@ def _put_replicas(words: np.ndarray, ids: np.ndarray, src: np.ndarray, take: np.
         words[q[first]] ^= np.bitwise_or.reduceat(flip, first)
 
 
-def _shifted(words: np.ndarray, s: int) -> np.ndarray:
-    """Rows whose bit x is bit x + s of words, zero where x + s leaves the row."""
+def _shifted(words: np.ndarray, s: int, out: np.ndarray, carry: Optional[np.ndarray]) -> np.ndarray:
+    """out, with bit x of each row bit x + s of words (0 off the row); carry is scratch if s % 64."""
     q, r = divmod(s, 64)
     n = words.shape[-1]
-    out = np.zeros_like(words)
     lo, hi = max(0, -q), min(n, n - q)
+    out[..., :lo] = 0
+    out[..., max(lo, hi) :] = 0
     if lo < hi:
-        out[..., lo:hi] = words[..., lo + q : hi + q] >> np.uint64(r)
+        np.right_shift(words[..., lo + q : hi + q], np.uint64(r), out=out[..., lo:hi])
     lo, hi = max(0, -q - 1), min(n, n - q - 1)
     if r and lo < hi:
-        out[..., lo:hi] |= words[..., lo + q + 1 : hi + q + 1] << np.uint64(64 - r)
+        np.left_shift(words[..., lo + q + 1 : hi + q + 1], np.uint64(64 - r), out=carry[..., lo:hi])
+        out[..., lo:hi] |= carry[..., lo:hi]
     return out
+
+
+def _take(free: list, shape: tuple) -> np.ndarray:
+    """A scratch array of shape from the free list, or a new one when it is empty."""
+    return free.pop() if free else np.empty(shape, dtype="<u8")
 
 
 def _shannon(leaf_of: np.ndarray) -> tuple[list[tuple[int, int, int]], int]:
@@ -545,19 +555,27 @@ def _axis_move(dims: tuple[int, ...], k: int, u: int) -> tuple:
     return u * stride, wrap * stride, inside
 
 
-def _moved(words: np.ndarray, moves: list[tuple]) -> np.ndarray:
+def _moved(words: np.ndarray, moves: list[tuple], free: list) -> np.ndarray:
     """Rows whose bit x is the spin at x plus the sum of the moves, on the torus.
 
     Each site reads a lattice site through the shift its mask selects;
-    padding bits may pick up garbage and are the caller's to clear.
+    padding bits may pick up garbage and are the caller's to clear.  The
+    result and the scratch of each move (the wrapped shift, and the carried
+    bits when a shift is not whole words) are taken from `free`, a list of
+    spare arrays shaped like words, and the scratch goes back to it.
     """
+    src = words
     for s_in, s_wrap, inside in moves:
-        wrapped = _shifted(words, s_wrap)
-        words = _shifted(words, s_in)
-        words ^= wrapped
-        words &= inside
-        words ^= wrapped
-    return words
+        wrapped, out = _take(free, words.shape), _take(free, words.shape)
+        carry = _take(free, words.shape) if s_in % 64 or s_wrap % 64 else None
+        _shifted(src, s_wrap, wrapped, carry)
+        _shifted(src, s_in, out, carry)
+        out ^= wrapped
+        out &= inside
+        out ^= wrapped
+        free += [a for a in (wrapped, carry, src) if a is not None and a is not words]
+        src = out
+    return src
 
 
 class _StepPlan:
@@ -697,6 +715,7 @@ class _PackedCore:
         size = -(-self.n_sites // (64 * self.threads)) * 64
         self._spans = [(a, min(a + size, self.n_sites)) for a in range(0, self.n_sites, size)]
         self._bgs: list[Optional[Philox]] = [None] * len(self._spans)  # each span's, reused
+        self._rows, self._pool = 1, {1: []}  # spare (k, n_words) scratch rows by k
 
     def _draw(self, t: int) -> list[np.ndarray]:
         """One packed mask raw < T per drawn leaf, from the step-t stream.
@@ -707,10 +726,13 @@ class _PackedCore:
         and packed before the next is drawn, so its scratch stays fixed.
         With ids, a block's words are read by counter at the stream slots
         of its sites instead.
-        Each mask is its own array, so a step can free it after its last use.
+        Each mask is a row of the core's pool, which a step gives back
+        after its last use; its padding bits are zero.
         """
-        masks = [np.zeros(self.n_words, dtype="<u8") for _ in self._thresholds]
+        masks = [_take(self._pool[1], (1, self.n_words))[0] for _ in self._thresholds]
         out = [mask.view(np.uint8) for mask in masks]
+        for mask in masks:
+            mask[-1] = 0
 
         def work(i: int) -> None:
             a, b = self._spans[i]
@@ -739,26 +761,39 @@ class _PackedCore:
         return masks
 
     def step(self, words: np.ndarray, t: int) -> np.ndarray:
-        """Rows after the step-t update; the input is unmodified."""
-        plan = self._plan
+        """Rows after the step-t update, in a new array; the input is unmodified.
+
+        Masks, planes and node values are rows of the core's pool, given back
+        after their last use; the output is the root's row, which leaves it.
+        """
+        plan, c = self._plan, len(words)
+        if c != self._rows:  # a second row was dropped or added
+            self._rows, self._pool = c, {1: [], c: []}
+        free = self._pool[c]
         values = list(self._leaves)
         if plan.noisy:
             masks = self._draw(t)
-            for j in reversed(plan.noisy):  # values holds the only reference
-                values[j] = masks.pop()
+            for j in reversed(plan.noisy):
+                values[j] = masks.pop()[None]  # a (1, n_words) row, as the pool keeps it
         planes = {}
         for (var, hi, lo), (drop_values, drop_planes) in zip(plan.nodes, plan.drops):
             if var not in planes:
-                planes[var] = _moved(words, self._moves[var])
-            h, l = values[hi], values[lo]
-            values.append(l ^ (planes[var] & (h ^ l)))
-            del h, l  # so a value dropped below is freed now
+                planes[var] = _moved(words, self._moves[var], free)
+            value = np.bitwise_xor(values[hi], values[lo], out=_take(free, words.shape))
+            value &= planes[var]
+            value ^= values[lo]
+            values.append(value)
             for r in drop_values:
+                if isinstance(values[r], np.ndarray):  # a mask or a node value
+                    self._pool[len(values[r])].append(values[r])
                 values[r] = None
             for v in drop_planes:
+                if planes[v] is not words:
+                    free.append(planes[v])
                 del planes[v]
-        out = np.empty(words.shape, dtype="<u8")
-        out[...] = values[plan.root]
+        out = values[plan.root]
+        if plan.root < len(plan.probs):  # a leaf, not a row of its own
+            out = np.broadcast_to(out, words.shape).copy()
         out[..., -1] &= self._tail
         return out
 

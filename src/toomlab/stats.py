@@ -11,10 +11,11 @@ core's own replica layout, and every per-replica average is a popcount of
 its words (of w for the magnetization, of NOT(w XOR w') for a two-point
 product), summed from per-byte bit counts and divided as np.mean divides
 the exact spin sum; the sample's own means are counted once for both
-estimators.  Each table row divides its averages straight into the
-columns of one (M, k) float64 matrix, the layout np.column_stack gives,
-which np.cov then reads as it is; :func:`estimator_bytes` bounds what a
-row holds, and `correlate` checks it before the burn-in.
+estimators.  Each estimator divides its averages straight into the rows
+of one (k, M) float64 matrix, which `_delta_se` centres in place for the
+covariance numpy's cov gives on the (M, k) np.column_stack of those rows;
+:func:`estimator_bytes` bounds what the estimators hold, and `correlate`
+checks it before the burn-in.
 Single-trajectory series (densities, magnetization gaps) report batch-means
 standard errors instead.  Decay fits are unweighted least squares on
 log-magnitudes, restricted to points above the noise floor (2 standard
@@ -341,28 +342,27 @@ def stationary_sample(
 def _replica_means(words: np.ndarray, m: int, n: int,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Each replica's spin average, (2 * plus - N) / N from popcounts, into
-    out if given (a column of an estimator's value matrix).
+    out if given (a row of an estimator's value matrix), counted in float64.
 
     That is the exact float64 sum of the N spins divided by N, which is what
     np.mean gives on the unpacked spins, bit for bit.
     """
-    spins = engine._replica_counts(words, m, n)
+    spins = engine._replica_counts(words, m, n, np.empty(m) if out is None else out)
     spins *= 2
     spins -= n
-    return np.divide(spins, n, out=out, dtype=np.float64)
+    return np.divide(spins, n, out=spins)
 
 
 def estimator_bytes(replicas: int, columns: int) -> int:
-    """Bytes the estimators hold for one table row of `columns` replica
-    averages (2 spatial, 3 temporal); ResourceLimitError above MAX_MC_BYTES.
+    """Bytes the estimators hold for `columns` replica averages per table row
+    (2 spatial, 3 temporal); ResourceLimitError above MAX_MC_BYTES.
 
-    8 M (2k + 3) for M replicas and k columns: the (M, k) value matrix and
-    np.cov's centered copy, the sample's means, and the int64 counts, held
-    twice while they are counted.  The packed rows are working_bytes's.
-    Checked before the burn-in, so a batch the step admits is not refused
-    only once it has been stepped.
+    8 M (k + 2) for M replicas and k columns: the (k, M) value matrix, the
+    sample's means and `_delta_se`'s running sums.  The packed rows are
+    working_bytes's.  Checked before the burn-in, so a batch the step admits
+    is not refused only once it has been stepped.
     """
-    need = 8 * replicas * (2 * columns + 3)
+    need = 8 * replicas * (columns + 2)
     return engine._within_cap(need, f"estimates over {replicas} replicas")
 
 
@@ -374,26 +374,31 @@ def _fit_rows(table: list) -> FitResult:
 def _delta_se(values: np.ndarray, means: np.ndarray, grad: np.ndarray) -> Optional[float]:
     """SE of f(sample means) with gradient grad, via the sample covariance (None for m < 2).
 
-    values is the (m, k) C-ordered matrix of the k replica averages, the
-    layout np.column_stack gives: np.cov then sums each column's mean
-    replica by replica, and those are the bits every artifact records.
+    values is the (k, m) matrix of the k replica averages, centred here in
+    place; the covariance has the bits numpy's cov gives on the (m, k) layout
+    np.column_stack makes, whose column sums run replica by replica, as
+    np.cumsum's do.
     """
-    m = values.shape[0]
+    m = values.shape[1]
     if m < 2:
         return None
-    cov = np.cov(values, rowvar=False, ddof=1).reshape(len(means), len(means))
+    sums = np.empty(m)
+    for row in values:
+        row -= np.cumsum(row, out=sums)[-1] / m
+    cov = np.dot(values, values.T) * np.true_divide(1, m - 1)
     var = float(grad @ cov @ grad) / m
     return math.sqrt(max(var, 0.0))
 
 
 def _check_estimates(dims: Sequence[int], distances: Sequence[int] = (),
                      lags: Sequence[int] = ()) -> list[int]:
-    """The lags sorted, refused with a distance outside [0, min(dims) / 2) on
-    the torus dims or a negative lag; `correlate` checks before the burn-in."""
+    """The lags sorted, refused with a distance outside [0, dims[0] / 2) on
+    the torus dims, along whose first axis distances run, or a negative lag;
+    `correlate` checks before the burn-in."""
     if min(distances, default=0) < 0:
         raise ConfigError("distances must be nonnegative")
-    if max(distances, default=0) >= min(dims) / 2:
-        raise ConfigError("max distance must stay below min(dims)/2")
+    if max(distances, default=0) >= dims[0] / 2:
+        raise ConfigError("max distance must stay below dims[0]/2, half the first axis")
     lags = sorted(int(k) for k in lags)
     if lags and lags[0] < 0:
         raise ConfigError("lags must be nonnegative")
@@ -417,12 +422,12 @@ def spatial_correlation(
     words = sample.words
     m_hat = float(sample.means.mean())
     summary = RunSummary()
+    values = np.empty((2, m))  # rows v_r, m_r
     for dist in distances:
         u = int(dist) % dims[0]
-        partner = engine._moved(words, [engine._axis_move(sample.dims, 1, u)] if u else [])
-        values = np.empty((m, 2))  # columns v_r, m_r
-        values[:, 1] = sample.means
-        g_hat = float(_replica_means(~(words ^ partner), m, n, out=values[:, 0]).mean())
+        partner = engine._moved(words, [engine._axis_move(sample.dims, 1, u)] if u else [], [])
+        g_hat = float(_replica_means(~(words ^ partner), m, n, out=values[0]).mean())
+        values[1] = sample.means
         cov_hat = g_hat - m_hat * m_hat
         se = _delta_se(values, np.array([g_hat, m_hat]), np.array([1.0, -2.0 * m_hat]))
         summary.table.append((int(dist), cov_hat, se, m))
@@ -444,19 +449,19 @@ def temporal_autocorrelation(
     t, rows = sample.steps, words0[None, :]
     trajectory = sample.core.run(rows, t, t + max(lags, default=0))
     summary = RunSummary()
+    values = np.empty((3, m))  # rows v_r, m0_r, mk_r
     for lag in lags:
         while t < sample.steps + lag:
             t, rows = next(trajectory)
-        values = np.empty((m, 3))  # columns v_r, m0_r, mk_r
-        values[:, 1] = m0_r
+        values[1] = m0_r
         if lag:
-            _replica_means(~(words0 ^ rows[0]), m, n, out=values[:, 0])
-            _replica_means(rows[0], m, n, out=values[:, 2])
+            _replica_means(~(words0 ^ rows[0]), m, n, out=values[0])
+            _replica_means(rows[0], m, n, out=values[2])
         else:  # every spin agrees with itself
-            values[:, 0] = 1.0
-            values[:, 2] = m0_r
-        g_hat = float(values[:, 0].mean())
-        mk = float(values[:, 2].mean())
+            values[0] = 1.0
+            values[2] = m0_r
+        g_hat = float(values[0].mean())
+        mk = float(values[2].mean())
         cov_hat = g_hat - m0 * mk
         se = _delta_se(values, np.array([g_hat, m0, mk]), np.array([1.0, -mk, -m0]))
         summary.table.append((lag, cov_hat, se, m))

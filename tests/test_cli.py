@@ -859,7 +859,7 @@ class TestStrictInputs:
         }
 
     @pytest.mark.parametrize("fields, message", [
-        ({"distances": [4]}, "max distance must stay below min(dims)/2"),
+        ({"distances": [4]}, "max distance must stay below dims[0]/2, half the first axis"),
         ({"distances": [-1]}, "distances must be nonnegative"),
         ({"lags": [-1]}, "lags must be nonnegative"),
         ({"distances": [1], "lags": [2, -1]}, "lags must be nonnegative"),
@@ -872,6 +872,19 @@ class TestStrictInputs:
             "rule": "stavskaya", "noise": {"kind": "symmetric", "eps": 0.1}, "dims": [8],
             "samples": 1000, "burn_in": 200, "seed": 1, **fields})
         assert code == 1 and one_error(capsys) == {"type": "ConfigError", "message": message}
+        assert calls == []
+
+    def test_distances_are_bounded_by_the_axis_they_run_on(self, tmp_path, capsys, monkeypatch):
+        # distances run along dims[0] only, so a short second axis does not bound them
+        config = {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.1}, "dims": [16, 4],
+                  "distances": [3], "samples": 50, "burn_in": 6, "seed": 1}
+        code, out = run(tmp_path, "correlate", config)
+        assert code == 0 and (out / "correlate_spatial.csv").exists()
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(cli.stats, "stationary_sample", lambda *a, **k: calls.append(a))
+        code, _ = run(tmp_path, "correlate", dict(config, dims=[4, 16]))
+        assert code == 1 and "below dims[0]/2" in one_error(capsys)["message"]
         assert calls == []
 
     @pytest.mark.parametrize("fields, error", [
@@ -1244,8 +1257,8 @@ class TestMonteCarloCap:
         # the per-step float64 series alone are 8 TB and 16 TB
         ("simulate", {"rule": "stavskaya", "noise": NOISE, "dims": [16], "steps": 10**12}),
         ("divergence", {"rule": "nec", "noise": NOISE, "dims": [8, 8], "steps": 10**12}),
-        # a 20 kB batch the step admits, but 1.4 MB of float64 estimates
-        ("correlate", {"rule": "stavskaya", "noise": NOISE, "dims": [8], "samples": 20000,
+        # a 30 kB batch the step admits, but 1.2 MB of float64 estimates
+        ("correlate", {"rule": "stavskaya", "noise": NOISE, "dims": [8], "samples": 30000,
                        "burn_in": 12, "distances": [1], "lags": [1]}),
     ])
     def test_refused_before_anything_lattice_sized(self, tmp_path, capsys, monkeypatch,

@@ -421,9 +421,10 @@ def test_working_bytes_scale_with_the_packed_rows():
 
 @pytest.mark.parametrize("name, dims", [("nec", (64, 64)), ("majority1d", (4096,))])
 def test_a_step_stays_within_working_bytes(name, dims):
-    # node values, planes and noise masks are freed after their last use,
-    # so a step's traced peak, beside the state and the range masks that
-    # exist before it, stays within the live-peak estimate
+    # node values, planes and noise masks go back to the core's pool after
+    # their last use, so a first step's traced peak (the pool it fills and
+    # the output), beside the state and the range masks that exist before
+    # it, stays within the live-peak estimate
     rule = load_rule(name)
     kern = kernel_plus(symmetric_noise(0.1), rule)
     core = engine._PackedCore(rule, dims, kern, 3, replicas=1000)
@@ -439,6 +440,49 @@ def test_a_step_stays_within_working_bytes(name, dims):
     assert peak + held <= engine.working_bytes(rule, kern, dims, replicas=1000)
     # keeping every node value and mask to the end of the step held 9 rows
     assert peak < 7 * row
+
+
+@pytest.mark.parametrize("name, dims", [("nec", (64, 64)), ("majority1d", (4096,))])
+def test_a_later_step_allocates_its_output_and_draw_scratch_only(name, dims):
+    # the first step fills the core's pool; the next takes one new row for
+    # the output, which leaves the pool, and draws through fixed blocks
+    rule = load_rule(name)
+    core = engine._PackedCore(rule, dims, kernel_plus(symmetric_noise(0.1), rule), 3,
+                              replicas=1000)
+    words = core.step(np.full((1, core.n_words), engine._ONES), 0)
+    tracemalloc.start()
+    try:
+        core.step(words, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * core.n_words + (600 << 10)
+
+
+@pytest.mark.parametrize("name, rows, replicas, ids, threads", [
+    ("nec", 1, 50, None, 1), ("nec", 2, 50, None, 1), ("stavskaya", 2, 50, None, 1),
+    ("nec", 2, None, [1, 4, 5, 30], 1), ("nec", 1, 50, None, 2),
+], ids=["one-row", "two-rows", "two-rows-ring", "ids", "threads"])
+def test_steps_return_new_arrays_with_the_bits_of_a_fresh_core(name, rows, replicas, ids, threads):
+    # a step's scratch is the core's pool, yet every output is an array of
+    # its own (a LatticeState, _window and the lags keep the rows they are
+    # given) and equals what a core with an empty pool makes
+    rule = load_rule(name)
+    kern = kernel_plus(symmetric_noise(0.2), rule)
+    dims = (9,) if name == "stavskaya" else (5, 7)
+    args = (rule, dims, kern, 11, threads, replicas, rows, ids)
+    core = engine._PackedCore(*args)
+    words = np.stack([engine._ONES * np.ones(core.n_words, dtype=np.uint64),
+                      np.zeros(core.n_words, dtype=np.uint64)])[:rows]
+    words[:, -1] &= core._tail
+    outs = [words]
+    for t in range(4):
+        outs.append(core.step(outs[-1], t))
+        assert np.array_equal(outs[-1], engine._PackedCore(*args).step(outs[-2], t))
+    pool = [a for free in core._pool.values() for a in free]
+    assert pool
+    for a, b in itertools.combinations(outs + pool, 2):
+        assert not np.shares_memory(a, b)
 
 
 def test_a_core_build_plans_its_step_once(monkeypatch):

@@ -212,7 +212,7 @@ class TestPackedEstimators:
         delta_se = stats._delta_se
 
         def capture(values, means, grad):
-            seen.append(values)
+            seen.append(values.copy())  # _delta_se centres its input in place
             return delta_se(values, means, grad)
 
         monkeypatch.setattr(stats, "_delta_se", capture)
@@ -225,13 +225,65 @@ class TestPackedEstimators:
         want = []
         for dist in (1, 2):
             v_r, m_r, _ = int8_moments(bits, dims, dist=dist)
-            want.append(np.column_stack([v_r, m_r]))
+            want.append(np.stack([v_r, m_r]))
         for k in (bits, later):
             v_r, m_r, mk_r = int8_moments(bits, dims, later=k)
-            want.append(np.column_stack([v_r, m_r, mk_r]))
+            want.append(np.stack([v_r, m_r, mk_r]))
         assert len(seen) == len(want)
         for got, ref in zip(seen, want):
             assert got.dtype == np.float64 and np.array_equal(got, ref)
+
+
+class _CovarianceSpy:
+    """A gradient that keeps the covariance _delta_se multiplies it with."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __matmul__(self, other):
+        if other is self:
+            return 0.0
+        self.seen.append(other.copy())
+        return self
+
+
+@pytest.mark.parametrize("m", [2, 3, 1000, 120_000])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind", ["gauss", "eighths", "lag0"])
+def test_delta_se_covariance_is_np_cov_bit_for_bit(m, k, kind):
+    # the covariance every artifact recorded came from np.cov on the (m, k)
+    # layout np.column_stack gives; _delta_se computes it on the (k, m) rows
+    # in place, and must give the same bits on this leg's numpy and BLAS
+    rng = np.random.default_rng(m * k)
+    values = rng.normal(size=(k, m)) if kind == "gauss" else rng.integers(-8, 9, (k, m)) / 8
+    if kind == "lag0":  # a constant row beside a repeated one
+        values[0] = 1.0
+        values[-1] = values[1]
+    want = np.cov(np.column_stack(list(values)), rowvar=False, ddof=1)
+    spy = _CovarianceSpy()
+    stats._delta_se(values, np.zeros(k), spy)
+    assert len(spy.seen) == 1
+    assert spy.seen[0].shape == (k, k) and np.array_equal(spy.seen[0], want)
+
+
+@pytest.mark.parametrize("rule, dims, m", [(STAV, (8,), 120_000), (STAV, (15,), 20_000),
+                                           (NEC, (8, 8), 3000)])
+def test_estimators_stay_within_their_bytes(rule, dims, m):
+    # beside the packed rows, which working_bytes counts, the estimators
+    # hold estimator_bytes: the value matrix, the sample's means (counted in
+    # the first estimator to read them) and _delta_se's running sums
+    noise = symmetric_noise(0.1)
+    packed = engine.working_bytes(rule, engine.kernel_plus(noise, rule), dims, replicas=m)
+    for estimate, k in ((lambda s: spatial_correlation(s, [0, 1, 2, 3]), 2),
+                        (lambda s: temporal_autocorrelation(s, [0, 1, 2]), 3)):
+        sample = stationary_sample(rule, noise, dims, 30, m, seed=5)
+        tracemalloc.start()
+        try:
+            estimate(sample)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= stats.estimator_bytes(m, k) + packed
 
 
 def test_replica_means_are_counted_once_per_sample(monkeypatch):
@@ -239,9 +291,9 @@ def test_replica_means_are_counted_once_per_sample(monkeypatch):
     calls = []
     counts = engine._replica_counts
 
-    def counted(words, m, n):
+    def counted(words, m, n, out=None):
         calls.append(m)
-        return counts(words, m, n)
+        return counts(words, m, n, out)
 
     monkeypatch.setattr(engine, "_replica_counts", counted)
     spatial_correlation(sample, [1, 2, 3])
