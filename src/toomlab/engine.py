@@ -31,10 +31,11 @@ thread draws blocks of 65,536 sites, each thresholded and packed into the
 masks before the next is drawn.
 
 Memory per step is a few packed rows of ceil(sites / 64) words (state in
-and out, shifted planes, Shannon node values, noise masks; see
-:func:`working_bytes`), all but the state and the output from the core's
-pool, which its first step fills to the live peak and later steps reuse,
-plus under 600 KiB of draw scratch per span (about 5 MiB read by counter).
+and out, shifted planes, Shannon node values, noise masks), each given back
+at its last use as the kernel's `_StepPlan` schedules and `working_bytes`
+counts, all but the state and the output from the core's pool (with two
+chains, masks are new each step), plus under 600 KiB of draw scratch per
+span (about 5 MiB read by counter).
 A run whose estimate exceeds MAX_MC_BYTES is refused with ResourceLimitError
 before anything of lattice size is allocated, by `_within_cap`, every cap's
 one check.  `_seed` refuses a seed other than an int in [0, 2**64).
@@ -516,7 +517,8 @@ def _shannon(leaf_of: np.ndarray) -> tuple[list[tuple[int, int, int]], int]:
 
     References below n_leaves name leaves; reference n_leaves + i names node
     i = (var, hi, lo), which is hi where input var is set and lo elsewhere.
-    A constant sub-table is its leaf, and equal sub-tables share one node.
+    A sub-table with equal halves is its half (Bryant 1986's reduction), so
+    a constant one is its leaf, and equal sub-tables share one node.
     """
     n_leaves = int(leaf_of.max()) + 1
     nodes: list[tuple[int, int, int]] = []
@@ -525,10 +527,12 @@ def _shannon(leaf_of: np.ndarray) -> tuple[list[tuple[int, int, int]], int]:
     def build(sub: np.ndarray) -> int:
         key = sub.tobytes()
         if key not in memo:
-            if np.all(sub == sub[0]):
+            half = sub.size // 2
+            if half == 0:
                 memo[key] = int(sub[0])
+            elif np.array_equal(sub[:half], sub[half:]):
+                memo[key] = build(sub[:half])
             else:
-                half = sub.size // 2
                 nodes.append((half.bit_length() - 1, build(sub[half:]), build(sub[:half])))
                 memo[key] = n_leaves + len(nodes) - 1
         return memo[key]
@@ -579,16 +583,17 @@ def _moved(words: np.ndarray, moves: list[tuple], free: list) -> np.ndarray:
 
 
 class _StepPlan:
-    """A kernel's step on any lattice, and what it holds at each point.
+    """A kernel's step on any lattice: the one schedule that `_PackedCore.step`
+    follows and `working_bytes` counts.
 
     probs are kern's distinct values, one leaf each; nodes and root are
     `_shannon`'s over them; noisy lists the drawn leaves, n_moves[var] the
     axis moves (nonzero offset coordinates) that build slot var's plane.
-    drops lists, per node, the value references and plane slots whose last
-    use it is; live the (per-chain rows, shared mask rows) held at the draw,
-    at each plane build (one plus two temporaries for one move, three for
-    more), at each node evaluation (two temporaries) and at the output copy,
-    the state in counting as one chain row.
+    frees[k] lists the drawn masks (leaf ids), node values (references) and
+    moved planes (slots) whose last use is node k.  live is the (per-chain
+    rows, mask rows) held at the draw (or a leaf root's output copy), at
+    each plane build (the plane, two scratch rows, three for more moves)
+    and at each node (one row, evaluated in place); the state is a chain row.
     """
 
     def __init__(self, rule: RuleSpec, kern: np.ndarray):
@@ -596,34 +601,25 @@ class _StepPlan:
         nodes, root = _shannon(leaf_of)
         noisy = [j for j, p in enumerate(probs) if 0.0 < p < 1.0]
         n_moves = {var: sum(1 for c in rule.neighborhood[var] if c) for var, _, _ in nodes}
-        last_value: dict[int, int] = {}
-        last_plane: dict[int, int] = {}
-        for k, (var, hi, lo) in enumerate(nodes):
-            last_value[hi] = last_value[lo] = last_plane[var] = k
-        last_value.pop(root, None)
-        drops = [
-            ([r for r, j in last_value.items() if j == k], [v for v, j in last_plane.items() if j == k])
-            for k in range(len(nodes))
-        ]
-        # node k is reference n_leaves + k, and the root is the last node built
-        n_leaves = root - len(nodes) + 1
-        planes = values = 0
-        masks = len(noisy)
-        built: set[int] = set()
-        live = [(1, masks)]
-        for (var, _, _), (drop_values, drop_planes) in zip(nodes, drops):
-            if var not in built and n_moves[var]:
-                live.append((1 + planes + values + (3 if n_moves[var] == 1 else 4), masks))
-                planes += 1
-            built.add(var)
-            live.append((1 + planes + values + 2, masks))
-            values += 1
-            values -= sum(r >= n_leaves for r in drop_values)
-            masks -= sum(r in noisy for r in drop_values)
-            planes -= sum(1 for v in drop_planes if n_moves[v])
-        live.append((1 + values + 1, masks))
+        frees, seen = [], set()
+        for var, hi, lo in reversed(nodes):  # so a row's first use met is its last
+            done = [r for r in (hi, lo) if r not in seen]
+            frees.append(([r for r in done if r in noisy], [r for r in done if r >= len(probs)],
+                          [var] if n_moves[var] and ("plane", var) not in seen else []))
+            seen.update((hi, lo, ("plane", var)))
+        frees.reverse()
+        live, chain, masks, built = [(2, len(noisy))], 1, len(noisy), set()
+        for (var, _, _), (done_masks, done_values, done_planes) in zip(nodes, frees):
+            if n_moves[var] and var not in built:
+                built.add(var)
+                live.append((chain + (3 if n_moves[var] == 1 else 4), masks))
+                chain += 1
+            chain += 1
+            live.append((chain, masks))
+            chain -= len(done_values) + len(done_planes)
+            masks -= len(done_masks)
         self.probs, self.nodes, self.root, self.noisy = probs, nodes, root, noisy
-        self.n_moves, self.drops, self.live = n_moves, drops, live
+        self.n_moves, self.frees, self.live = n_moves, frees, live
 
 
 def working_bytes(
@@ -649,7 +645,10 @@ def working_bytes(
     dims = _torus_dims(rule, dims)
     row = 8 * -(-(replicas or 1) * math.prod(dims) // 64)
     plan = plan or _StepPlan(rule, kern)
-    need = row * (sum(plan.n_moves.values()) + max(rows * chain + masks for chain, masks in plan.live))
+    live = plan.live
+    if rows > 1:  # a later step draws its masks beside the chain rows the first one pooled
+        live = live + [(max(chain for chain, _ in live) - 1, len(plan.noisy))]
+    need = row * (sum(plan.n_moves.values()) + max(rows * chain + masks for chain, masks in live))
     need += min(threads, row // 8) * _DRAW_BLOCK * (_ADDRESSED_BYTES if addressed else 9) if plan.noisy else 0
     return _within_cap(need, f"a Monte Carlo step on {rows} x {replicas or 1} x {dims} sites")
 
@@ -715,7 +714,7 @@ class _PackedCore:
         size = -(-self.n_sites // (64 * self.threads)) * 64
         self._spans = [(a, min(a + size, self.n_sites)) for a in range(0, self.n_sites, size)]
         self._bgs: list[Optional[Philox]] = [None] * len(self._spans)  # each span's, reused
-        self._rows, self._pool = 1, {1: []}  # spare (k, n_words) scratch rows by k
+        self._rows, self._free = 1, []  # spare (rows, n_words) scratch rows
 
     def _draw(self, t: int) -> list[np.ndarray]:
         """One packed mask raw < T per drawn leaf, from the step-t stream.
@@ -725,11 +724,11 @@ class _PackedCore:
         It draws the span in blocks of _DRAW_BLOCK sites, each thresholded
         and packed before the next is drawn, so its scratch stays fixed.
         With ids, a block's words are read by counter at the stream slots
-        of its sites instead.
-        Each mask is a row of the core's pool, which a step gives back
-        after its last use; its padding bits are zero.
+        of its sites instead.  A mask is a row of the core's pool with one
+        chain and new with two (it is no row of both); its padding is zero.
         """
-        masks = [_take(self._pool[1], (1, self.n_words))[0] for _ in self._thresholds]
+        spare = self._free if self._rows == 1 else []
+        masks = [_take(spare, (1, self.n_words))[0] for _ in self._thresholds]
         out = [mask.view(np.uint8) for mask in masks]
         for mask in masks:
             mask[-1] = 0
@@ -763,34 +762,31 @@ class _PackedCore:
     def step(self, words: np.ndarray, t: int) -> np.ndarray:
         """Rows after the step-t update, in a new array; the input is unmodified.
 
-        Masks, planes and node values are rows of the core's pool, given back
-        after their last use; the output is the root's row, which leaves it.
+        Masks, planes and node values go back at the last uses the plan's
+        frees list; the output is the root's row, which leaves the pool.
         """
         plan, c = self._plan, len(words)
         if c != self._rows:  # a second row was dropped or added
-            self._rows, self._pool = c, {1: [], c: []}
-        free = self._pool[c]
+            self._rows, self._free = c, []
+        free = self._free
         values = list(self._leaves)
         if plan.noisy:
             masks = self._draw(t)
             for j in reversed(plan.noisy):
                 values[j] = masks.pop()[None]  # a (1, n_words) row, as the pool keeps it
         planes = {}
-        for (var, hi, lo), (drop_values, drop_planes) in zip(plan.nodes, plan.drops):
+        for (var, hi, lo), (done_masks, done_values, done_planes) in zip(plan.nodes, plan.frees):
             if var not in planes:
                 planes[var] = _moved(words, self._moves[var], free)
             value = np.bitwise_xor(values[hi], values[lo], out=_take(free, words.shape))
             value &= planes[var]
             value ^= values[lo]
             values.append(value)
-            for r in drop_values:
-                if isinstance(values[r], np.ndarray):  # a mask or a node value
-                    self._pool[len(values[r])].append(values[r])
-                values[r] = None
-            for v in drop_planes:
-                if planes[v] is not words:
-                    free.append(planes[v])
-                del planes[v]
+            free += [values[r] for r in done_values] + [planes.pop(v) for v in done_planes]
+            for j in done_masks:  # a mask is pooled with one chain, and freed with two
+                if c == 1:
+                    free.append(values[j])
+                values[j] = None
         out = values[plan.root]
         if plan.root < len(plan.probs):  # a leaf, not a row of its own
             out = np.broadcast_to(out, words.shape).copy()

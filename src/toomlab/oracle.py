@@ -601,7 +601,9 @@ def spin_duality(pi: StationaryLaw) -> tuple[float, float]:
 
 
 def window_sites(window: Sequence[Sitelike], dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The window's sites, refused when over MAX_WINDOW or coinciding on the torus."""
+    """The window's sites, refused when empty, over MAX_WINDOW or coinciding on the torus."""
+    if len(window) == 0:
+        raise ConfigError(f"window {list(window)} must name at least one site")
     if len(window) > MAX_WINDOW:
         raise ResourceLimitError(f"window of {len(window)} sites exceeds the cap {MAX_WINDOW}")
     sites = tuple(_as_sites(window, len(dims)))

@@ -126,6 +126,8 @@ def minus_density_run(
     accepted, then (t, state) after each step of that trajectory; the
     states are packed, so a caller unpacks only what it keeps.
     """
+    if steps < 0:
+        raise ConfigError(f"steps must be at least 0, got {steps}")
     if not 0 <= burn_in <= steps:
         raise ConfigError(f"burn_in {burn_in} must lie in [0, steps={steps}]")
     engine._within_cap(8 * (steps + 1), f"a series of {steps} steps")

@@ -858,6 +858,28 @@ class TestStrictInputs:
             "message": "window sites [(0, 0), (4, 0)] are not distinct on torus (4, 4)",
         }
 
+    def test_empty_window_refused_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(cli.oracle, "stationary_distribution", lambda *a, **k: solves.append(a))
+        code, out = run(tmp_path, "exact", {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.1},
+                                            "dims": [3, 3], "window": []})
+        assert code == 1 and solves == []
+        assert one_error(capsys) == {"type": "ConfigError",
+                                     "message": "window [] must name at least one site"}
+        assert not (out / "exact_report.json").exists()
+
+    @pytest.mark.parametrize("command, config", [
+        ("simulate", {"noise": {"kind": "symmetric", "eps": 0.1}}),
+        ("scan", {"noise_kind": "symmetric", "eps_grid": [0.1]}),
+    ])
+    def test_negative_steps_named_as_such(self, tmp_path, capsys, command, config):
+        code, out = run(tmp_path, command, {"rule": "nec", "dims": [8, 8], "steps": -1,
+                                             "burn_in": 0, "seed": 1, **config})
+        assert code == 1
+        assert one_error(capsys) == {"type": "ConfigError",
+                                     "message": "steps must be at least 0, got -1"}
+        assert not out.exists() or not any(out.glob("*.csv"))
+
     @pytest.mark.parametrize("fields, message", [
         ({"distances": [4]}, "max distance must stay below dims[0]/2, half the first axis"),
         ({"distances": [-1]}, "distances must be nonnegative"),

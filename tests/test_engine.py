@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -19,13 +20,14 @@ from toomlab.engine import (
     table_noise,
 )
 from toomlab.errors import ConfigError
-from toomlab.rules import load_rule
+from toomlab.rules import RuleSpec, load_rule
 
 from .oracles import (
     TorusStepper,
     evolve_batch,
     from_int,
     random_monotone_table,
+    random_rule,
     step_uniforms,
     to_int,
 )
@@ -412,23 +414,27 @@ def test_working_bytes_scale_with_the_packed_rows():
     one = engine.working_bytes(rule, kern, (64, 64), replicas=100)
     two = engine.working_bytes(rule, kern, (64, 64), rows=2, replicas=100)
     block = engine._DRAW_BLOCK * 9
-    # nec at its peak, the third of 4 Shannon nodes: the state, one shifted
-    # plane, two node values and two temporaries per chain, one noise mask
-    # still to be read, and 2 axis moves
-    assert one - block == 8 * 6400 * (6 + 1 + 2)
-    assert two - one == 8 * 6400 * 6
+    # nec at its peak, the plane of the second of 4 Shannon nodes: the
+    # state, the first node's value, the plane and its move's wrapped and
+    # carry rows per chain, both noise masks, and 2 axis moves; a second
+    # chain adds its own 5 of those rows and shares the masks
+    assert one - block == 8 * 6400 * (5 + 2 + 2)
+    assert two - one == 8 * 6400 * 5
 
 
-@pytest.mark.parametrize("name, dims", [("nec", (64, 64)), ("majority1d", (4096,))])
-def test_a_step_stays_within_working_bytes(name, dims):
-    # node values, planes and noise masks go back to the core's pool after
-    # their last use, so a first step's traced peak (the pool it fills and
-    # the output), beside the state and the range masks that exist before
-    # it, stays within the live-peak estimate
+@pytest.mark.parametrize("name, dims, rows", [
+    ("nec", (64, 64), 1), ("majority1d", (4096,), 1), ("nec", (64, 64), 2), ("majority1d", (4096,), 2),
+], ids=["nec-dims0", "majority1d-dims1", "nec-two-chains", "majority1d-two-chains"])
+def test_a_step_stays_within_working_bytes(name, dims, rows):
+    # node values, planes and noise masks are given back at their last use,
+    # so a first step's traced peak (the pool it fills and the output),
+    # beside the state and the range masks that exist before it, stays
+    # within the live-peak estimate; with two chains a mask is freed rather
+    # than pooled, since no chain row can reuse it
     rule = load_rule(name)
     kern = kernel_plus(symmetric_noise(0.1), rule)
-    core = engine._PackedCore(rule, dims, kern, 3, replicas=1000)
-    words = np.full((1, core.n_words), engine._ONES)
+    core = engine._PackedCore(rule, dims, kern, 3, replicas=1000, rows=rows)
+    words = np.full((rows, core.n_words), engine._ONES)
     tracemalloc.start()
     try:
         core.step(words, 0)
@@ -436,10 +442,63 @@ def test_a_step_stays_within_working_bytes(name, dims):
     finally:
         tracemalloc.stop()
     row = 8 * core.n_words
-    held = row * (1 + sum(len(m) for m in core._moves.values()))
-    assert peak + held <= engine.working_bytes(rule, kern, dims, replicas=1000)
+    held = row * (rows + sum(len(m) for m in core._moves.values()))
+    assert peak + held <= engine.working_bytes(rule, kern, dims, rows, replicas=1000)
     # keeping every node value and mask to the end of the step held 9 rows
-    assert peak < 7 * row
+    assert peak < 7 * rows * row
+
+
+@pytest.mark.parametrize("name, dims", [("nec", (64, 64)), ("majority1d", (4096,))])
+def test_a_later_two_chain_step_stays_within_working_bytes(name, dims):
+    # a later two-chain step draws its masks beside the chain rows the first
+    # step pooled; with eight masks, six of them freed before the chain
+    # peak, that draw is the step's peak, two rows over the live peak.
+    # Beside the rows, a block's packed bits and small objects take about
+    # 25 KiB that working_bytes' 9 bytes per drawn site leave out
+    rule = load_rule(name)
+    kern = np.linspace(0.05, 0.95, 2 ** rule.size)
+    core = engine._PackedCore(rule, dims, kern, 3, replicas=1000, rows=2)
+    words = core.step(np.full((2, core.n_words), engine._ONES), 0)
+    tracemalloc.start()
+    try:
+        core.step(words, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row = 8 * core.n_words
+    held = row * (2 + sum(len(m) for m in core._moves.values())) + sum(a.nbytes for a in core._free)
+    assert peak + held <= engine.working_bytes(rule, kern, dims, 2, replicas=1000) + (32 << 10)
+
+
+def test_the_pool_holds_the_rows_the_plan_counts():
+    # a first one-chain step fills the pool to the plan's live peak, less
+    # the state and the output; with two chains a (1, n_words) mask cannot
+    # serve as chain scratch, so the core keeps none
+    rng = random.Random(3)
+    for _ in range(200):
+        rule = random_rule(rng, max_R=6, max_d=3)
+        kern = kernel_plus(symmetric_noise(0.1), rule)
+        dims = (7,) * rule.dimension
+        core = engine._PackedCore(rule, dims, kern, 3)
+        core.step(np.zeros((1, core.n_words), dtype=np.uint64), 0)
+        assert len(core._free) == max(chain + masks for chain, masks in core._plan.live) - 2
+        core = engine._PackedCore(rule, dims, kern, 3, rows=2)
+        core.step(np.zeros((2, core.n_words), dtype=np.uint64), 0)
+        assert all(a.shape == (2, core.n_words) for a in core._free)
+
+
+def test_redundant_shannon_nodes_are_dropped():
+    # an offset the table ignores splits no sub-table, so it gets neither a
+    # node nor a shifted plane, and the step is the rule's without it
+    stav = load_rule("stavskaya")
+    rule = RuleSpec(dimension=1, neighborhood=stav.neighborhood + ((2,),),
+                    table=np.concatenate([stav.table, stav.table]))
+    plan = engine._StepPlan(rule, kernel_plus(symmetric_noise(0.1), rule))
+    assert all(hi != lo for _, hi, lo in plan.nodes)
+    assert 2 not in plan.n_moves
+    start = LatticeState.all_plus((64,))
+    noise = symmetric_noise(0.2)
+    assert evolve(start, rule, noise, 7, 0, 30) == evolve(start, stav, noise, 7, 0, 30)
 
 
 @pytest.mark.parametrize("name, dims", [("nec", (64, 64)), ("majority1d", (4096,))])
@@ -479,7 +538,7 @@ def test_steps_return_new_arrays_with_the_bits_of_a_fresh_core(name, rows, repli
     for t in range(4):
         outs.append(core.step(outs[-1], t))
         assert np.array_equal(outs[-1], engine._PackedCore(*args).step(outs[-2], t))
-    pool = [a for free in core._pool.values() for a in free]
+    pool = core._free
     assert pool
     for a, b in itertools.combinations(outs + pool, 2):
         assert not np.shares_memory(a, b)
