@@ -32,11 +32,12 @@ masks before the next is drawn.
 
 Memory per step is a few packed rows of ceil(sites / 64) words (state in
 and out, shifted planes, Shannon node values, noise masks), each given back
-at its last use as the kernel's `_StepPlan` schedules and `working_bytes`
-counts, all but the state and the output from the core's pool (with two
-chains, masks are new each step), plus under 600 KiB of draw scratch per
-span (about 5 MiB read by counter).
-A run whose estimate exceeds MAX_MC_BYTES is refused with ResourceLimitError
+at its last use as the kernel's `_StepPlan` schedules, all but the state and
+the output from the core's pool (with two chains, masks are new each step),
+plus a draw block per span, counted at _STREAM_BYTES per site (at
+_ADDRESSED_BYTES read by counter).  The core counts its own step, as
+`working_bytes`, from the plan, lattice and spans it has derived, and a
+step whose count exceeds MAX_MC_BYTES is refused with ResourceLimitError
 before anything of lattice size is allocated, by `_within_cap`, every cap's
 one check.  `_seed` refuses a seed other than an int in [0, 2**64).
 
@@ -128,9 +129,9 @@ class LatticeState:
     def plus_with_island(cls, dims: Sequence[int], island: Iterable) -> "LatticeState":
         """All-plus configuration with the given sites set to -1."""
         dims = tuple(int(L) for L in dims)
-        bits = np.ones(int(np.prod(dims)), dtype=np.uint8)
-        for s in _as_sites(island, len(dims)):
-            bits[_flat_index(s, dims)] = 0
+        bits = np.ones(math.prod(dims), dtype=np.uint8)
+        sites = np.array(_as_sites(island, len(dims)), dtype=np.int64).reshape(-1, len(dims))
+        bits[np.ravel_multi_index(tuple(sites.T), dims, mode="wrap")] = 0
         return cls.from_bits(dims, bits)
 
     def __eq__(self, other: object) -> bool:
@@ -415,6 +416,7 @@ def _pool() -> ThreadPoolExecutor:
 
 _ONES = np.uint64(2**64 - 1)
 _DRAW_BLOCK = 1 << 16  # sites per Philox block: 512 KiB of raw words
+_STREAM_BYTES = 10  # draw scratch per site of a block in stream order (9.39 measured at worst)
 _ADDRESSED_BYTES = 80  # draw scratch per site of a counter-addressed block (74 measured at worst)
 MAX_MC_BYTES = 1 << 32  # largest packed working set of one Monte Carlo run
 
@@ -540,10 +542,16 @@ def _shannon(leaf_of: np.ndarray) -> tuple[list[tuple[int, int, int]], int]:
     return nodes, build(np.asarray(leaf_of, dtype=np.int64))
 
 
-def _axis_move(dims: tuple[int, ...], k: int, u: int) -> tuple:
+def _axis_shifts(dims: tuple[int, ...], k: int, u: int) -> tuple[int, int]:
     """Flat shifts of a move by u along axis k of a dims lattice, plain and
-    wrapped around the torus, and the packed mask of the sites that take the
-    plain one.
+    wrapped around the torus."""
+    stride = math.prod(dims[k + 1 :])
+    return u * stride, (u - dims[k] if u > 0 else u + dims[k]) * stride
+
+
+def _axis_move(dims: tuple[int, ...], k: int, u: int) -> tuple:
+    """The move's `_axis_shifts`, and the packed mask of the sites that take
+    the plain one.
 
     The mask repeats every L * stride sites, so its words repeat every
     lcm(L * stride, 64) sites: one repeat is packed and its words tiled.
@@ -555,8 +563,7 @@ def _axis_move(dims: tuple[int, ...], k: int, u: int) -> tuple:
     block = _pack(block, -(-block.size // 64))
     inside = np.tile(block, -(-n // block.size // 64))[: -(-n // 64)]
     inside[-1] &= _ONES >> np.uint64(-n % 64)
-    wrap = u - L if u > 0 else u + L
-    return u * stride, wrap * stride, inside
+    return _axis_shifts(dims, k, u) + (inside,)
 
 
 def _moved(words: np.ndarray, moves: list[tuple], free: list) -> np.ndarray:
@@ -583,74 +590,46 @@ def _moved(words: np.ndarray, moves: list[tuple], free: list) -> np.ndarray:
 
 
 class _StepPlan:
-    """A kernel's step on any lattice: the one schedule that `_PackedCore.step`
-    follows and `working_bytes` counts.
+    """A kernel's step on a dims lattice whose neighborhood is offsets: the
+    one schedule that `_PackedCore.step` follows and counts.
 
     probs are kern's distinct values, one leaf each; nodes and root are
-    `_shannon`'s over them; noisy lists the drawn leaves, n_moves[var] the
-    axis moves (nonzero offset coordinates) that build slot var's plane.
+    `_shannon`'s over them; noisy lists the drawn leaves, moves[var] the
+    axis moves (k, u), by u along axis k, that build slot var's plane.
     frees[k] lists the drawn masks (leaf ids), node values (references) and
     moved planes (slots) whose last use is node k.  live is the (per-chain
     rows, mask rows) held at the draw (or a leaf root's output copy), at
-    each plane build (the plane, two scratch rows, three for more moves)
-    and at each node (one row, evaluated in place); the state is a chain row.
+    each plane build and at each node (one row, evaluated in place); the
+    state is a chain row.  A plane build holds, at each move, the move's
+    output and wrapped shift, its source from the second move on, and a
+    carry row if a shift is not whole words, as `_moved` takes them.
     """
 
-    def __init__(self, rule: RuleSpec, kern: np.ndarray):
+    def __init__(self, kern: np.ndarray, offsets: Sequence[Site], dims: tuple[int, ...]):
         probs, leaf_of = np.unique(np.asarray(kern, dtype=np.float64), return_inverse=True)
         nodes, root = _shannon(leaf_of)
         noisy = [j for j, p in enumerate(probs) if 0.0 < p < 1.0]
-        n_moves = {var: sum(1 for c in rule.neighborhood[var] if c) for var, _, _ in nodes}
+        moves = {var: [(k, u) for k, u in enumerate(offsets[var]) if u] for var, _, _ in nodes}
         frees, seen = [], set()
         for var, hi, lo in reversed(nodes):  # so a row's first use met is its last
             done = [r for r in (hi, lo) if r not in seen]
             frees.append(([r for r in done if r in noisy], [r for r in done if r >= len(probs)],
-                          [var] if n_moves[var] and ("plane", var) not in seen else []))
+                          [var] if moves[var] and ("plane", var) not in seen else []))
             seen.update((hi, lo, ("plane", var)))
         frees.reverse()
         live, chain, masks, built = [(2, len(noisy))], 1, len(noisy), set()
         for (var, _, _), (done_masks, done_values, done_planes) in zip(nodes, frees):
-            if n_moves[var] and var not in built:
+            if moves[var] and var not in built:
                 built.add(var)
-                live.append((chain + (3 if n_moves[var] == 1 else 4), masks))
+                live.append((chain + max(2 + (i > 0) + any(s % 64 for s in _axis_shifts(dims, k, u))
+                                         for i, (k, u) in enumerate(moves[var])), masks))
                 chain += 1
             chain += 1
             live.append((chain, masks))
             chain -= len(done_values) + len(done_planes)
             masks -= len(done_masks)
         self.probs, self.nodes, self.root, self.noisy = probs, nodes, root, noisy
-        self.n_moves, self.frees, self.live = n_moves, frees, live
-
-
-def working_bytes(
-    rule: RuleSpec,
-    kern: np.ndarray,
-    dims: Sequence[int],
-    rows: int = 1,
-    replicas: Optional[int] = None,
-    threads: int = 1,
-    addressed: bool = False,
-    plan: Optional[_StepPlan] = None,
-) -> int:
-    """Peak bytes of one packed step of `rows` chains (each `replicas` tori of
-    dims end to end); ResourceLimitError above MAX_MC_BYTES.
-
-    Counted in packed rows of ceil(sites / 64) words: the live peak of the
-    kernel's `_StepPlan` (passed as plan if the caller holds it), one range
-    mask per axis move, and a draw block for each span the core may make
-    (at most one per thread and one per word), of _ADDRESSED_BYTES per site
-    when the draws are counter-addressed.  Every Monte Carlo path calls this
-    before it allocates anything of lattice size.
-    """
-    dims = _torus_dims(rule, dims)
-    row = 8 * -(-(replicas or 1) * math.prod(dims) // 64)
-    plan = plan or _StepPlan(rule, kern)
-    live = plan.live
-    if rows > 1:  # a later step draws its masks beside the chain rows the first one pooled
-        live = live + [(max(chain for chain, _ in live) - 1, len(plan.noisy))]
-    need = row * (sum(plan.n_moves.values()) + max(rows * chain + masks for chain, masks in live))
-    need += min(threads, row // 8) * _DRAW_BLOCK * (_ADDRESSED_BYTES if addressed else 9) if plan.noisy else 0
-    return _within_cap(need, f"a Monte Carlo step on {rows} x {replicas or 1} x {dims} sites")
+        self.moves, self.frees, self.live = moves, frees, live
 
 
 def _within_cap(need: int, what: str) -> int:
@@ -674,6 +653,11 @@ class _PackedCore:
     run() is the one trajectory loop over step(): it drops a second row from
     the step at which it equals the first, since both consume the same
     draws and stay equal from then on.
+
+    working_bytes is the peak bytes of one step: packed rows for the plan's
+    live peak and one range mask per move, and a draw block per span.  It is
+    counted, and refused above MAX_MC_BYTES, before anything of lattice size
+    is allocated.
     """
 
     def __init__(
@@ -695,24 +679,29 @@ class _PackedCore:
             ids = np.asarray(ids, dtype=np.uint64)
             replicas = ids.size
         self._ids = ids
-        self._plan = plan = _StepPlan(rule, kern)
-        working_bytes(rule, kern, dims, rows, replicas, self.threads, ids is not None, plan=plan)
-        dims, offsets = _torus_dims(rule, dims), rule.neighborhood
+        torus = dims = _torus_dims(rule, dims)
+        offsets = rule.neighborhood
         if replicas is not None:
             dims, offsets = (int(replicas),) + dims, tuple((0,) + u for u in offsets)
         self.dims = dims
         self.n_sites = math.prod(dims)
         self.n_words = -(-self.n_sites // 64)
+        self._plan = plan = _StepPlan(kern, offsets, dims)
+        size = -(-self.n_sites // (64 * self.threads)) * 64
+        starts = range(0, self.n_sites, size)
+        # a later step of two chains draws its masks beside the chain rows
+        # the first one pooled
+        live = plan.live + ([(max(c for c, _ in plan.live) - 1, len(plan.noisy))] if rows > 1 else [])
+        need = 8 * self.n_words * (sum(map(len, plan.moves.values())) + max(rows * c + m for c, m in live))
+        if plan.noisy:
+            need += len(starts) * _DRAW_BLOCK * (_STREAM_BYTES if ids is None else _ADDRESSED_BYTES)
+        self.working_bytes = _within_cap(need, f"a Monte Carlo step on {rows} x {replicas or 1} x {torus} sites")
         self._tail = _ONES >> np.uint64(-self.n_sites % 64)
         # p = 0 and p = 1 are constant words; each other value is a drawn mask
         self._leaves = [_ONES if p == 1.0 else np.uint64(0) for p in plan.probs]
         self._thresholds = [_threshold(plan.probs[j]) for j in plan.noisy]
-        self._moves = {
-            var: [_axis_move(dims, k, u) for k, u in enumerate(offsets[var]) if u]
-            for var in plan.n_moves
-        }
-        size = -(-self.n_sites // (64 * self.threads)) * 64
-        self._spans = [(a, min(a + size, self.n_sites)) for a in range(0, self.n_sites, size)]
+        self._moves = {var: [_axis_move(dims, k, u) for k, u in moves] for var, moves in plan.moves.items()}
+        self._spans = [(a, min(a + size, self.n_sites)) for a in starts]
         self._bgs: list[Optional[Philox]] = [None] * len(self._spans)  # each span's, reused
         self._rows, self._free = 1, []  # spare (rows, n_words) scratch rows
 

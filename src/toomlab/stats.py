@@ -361,8 +361,8 @@ def estimator_bytes(replicas: int, columns: int) -> int:
 
     8 M (k + 2) for M replicas and k columns: the (k, M) value matrix, the
     sample's means and `_delta_se`'s running sums.  The packed rows are
-    working_bytes's.  Checked before the burn-in, so a batch the step admits
-    is not refused only once it has been stepped.
+    counted by the stepping core.  Checked before the burn-in, so a batch the
+    step admits is not refused only once it has been stepped.
     """
     need = 8 * replicas * (columns + 2)
     return engine._within_cap(need, f"estimates over {replicas} replicas")

@@ -15,7 +15,9 @@ draws) that the packed stepping core in ``toomlab.engine`` must match bit
 for bit.  Only the torus-size check is shared, so that the reference
 refuses the same aliasing dims as the engine, and the hull systems, Farkas
 read-out and normalization of ``toomlab.certify``, so that the two searches
-differ in their order of solves alone.  ``evolve_batch`` is not a
+differ in their order of solves alone.  ``erosion_bound`` reads from an
+ERODER certificate the steps within which a given island is erased, which
+``toomlab.engine.erosion_time`` must not exceed.  ``evolve_batch`` is not a
 reference but an adapter: it runs an unpacked (M, N) replica batch through
 the packed core, for tests that compare batches site by site.
 ``plain_stationary_sample`` is the replica burn-in stepped from step 0 with
@@ -150,6 +152,30 @@ def reference_check_eroder(family: rules.PlusSetFamily, solve=ratlp.solve_feasib
                     q=size, r=sum(thresholds, Fraction(0)),
                 )
     raise AssertionError("infeasible family with no small infeasible subfamily")
+
+
+def erosion_bound(rule: RuleSpec, island: Sequence[Sequence[int]]) -> int | None:
+    """Steps within which `check`'s ERODER certificate erases a finite
+    island of site tuples; None for a NON_ERODER.
+
+    The certificate gives functionals f_i and thresholds c_i with
+    sum f_i = 0, r = sum c_i > 0 and f_i >= c_i on the i-th selected plus
+    set Z_i.  A monotone rule makes site x plus when some minimal plus set,
+    moved to x, is all plus, so x is minus at step t + 1 only if every
+    x + Z_i holds a minus site x + z_i of step t.  Then, with m_i(t) the
+    largest f_i over the minus sites of step t, f_i(x) = f_i(x + z_i) -
+    f_i(z_i) <= m_i(t) - c_i, so m_i(t + 1) <= m_i(t) - c_i, and
+    Phi(t) = sum m_i(t) falls by at least r per step.  While a minus site y
+    is left, Phi(t) >= sum f_i(y) = 0.  So the island is erased within
+    floor(Phi(0) / r) + 1 steps, in exact Fractions.  On a torus this holds
+    while the island's light cone does not wrap.
+    """
+    cert = certify.check_eroder(rules.minimal_plus_sets(rule))
+    if cert.verdict != certify.ERODER:
+        return None
+    phi = sum((max(sum((a * y for a, y in zip(f, site)), Fraction(0)) for site in island)
+               for f in cert.functionals), Fraction(0))
+    return int(phi // cert.r) + 1
 
 
 def brute_force_plus_sets(rule: RuleSpec) -> list[tuple[int, ...]]:

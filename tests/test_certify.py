@@ -146,6 +146,30 @@ class TestVerification:
         with pytest.raises(CertificateFormatError):
             verify_certificate(family("nec"), cert)
 
+    @pytest.mark.parametrize("name, fields, message", [
+        ("nec", {"dimension": 1}, "certificate dimension does not match family"),
+        ("nec", {"selected": None}, "ERODER certificate missing fields"),
+        ("nec", {"functionals": None}, "ERODER certificate missing fields"),
+        ("nec", {"thresholds": None}, "ERODER certificate missing fields"),
+        ("nec", {"selected": (0, 1)}, "functionals/thresholds/selected disagree"),
+        ("nec", {"q": None}, r"ERODER certificate missing \(q, r\)"),
+        ("nec", {"r": None}, r"ERODER certificate missing \(q, r\)"),
+        ("nec", {"selected": (0, 1, 3)}, "selected set index 3 out of range"),
+        ("nec", {"selected": (-1, 1, 2)}, "selected set index -1 out of range"),
+        ("majority1d", {"witness": None}, "NON_ERODER certificate missing fields"),
+        ("majority1d", {"weights": None}, "NON_ERODER certificate missing fields"),
+        ("majority1d", {"witness": ()}, "witness has wrong arity"),
+        ("majority1d", {"weights": ()}, "one weight vector per plus set required"),
+        ("majority1d", {"weights": ((Fraction(1),),) * 3}, "weight vector length mismatch"),
+        ("nec", {"verdict": "MAYBE"}, "unknown verdict 'MAYBE'"),
+    ])
+    def test_each_malformed_field_named(self, name, fields, message):
+        # a certificate read from JSON, one field altered, fails loudly
+        # rather than verifying as False
+        cert = certificate_from_json(certificate_to_json(check_eroder(family(name))))
+        with pytest.raises(CertificateFormatError, match=f"^{message}$"):
+            verify_certificate(family(name), replace(cert, **fields))
+
 
 class TestExclusivity:
     def test_separation_excludes_any_witness(self):

@@ -731,6 +731,26 @@ class TestStrictInputs:
         code, _ = run(tmp_path, "simulate", dict(self.SIM, dims=[8, 8], noise=noise))
         assert code == 1 and error_type(capsys) == "ConfigError"
 
+    @pytest.mark.parametrize("command, fields, message", [
+        ("simulate", {"noise": 0.1}, "noise spec must be an object with a 'kind'"),
+        ("simulate", {"noise": {"kind": "symmetric", "eps": 1.5}}, "eps must lie in [0, 1], got 1.5"),
+        ("simulate", {"noise": {"kind": "biased", "eps_plus": -0.1, "eps_minus": 0.1}},
+         "eps_plus must lie in [0, 1], got -0.1"),
+        ("simulate", {"noise": {"kind": "symmetric", "eps": 0.1, "eps_plus": 0.1}},
+         "unknown noise fields for kind 'symmetric': ['eps_plus']"),
+        ("simulate", {"noise": {"kind": "table", "p_plus": 0.5}}, "table noise needs a list p_plus"),
+        ("simulate", {"noise": {"kind": "table", "p_plus": [1.2, 0, 0, 0]}},
+         "p_plus must be a 1-d array of probabilities"),
+        ("simulate", {"rule": 5}, "bad config field 'rule': expected string"),
+        ("exact", {"tol": "x"}, "bad config field 'tol': expected number"),
+        ("exact", {"allow_absorbing": 1}, "bad config field 'allow_absorbing': expected boolean"),
+    ], ids=["noise-not-an-object", "eps-above-one", "negative-eps-plus", "symmetric-eps-plus",
+            "p-plus-not-a-list", "p-plus-above-one", "rule-a-number", "tol-a-string",
+            "allow-absorbing-a-number"])
+    def test_bad_field_named(self, tmp_path, capsys, command, fields, message):
+        code, _ = run(tmp_path, command, {**ALL_COMMANDS[command], **fields})
+        assert code == 1 and one_error(capsys) == {"type": "ConfigError", "message": message}
+
     def test_zero_samples_rejected(self, tmp_path, capsys):
         code, out = run(
             tmp_path, "correlate",
@@ -1025,7 +1045,7 @@ class TestOneTrajectoryPerCommand:
         assert len(list(out.glob("erode_*.ppm"))) == steps + 1
 
     def test_simulate_sizes_its_run_once(self, tmp_path, monkeypatch):
-        calls = self.count_calls(monkeypatch, "working_bytes")
+        calls = self.count_calls(monkeypatch, "_PackedCore")
         code, _ = run(
             tmp_path, "simulate",
             {"rule": "nec", "noise": {"kind": "symmetric", "eps": 0.1},
@@ -1246,8 +1266,7 @@ class TestMonteCarloCap:
         engine, stats = cli.engine, cli.stats
         noise, nec = engine.symmetric_noise(0.1), load_rule("nec")
         call = {
-            "working_bytes": lambda: engine.working_bytes(
-                nec, engine.kernel_plus(noise, nec), (64, 64)),
+            "working_bytes": lambda: engine._PackedCore(nec, (64, 64), engine.kernel_plus(noise, nec)),
             "estimator_bytes": lambda: stats.estimator_bytes(10**4, 3),
             "minus_density_run": lambda: stats.minus_density_run(nec, noise, (8, 8), 10**4, 0, 0),
             "two_phase_divergence": lambda: stats.two_phase_divergence(nec, noise, (8, 8), 10**4, 0),

@@ -24,6 +24,7 @@ from toomlab.rules import RuleSpec, load_rule
 
 from .oracles import (
     TorusStepper,
+    erosion_bound,
     evolve_batch,
     from_int,
     random_monotone_table,
@@ -51,6 +52,19 @@ class TestLatticeState:
         state = LatticeState.plus_with_island((3, 3), [(1, 2), (0, 0)])
         grid = state.bits().reshape(3, 3)
         assert grid[1, 2] == 0 and grid[0, 0] == 0 and grid.sum() == 7
+
+    @pytest.mark.parametrize("dims", [(13,), (5, 7), (3, 4, 6)])
+    def test_islands_equal_a_per_site_embedding(self, dims):
+        # coordinates run from -3L to 3L, so islands wrap both ways and
+        # repeat sites; an empty island is all plus
+        rng = np.random.default_rng(len(dims))
+        for size in (0, 1, 5, 40):
+            island = [tuple(int(rng.integers(-3 * L, 3 * L)) for L in dims) for _ in range(size)]
+            grid = np.ones(dims, dtype=np.uint8)
+            for site in island:
+                grid[tuple(c % L for c, L in zip(site, dims))] = 0
+            want = LatticeState.from_bits(dims, grid.reshape(-1))
+            assert LatticeState.plus_with_island(dims, island) == want
 
     def test_words_frozen(self):
         state = LatticeState.all_plus((8,))
@@ -327,9 +341,9 @@ class TestAddressedDraw:
         finally:
             tracemalloc.stop()
         assert peak < self.B * engine._ADDRESSED_BYTES + sum(m.nbytes for m in masks)
-        assert engine.working_bytes(rule, kern, (3,), replicas=ids.size, addressed=True) - \
-            engine.working_bytes(rule, kern, (3,), replicas=ids.size) == \
-            self.B * (engine._ADDRESSED_BYTES - 9)
+        batch = engine._PackedCore(rule, (3,), kern, 3, replicas=ids.size)
+        assert core.working_bytes - batch.working_bytes == \
+            self.B * (engine._ADDRESSED_BYTES - engine._STREAM_BYTES)
 
     @pytest.mark.parametrize("m, n", [(37, 5), (9, 64), (20, 13), (6, 3)])
     def test_put_replicas(self, m, n):
@@ -411,15 +425,33 @@ def test_manhattan_diameter_matches_pairwise_max(sites):
 def test_working_bytes_scale_with_the_packed_rows():
     rule = load_rule("nec")
     kern = engine.kernel_plus(engine.symmetric_noise(0.1), rule)
-    one = engine.working_bytes(rule, kern, (64, 64), replicas=100)
-    two = engine.working_bytes(rule, kern, (64, 64), rows=2, replicas=100)
-    block = engine._DRAW_BLOCK * 9
-    # nec at its peak, the plane of the second of 4 Shannon nodes: the
-    # state, the first node's value, the plane and its move's wrapped and
-    # carry rows per chain, both noise masks, and 2 axis moves; a second
-    # chain adds its own 5 of those rows and shares the masks
-    assert one - block == 8 * 6400 * (5 + 2 + 2)
-    assert two - one == 8 * 6400 * 5
+    one, two = (engine._PackedCore(rule, (64, 64), kern, replicas=100, rows=rows).working_bytes
+                for rows in (1, 2))
+    block = engine._DRAW_BLOCK * engine._STREAM_BYTES
+    # nec at its peak, the east plane of the last of 4 Shannon nodes: the
+    # state, two node values, the plane and its move's wrapped and carry
+    # rows per chain, and 2 axis moves; the north move shifts by 64 sites,
+    # whole words, so its plane takes no carry row.  A second chain adds
+    # its own 6 of those rows
+    assert one - block == 8 * 6400 * (6 + 2)
+    assert two - one == 8 * 6400 * 6
+
+
+def _traced_step(core: engine._PackedCore, words: np.ndarray, t: int) -> int:
+    """Traced peak bytes of core.step(words, t)."""
+    tracemalloc.start()
+    try:
+        core.step(words, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def _held(core: engine._PackedCore, rows: int) -> int:
+    """Bytes held before a step: the state, the range masks and the pool."""
+    row = 8 * core.n_words
+    return row * (rows + sum(len(m) for m in core._moves.values())) + sum(a.nbytes for a in core._free)
 
 
 @pytest.mark.parametrize("name, dims, rows", [
@@ -429,59 +461,70 @@ def test_a_step_stays_within_working_bytes(name, dims, rows):
     # node values, planes and noise masks are given back at their last use,
     # so a first step's traced peak (the pool it fills and the output),
     # beside the state and the range masks that exist before it, stays
-    # within the live-peak estimate; with two chains a mask is freed rather
+    # within the core's count; with two chains a mask is freed rather
     # than pooled, since no chain row can reuse it
     rule = load_rule(name)
     kern = kernel_plus(symmetric_noise(0.1), rule)
     core = engine._PackedCore(rule, dims, kern, 3, replicas=1000, rows=rows)
-    words = np.full((rows, core.n_words), engine._ONES)
-    tracemalloc.start()
-    try:
-        core.step(words, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    row = 8 * core.n_words
-    held = row * (rows + sum(len(m) for m in core._moves.values()))
-    assert peak + held <= engine.working_bytes(rule, kern, dims, rows, replicas=1000)
+    held = _held(core, rows)
+    peak = _traced_step(core, np.full((rows, core.n_words), engine._ONES), 0)
+    assert peak + held <= core.working_bytes
     # keeping every node value and mask to the end of the step held 9 rows
-    assert peak < 7 * rows * row
+    assert peak < 7 * rows * 8 * core.n_words
 
 
 @pytest.mark.parametrize("name, dims", [("nec", (64, 64)), ("majority1d", (4096,))])
 def test_a_later_two_chain_step_stays_within_working_bytes(name, dims):
     # a later two-chain step draws its masks beside the chain rows the first
     # step pooled; with eight masks, six of them freed before the chain
-    # peak, that draw is the step's peak, two rows over the live peak.
-    # Beside the rows, a block's packed bits and small objects take about
-    # 25 KiB that working_bytes' 9 bytes per drawn site leave out
+    # peak, that draw is the step's peak, two rows over the live peak
     rule = load_rule(name)
     kern = np.linspace(0.05, 0.95, 2 ** rule.size)
     core = engine._PackedCore(rule, dims, kern, 3, replicas=1000, rows=2)
     words = core.step(np.full((2, core.n_words), engine._ONES), 0)
-    tracemalloc.start()
-    try:
-        core.step(words, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    row = 8 * core.n_words
-    held = row * (2 + sum(len(m) for m in core._moves.values())) + sum(a.nbytes for a in core._free)
-    assert peak + held <= engine.working_bytes(rule, kern, dims, 2, replicas=1000) + (32 << 10)
+    held = _held(core, 2)
+    assert _traced_step(core, words, 1) + held <= core.working_bytes
+
+
+@pytest.mark.parametrize("later", [False, True], ids=["first", "later"])
+@pytest.mark.parametrize("rows", [1, 2], ids=["one-chain", "two-chains"])
+@pytest.mark.parametrize("kernel", ["symmetric", "spread"])
+@pytest.mark.parametrize("name, dims, m", [
+    ("nec", (64, 64), 1000), ("nec", (256, 256), None), ("majority1d", (4096,), 1000),
+    ("stavskaya", (8,), 120_000), ("nec", (60, 60), 100),
+], ids=["nec64x1000", "nec256", "majority1d-4096x1000", "stavskaya8x120000", "nec60x100"])
+def test_the_count_covers_every_step(name, dims, m, kernel, rows, later):
+    # a step's traced peak, beside the rows held before it, stays within
+    # the core's count.  On one nec 256 x 256 lattice a row is 8 KiB, so
+    # the draw block dominates: its raw words, comparison, packed bits and
+    # small objects trace up to 9.39 bytes a site, which _STREAM_BYTES
+    # covers.  A 60-wide plane shifts by part words and takes a carry row,
+    # a 64-wide one does not
+    rule = load_rule(name)
+    kern = (kernel_plus(symmetric_noise(0.1), rule) if kernel == "symmetric"
+            else np.linspace(0.05, 0.95, 2 ** rule.size))
+    core = engine._PackedCore(rule, dims, kern, 3, replicas=m, rows=rows)
+    words = np.full((rows, core.n_words), engine._ONES)
+    if later:
+        words = core.step(words, 0)
+    held = _held(core, rows)
+    assert _traced_step(core, words, int(later)) + held <= core.working_bytes
 
 
 def test_the_pool_holds_the_rows_the_plan_counts():
     # a first one-chain step fills the pool to the plan's live peak, less
     # the state and the output; with two chains a (1, n_words) mask cannot
-    # serve as chain scratch, so the core keeps none
+    # serve as chain scratch, so the core keeps none.  On the second torus
+    # every axis but the last has a stride of whole words, so its moves
+    # take no carry row
     rng = random.Random(3)
     for _ in range(200):
         rule = random_rule(rng, max_R=6, max_d=3)
         kern = kernel_plus(symmetric_noise(0.1), rule)
-        dims = (7,) * rule.dimension
-        core = engine._PackedCore(rule, dims, kern, 3)
-        core.step(np.zeros((1, core.n_words), dtype=np.uint64), 0)
-        assert len(core._free) == max(chain + masks for chain, masks in core._plan.live) - 2
+        for dims in ((7,) * rule.dimension, (7,) * (rule.dimension - 1) + (64,)):
+            core = engine._PackedCore(rule, dims, kern, 3)
+            core.step(np.zeros((1, core.n_words), dtype=np.uint64), 0)
+            assert len(core._free) == max(chain + masks for chain, masks in core._plan.live) - 2
         core = engine._PackedCore(rule, dims, kern, 3, rows=2)
         core.step(np.zeros((2, core.n_words), dtype=np.uint64), 0)
         assert all(a.shape == (2, core.n_words) for a in core._free)
@@ -493,9 +536,9 @@ def test_redundant_shannon_nodes_are_dropped():
     stav = load_rule("stavskaya")
     rule = RuleSpec(dimension=1, neighborhood=stav.neighborhood + ((2,),),
                     table=np.concatenate([stav.table, stav.table]))
-    plan = engine._StepPlan(rule, kernel_plus(symmetric_noise(0.1), rule))
+    plan = engine._StepPlan(kernel_plus(symmetric_noise(0.1), rule), rule.neighborhood, (64,))
     assert all(hi != lo for _, hi, lo in plan.nodes)
-    assert 2 not in plan.n_moves
+    assert 2 not in plan.moves
     start = LatticeState.all_plus((64,))
     noise = symmetric_noise(0.2)
     assert evolve(start, rule, noise, 7, 0, 30) == evolve(start, stav, noise, 7, 0, 30)
@@ -677,6 +720,39 @@ class TestEroderCorpusConsistency:
             for island in islands:
                 res = erosion_time(rule, island)
                 assert res.erased, (name, island)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8, 12])
+    def test_squares_and_segments_erode_at_the_certificate_bound(self, k):
+        # nec erases a k x k square in 2k - 1 steps and stavskaya a k-site
+        # segment in k, exactly the bound that check's certificate gives
+        for name, island, steps in (("nec", list(itertools.product(range(k), repeat=2)), 2 * k - 1),
+                                    ("stavskaya", [(i,) for i in range(k)], k)):
+            rule = load_rule(name)
+            bound = erosion_bound(rule, island)
+            res = erosion_time(rule, island, cutoff=bound)
+            assert res.erased and res.steps == bound == steps
+
+    def test_random_rules_keep_to_the_certificate(self):
+        # 200 random rules in d <= 2 on the L1 ball of radius 2, the seed
+        # fixed before the first run: every ERODER erases the ball within
+        # its certificate's bound, a theorem (oracles.erosion_bound), and
+        # every NON_ERODER keeps it to step 30, an observation on these
+        # rules and not a theorem
+        rng = random.Random(20)
+        eroders = exact = 0
+        for _ in range(200):
+            rule = random_rule(rng, max_R=5, max_d=2)
+            ball = [s for s in itertools.product(range(-2, 3), repeat=rule.dimension)
+                    if sum(map(abs, s)) <= 2]
+            bound = erosion_bound(rule, ball)
+            if bound is None:
+                assert not erosion_time(rule, ball, cutoff=30).erased, rule
+                continue
+            res = erosion_time(rule, ball, cutoff=bound)
+            assert res.erased, rule
+            eroders += 1
+            exact += res.steps == bound
+        assert (eroders, exact) == (46, 18)
 
     def test_non_eroders_have_persistent_islands(self):
         assert not erosion_time(load_rule("majority1d"), [0, 1], dims=(50,), cutoff=20).erased

@@ -496,6 +496,17 @@ class TestTvDistance:
             tv_distance(delta_plus((4,)), delta_plus((5,)))
 
 
+class TestStateDistributionValidation:
+    @pytest.mark.parametrize("probs, message", [
+        (np.full(8, 1 / 8), r"need 2\^4 probabilities, got shape \(8,\)"),
+        (np.r_[-0.5, 1.5, np.zeros(14)], "negative probability entry"),
+        (np.full(16, 1 / 15), "probabilities sum to .*, not 1"),
+    ], ids=["wrong-shape", "negative-entry", "sum-off-one"])
+    def test_bad_probabilities_refused(self, probs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StateDistribution(dims=(4,), probs=probs)
+
+
 class TestSpinDuality:
     @pytest.mark.parametrize("rule, noise, dims", [
         (STAV, symmetric_noise(0.1), (8,)),

@@ -192,6 +192,16 @@ class TestRuleSpecValidation:
         with pytest.raises(RuleValidationError):
             RuleSpec(dimension=1, neighborhood=((0,), (1,)), table=np.array([0, 1]))
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"dimension": 0, "neighborhood": ()}, "dimension must be >= 1"),
+        ({"neighborhood": ()}, "neighborhood must contain at least one offset"),
+        ({"table": np.array([0, 2])}, "table entries must be 0/1 bits"),
+    ], ids=["dimension-0", "empty-neighborhood", "table-entry-2"])
+    def test_bad_shape_named(self, fields, message):
+        spec = {"dimension": 1, "neighborhood": ((0,),), "table": np.array([0, 1]), **fields}
+        with pytest.raises(RuleValidationError, match=f"^{message}$"):
+            RuleSpec(**spec)
+
     def test_neighborhood_cap(self):
         offsets = tuple((i,) for i in range(21))
         with pytest.raises(RuleValidationError):

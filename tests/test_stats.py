@@ -269,11 +269,11 @@ def test_delta_se_covariance_is_np_cov_bit_for_bit(m, k, kind):
 @pytest.mark.parametrize("rule, dims, m", [(STAV, (8,), 120_000), (STAV, (15,), 20_000),
                                            (NEC, (8, 8), 3000)])
 def test_estimators_stay_within_their_bytes(rule, dims, m):
-    # beside the packed rows, which working_bytes counts, the estimators
+    # beside the packed rows, which the stepping core counts, the estimators
     # hold estimator_bytes: the value matrix, the sample's means (counted in
     # the first estimator to read them) and _delta_se's running sums
     noise = symmetric_noise(0.1)
-    packed = engine.working_bytes(rule, engine.kernel_plus(noise, rule), dims, replicas=m)
+    packed = engine._PackedCore(rule, dims, engine.kernel_plus(noise, rule), replicas=m).working_bytes
     for estimate, k in ((lambda s: spatial_correlation(s, [0, 1, 2, 3]), 2),
                         (lambda s: temporal_autocorrelation(s, [0, 1, 2]), 3)):
         sample = stationary_sample(rule, noise, dims, 30, m, seed=5)
@@ -715,7 +715,8 @@ class TestBurnInFromThePast:
         # counter draws sends the stragglers back to the whole batch
         noise, m = symmetric_noise(0.1), 20000
         kern = engine.kernel_plus(noise, STAV)
-        monkeypatch.setattr(engine, "MAX_MC_BYTES", engine.working_bytes(STAV, kern, (8,), 2, m))
+        monkeypatch.setattr(engine, "MAX_MC_BYTES",
+                            engine._PackedCore(STAV, (8,), kern, replicas=m, rows=2).working_bytes)
         log = self.stages(monkeypatch)
         got = self.same(STAV, noise, (8,), 120, m, 0)
         (first, w, apart), *rest = log
@@ -730,7 +731,8 @@ class TestBurnInFromThePast:
     def test_batch_that_fits_one_row_only(self, monkeypatch):
         noise, m = symmetric_noise(0.1), 20000
         kern = engine.kernel_plus(noise, STAV)
-        one, two = (engine.working_bytes(STAV, kern, (8,), rows, m) for rows in (1, 2))
+        one, two = (engine._PackedCore(STAV, (8,), kern, replicas=m, rows=rows).working_bytes
+                    for rows in (1, 2))
         assert one < two
         monkeypatch.setattr(engine, "MAX_MC_BYTES", one)
         got = self.same(STAV, noise, (8,), 120, m, 8)
